@@ -84,25 +84,34 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     ``w_agg`` must equal A x / (lam n) on entry and is kept consistent by
     rank-one column updates.  Each step maximizes D over one coordinate
     exactly (a 1-d quadratic, clipped to the conjugate domain), so the dual
-    objective never decreases.
+    objective never decreases.  Every step is :func:`sdca_coordinate_update`
+    at margin A_i' w_agg, inlined over locals like the accelerated kernel
+    ``erm.apcg_erm_steps``.
     """
     m = prob.matrix
+    indices, values = m.indices, m.values
+    bounds = m.indptr.tolist()
+    col_norms_sq = prob.col_norms_sq.tolist()
+    anchors = prob.anchors.tolist()
     lam_n = prob.lam * prob.n
     gamma = prob.gamma
-    anchors = prob.anchors
     is_box = prob.loss.dual_box is not None
-    for _ in range(prob.n):
-        i = sampler.draw()
-        idx, val = m.col(i)
-        q_i = float(prob.col_norms_sq[i]) / lam_n
-        margin = float(val @ w_agg[idx])
-        s = (float(anchors[i]) - margin + float(x[i]) * q_i) / (gamma + q_i)
+    x_at = x.item
+    for i in sampler.take(prob.n):
+        lo, hi = bounds[i], bounds[i + 1]
+        idx = indices[lo:hi]
+        val = values[lo:hi]
+        w_idx = w_agg[idx]
+        q_i = col_norms_sq[i] / lam_n
+        margin = float(val.dot(w_idx))
+        x_i = x_at(i)
+        s = (anchors[i] - margin + x_i * q_i) / (gamma + q_i)
         if is_box:
             s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-        delta = s - float(x[i])
+        delta = s - x_i
         if delta != 0.0:
             x[i] = s
-            w_agg[idx] += (delta / lam_n) * val
+            w_agg[idx] = w_idx + (delta / lam_n) * val
     return x, w_agg
 
 
@@ -128,22 +137,30 @@ def rpcg_erm_epoch(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
     center x_i.
     """
     m = prob.matrix
+    indices, values = m.indices, m.values
+    bounds = m.indptr.tolist()
     n = prob.n
     L, _ = erm_constants(prob)
+    L = L.tolist()
+    anchors = prob.anchors.tolist()
     scale = 1.0 / (prob.lam * n * n)
     gon = prob.gamma / n
     is_box = prob.loss.dual_box is not None
-    for _ in range(n):
-        i = sampler.draw()
-        idx, val = m.col(i)
-        grad = float(val @ ax[idx]) * scale + gon * float(x[i])
-        s = float(x[i]) + (float(prob.anchors[i]) / n - grad) / float(L[i])
+    x_at = x.item
+    for i in sampler.take(n):
+        lo, hi = bounds[i], bounds[i + 1]
+        idx = indices[lo:hi]
+        val = values[lo:hi]
+        ax_idx = ax[idx]
+        x_i = x_at(i)
+        grad = float(val.dot(ax_idx)) * scale + gon * x_i
+        s = x_i + (anchors[i] / n - grad) / L[i]
         if is_box:
             s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-        delta = s - float(x[i])
+        delta = s - x_i
         if delta != 0.0:
             x[i] = s
-            ax[idx] += delta * val
+            ax[idx] = ax_idx + delta * val
     return x, ax
 
 

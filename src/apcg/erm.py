@@ -21,7 +21,7 @@ its linear rate.  The coordinate-wise constants are
 ``L_i = ||A_i||^2/(lam n^2) + gamma/n`` and
 ``mu = (gamma/n) / max_i L_i >= lam gamma n / (R^2 + lam gamma n)``.
 
-:class:`ErmDualState` and :func:`apcg_erm_step` implement the specialized
+:class:`ErmDualState` and :func:`apcg_erm_steps` implement the specialized
 iteration that maintains p = A u and q = A v alongside (u, v), so each step
 costs O(nnz(A_i)): one column is read twice for the gradient and updated
 twice for the aggregates.  Like the generic efficient solver, u and p are
@@ -205,21 +205,50 @@ def _dual_feasible(prob: ErmProblem, x: np.ndarray,
     return np.clip(x, lo, hi)
 
 
-def dual_objective(prob: ErmProblem, x: np.ndarray) -> float:
-    """D(x); returns -inf when x leaves the conjugate domain."""
-    xc = _dual_feasible(prob, x)
-    if xc is None:
-        return -math.inf
-    ax = prob.matrix.dot(xc)
+def _dual_value(prob: ErmProblem, xc: np.ndarray, ax: np.ndarray) -> float:
+    """D at a feasible (clipped) xc, given ax = A xc."""
     n = prob.n
     return (-float(np.sum(prob.loss.conj_neg(xc))) / n
             - float(ax @ ax) / (2.0 * prob.lam * n * n))
 
 
-def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
-    margins = prob.matrix.tdot(np.asarray(w, dtype=float))
+def _primal_value(prob: ErmProblem, w: np.ndarray, margins: np.ndarray) -> float:
+    """P(w), given margins = A' w."""
     return (float(np.sum(prob.loss.phi(margins))) / prob.n
             + 0.5 * prob.lam * float(np.dot(w, w)))
+
+
+def _subgradient_selection(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
+                           ) -> tuple[np.ndarray, float]:
+    """(a, ||D'(xc)||^2) for a feasible xc, given margins = A' w(xc)."""
+    a = prob.anchors - prob.gamma * xc
+    box = prob.loss.dual_box
+    if box is not None:
+        # at x_i = lo the set is [a_i, inf); at x_i = hi it is (-inf, a_i]
+        a = np.where(xc == box[0], np.maximum(a, margins), a)
+        a = np.where(xc == box[1], np.minimum(a, margins), a)
+    diffs = margins - a
+    return a, float(diffs @ diffs) / (prob.n * prob.n)
+
+
+def _feasible_or_raise(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
+    xc = _dual_feasible(prob, x)
+    if xc is None:
+        raise ValueError("dual point outside the conjugate domain")
+    return xc
+
+
+def dual_objective(prob: ErmProblem, x: np.ndarray) -> float:
+    """D(x); returns -inf when x leaves the conjugate domain."""
+    xc = _dual_feasible(prob, x)
+    if xc is None:
+        return -math.inf
+    return _dual_value(prob, xc, prob.matrix.dot(xc))
+
+
+def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
+    w = np.asarray(w, dtype=float)
+    return _primal_value(prob, w, prob.matrix.tdot(w))
 
 
 def primal_from_dual(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
@@ -237,19 +266,9 @@ def dual_subgradient(prob: ErmProblem, x: np.ndarray
     is projected onto it, which makes the selection vanish at constrained
     optima.  The squared norm is (1/n^2) sum_i (A_i' w - a_i)^2.
     """
-    xc = _dual_feasible(prob, x)
-    if xc is None:
-        raise ValueError("dual point outside the conjugate domain")
-    a = prob.anchors - prob.gamma * xc
+    xc = _feasible_or_raise(prob, x)
     w = primal_from_dual(prob, xc)
-    margins = prob.matrix.tdot(w)
-    box = prob.loss.dual_box
-    if box is not None:
-        # at x_i = lo the set is [a_i, inf); at x_i = hi it is (-inf, a_i]
-        a = np.where(xc == box[0], np.maximum(a, margins), a)
-        a = np.where(xc == box[1], np.minimum(a, margins), a)
-    diffs = margins - a
-    norm_sq = float(diffs @ diffs) / (prob.n * prob.n)
+    a, norm_sq = _subgradient_selection(prob, xc, prob.matrix.tdot(w))
     return a, w, norm_sq
 
 
@@ -268,9 +287,18 @@ class PrimalDualReport:
     @classmethod
     def evaluate(cls, prob: ErmProblem, x: np.ndarray, epoch: int,
                  wall_time_s: float = 0.0) -> "PrimalDualReport":
-        _, w, norm_sq = dual_subgradient(prob, x)
-        primal = primal_objective(prob, w)
-        dual = dual_objective(prob, x)
+        """Primal, dual and subgradient at x from one A x and one A' w.
+
+        Each field equals what dual_objective(x), dual_subgradient(x) and
+        primal_objective at that subgradient's w return separately.
+        """
+        xc = _feasible_or_raise(prob, x)
+        ax = prob.matrix.dot(xc)
+        w = ax / (prob.lam * prob.n)
+        margins = prob.matrix.tdot(w)
+        _, norm_sq = _subgradient_selection(prob, xc, margins)
+        primal = _primal_value(prob, w, margins)
+        dual = _dual_value(prob, xc, ax)
         return cls(epoch=epoch, primal=primal, dual=dual, gap=primal - dual,
                    dual_subgrad_norm_sq=norm_sq,
                    subgradient_gap_bound=prob.n / (2.0 * prob.gamma) * norm_sq,
@@ -457,10 +485,12 @@ class ErmDualState:
         self.k = 0
         self.last_h = 0.0  # increment of the most recent step, for diagnostics
         self.sampler = BlockSampler(n, seed)
-        # hot-loop constants
-        self.quad_weight = self.alpha * (prob.col_norms_sq + prob.lam * prob.gamma * n) / (prob.lam * n)
+        # hot-loop constants, per-coordinate ones as lists for cheap scalar reads
+        self.col_bounds = prob.matrix.indptr.tolist()
+        self.quad_weight = (self.alpha * (prob.col_norms_sq + prob.lam * prob.gamma * n)
+                            / (prob.lam * n)).tolist()
         self.grad_scale = 1.0 / (prob.lam * n * n)
-        self.anchor_over_n = prob.anchors / n
+        self.anchor_over_n = (prob.anchors / n).tolist()
         self.is_box = prob.loss.dual_box is not None
         self.gamma_over_n = prob.gamma / n
         self.half_minus = 0.5 * (1.0 - n * self.alpha)
@@ -492,47 +522,67 @@ class ErmDualState:
             raise RuntimeError(f"aggregate drift p={p_err:.3e} q={q_err:.3e} exceeds {tol}")
 
 
-def apcg_erm_step(prob: ErmProblem, state: ErmDualState,
-                  forced_block: int | None = None) -> ErmDualState:
-    """One coordinate step of the dual solver; O(nnz(A_i)) work.
+def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualState:
+    """One coordinate step of the dual solver per index in ``blocks``, in order.
 
+    Each step costs O(nnz(A_i)):
     grad_i = (A_i' pbar + A_i' q) / (lam n^2) + (gamma/n)(ubar_i + v_i);
     the 1-d subproblem min_h { c/2 h^2 + grad_i h + Psi_i(t0 + h) } with
     c = alpha (||A_i||^2 + lam gamma n) / (lam n) and t0 = -ubar_i + v_i is
     solved in closed form (a clipped affine expression), then (ubar, v) and
-    (pbar, q) are updated on coordinate i and column A_i only.
+    (pbar, q) are updated on coordinate i and column A_i only.  The state is
+    read into locals once per call, so a whole epoch runs as one loop, and
+    each column's gathered aggregates are reused for its update.
     """
     m = prob.matrix
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
-    lo, hi = m.indptr[i], m.indptr[i + 1]
-    idx = m.indices[lo:hi]
-    val = m.values[lo:hi]
+    indices, values = m.indices, m.values
+    bounds = state.col_bounds
+    ubar_raw, stamps, v = state.ubar_raw, state.stamps, state.v
+    ubar_at, stamp_at, v_at = ubar_raw.item, stamps.item, v.item
+    pbar_base, q = state.pbar_base, state.q
+    quad_weight, anchor_over_n = state.quad_weight, state.anchor_over_n
+    rho, grad_scale, gamma_over_n = state.rho, state.grad_scale, state.gamma_over_n
+    half_minus, half_plus, is_box = state.half_minus, state.half_plus, state.is_box
+    pbar_scale, k, h = state.pbar_scale, state.k, state.last_h
+    for i in blocks:
+        lo, hi = bounds[i], bounds[i + 1]
+        idx = indices[lo:hi]
+        val = values[lo:hi]
+        pbar_idx = pbar_base[idx]
+        q_idx = q[idx]
 
-    rho = state.rho
-    ub_i = float(state.ubar_raw[i]) * rho ** float(state.k - state.stamps[i])
-    v_i = float(state.v[i])
-    a_dot = float(val @ state.pbar_base[idx]) * state.pbar_scale + float(val @ state.q[idx])
-    grad = a_dot * state.grad_scale + state.gamma_over_n * (ub_i + v_i)
+        ub_i = ubar_at(i) * rho ** float(k - stamp_at(i))
+        v_i = v_at(i)
+        # ndarray.dot is numpy.dot without the module-level dispatch
+        a_dot = float(val.dot(pbar_idx)) * pbar_scale + float(val.dot(q_idx))
+        grad = a_dot * grad_scale + gamma_over_n * (ub_i + v_i)
 
-    t0 = -ub_i + v_i
-    s = t0 + (float(state.anchor_over_n[i]) - grad) / float(state.quad_weight[i])
-    if state.is_box:
-        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-    h = s - t0
-    state.last_h = h
+        t0 = -ub_i + v_i
+        s = t0 + (anchor_over_n[i] - grad) / quad_weight[i]
+        if is_box:
+            s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+        h = s - t0
 
-    state.ubar_raw[i] = rho * (ub_i - state.half_minus * h)
-    state.stamps[i] = state.k + 1
-    state.v[i] = v_i + state.half_plus * h
-    if h != 0.0:
-        state.pbar_base[idx] -= (state.half_minus * h / state.pbar_scale) * val
-        state.q[idx] += (state.half_plus * h) * val
-    state.pbar_scale *= rho
-    if state.pbar_scale < 1e-120:
-        state.pbar_base *= state.pbar_scale
-        state.pbar_scale = 1.0
-    state.k += 1
+        ubar_raw[i] = rho * (ub_i - half_minus * h)
+        stamps[i] = k + 1
+        v[i] = v_i + half_plus * h
+        if h != 0.0:
+            pbar_base[idx] = pbar_idx - (half_minus * h / pbar_scale) * val
+            q[idx] = q_idx + (half_plus * h) * val
+        pbar_scale *= rho
+        if pbar_scale < 1e-120:
+            pbar_base *= pbar_scale
+            pbar_scale = 1.0
+        k += 1
+    state.pbar_scale, state.k, state.last_h = pbar_scale, k, h
     return state
+
+
+def apcg_erm_step(prob: ErmProblem, state: ErmDualState,
+                  forced_block: int | None = None) -> ErmDualState:
+    """One coordinate step on a drawn (or the forced) index; see apcg_erm_steps."""
+    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    return apcg_erm_steps(prob, state, (i,))
 
 
 @dataclass
@@ -560,8 +610,7 @@ def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,
     epoch = 0
     while epoch < epochs and reached is None:
         t0 = time.perf_counter()
-        for _ in range(n):
-            apcg_erm_step(prob, state)
+        apcg_erm_steps(prob, state, state.sampler.take(n))
         elapsed += time.perf_counter() - t0
         epoch += 1
         rep = PrimalDualReport.evaluate(prob, state.x(), epoch=epoch, wall_time_s=elapsed)

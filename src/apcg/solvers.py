@@ -53,13 +53,29 @@ class BlockSampler:
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
 
+    def _refill(self) -> None:
+        self._buf = self._gen.integers(0, self.n, size=self._batch, dtype=np.int64)
+        self._pos = 0
+
     def draw(self) -> int:
         if self._pos >= self._buf.size:
-            self._buf = self._gen.integers(0, self.n, size=self._batch, dtype=np.int64)
-            self._pos = 0
+            self._refill()
         i = self._buf[self._pos]
         self._pos += 1
         return int(i)
+
+    def take(self, k: int) -> list[int]:
+        """The next k indices of the stream, as k calls of draw() would return them."""
+        if k < 0:
+            raise ValueError("cannot take a negative number of indices")
+        out: list[int] = []
+        while len(out) < k:
+            if self._pos >= self._buf.size:
+                self._refill()
+            end = min(self._buf.size, self._pos + k - len(out))
+            out.extend(self._buf[self._pos:end].tolist())
+            self._pos = end
+        return out
 
 
 @dataclass

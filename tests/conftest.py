@@ -31,6 +31,12 @@ def hinge200():
 
 
 @pytest.fixture(scope="session")
+def ridge150():
+    A, labels = synth_binary(150, 40, 0.2, seed=2, min_nnz=1)
+    return ErmProblem.ridge(A, labels, lam=1e-3)
+
+
+@pytest.fixture(scope="session")
 def hinge200_optimum(hinge200):
     return oracles.hinge_dual_optimum(hinge200)
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from apcg.erm import ErmProblem, dual_objective
+from apcg.erm import ErmProblem, dual_objective, erm_constants
 
 
 def grid_minimize(fun, lo: float, hi: float, rounds: int = 4, points: int = 2001) -> float:
@@ -232,3 +232,63 @@ def ridge_dual_optimum(prob: ErmProblem) -> tuple[np.ndarray, float]:
     M = prob.gamma * np.eye(n) + gram / (prob.lam * n)
     x = np.linalg.solve(M, prob.anchors)
     return x, dual_objective(prob, x)
+
+
+def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:
+    """One coordinate step of the ERM dual solver on index i, written plainly.
+
+    The per-step form the fused kernel ``apcg.erm.apcg_erm_steps`` must
+    match bitwise.  Returns whether the prox solution was clipped to the
+    dual box.
+    """
+    m = prob.matrix
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    idx = m.indices[lo:hi]
+    val = m.values[lo:hi]
+
+    rho = state.rho
+    ub_i = float(state.ubar_raw[i]) * rho ** float(state.k - state.stamps[i])
+    v_i = float(state.v[i])
+    a_dot = float(val @ state.pbar_base[idx]) * state.pbar_scale + float(val @ state.q[idx])
+    grad = a_dot * state.grad_scale + state.gamma_over_n * (ub_i + v_i)
+
+    t0 = -ub_i + v_i
+    s = t0 + (float(state.anchor_over_n[i]) - grad) / float(state.quad_weight[i])
+    clipped = False
+    if state.is_box:
+        clipped = s < 0.0 or s > 1.0
+        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+    h = s - t0
+    state.last_h = h
+
+    state.ubar_raw[i] = rho * (ub_i - state.half_minus * h)
+    state.stamps[i] = state.k + 1
+    state.v[i] = v_i + state.half_plus * h
+    if h != 0.0:
+        state.pbar_base[idx] -= (state.half_minus * h / state.pbar_scale) * val
+        state.q[idx] += (state.half_plus * h) * val
+    state.pbar_scale *= rho
+    if state.pbar_scale < 1e-120:
+        state.pbar_base *= state.pbar_scale
+        state.pbar_scale = 1.0
+    state.k += 1
+    return clipped
+
+
+def rpcg_erm_step_reference(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
+                            i: int) -> None:
+    """One plain prox coordinate step of ``apcg.baselines.rpcg_erm_epoch``,
+    written plainly, in place on (x, ax = A x)."""
+    m = prob.matrix
+    n = prob.n
+    L, _ = erm_constants(prob)
+    idx, val = m.col(i)
+    scale = 1.0 / (prob.lam * n * n)
+    grad = float(val @ ax[idx]) * scale + (prob.gamma / n) * float(x[i])
+    s = float(x[i]) + (float(prob.anchors[i]) / n - grad) / float(L[i])
+    if prob.loss.dual_box is not None:
+        s = min(max(s, prob.loss.dual_box[0]), prob.loss.dual_box[1])
+    delta = s - float(x[i])
+    if delta != 0.0:
+        x[i] = s
+        ax[idx] += delta * val

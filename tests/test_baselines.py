@@ -191,3 +191,39 @@ def test_rpcg_erm_epoch_maintains_aggregate(hinge200):
     for _ in range(10):
         rpcg_erm_epoch(hinge200, x, ax, sampler)
     assert np.allclose(ax, hinge200.matrix.dot(x), atol=1e-10)
+
+
+@pytest.fixture(params=["hinge200", "ridge150"])
+def erm_prob(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_sdca_epoch_matches_coordinate_updates(erm_prob):
+    prob = erm_prob
+    lam_n = prob.lam * prob.n
+    x, w = np.zeros(prob.n), np.zeros(prob.d)
+    x_ref, w_ref = x.copy(), w.copy()
+    sampler, ref_sampler = BlockSampler(prob.n, 5), BlockSampler(prob.n, 5)
+    for _ in range(4):
+        sdca_epoch(prob, x, w, sampler)
+        for _ in range(prob.n):
+            i = ref_sampler.draw()
+            idx, val = prob.matrix.col(i)
+            s = sdca_coordinate_update(prob, float(x_ref[i]), float(val @ w_ref[idx]), i)
+            delta = s - float(x_ref[i])
+            if delta != 0.0:
+                x_ref[i] = s
+                w_ref[idx] += (delta / lam_n) * val
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+def test_rpcg_erm_epoch_matches_reference_steps(erm_prob):
+    prob = erm_prob
+    x, ax = np.zeros(prob.n), np.zeros(prob.d)
+    x_ref, ax_ref = x.copy(), ax.copy()
+    sampler, ref_sampler = BlockSampler(prob.n, 6), BlockSampler(prob.n, 6)
+    for _ in range(4):
+        rpcg_erm_epoch(prob, x, ax, sampler)
+        for _ in range(prob.n):
+            oracles.rpcg_erm_step_reference(prob, x_ref, ax_ref, ref_sampler.draw())
+    assert np.array_equal(x, x_ref) and np.array_equal(ax, ax_ref)

@@ -7,10 +7,10 @@ from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, RelocatedConjugatePenalty,
                       SmoothedHingeLoss, SquareLoss, apcg_erm_step,
-                      complexity_estimate, dual_composite, dual_objective,
-                      dual_subgradient, erm_constants, full_prox_gap_bound,
-                      full_prox_step, gap_by_dual_bound, primal_from_dual,
-                      primal_objective, solve_erm)
+                      apcg_erm_steps, complexity_estimate, dual_composite,
+                      dual_objective, dual_subgradient, erm_constants,
+                      full_prox_gap_bound, full_prox_step, gap_by_dual_bound,
+                      primal_from_dual, primal_objective, solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
@@ -260,6 +260,45 @@ def test_erm_aggregate_consistency_over_many_steps(hinge200):
     state.check_consistency(1e-8)
 
 
+def fused_against_reference(prob, seed, epochs):
+    """Run the fused kernel per epoch and the per-step oracle side by side.
+
+    Asserts the two states agree bitwise and returns (clipped steps,
+    pbar_scale renormalizations) seen by the oracle.
+    """
+    fused = ErmDualState(prob, seed=seed)
+    ref = ErmDualState(prob, seed=seed)
+    clipped = renorms = 0
+    for _ in range(epochs):
+        apcg_erm_steps(prob, fused, fused.sampler.take(prob.n))
+        for _ in range(prob.n):
+            scale = ref.pbar_scale
+            clipped += oracles.apcg_erm_step_reference(prob, ref, ref.sampler.draw())
+            renorms += ref.pbar_scale > scale  # the scale only grows at a renorm
+    for name in ("ubar_raw", "v", "stamps", "pbar_base", "q"):
+        assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
+    assert (fused.pbar_scale, fused.k, fused.last_h) == (ref.pbar_scale, ref.k, ref.last_h)
+    return clipped, renorms
+
+
+def test_fused_kernel_matches_reference_hinge(hinge200):
+    clipped, _ = fused_against_reference(hinge200, seed=4, epochs=8)
+    assert clipped > 0
+
+
+def test_fused_kernel_matches_reference_square(ridge150):
+    fused_against_reference(ridge150, seed=4, epochs=8)
+
+
+def test_fused_kernel_matches_reference_across_renormalization():
+    # lam n >> R^2 makes mu ~ 1, so rho^n ~ e^-2 and the pbar multiplier
+    # passes 1e-120 about every 140 epochs, inside a fused call
+    A, labels = synth_binary(5, 4, 0.5, seed=3, min_nnz=1)
+    prob = ErmProblem.ridge(A, labels, lam=10.0)
+    _, renorms = fused_against_reference(prob, seed=1, epochs=300)
+    assert renorms >= 1
+
+
 def test_erm_state_rejects_infeasible_start(hinge200):
     with pytest.raises(ConfigurationError):
         ErmDualState(hinge200, x0=np.full(hinge200.n, 2.0))
@@ -312,15 +351,30 @@ def test_subgradient_gap_bound_along_run(hinge200):
         assert rep.gap <= rep.subgradient_gap_bound + 1e-10
 
 
-def test_report_evaluate_consistency(hinge200):
-    x = np.full(hinge200.n, 0.25)
-    rep = PrimalDualReport.evaluate(hinge200, x, epoch=3)
-    w = primal_from_dual(hinge200, x)
-    assert rep.primal == pytest.approx(primal_objective(hinge200, w))
-    assert rep.dual == pytest.approx(dual_objective(hinge200, x))
-    assert rep.gap == pytest.approx(rep.primal - rep.dual)
-    assert rep.subgradient_gap_bound == pytest.approx(
-        hinge200.n / (2 * hinge200.gamma) * rep.dual_subgrad_norm_sq)
+def test_report_evaluate_consistency(hinge200, ridge150):
+    # the report shares one A x and one A' w between its fields; each must
+    # equal the separately computed value exactly
+    rng = np.random.default_rng(5)
+    edge = rng.choice([0.0, 1.0, 0.5], size=hinge200.n)
+    edge[:3] = (0.0, 1.0, 1.0 + 5e-10)  # within the rounding slack of the box
+    cases = [(hinge200, np.full(hinge200.n, 0.25)), (hinge200, edge),
+             (ridge150, rng.standard_normal(ridge150.n))]
+    for prob, x in cases:
+        rep = PrimalDualReport.evaluate(prob, x, epoch=3)
+        _, w, norm_sq = dual_subgradient(prob, x)
+        assert rep.primal == primal_objective(prob, w)
+        assert rep.dual == dual_objective(prob, x)
+        assert rep.dual_subgrad_norm_sq == norm_sq
+        assert rep.gap == rep.primal - rep.dual
+        assert rep.subgradient_gap_bound == prob.n / (2 * prob.gamma) * norm_sq
+        assert rep.epoch == 3
+
+
+def test_report_evaluate_rejects_outside_domain(hinge200):
+    x = np.zeros(hinge200.n)
+    x[0] = 1.2
+    with pytest.raises(ValueError):
+        PrimalDualReport.evaluate(hinge200, x, epoch=0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,25 @@ def test_sampler_different_seeds_differ():
     assert a != b
 
 
+@pytest.mark.parametrize("n", [1, 7, 1000, 5000])
+def test_sampler_take_continues_the_draw_stream(n):
+    # chunks straddle the 4096-index refill at several offsets, and draw()
+    # and take() interleave, so any lost or repeated index would show
+    chunks = [1, 0, 3, None, 4090, 4096, None, 5000, 1, 8193, None, 2]
+    mixed = BlockSampler(n, seed=9)
+    got = []
+    for k in chunks:
+        got.extend([mixed.draw()] if k is None else mixed.take(k))
+    pure = BlockSampler(n, seed=9)
+    assert got == [pure.draw() for _ in range(len(got))]
+    assert all(type(i) is int for i in got)
+
+
+def test_sampler_take_rejects_negative_count():
+    with pytest.raises(ValueError):
+        BlockSampler(3, seed=0).take(-1)
+
+
 # ---------------------------------------------------------------------------
 # single-step behavior
 # ---------------------------------------------------------------------------
