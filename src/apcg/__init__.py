@@ -5,7 +5,7 @@ and a benchmark CLI."""
 from .core import (BlockPartition, BoxIndicator, CompositeProblem,
                    L1Regularizer, SeparableRegularizer, SmoothOracle,
                    WeightedNorm, ZeroRegularizer, block_prox, weighted_norm)
-from .schedule import ApcgSchedule, schedule_step, solve_alpha, theta_coefficients
+from .schedule import ApcgSchedule, solve_alpha, theta_coefficients
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       SolveResult, apcg_step_efficient, apcg_step_general,
                       apcg_step_nsc, apcg_step_sc, solve)
@@ -14,9 +14,9 @@ from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
                   complexity_estimate, dual_composite, dual_objective,
                   dual_subgradient, erm_constants, full_prox_gap_bound,
                   full_prox_step, gap_by_dual_bound, primal_from_dual,
-                  primal_objective, solve_erm)
-from .baselines import (AfgState, BaselineConfig, afg_solve, afg_step,
-                        rpcg_erm_epoch, rpcg_solve, rpcg_step, sdca_epoch)
+                  primal_objective, run_epochs, solve_erm)
+from .baselines import (AfgState, afg_solve, afg_step, rpcg_solve, rpcg_step,
+                        sdca_epoch)
 from .data import (DatasetMeta, SparseColMatrix, column_stats, parse_libsvm,
                    spectral_norm, synth_binary, write_libsvm)
 

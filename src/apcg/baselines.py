@@ -4,7 +4,9 @@ with backtracking line search.
 
 Cost accounting convention used by the benchmark harness: RPCG, SDCA and the
 accelerated dual coordinate solver all do n coordinate steps per epoch; one
-AFG iteration touches the full vector and is charged one epoch.
+AFG iteration touches the full vector and is charged one epoch.  On the ERM
+dual, RPCG's prox step with weight L_i is SDCA's exact coordinate maximizer,
+so :func:`sdca_epoch` serves both there.
 """
 
 from __future__ import annotations
@@ -15,29 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompositeProblem, block_prox
-from .erm import ErmProblem, erm_constants
-from .errors import ConfigurationError, StepSizeError
+from .erm import ErmProblem
+from .errors import StepSizeError
 from .solvers import BlockSampler
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Options for one baseline run."""
-
-    method: str  # "sdca" | "afg" | "rpcg"
-    seed: int = 0
-    max_epochs: int = 100
-    afg_initial_step: float | None = None  # default: 1 / (crude Lipschitz estimate)
-    afg_backtrack: float = 0.5
-    afg_expand: float = 2.0
-
-    def __post_init__(self):
-        if self.method not in ("sdca", "afg", "rpcg"):
-            raise ConfigurationError(f"unknown baseline {self.method!r}")
-        if not (0.0 < self.afg_backtrack < 1.0):
-            raise ConfigurationError("backtracking factor must lie in (0, 1)")
-        if self.afg_initial_step is not None and self.afg_initial_step <= 0:
-            raise ConfigurationError("initial step must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -125,46 +107,6 @@ def sdca_coordinate_update(prob: ErmProblem, x_i: float, margin: float, i: int) 
 
 
 # ---------------------------------------------------------------------------
-# RPCG specialization for the dual ERM problem (aggregate-maintained)
-# ---------------------------------------------------------------------------
-
-def rpcg_erm_epoch(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
-                   sampler: BlockSampler) -> tuple[np.ndarray, np.ndarray]:
-    """n plain proximal coordinate steps on the relocated dual splitting.
-
-    ``ax`` must equal A x on entry.  Uses the same closed-form subproblem as
-    the accelerated solver but with unit momentum, i.e. prox weight L_i and
-    center x_i.
-    """
-    m = prob.matrix
-    indices, values = m.indices, m.values
-    bounds = m.indptr.tolist()
-    n = prob.n
-    L, _ = erm_constants(prob)
-    L = L.tolist()
-    anchors = prob.anchors.tolist()
-    scale = 1.0 / (prob.lam * n * n)
-    gon = prob.gamma / n
-    is_box = prob.loss.dual_box is not None
-    x_at = x.item
-    for i in sampler.take(n):
-        lo, hi = bounds[i], bounds[i + 1]
-        idx = indices[lo:hi]
-        val = values[lo:hi]
-        ax_idx = ax[idx]
-        x_i = x_at(i)
-        grad = float(val.dot(ax_idx)) * scale + gon * x_i
-        s = x_i + (anchors[i] / n - grad) / L[i]
-        if is_box:
-            s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-        delta = s - x_i
-        if delta != 0.0:
-            x[i] = s
-            ax[idx] = ax_idx + delta * val
-    return x, ax
-
-
-# ---------------------------------------------------------------------------
 # AFG (accelerated proximal full gradient with backtracking)
 # ---------------------------------------------------------------------------
 
@@ -214,7 +156,6 @@ def afg_step(problem: CompositeProblem, state: AfgState,
         state.backtracks += 1
     else:
         raise StepSizeError(f"no acceptable step after {max_backtracks} backtracks")
-    assert f_new <= quad + 1e-9 * max(1.0, abs(quad))
 
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
     momentum = (state.t - 1.0) / t_next

@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,62 +94,28 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
                      tol: float | None) -> erm.ErmRunResult:
     """Per-epoch primal/dual/gap trace for one solver on one instance.
 
-    Baselines are charged by the shared accounting: n coordinate steps or one
-    full-gradient iteration per epoch.
+    Every solver is charged by the shared accounting: n coordinate steps or
+    one full-gradient iteration per epoch.  ``rpcg`` runs the SDCA kernel: on
+    the relocated dual splitting the coordinate subproblem is an exact 1-d
+    quadratic, so the prox step with weight L_i is SDCA's exact maximizer,
+    x_i + (a_i/n - grad_i)/L_i = (a_i - A_i'w + x_i q_i)/(gamma + q_i).
     """
     if solver == "apcg":
-        return erm.solve_erm(prob, epochs=epochs, seed=seed, tol=tol)
-
-    n = prob.n
-    reports = [erm.PrimalDualReport.evaluate(prob, np.zeros(n), epoch=0)]
-    reached = 0 if (tol is not None and reports[0].gap <= tol) else None
-    elapsed = 0.0
-    epoch = 0
-    x = np.zeros(n)
-
-    if solver == "sdca":
-        w_agg = np.zeros(prob.d)
-        sampler = BlockSampler(n, seed)
-        while epoch < epochs and reached is None:
-            t0 = time.perf_counter()
-            baselines.sdca_epoch(prob, x, w_agg, sampler)
-            elapsed += time.perf_counter() - t0
-            epoch += 1
-            rep = erm.PrimalDualReport.evaluate(prob, x, epoch=epoch, wall_time_s=elapsed)
-            reports.append(rep)
-            if tol is not None and rep.gap <= tol:
-                reached = epoch
-    elif solver == "rpcg":
-        ax = np.zeros(prob.d)
-        sampler = BlockSampler(n, seed)
-        while epoch < epochs and reached is None:
-            t0 = time.perf_counter()
-            baselines.rpcg_erm_epoch(prob, x, ax, sampler)
-            elapsed += time.perf_counter() - t0
-            epoch += 1
-            rep = erm.PrimalDualReport.evaluate(prob, x, epoch=epoch, wall_time_s=elapsed)
-            reports.append(rep)
-            if tol is not None and rep.gap <= tol:
-                reached = epoch
+        state = erm.ErmDualState(prob, seed=seed)
+        epoch, current = state.epoch, state.x
+    elif solver in ("sdca", "rpcg"):
+        x, w_agg = np.zeros(prob.n), np.zeros(prob.d)
+        sampler = BlockSampler(prob.n, seed)
+        epoch = lambda: baselines.sdca_epoch(prob, x, w_agg, sampler)
+        current = lambda: x
     elif solver == "afg":
         composite = erm.dual_composite(prob, splitting="simple")
-        state = baselines.afg_start(composite)
-        while epoch < epochs and reached is None:
-            t0 = time.perf_counter()
-            baselines.afg_step(composite, state)
-            elapsed += time.perf_counter() - t0
-            epoch += 1
-            x = state.x
-            rep = erm.PrimalDualReport.evaluate(prob, x, epoch=epoch, wall_time_s=elapsed)
-            reports.append(rep)
-            if tol is not None and rep.gap <= tol:
-                reached = epoch
+        afg = baselines.afg_start(composite)
+        epoch = lambda: baselines.afg_step(composite, afg)
+        current = lambda: afg.x
     else:
         raise ConfigurationError(f"unknown solver {solver!r}")
-
-    return erm.ErmRunResult(x=np.asarray(x, float),
-                            w=erm.primal_from_dual(prob, np.asarray(x, float)),
-                            reports=reports, epochs_run=epoch, epochs_to_tol=reached)
+    return erm.run_epochs(prob, epoch, current, epochs, tol)
 
 
 @dataclass(frozen=True)
@@ -349,12 +314,16 @@ def _check_gap_bound() -> CheckResult:
 def _check_envelope() -> CheckResult:
     inst = diag_dominant_quadratic(20, seed=1, l1=0.1)
     problem = inst.problem
-    # proximal-gradient oracle for F* and x*
-    x = np.zeros(problem.dim)
+    # proximal-gradient oracle for F* and x*, stopped once the iterates settle
+    # into their floating-point cycle (a new iterate equals one of the last two)
+    x = prev = np.zeros(problem.dim)
     step = 1.0 / inst.lipschitz_full
     for _ in range(300_000):
-        x = problem.reg.prox_full(x - step * problem.smooth.full_gradient(x),
-                                  1.0 / step, problem.partition)
+        x_new = problem.reg.prox_full(x - step * problem.smooth.full_gradient(x),
+                                      1.0 / step, problem.partition)
+        if np.array_equal(x_new, x) or np.array_equal(x_new, prev):
+            break
+        x, prev = x_new, x
     fstar = problem.objective(x)
     gamma0 = 1.0
     r0 = problem.weighted_norm(-x)
@@ -424,57 +393,45 @@ def load_config_file(path) -> dict:
     return out
 
 
+def _split(parse):
+    return lambda text: [parse(v) for v in text.split(",")]
+
+
+# config-file key -> (ExperimentConfig field, which is also the flag's dest;
+# parser of the file's text).  The flags arrive parsed, except --synthetic.
+CONFIG_KEYS = {
+    "data": ("data", str),
+    "synthetic": ("synthetic", _parse_synthetic),
+    "loss": ("loss", str),
+    "lambda": ("lambdas", _split(float)),
+    "gamma": ("gamma", float),
+    "solver": ("solvers", _split(str.strip)),
+    "seed": ("seeds", _split(int)),
+    "epochs": ("epochs", int),
+    "tol": ("tol", float),
+    "out": ("out", str),
+    "jobs": ("jobs", int),
+}
+
+
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's values, overridden by the flags given;
+    $APCG_JOBS applies when --jobs is absent."""
     cfg = ExperimentConfig()
-    if args.config:
-        raw = load_config_file(args.config)
-        if "data" in raw:
-            cfg.data = raw["data"]
-        if "synthetic" in raw:
-            cfg.synthetic = _parse_synthetic(raw["synthetic"])
-        if "loss" in raw:
-            cfg.loss = raw["loss"]
-        if "lambda" in raw:
-            cfg.lambdas = [float(v) for v in raw["lambda"].split(",")]
-        if "gamma" in raw:
-            cfg.gamma = float(raw["gamma"])
-        if "solver" in raw:
-            cfg.solvers = [v.strip() for v in raw["solver"].split(",")]
-        if "seed" in raw:
-            cfg.seeds = [int(v) for v in raw["seed"].split(",")]
-        if "epochs" in raw:
-            cfg.epochs = int(raw["epochs"])
-        if "tol" in raw:
-            cfg.tol = float(raw["tol"])
-        if "out" in raw:
-            cfg.out = raw["out"]
-        if "jobs" in raw:
-            cfg.jobs = int(raw["jobs"])
-    if args.data:
-        cfg.data = args.data
-        cfg.synthetic = None
-    if args.synthetic:
-        cfg.synthetic = _parse_synthetic(args.synthetic)
-        cfg.data = None
-    if args.loss:
-        cfg.loss = args.loss
-    if args.lambdas:
-        cfg.lambdas = args.lambdas
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-    if args.solvers:
-        cfg.solvers = args.solvers
-    if args.seeds:
-        cfg.seeds = args.seeds
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.out:
-        cfg.out = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    elif os.environ.get("APCG_JOBS"):
+    raw = load_config_file(args.config) if args.config else {}
+    for key, (name, parse) in CONFIG_KEYS.items():
+        if key in raw:
+            setattr(cfg, name, parse(raw[key]))
+    for name, _ in CONFIG_KEYS.values():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name == "synthetic":
+            value = _parse_synthetic(value)
+        if name in ("data", "synthetic"):  # a dataset flag replaces the other
+            cfg.data = cfg.synthetic = None
+        setattr(cfg, name, value)
+    if args.jobs is None and os.environ.get("APCG_JOBS"):
         cfg.jobs = int(os.environ["APCG_JOBS"])
     return cfg
 

@@ -309,53 +309,14 @@ class PrimalDualReport:
 # Dual problem as a generic composite instance (both splittings)
 # ---------------------------------------------------------------------------
 
-class RelocatedConjugatePenalty(SeparableRegularizer):
-    """Psi_i(s) = (1/n)(phi*_i(-s) - (gamma/2) s^2): linear inside the domain.
-
-    For the smoothed hinge this is -s/n on [0, 1]; for square loss -b_i s / n
-    everywhere.  The prox shifts the center by a_i / (n * weight) and
-    projects onto the box if there is one.
-    """
-
-    def __init__(self, anchors: np.ndarray, n: int, box):
-        self.anchors = np.asarray(anchors, dtype=float)
-        self.n = int(n)
-        self.box = box
-
-    def _project(self, s):
-        if self.box is None:
-            return s
-        return np.clip(s, self.box[0], self.box[1])
-
-    def _in_box(self, s) -> bool:
-        if self.box is None:
-            return True
-        lo, hi = self.box
-        return bool(np.all(s >= lo - DUAL_DOMAIN_ATOL)
-                    and np.all(s <= hi + DUAL_DOMAIN_ATOL))
-
-    def eval_block(self, i, xi):
-        if not self._in_box(xi):
-            return math.inf
-        s = float(self._project(np.asarray(xi, dtype=float))[0])
-        return -self.anchors[i] * s / self.n
-
-    def prox_block(self, i, center, weight):
-        s = center + self.anchors[i] / (self.n * weight)
-        return np.atleast_1d(self._project(s))
-
-    def eval_full(self, x, partition):
-        if not self._in_box(x):
-            return math.inf
-        xc = self._project(x)
-        return -float(self.anchors @ xc) / self.n
-
-    def prox_full(self, center, weight, partition):
-        return self._project(center + self.anchors / (self.n * weight))
-
-
 class ConjugatePenalty(SeparableRegularizer):
-    """Psi_i(s) = (1/n) phi*_i(-s) = (1/n)(-a_i s + (gamma/2) s^2) on the domain."""
+    """Psi_i(s) = (1/n)(-a_i s + (gamma/2) s^2) on the domain, +inf off it.
+
+    With the loss's gamma this is (1/n) phi*_i(-s), the simple splitting's
+    penalty; with gamma = 0 it is the relocated splitting's linear penalty,
+    (1/n) phi*_i(-s) less the loss's (gamma/2n) s^2.  The prox solves the 1-d
+    quadratic and projects onto the box if there is one.
+    """
 
     def __init__(self, anchors: np.ndarray, gamma: float, n: int, box):
         self.anchors = np.asarray(anchors, dtype=float)
@@ -433,14 +394,14 @@ def dual_composite(prob: ErmProblem, splitting: str = "relocated") -> CompositeP
 
     if relocated:
         L, mu = erm_constants(prob)
-        reg = RelocatedConjugatePenalty(prob.anchors, n, prob.loss.dual_box)
     else:
         L = prob.col_norms_sq * scale
         mu = 0.0
         if np.any(L <= 0.0):
             raise ConfigurationError(
                 "simple splitting needs nonzero columns; use the relocated one")
-        reg = ConjugatePenalty(prob.anchors, gamma, n, prob.loss.dual_box)
+    reg = ConjugatePenalty(prob.anchors, 0.0 if relocated else gamma, n,
+                           prob.loss.dual_box)
 
     smooth = SmoothOracle(value=value, full_gradient=full_gradient,
                           partial_gradient=partial_gradient, lipschitz=L, mu=mu)
@@ -495,6 +456,10 @@ class ErmDualState:
         self.gamma_over_n = prob.gamma / n
         self.half_minus = 0.5 * (1.0 - n * self.alpha)
         self.half_plus = 0.5 * (1.0 + n * self.alpha)
+
+    def epoch(self) -> None:
+        """n coordinate steps on the sampler's next n indices."""
+        apcg_erm_steps(self.prob, self, self.sampler.take(self.prob.n))
 
     def ubar_effective(self) -> np.ndarray:
         return self.ubar_raw * self.rho ** (self.k - self.stamps).astype(float)
@@ -594,32 +559,38 @@ class ErmRunResult:
     epochs_to_tol: int | None
 
 
-def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,
-              x0: np.ndarray | None = None, tol: float | None = None) -> ErmRunResult:
-    """Run the dual coordinate solver, reporting once per epoch (n steps).
+def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
+               tol: float | None = None) -> ErmRunResult:
+    """Drive any dual solver epoch by epoch, reporting at every boundary.
 
-    The trace starts with the epoch-0 row at the initial point and stops
-    early once the primal-dual gap reaches ``tol``.  Wall time accumulates
-    stepping only, not report evaluation.
+    ``epoch()`` advances the solver by one epoch and ``x()`` returns its dual
+    iterate.  The trace starts with the epoch-0 row at the initial point and
+    stops after ``epochs`` epochs or once the primal-dual gap reaches ``tol``.
+    Wall time accumulates the ``epoch()`` calls only, not report evaluation.
     """
-    state = ErmDualState(prob, x0=x0, seed=seed)
-    n = prob.n
-    reports = [PrimalDualReport.evaluate(prob, state.x(), epoch=0)]
+    reports = [PrimalDualReport.evaluate(prob, x(), epoch=0)]
     reached = 0 if (tol is not None and reports[0].gap <= tol) else None
     elapsed = 0.0
-    epoch = 0
-    while epoch < epochs and reached is None:
+    done = 0
+    while done < epochs and reached is None:
         t0 = time.perf_counter()
-        apcg_erm_steps(prob, state, state.sampler.take(n))
+        epoch()
         elapsed += time.perf_counter() - t0
-        epoch += 1
-        rep = PrimalDualReport.evaluate(prob, state.x(), epoch=epoch, wall_time_s=elapsed)
+        done += 1
+        rep = PrimalDualReport.evaluate(prob, x(), epoch=done, wall_time_s=elapsed)
         reports.append(rep)
         if tol is not None and rep.gap <= tol:
-            reached = epoch
-    x = state.x()
-    return ErmRunResult(x=x, w=primal_from_dual(prob, x), reports=reports,
-                        epochs_run=epoch, epochs_to_tol=reached)
+            reached = done
+    final = x()
+    return ErmRunResult(x=final, w=primal_from_dual(prob, final), reports=reports,
+                        epochs_run=done, epochs_to_tol=reached)
+
+
+def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,
+              x0: np.ndarray | None = None, tol: float | None = None) -> ErmRunResult:
+    """Run the dual coordinate solver, n steps per epoch; see run_epochs."""
+    state = ErmDualState(prob, x0=x0, seed=seed)
+    return run_epochs(prob, state.epoch, state.x, epochs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,6 @@ class ApcgSchedule:
         return min(linear, sub)
 
 
-def schedule_step(sched: ApcgSchedule) -> tuple[float, float, float]:
-    """Functional alias for :meth:`ApcgSchedule.step`."""
-    return sched.step()
-
-
 def theta_coefficients(sched: ApcgSchedule, k: int) -> np.ndarray:
     """Coefficients expressing x^{(k)} as a convex combination of z^{(0..k)}.
 

@@ -277,8 +277,9 @@ def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:
 
 def rpcg_erm_step_reference(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
                             i: int) -> None:
-    """One plain prox coordinate step of ``apcg.baselines.rpcg_erm_epoch``,
-    written plainly, in place on (x, ax = A x)."""
+    """One plain prox coordinate step on the relocated dual splitting, in
+    place on (x, ax = A x); ``apcg.baselines.sdca_epoch`` computes the same
+    update in SDCA's closed form."""
     m = prob.matrix
     n = prob.n
     L, _ = erm_constants(prob)

@@ -14,7 +14,6 @@ from apcg.cli import run_solver_trace
 from apcg.core import BoxIndicator, L1Regularizer, block_prox
 from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
-                      RelocatedConjugatePenalty,
                       SmoothedHingeLoss, SquareLoss, apcg_erm_step,
                       dual_composite, dual_objective, full_prox_gap_bound,
                       full_prox_step, primal_objective, primal_from_dual,
@@ -298,8 +297,8 @@ def test_closed_forms_match_reference_oracles():
     square = SquareLoss(targets=rng.standard_normal(n_dual), gamma=1.3)
     l1 = L1Regularizer(0.6)
     box = BoxIndicator(0.0, 1.0)
-    reloc_h = RelocatedConjugatePenalty(np.ones(n_dual), n=n_dual, box=(0.0, 1.0))
-    reloc_s = RelocatedConjugatePenalty(square.targets, n=n_dual, box=None)
+    reloc_h = ConjugatePenalty(np.ones(n_dual), gamma=0.0, n=n_dual, box=(0.0, 1.0))
+    reloc_s = ConjugatePenalty(square.targets, gamma=0.0, n=n_dual, box=None)
     conj_h = ConjugatePenalty(np.ones(n_dual), gamma=hinge.gamma, n=n_dual,
                               box=(0.0, 1.0))
     conj_s = ConjugatePenalty(square.targets, gamma=square.gamma, n=n_dual,

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from apcg.baselines import (BaselineConfig, afg_solve, afg_start, afg_step,
-                            rpcg_erm_epoch, rpcg_solve, rpcg_step,
-                            sdca_coordinate_update, sdca_epoch)
+from apcg import baselines
+from apcg.baselines import (afg_solve, afg_start, afg_step, rpcg_solve,
+                            rpcg_step, sdca_coordinate_update, sdca_epoch)
+from apcg.cli import run_solver_trace
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.data import synth_binary
 from apcg.erm import (ErmProblem, dual_composite, dual_objective,
                       primal_from_dual, solve_erm)
-from apcg.errors import ConfigurationError
 from apcg.instances import diag_dominant_quadratic
 from apcg.solvers import BlockSampler, solve
 
@@ -25,16 +25,6 @@ def scalar_quadratic(lipschitz):
                           lipschitz=np.array([lipschitz]), mu=1.0)
     return CompositeProblem(partition=BlockPartition.scalar(1), smooth=smooth,
                             reg=ZeroRegularizer())
-
-
-def test_baseline_config_validation():
-    BaselineConfig(method="sdca")
-    with pytest.raises(ConfigurationError):
-        BaselineConfig(method="newton")
-    with pytest.raises(ConfigurationError):
-        BaselineConfig(method="afg", afg_backtrack=1.0)
-    with pytest.raises(ConfigurationError):
-        BaselineConfig(method="afg", afg_initial_step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +162,7 @@ def test_all_solvers_agree_on_dual_optimum(hinge200, hinge200_optimum):
         sdca_epoch(hinge200, x, w, sampler)
     assert dual_objective(hinge200, x) == pytest.approx(dstar, abs=1e-6)
 
-    x2 = np.zeros(hinge200.n)
-    ax = np.zeros(hinge200.d)
-    sampler2 = BlockSampler(hinge200.n, 0)
-    for _ in range(400):
-        rpcg_erm_epoch(hinge200, x2, ax, sampler2)
+    x2 = run_solver_trace(hinge200, "rpcg", epochs=400, seed=0, tol=None).x
     assert dual_objective(hinge200, x2) == pytest.approx(dstar, abs=1e-6)
 
     comp = dual_composite(hinge200, "simple")
@@ -184,12 +170,19 @@ def test_all_solvers_agree_on_dual_optimum(hinge200, hinge200_optimum):
     assert dual_objective(hinge200, x3) == pytest.approx(dstar, abs=1e-6)
 
 
-def test_rpcg_erm_epoch_maintains_aggregate(hinge200):
-    x = np.zeros(hinge200.n)
-    ax = np.zeros(hinge200.d)
-    sampler = BlockSampler(hinge200.n, 5)
-    for _ in range(10):
-        rpcg_erm_epoch(hinge200, x, ax, sampler)
+def test_rpcg_erm_epoch_maintains_aggregate(hinge200, monkeypatch):
+    seen = []
+
+    def spy(prob, x, w_agg, sampler):
+        seen.append((x, w_agg))
+        return sdca_epoch(prob, x, w_agg, sampler)
+
+    monkeypatch.setattr(baselines, "sdca_epoch", spy)
+    run = run_solver_trace(hinge200, "rpcg", epochs=10, seed=5, tol=None)
+    assert len(seen) == 10
+    x, w_agg = seen[-1]
+    assert x is run.x
+    ax = w_agg * (hinge200.lam * hinge200.n)
     assert np.allclose(ax, hinge200.matrix.dot(x), atol=1e-10)
 
 
@@ -218,12 +211,15 @@ def test_sdca_epoch_matches_coordinate_updates(erm_prob):
 
 
 def test_rpcg_erm_epoch_matches_reference_steps(erm_prob):
+    """On the ERM dual, rpcg runs sdca_epoch: the plain prox step with weight
+    L_i is SDCA's exact maximizer.  Equal algebraically, not bitwise."""
     prob = erm_prob
-    x, ax = np.zeros(prob.n), np.zeros(prob.d)
-    x_ref, ax_ref = x.copy(), ax.copy()
+    x, w = np.zeros(prob.n), np.zeros(prob.d)
+    x_ref, ax_ref = x.copy(), w.copy()
     sampler, ref_sampler = BlockSampler(prob.n, 6), BlockSampler(prob.n, 6)
     for _ in range(4):
-        rpcg_erm_epoch(prob, x, ax, sampler)
+        sdca_epoch(prob, x, w, sampler)
         for _ in range(prob.n):
             oracles.rpcg_erm_step_reference(prob, x_ref, ax_ref, ref_sampler.draw())
-    assert np.array_equal(x, x_ref) and np.array_equal(ax, ax_ref)
+    assert np.max(np.abs(x - x_ref)) <= 1e-13
+    assert np.max(np.abs(w * (prob.lam * prob.n) - ax_ref)) <= 1e-13

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from apcg.cli import (CSV_HEADER, ExperimentConfig, build_parser,
-                      check_invariants, load_config_file, main,
-                      run_experiment)
+from apcg.cli import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig,
+                      _config_from_args, build_parser, check_invariants,
+                      load_config_file, main, run_experiment)
 from apcg.errors import ConfigurationError
 
 
@@ -166,6 +166,48 @@ def test_config_file_and_overrides(tmp_path):
     bad.write_text("epochs 3\n")
     with pytest.raises(ConfigurationError):
         load_config_file(bad)
+
+
+# config-file key -> (field, file text, value from the file, flags, value from the flags)
+CONFIG_CASES = {
+    "data": ("data", "a.txt", "a.txt", ["--data", "b.txt"], "b.txt"),
+    "synthetic": ("synthetic", "40,10,0.5", (40, 10, 0.5, 0),
+                  ["--synthetic", "50,12,0.25,7"], (50, 12, 0.25, 7)),
+    "loss": ("loss", "square", "square", ["--loss", "smoothed_hinge"], "smoothed_hinge"),
+    "lambda": ("lambdas", "1e-2, 1e-3", [1e-2, 1e-3], ["--lambda", "0.5"], [0.5]),
+    "gamma": ("gamma", "0.5", 0.5, ["--gamma", "2"], 2.0),
+    "solver": ("solvers", "apcg, sdca", ["apcg", "sdca"],
+               ["--solver", "afg", "--solver", "rpcg"], ["afg", "rpcg"]),
+    "seed": ("seeds", "1,2", [1, 2], ["--seed", "3"], [3]),
+    "epochs": ("epochs", "7", 7, ["--epochs", "0"], 0),
+    "tol": ("tol", "1e-6", 1e-6, ["--tol", "1e-9"], 1e-9),
+    "out": ("out", "o1", "o1", ["--out", "o2"], "o2"),
+    "jobs": ("jobs", "3", 3, ["--jobs", "2"], 2),
+}
+
+
+@pytest.mark.parametrize("key", CONFIG_CASES)
+def test_config_key_from_file_and_flag(key, tmp_path, monkeypatch):
+    assert set(CONFIG_CASES) == set(CONFIG_KEYS)
+    monkeypatch.delenv("APCG_JOBS", raising=False)
+    field, text, from_file, flags, from_flags = CONFIG_CASES[key]
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    parser = build_parser()
+    cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)]))
+    assert getattr(cfg, field) == from_file
+    cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)] + flags))
+    assert getattr(cfg, field) == from_flags
+    if key in ("data", "synthetic"):  # a dataset flag clears the other source
+        other = "synthetic" if key == "data" else "data"
+        cfg_file.write_text(f"{key} = {text}\n{other} = {CONFIG_CASES[other][1]}\n")
+        cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)] + flags))
+        assert getattr(cfg, field) == from_flags and getattr(cfg, other) is None
+    if key == "jobs":  # $APCG_JOBS overrides the file, not the flag
+        monkeypatch.setenv("APCG_JOBS", "4")
+        assert _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)])).jobs == 4
+        cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)] + flags))
+        assert cfg.jobs == from_flags
 
 
 def test_parser_rejects_unknown_solver():

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
-                      PrimalDualReport, RelocatedConjugatePenalty,
-                      SmoothedHingeLoss, SquareLoss, apcg_erm_step,
-                      apcg_erm_steps, complexity_estimate, dual_composite,
-                      dual_objective, dual_subgradient, erm_constants,
-                      full_prox_gap_bound, full_prox_step, gap_by_dual_bound,
-                      primal_from_dual, primal_objective, solve_erm)
+                      PrimalDualReport, SmoothedHingeLoss, SquareLoss,
+                      apcg_erm_step, apcg_erm_steps, complexity_estimate,
+                      dual_composite, dual_objective, dual_subgradient,
+                      erm_constants, full_prox_gap_bound, full_prox_step,
+                      gap_by_dual_bound, primal_from_dual, primal_objective,
+                      solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
@@ -183,7 +184,7 @@ def test_zero_columns_keep_constants_positive():
 def test_relocated_prox_closed_form_example():
     # quadratic weight c=2, base point t0=0.3, zero linear term, n=10:
     # s* = clip(t0 + (1/n)/c) = 0.35, increment 0.05
-    reg = RelocatedConjugatePenalty(np.ones(10), n=10, box=(0.0, 1.0))
+    reg = ConjugatePenalty(np.ones(10), gamma=0.0, n=10, box=(0.0, 1.0))
     s = reg.prox_block(0, np.array([0.3]), 2.0)
     assert s[0] == pytest.approx(0.35, abs=1e-15)
     assert s[0] - 0.3 == pytest.approx(0.05, abs=1e-15)
@@ -191,7 +192,7 @@ def test_relocated_prox_closed_form_example():
 
 def test_relocated_prox_matches_grid_oracle():
     rng = np.random.Generator(np.random.PCG64(2))
-    reg = RelocatedConjugatePenalty(np.ones(5), n=5, box=(0.0, 1.0))
+    reg = ConjugatePenalty(np.ones(5), gamma=0.0, n=5, box=(0.0, 1.0))
 
     def psi(s):
         if not (0.0 <= s <= 1.0):
@@ -482,11 +483,19 @@ def test_complexity_estimate_rejects_nonpositive():
 # run driver
 # ---------------------------------------------------------------------------
 
+def untimed(run):
+    return [(r.epoch, r.primal, r.dual, r.gap, r.dual_subgrad_norm_sq,
+             r.subgradient_gap_bound) for r in run.reports]
+
+
 def test_solve_erm_epoch_zero_row(hinge200):
-    run = solve_erm(hinge200, epochs=0, seed=0)
-    assert len(run.reports) == 1
-    assert run.reports[0].epoch == 0
-    assert run.epochs_run == 0
+    runs = [solve_erm(hinge200, epochs=0, seed=0)]
+    runs += [run_solver_trace(hinge200, solver, epochs=0, seed=0, tol=None)
+             for solver in KNOWN_SOLVERS]
+    for run in runs:
+        assert len(run.reports) == 1
+        assert run.reports[0].epoch == 0
+        assert run.epochs_run == 0
 
 
 def test_solve_erm_deterministic(hinge200):
@@ -495,10 +504,24 @@ def test_solve_erm_deterministic(hinge200):
     assert np.array_equal(a.x, b.x)
     assert [(r.epoch, r.primal, r.dual, r.gap) for r in a.reports] == \
            [(r.epoch, r.primal, r.dual, r.gap) for r in b.reports]
+    runs = {}
+    for solver in KNOWN_SOLVERS:
+        a, b = (run_solver_trace(hinge200, solver, epochs=5, seed=11, tol=None)
+                for _ in range(2))
+        assert np.array_equal(a.x, b.x)
+        assert untimed(a) == untimed(b)
+        runs[solver] = a
+    # on the ERM dual rpcg runs the SDCA kernel
+    assert np.array_equal(runs["rpcg"].x, runs["sdca"].x)
+    assert untimed(runs["rpcg"]) == untimed(runs["sdca"])
 
 
 def test_solve_erm_tolerance_stop(hinge200):
-    run = solve_erm(hinge200, epochs=500, seed=0, tol=1e-5)
-    assert run.epochs_to_tol is not None
-    assert run.reports[-1].gap <= 1e-5
-    assert run.epochs_run == run.epochs_to_tol < 500
+    runs = [solve_erm(hinge200, epochs=500, seed=0, tol=1e-5)]
+    runs += [run_solver_trace(hinge200, solver, epochs=500, seed=0, tol=1e-5)
+             for solver in KNOWN_SOLVERS]
+    for run in runs:
+        assert run.epochs_to_tol is not None
+        assert run.reports[-1].gap <= 1e-5
+        assert all(r.gap > 1e-5 for r in run.reports[:-1])
+        assert run.epochs_run == run.epochs_to_tol < 500

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from apcg.errors import ConfigurationError
-from apcg.schedule import (ApcgSchedule, schedule_step, solve_alpha,
-                           theta_coefficients)
+from apcg.schedule import ApcgSchedule, solve_alpha, theta_coefficients
 
 
 def test_solve_alpha_constant_schedule_point():
@@ -75,12 +74,6 @@ def test_schedule_lambda4_bound_example():
     sched.advance(4)
     assert sched.lambdas[4] <= 0.25
     assert sched.rate_bound(4) == pytest.approx(0.25)
-
-
-def test_schedule_step_function_alias():
-    sched = ApcgSchedule(3, 0.0, 1.0)
-    out = schedule_step(sched)
-    assert out == (sched.alphas[0], sched.gammas[1], sched.betas[0])
 
 
 def test_schedule_rejects_bad_gamma0():
