@@ -4,11 +4,11 @@ and a benchmark CLI."""
 
 from .core import (BlockPartition, BoxIndicator, CompositeProblem,
                    L1Regularizer, SeparableRegularizer, SmoothOracle,
-                   WeightedNorm, ZeroRegularizer, block_prox, weighted_norm)
+                   ZeroRegularizer, block_prox, weighted_norm)
 from .schedule import ApcgSchedule, solve_alpha, theta_coefficients
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       SolveResult, apcg_step_efficient, apcg_step_general,
-                      apcg_step_nsc, apcg_step_sc, solve)
+                      solve)
 from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
                   SmoothedHingeLoss, SquareLoss, apcg_erm_step,
                   complexity_estimate, dual_composite, dual_objective,

@@ -23,12 +23,11 @@ import numpy as np
 
 from . import baselines, erm
 from .data import DatasetMeta, parse_libsvm, synth_binary
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError
 from .instances import diag_dominant_quadratic
 from .schedule import ApcgSchedule, solve_alpha, theta_coefficients
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
-                      apcg_step_efficient, apcg_step_general, apcg_step_sc,
-                      solve)
+                      apcg_step_efficient, apcg_step_general, solve)
 
 KNOWN_SOLVERS = ("apcg", "sdca", "afg", "rpcg")
 CSV_HEADER = ["epoch", "primal", "dual", "gap", "dual_subgrad_norm_sq", "wall_time_s"]
@@ -53,6 +52,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.data is None) == (self.synthetic is None):
             raise ConfigurationError("exactly one of data path or synthetic spec is required")
+        if self.synthetic is not None:
+            n, d, sparsity, seed = self.synthetic
+            if n < 1 or d < 1 or seed < 0:
+                raise ConfigurationError("synthetic n and d must be >= 1 and seed >= 0")
+            if not 0.0 < sparsity <= 1.0:
+                raise ConfigurationError(f"synthetic sparsity must lie in (0, 1], got {sparsity}")
         if self.loss not in ("smoothed_hinge", "square"):
             raise ConfigurationError(f"unknown loss {self.loss!r}")
         if not self.lambdas or any(l <= 0 for l in self.lambdas):
@@ -75,6 +80,8 @@ class ExperimentConfig:
 def _load_dataset(config: ExperimentConfig):
     if config.data is not None:
         A, labels = parse_libsvm(config.data)
+        if A.n == 0:
+            raise ConfigurationError(f"{config.data} holds no examples")
         name = Path(config.data).name.removesuffix(".gz").removesuffix(".txt")
     else:
         n, d, sparsity, seed = config.synthetic
@@ -282,14 +289,14 @@ def _check_equivalence() -> CheckResult:
     inst = diag_dominant_quadratic(20, seed=5, l1=0.1)
     problem = inst.problem
     mu = problem.smooth.mu
+    sched = ApcgSchedule(problem.n, mu, mu)  # the constant strongly convex schedule
     worst = 0.0
     for seed in (0, 1):
         explicit = ApcgExplicitState.start(np.zeros(problem.dim), seed=seed,
                                            n_blocks=problem.n)
         fast = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=seed)
-        alpha = math.sqrt(mu) / problem.n
         for _ in range(500):
-            apcg_step_sc(problem, explicit, alpha)
+            apcg_step_general(problem, explicit, sched)
             apcg_step_efficient(problem, fast)
             worst = max(worst, float(np.max(np.abs(fast.x_full() - explicit.x))))
     passed = worst <= 1e-8
@@ -372,10 +379,11 @@ def _parse_synthetic(text: str) -> tuple[int, int, float, int]:
     parts = text.split(",")
     if len(parts) not in (3, 4):
         raise ConfigurationError("--synthetic expects n,d,sparsity[,seed]")
-    n, d = int(parts[0]), int(parts[1])
-    sparsity = float(parts[2])
-    seed = int(parts[3]) if len(parts) == 4 else 0
-    return n, d, sparsity, seed
+    try:
+        return (int(parts[0]), int(parts[1]), float(parts[2]),
+                int(parts[3]) if len(parts) == 4 else 0)
+    except ValueError:
+        raise ConfigurationError(f"--synthetic expects n,d,sparsity[,seed], got {text!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -421,7 +429,12 @@ def _config_from_args(args) -> ExperimentConfig:
     raw = load_config_file(args.config) if args.config else {}
     for key, (name, parse) in CONFIG_KEYS.items():
         if key in raw:
-            setattr(cfg, name, parse(raw[key]))
+            try:
+                value = parse(raw[key])
+            except ValueError:
+                raise ConfigurationError(
+                    f"{args.config}: bad value {raw[key]!r} for {key!r}") from None
+            setattr(cfg, name, value)
     for name, _ in CONFIG_KEYS.values():
         value = getattr(args, name)
         if value is None:
@@ -472,7 +485,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         results = run_experiment(config)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -83,21 +83,6 @@ def weighted_norm(x: np.ndarray, weights, partition: BlockPartition) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedNorm:
-    """Callable form of :func:`weighted_norm` with weights bound once."""
-
-    weights: np.ndarray
-    partition: BlockPartition
-
-    def __call__(self, x: np.ndarray) -> float:
-        return weighted_norm(x, self.weights, self.partition)
-
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        return weighted_norm(np.asarray(x, float) - np.asarray(y, float),
-                             self.weights, self.partition)
-
-
-@dataclass(frozen=True, eq=False)
 class SmoothOracle:
     """Oracle for the smooth part f.
 
@@ -126,33 +111,22 @@ class SmoothOracle:
 class SeparableRegularizer:
     """Base class for block-separable regularizers Psi(x) = sum_i Psi_i(x_i).
 
-    Subclasses implement ``eval_block`` (may return ``math.inf`` for
-    indicator-type terms) and ``prox_block``, the minimizer of
-    ``weight/2 * ||h - center||^2 + Psi_i(h)`` over block vectors ``h``.
+    Subclasses implement ``prox_block``, the minimizer of
+    ``weight/2 * ||h - center||^2 + Psi_i(h)`` over block vectors ``h``,
+    and its whole-vector forms: ``eval_full`` (``math.inf`` off the domain
+    of indicator-type terms) and ``prox_full``, the block proxes applied to
+    every block at once.
     """
-
-    def eval_block(self, i: int, xi: np.ndarray) -> float:
-        raise NotImplementedError
 
     def prox_block(self, i: int, center: np.ndarray, weight: float) -> np.ndarray:
         raise NotImplementedError
 
     def eval_full(self, x: np.ndarray, partition: BlockPartition) -> float:
-        total = 0.0
-        for i in range(partition.n):
-            v = self.eval_block(i, partition.block(x, i))
-            if v == math.inf:
-                return math.inf
-            total += v
-        return total
+        raise NotImplementedError
 
     def prox_full(self, center: np.ndarray, weight: float,
                   partition: BlockPartition) -> np.ndarray:
-        out = np.empty_like(center, dtype=float)
-        for i in range(partition.n):
-            sl = partition.slice(i)
-            out[sl] = self.prox_block(i, center[sl], weight)
-        return out
+        raise NotImplementedError
 
 
 def block_prox(reg: SeparableRegularizer, i: int, center: np.ndarray,
@@ -168,9 +142,6 @@ def block_prox(reg: SeparableRegularizer, i: int, center: np.ndarray,
 
 class ZeroRegularizer(SeparableRegularizer):
     """Psi identically zero; prox is the identity."""
-
-    def eval_block(self, i, xi):
-        return 0.0
 
     def prox_block(self, i, center, weight):
         return np.array(center, dtype=float, copy=True)
@@ -189,9 +160,6 @@ class L1Regularizer(SeparableRegularizer):
         if strength < 0:
             raise ValueError("l1 strength must be nonnegative")
         self.strength = float(strength)
-
-    def eval_block(self, i, xi):
-        return self.strength * float(np.sum(np.abs(xi)))
 
     def prox_block(self, i, center, weight):
         t = self.strength / weight
@@ -217,11 +185,6 @@ class BoxIndicator(SeparableRegularizer):
         if not lo <= hi:
             raise ValueError("need lo <= hi")
         self.lo, self.hi, self.atol = float(lo), float(hi), float(atol)
-
-    def eval_block(self, i, xi):
-        if np.any(xi < self.lo - self.atol) or np.any(xi > self.hi + self.atol):
-            return math.inf
-        return 0.0
 
     def prox_block(self, i, center, weight):
         return np.clip(center, self.lo, self.hi)

@@ -336,12 +336,6 @@ class ConjugatePenalty(SeparableRegularizer):
         return bool(np.all(s >= lo - DUAL_DOMAIN_ATOL)
                     and np.all(s <= hi + DUAL_DOMAIN_ATOL))
 
-    def eval_block(self, i, xi):
-        if not self._in_box(xi):
-            return math.inf
-        s = float(self._project(np.asarray(xi, dtype=float))[0])
-        return (-self.anchors[i] * s + 0.5 * self.gamma * s * s) / self.n
-
     def prox_block(self, i, center, weight):
         s = (weight * center + self.anchors[i] / self.n) / (weight + self.gamma / self.n)
         return np.atleast_1d(self._project(s))

@@ -1,18 +1,21 @@
 """Accelerated proximal coordinate gradient solvers.
 
-Four steppers share the same per-iteration pattern: pick a block uniformly
-at random, solve a prox subproblem on that block with weight
-``n * alpha_k * L_i``, and combine the three iterate vectors (x, y, z) with
-momentum coefficients from the schedule.
+One explicit stepper, :func:`apcg_step_general`, runs every coefficient
+schedule: pick a block uniformly at random, solve a prox subproblem on that
+block with weight ``n * alpha_k * L_i``, and combine the three iterate
+vectors (x, y, z) with momentum coefficients from an :class:`ApcgSchedule`.
+The paper's special forms are schedule presets of it:
 
-* :func:`apcg_step_general` -- arbitrary ``gamma0 in [mu, 1]``.
-* :func:`apcg_step_sc` -- the constant-coefficient form for ``mu > 0``
-  (equivalent to the general stepper started at ``gamma0 = mu``).
-* :func:`apcg_step_nsc` -- the ``mu = 0`` form with the
-  ``alpha_k = (sqrt(a^4 + 4 a^2) - a^2) / 2`` recursion.
-* :func:`apcg_step_efficient` -- the change-of-variables form for
-  ``mu > 0`` that touches one block of the pair (u, v) per iteration, with
-  ``x = rho^k u + v``, ``y = rho^{k+1} u + v``, ``z = -rho^k u + v``.
+* ``general`` -- ``ApcgSchedule(n, mu, gamma0)`` for any ``gamma0 in [mu, 1]``;
+* ``strongly_convex`` -- ``ApcgSchedule(n, mu, mu)``, whose coefficients are
+  the constants ``alpha_k = beta_k = sqrt(mu)/n`` (needs ``mu > 0``);
+* ``non_strongly_convex`` -- ``ApcgSchedule(n, 0, gamma0)``, where
+  ``beta_k = 0`` and ``gamma_{k+1} = (n alpha_k)^2`` give the ``mu = 0``
+  recursion ``alpha_k^2 = (1 - alpha_k) alpha_{k-1}^2``.
+
+:func:`apcg_step_efficient` is the change-of-variables form for ``mu > 0``
+that touches one block of the pair (u, v) per iteration, with
+``x = rho^k u + v``, ``y = rho^{k+1} u + v``, ``z = -rho^k u + v``.
 
 The efficient state stores the stabilized vector ``ubar = rho^{k+1} u``
 instead of u itself (u grows like rho^{-k}); the global per-iteration
@@ -32,29 +35,29 @@ from .errors import ConfigurationError
 from .schedule import ApcgSchedule
 
 VARIANTS = ("general", "strongly_convex", "non_strongly_convex", "efficient")
+SAMPLER_BATCH = 4096  # indices drawn per refill of BlockSampler's buffer
 
 
 class BlockSampler:
     """Seeded uniform sampler over {0, ..., n-1}.
 
-    Wraps a PCG64 generator and draws indices in batches; numpy's bounded
-    integer sampling uses rejection, so the draws are exactly uniform.  The
-    stream is a pure function of (seed, n), which makes every solver run
-    reproducible bit-for-bit.
+    Wraps a PCG64 generator and draws indices in batches of
+    ``SAMPLER_BATCH``; numpy's bounded integer sampling uses rejection, so
+    the draws are exactly uniform.  The stream is a pure function of
+    (seed, n), which makes every solver run reproducible bit-for-bit.
     """
 
-    def __init__(self, n: int, seed: int, batch: int = 4096):
+    def __init__(self, n: int, seed: int):
         if n < 1:
             raise ValueError("sampler needs n >= 1")
         self.n = int(n)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._batch = int(batch)
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
 
     def _refill(self) -> None:
-        self._buf = self._gen.integers(0, self.n, size=self._batch, dtype=np.int64)
+        self._buf = self._gen.integers(0, self.n, size=SAMPLER_BATCH, dtype=np.int64)
         self._pos = 0
 
     def draw(self) -> int:
@@ -94,17 +97,6 @@ class ApcgExplicitState:
         return cls(x=x0, z=x0.copy(), k=0, sampler=BlockSampler(n_blocks, seed))
 
 
-def _prox_update(problem, y, center_full, i, weight):
-    """Solve the block-i prox subproblem of one coordinate step.
-
-    Returns the minimizer of
-    ``weight/2 * ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)``.
-    """
-    sl = problem.partition.slice(i)
-    grad_i = problem.smooth.partial_gradient(y, i)
-    return block_prox(problem.reg, i, center_full[sl] - grad_i / weight, weight)
-
-
 def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
                       sched: ApcgSchedule, forced_block: int | None = None) -> ApcgExplicitState:
     """One iteration with schedule coefficients (any gamma0 in [mu, 1]).
@@ -128,9 +120,11 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
     i = state.sampler.draw() if forced_block is None else int(forced_block)
     center = (1.0 - beta) * z + beta * y if beta != 0.0 else z.copy()
     weight = n * alpha * float(problem.smooth.lipschitz[i])
-    s = _prox_update(problem, y, center, i, weight)
-
+    # block-i minimizer of weight/2 ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)
     sl = problem.partition.slice(i)
+    grad_i = problem.smooth.partial_gradient(y, i)
+    s = block_prox(problem.reg, i, center[sl] - grad_i / weight, weight)
+
     z_i_old = z[sl].copy()
     z_new = center
     z_new[sl] = s
@@ -139,78 +133,6 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
 
     state.x, state.z, state.y, state.k = x_new, z_new, y, k + 1
     return state
-
-
-def apcg_step_sc(problem: CompositeProblem, state: ApcgExplicitState,
-                 alpha: float, forced_block: int | None = None) -> ApcgExplicitState:
-    """One iteration of the constant-coefficient strongly convex form.
-
-    Requires ``alpha = sqrt(mu)/n`` with ``mu > 0``:
-    ``y = (x + alpha z) / (1 + alpha)``, block prox with weight
-    ``n alpha L_i`` centered at ``(1-alpha) z + alpha y``, then
-    ``x^{+} = y + n a (z^{+} - z) + n a^2 (z - y)``.
-    """
-    if not (alpha > 0.0):
-        raise ConfigurationError("strongly convex stepper needs alpha > 0 (mu > 0)")
-    n = problem.n
-    x, z = state.x, state.z
-    y = (x + alpha * z) / (1.0 + alpha)
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
-    center = (1.0 - alpha) * z + alpha * y
-    weight = n * alpha * float(problem.smooth.lipschitz[i])
-    s = _prox_update(problem, y, center, i, weight)
-
-    sl = problem.partition.slice(i)
-    z_i_old = z[sl].copy()
-    z_new = center
-    z_new[sl] = s
-    x_new = y.copy()
-    x_new[sl] = y[sl] + n * alpha * (s - z_i_old) + n * alpha * alpha * (z_i_old - y[sl])
-
-    state.x, state.z, state.y, state.k = x_new, z_new, y, state.k + 1
-    return state
-
-
-def nsc_alpha_next(alpha_prev: float) -> float:
-    """Successor in the mu = 0 coefficient recursion; strictly decreasing."""
-    a2 = alpha_prev * alpha_prev
-    return 0.5 * (math.sqrt(a2 * a2 + 4.0 * a2) - a2)
-
-
-def default_alpha_minus1(n: int) -> float:
-    """Starting coefficient giving alpha_0 = 1/n for n > 1 (and 1 for n = 1)."""
-    if n <= 1:
-        return 1.0
-    return 1.0 / math.sqrt(n * n - n)
-
-
-def apcg_step_nsc(problem: CompositeProblem, state: ApcgExplicitState,
-                  alpha_prev: float, forced_block: int | None = None
-                  ) -> tuple[ApcgExplicitState, float]:
-    """One iteration of the mu = 0 form; returns the alpha_k it used.
-
-    ``y = (1-a) x + a z``; only the selected block of z moves (prox centered
-    at z_i), and ``x^{+} = y + n a (z^{+} - z)``.
-    """
-    n = problem.n
-    if not (0.0 < alpha_prev <= 1.0):
-        raise ConfigurationError(f"alpha_prev must lie in (0, 1], got {alpha_prev}")
-    alpha = nsc_alpha_next(alpha_prev)
-    x, z = state.x, state.z
-    y = (1.0 - alpha) * x + alpha * z
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
-    weight = n * alpha * float(problem.smooth.lipschitz[i])
-    s = _prox_update(problem, y, z, i, weight)
-
-    sl = problem.partition.slice(i)
-    z_i_old = z[sl].copy()
-    z_new = z.copy()
-    z_new[sl] = s
-    x_new = y.copy()
-    x_new[sl] = y[sl] + n * alpha * (s - z_i_old)
-
-    state.x, state.z, state.y, state.k = x_new, z_new, y, state.k + 1
-    return state, alpha
 
 
 class ApcgEfficientState:
@@ -300,19 +222,21 @@ class SolveResult:
 
 
 def solve(problem: CompositeProblem, variant: str = "general",
-          gamma0: float | None = None, alpha_minus1: float | None = None,
-          max_iters: int = 1000, seed: int = 0, x0: np.ndarray | None = None,
-          trace_every: int | None = None, callback=None,
-          tolerance: float | None = None) -> SolveResult:
-    """Run the selected stepper and trace the objective.
+          gamma0: float | None = None, max_iters: int = 1000, seed: int = 0,
+          x0: np.ndarray | None = None, trace_every: int | None = None,
+          callback=None, tolerance: float | None = None) -> SolveResult:
+    """Run the selected variant and trace the objective.
 
-    ``trace_every`` defaults to one epoch (n coordinate steps).  The trace
-    holds (iteration, F(x)) pairs including iteration 0 and the final
-    iterate; objective evaluations happen only at trace points and are not
-    part of the per-iteration cost.  ``callback(k, x)`` is invoked at trace
-    points; if it returns a number and ``tolerance`` is set, the run stops
-    once the number drops to ``tolerance`` or below.  Runs with the same
-    seed and options produce identical traces.
+    ``gamma0`` (default 1) starts the ``general`` and ``non_strongly_convex``
+    schedules; ``strongly_convex`` always starts at ``gamma0 = mu`` and
+    ``efficient`` has no schedule.  ``trace_every`` defaults to one epoch
+    (n coordinate steps).  The trace holds (iteration, F(x)) pairs including
+    iteration 0 and the final iterate; objective evaluations happen only at
+    trace points and are not part of the per-iteration cost.
+    ``callback(k, x)`` is invoked at trace points; if it returns a number
+    and ``tolerance`` is set, the run stops once the number drops to
+    ``tolerance`` or below.  Runs with the same seed and options produce
+    identical traces.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
@@ -331,28 +255,21 @@ def solve(problem: CompositeProblem, variant: str = "general",
     if variant in ("strongly_convex", "efficient") and not mu > 0.0:
         raise ConfigurationError(f"variant {variant!r} requires mu > 0, problem has mu={mu}")
 
-    eff_state = None
-    sched = None
-    alpha_prev = None
-    alpha_sc = None
-    if variant == "general":
-        g0 = 1.0 if gamma0 is None else float(gamma0)
-        sched = ApcgSchedule(n, mu, g0)
-        state = ApcgExplicitState.start(x0, seed, n)
-    elif variant == "strongly_convex":
-        alpha_sc = math.sqrt(mu) / n
-        state = ApcgExplicitState.start(x0, seed, n)
-    elif variant == "non_strongly_convex":
-        alpha_prev = default_alpha_minus1(n) if alpha_minus1 is None else float(alpha_minus1)
-        if not (0.0 < alpha_prev <= 1.0):
-            raise ConfigurationError(f"alpha_minus1 must lie in (0, 1], got {alpha_prev}")
-        state = ApcgExplicitState.start(x0, seed, n)
+    if variant == "efficient":
+        eff = ApcgEfficientState(x0, problem, mu, seed)
+        step = lambda: apcg_step_efficient(problem, eff)
+        current_x = eff.x_full
     else:
-        eff_state = ApcgEfficientState(x0, problem, mu, seed)
-        state = None
-
-    def current_x():
-        return eff_state.x_full() if variant == "efficient" else state.x
+        g0 = 1.0 if gamma0 is None else float(gamma0)
+        if variant == "strongly_convex":
+            sched = ApcgSchedule(n, mu, mu)
+        elif variant == "non_strongly_convex":
+            sched = ApcgSchedule(n, 0.0, g0)
+        else:
+            sched = ApcgSchedule(n, mu, g0)
+        state = ApcgExplicitState.start(x0, seed, n)
+        step = lambda: apcg_step_general(problem, state, sched)
+        current_x = lambda: state.x
 
     trace: list[tuple[int, float]] = [(0, problem.objective(x0))]
     stopped = False
@@ -363,14 +280,7 @@ def solve(problem: CompositeProblem, variant: str = "general",
 
     k = 0
     while k < max_iters and not stopped:
-        if variant == "general":
-            apcg_step_general(problem, state, sched)
-        elif variant == "strongly_convex":
-            apcg_step_sc(problem, state, alpha_sc)
-        elif variant == "non_strongly_convex":
-            _, alpha_prev = apcg_step_nsc(problem, state, alpha_prev)
-        else:
-            apcg_step_efficient(problem, eff_state)
+        step()
         k += 1
         if k % trace_every == 0 or k == max_iters:
             xk = current_x()

@@ -4,7 +4,9 @@ Every closed form in the package is checked against one of these slow but
 simple oracles: refined grid searches for 1-d proxes and conjugates, a
 plain proximal-gradient loop for optimal objective values, dense SVD for
 spectral norms, an exact active-set QP solve for the smoothed-hinge dual
-optimum, and a direct deterministic accelerated gradient recursion.
+optimum, and a direct deterministic accelerated gradient recursion.  The
+plain per-step forms that the package's merged or fused steppers replaced
+are kept here as references too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import scipy.optimize
 
+from apcg.core import block_prox
 from apcg.erm import ErmProblem, dual_objective, erm_constants
 
 
@@ -293,3 +296,67 @@ def rpcg_erm_step_reference(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
     if delta != 0.0:
         x[i] = s
         ax[idx] += delta * val
+
+
+def _block_prox_update(problem, y, center, i, weight):
+    """Block-i minimizer of weight/2 ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)."""
+    sl = problem.partition.slice(i)
+    grad_i = problem.smooth.partial_gradient(y, i)
+    return block_prox(problem.reg, i, center[sl] - grad_i / weight, weight)
+
+
+def apcg_step_sc_reference(problem, state, alpha: float, forced_block=None):
+    """One APCG step of the paper's constant-coefficient form, ``alpha = sqrt(mu)/n``.
+
+    ``y = (x + alpha z) / (1 + alpha)``, block prox with weight ``n alpha L_i``
+    centered at ``(1-alpha) z + alpha y``, then
+    ``x+ = y + n alpha (z+ - z) + n alpha^2 (z - y)`` on the chosen block.
+    ``apcg.solvers.apcg_step_general`` on ``ApcgSchedule(n, mu, mu)`` must
+    match it.
+    """
+    n = problem.n
+    x, z = state.x, state.z
+    y = (x + alpha * z) / (1.0 + alpha)
+    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    center = (1.0 - alpha) * z + alpha * y
+    weight = n * alpha * float(problem.smooth.lipschitz[i])
+    s = _block_prox_update(problem, y, center, i, weight)
+
+    sl = problem.partition.slice(i)
+    z_i_old = z[sl].copy()
+    z_new = center
+    z_new[sl] = s
+    x_new = y.copy()
+    x_new[sl] = y[sl] + n * alpha * (s - z_i_old) + n * alpha * alpha * (z_i_old - y[sl])
+
+    state.x, state.z, state.y, state.k = x_new, z_new, y, state.k + 1
+    return state
+
+
+def apcg_step_nsc_reference(problem, state, alpha_prev: float, forced_block=None):
+    """One APCG step of the paper's mu = 0 form; returns (state, alpha_k).
+
+    ``alpha_k = (sqrt(a^4 + 4 a^2) - a^2) / 2`` with ``a = alpha_prev``,
+    ``y = (1-alpha_k) x + alpha_k z``; only the chosen block of z moves (prox
+    centered at z_i), and ``x+ = y + n alpha_k (z+ - z)``.
+    ``apcg.solvers.apcg_step_general`` on
+    ``ApcgSchedule(n, 0, (n alpha_{-1})^2)`` must match it.
+    """
+    n = problem.n
+    a2 = alpha_prev * alpha_prev
+    alpha = 0.5 * (math.sqrt(a2 * a2 + 4.0 * a2) - a2)
+    x, z = state.x, state.z
+    y = (1.0 - alpha) * x + alpha * z
+    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    weight = n * alpha * float(problem.smooth.lipschitz[i])
+    s = _block_prox_update(problem, y, z, i, weight)
+
+    sl = problem.partition.slice(i)
+    z_i_old = z[sl].copy()
+    z_new = z.copy()
+    z_new[sl] = s
+    x_new = y.copy()
+    x_new[sl] = y[sl] + n * alpha * (s - z_i_old)
+
+    state.x, state.z, state.y, state.k = x_new, z_new, y, state.k + 1
+    return state, alpha

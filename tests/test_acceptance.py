@@ -21,8 +21,7 @@ from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
 from apcg.instances import diag_dominant_quadratic, single_block_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
-                          apcg_step_efficient, apcg_step_general,
-                          apcg_step_sc, solve)
+                          apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
 from conftest import report_pass
@@ -81,14 +80,14 @@ def test_explicit_and_uv_forms_are_equivalent(lasso20):
     start = time.perf_counter()
     problem = lasso20.problem
     mu = problem.smooth.mu
-    alpha = math.sqrt(mu) / problem.n
+    sched = ApcgSchedule(problem.n, mu, mu)
     worst = 0.0
     for seed in range(5):
         exp = ApcgExplicitState.start(np.zeros(problem.dim), seed=seed,
                                       n_blocks=problem.n)
         eff = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=seed)
         for _ in range(500):
-            apcg_step_sc(problem, exp, alpha)
+            apcg_step_general(problem, exp, sched)
             apcg_step_efficient(problem, eff)
             worst = max(worst, float(np.max(np.abs(eff.x_full() - exp.x))))
     elapsed = time.perf_counter() - start
@@ -173,10 +172,10 @@ def test_single_block_reduces_to_deterministic_accelerated_gradient():
     want = oracles.momentum_accelerated_gradient(inst.hessian, inst.linear,
                                                  np.zeros(6), 200)
     state = ApcgExplicitState.start(np.zeros(6), seed=0, n_blocks=1)
-    alpha = math.sqrt(problem.smooth.mu)
+    sched = ApcgSchedule(1, problem.smooth.mu, problem.smooth.mu)
     worst = 0.0
     for k in range(1, 201):
-        apcg_step_sc(problem, state, alpha)
+        apcg_step_general(problem, state, sched)
         worst = max(worst, float(np.max(np.abs(state.x - want[k]))))
     assert worst <= 1e-10
     report_pass("single-block degeneracy", f"max iterate dev = {worst:.2e}")

@@ -1,8 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import apcg
 from apcg.cli import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig,
                       _config_from_args, build_parser, check_invariants,
                       load_config_file, main, run_experiment)
@@ -144,6 +148,36 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
 
     rc = main(["run", "--data", str(tmp_path / "missing.txt"), "--out", str(out)])
     assert rc == 3
+
+
+# outside input that must end in "error: ..." and exit code 2:
+# (text of an input file or None, flags; the file's path follows the flags)
+BAD_INPUTS = {
+    "malformed-data": ("+1 1:abc\n", ["--data"]),
+    "bad-label": ("+1 1:1.0\n2 1:0.5\n", ["--data"]),
+    "empty-data": ("", ["--data"]),
+    "bad-config-value": ("synthetic = 40,10,0.5\nepochs = x\n", ["--config"]),
+    "synthetic-not-a-number": (None, ["--synthetic", "5,x,0.5"]),
+    "synthetic-zero-examples": (None, ["--synthetic", "0,10,0.5"]),
+    "synthetic-sparsity-above-one": (None, ["--synthetic", "5,10,1.5"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_with_error_line(case, tmp_path):
+    text, flags = BAD_INPUTS[case]
+    if text is not None:
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        flags = [*flags, str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "apcg.cli", "run", *flags, "--epochs", "1",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_file_and_overrides(tmp_path):

@@ -10,9 +10,7 @@ from apcg.instances import (block_quadratic, diag_dominant_quadratic,
                             single_block_quadratic)
 from apcg.schedule import ApcgSchedule, theta_coefficients
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
-                          apcg_step_efficient, apcg_step_general,
-                          apcg_step_nsc, apcg_step_sc, default_alpha_minus1,
-                          nsc_alpha_next, solve)
+                          apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
 
@@ -85,19 +83,14 @@ def test_y_equals_x_when_z_equals_x():
 def test_stationary_point_is_fixed_for_all_steppers(block):
     target = np.array([0.5, -1.0, 2.0])
     problem = shifted_quadratic(target)
-    st = ApcgExplicitState.start(target, seed=0, n_blocks=3)
-    sched = ApcgSchedule(3, 1.0, 1.0)
-    apcg_step_general(problem, st, sched, forced_block=block)
-    assert np.allclose(st.x, target, atol=1e-14)
-    assert np.allclose(st.z, target, atol=1e-14)
-
-    st = ApcgExplicitState.start(target, seed=0, n_blocks=3)
-    apcg_step_sc(problem, st, math.sqrt(1.0) / 3, forced_block=block)
-    assert np.allclose(st.x, target, atol=1e-14)
-
-    st = ApcgExplicitState.start(target, seed=0, n_blocks=3)
-    st, _ = apcg_step_nsc(problem, st, 1.0 / 3, forced_block=block)
-    assert np.allclose(st.x, target, atol=1e-14)
+    # gamma0 = mu = 1 (also the strongly convex preset), a general start,
+    # and the mu = 0 preset
+    for sched in (ApcgSchedule(3, 1.0, 1.0), ApcgSchedule(3, 0.25, 0.5),
+                  ApcgSchedule(3, 0.0, 1.0)):
+        st = ApcgExplicitState.start(target, seed=0, n_blocks=3)
+        apcg_step_general(problem, st, sched, forced_block=block)
+        assert np.allclose(st.x, target, atol=1e-14)
+        assert np.allclose(st.z, target, atol=1e-14)
 
     eff = ApcgEfficientState(target, problem, 1.0, seed=0)
     apcg_step_efficient(problem, eff, forced_block=block)
@@ -129,19 +122,23 @@ def test_efficient_step_matches_z_increment_golden():
 
 
 def test_nsc_alpha_recursion_values():
-    assert nsc_alpha_next(1.0) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
-    # seed 1/sqrt(n^2 - n) makes alpha_0 exactly 1/n
+    # mu = 0, one block, gamma0 = 1: alpha_0^2 = 1 - alpha_0
+    alpha0 = ApcgSchedule(1, 0.0, 1.0).step()[0]
+    assert alpha0 == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
+    # with mu = 0 the schedule follows alpha_k^2 = (1 - alpha_k) alpha_{k-1}^2
     for n in (2, 3, 10, 100):
-        seed = default_alpha_minus1(n)
-        assert seed == pytest.approx(1.0 / math.sqrt(n * n - n), abs=1e-15)
-        assert nsc_alpha_next(seed) == pytest.approx(1.0 / n, rel=1e-13)
+        sched = ApcgSchedule(n, 0.0, 1.0)
+        sched.advance(50)
+        for prev, a in zip(sched.alphas, sched.alphas[1:]):
+            a2 = prev * prev
+            assert a == pytest.approx(0.5 * (math.sqrt(a2 * a2 + 4.0 * a2) - a2), rel=1e-13)
 
 
 def test_nsc_alpha_decreasing_to_zero():
-    a = 1.0 / 4
-    prev = a
+    sched = ApcgSchedule(4, 0.0, 1.0)  # alpha_{-1} = 1/4
+    prev = 1.0 / 4
     for k in range(10_000):
-        a = nsc_alpha_next(a)
+        a = sched.step()[0]
         assert a < prev
         prev = a
     assert a < 1e-3
@@ -160,23 +157,43 @@ def test_sc_equals_general_with_gamma0_mu(lasso20):
     sched = ApcgSchedule(problem.n, mu, mu)
     dev = 0.0
     for _ in range(300):
-        apcg_step_sc(problem, s_sc, alpha)
+        oracles.apcg_step_sc_reference(problem, s_sc, alpha)
         apcg_step_general(problem, s_gen, sched)
         dev = max(dev, float(np.max(np.abs(s_sc.x - s_gen.x))),
                   float(np.max(np.abs(s_sc.z - s_gen.z))))
     assert dev <= 1e-10
 
 
+def test_nsc_equals_general_with_mu_zero(lasso20):
+    # the mu = 0 form started at alpha_{-1} is the schedule with
+    # gamma0 = (n alpha_{-1})^2; the problem's own mu > 0 is ignored
+    problem = lasso20.problem
+    n = problem.n
+    for alpha_prev in (1.0 / n, 0.5 / n):
+        s_nsc = ApcgExplicitState.start(np.zeros(problem.dim), seed=9, n_blocks=n)
+        s_gen = ApcgExplicitState.start(np.zeros(problem.dim), seed=9, n_blocks=n)
+        sched = ApcgSchedule(n, 0.0, (n * alpha_prev) ** 2)
+        dev = 0.0
+        for k in range(300):
+            _, alpha_prev = oracles.apcg_step_nsc_reference(problem, s_nsc, alpha_prev)
+            apcg_step_general(problem, s_gen, sched)
+            assert sched.alphas[k] == pytest.approx(alpha_prev, rel=1e-12)
+            dev = max(dev, float(np.max(np.abs(s_nsc.x - s_gen.x))),
+                      float(np.max(np.abs(s_nsc.z - s_gen.z))))
+        assert dev <= 1e-10
+
+
 def test_efficient_reconstructions_match_explicit(lasso20):
     problem = lasso20.problem
     mu = problem.smooth.mu
     alpha = math.sqrt(mu) / problem.n
+    sched = ApcgSchedule(problem.n, mu, mu)
     for seed in (0, 1, 2):
         exp = ApcgExplicitState.start(np.zeros(problem.dim), seed=seed,
                                       n_blocks=problem.n)
         eff = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=seed)
         for k in range(500):
-            apcg_step_sc(problem, exp, alpha)
+            apcg_step_general(problem, exp, sched)
             apcg_step_efficient(problem, eff)
             assert np.max(np.abs(eff.x_full() - exp.x)) <= 1e-8
             assert np.max(np.abs(eff.z_full() - exp.z)) <= 1e-8
@@ -203,12 +220,12 @@ def test_mixed_block_sizes_equivalence_and_lipschitz():
     problem = inst.problem
     mu = problem.smooth.mu
     assert 0.0 < mu <= 1.0
-    alpha = math.sqrt(mu) / problem.n
+    sched = ApcgSchedule(problem.n, mu, mu)
     exp = ApcgExplicitState.start(np.zeros(problem.dim), seed=4,
                                   n_blocks=problem.n)
     eff = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=4)
     for _ in range(300):
-        apcg_step_sc(problem, exp, alpha)
+        apcg_step_general(problem, exp, sched)
         apcg_step_efficient(problem, eff)
         assert np.max(np.abs(eff.x_full() - exp.x)) <= 1e-9
     # the run made progress
@@ -361,6 +378,11 @@ def test_nsc_variant_converges_on_lasso(lasso20, lasso20_optimum):
     assert res.trace[-1][1] - fstar <= 1e-4 * (res.trace[0][1] - fstar)
 
 
+def test_nsc_variant_rejects_gamma0_above_one(lasso20):
+    with pytest.raises(ConfigurationError):
+        solve(lasso20.problem, "non_strongly_convex", gamma0=1.2)
+
+
 def test_single_block_matches_deterministic_accelerated_gradient_quick():
     inst = single_block_quadratic(5, seed=4)
     problem = inst.problem
@@ -369,7 +391,7 @@ def test_single_block_matches_deterministic_accelerated_gradient_quick():
     want = oracles.momentum_accelerated_gradient(inst.hessian, inst.linear,
                                                  np.zeros(5), 50)
     state = ApcgExplicitState.start(np.zeros(5), seed=0, n_blocks=1)
-    alpha = math.sqrt(problem.smooth.mu)
+    sched = ApcgSchedule(1, problem.smooth.mu, problem.smooth.mu)
     for k in range(1, 51):
-        apcg_step_sc(problem, state, alpha)
+        apcg_step_general(problem, state, sched)
         assert np.max(np.abs(state.x - want[k])) <= 1e-10
