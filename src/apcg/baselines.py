@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .core import CompositeProblem, block_prox
 from .erm import ErmProblem
 from .errors import StepSizeError
@@ -67,27 +68,37 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     rank-one column updates.  Each step maximizes D over one coordinate
     exactly (a 1-d quadratic, clipped to the conjugate domain), so the dual
     objective never decreases.  Every step is :func:`sdca_coordinate_update`
-    at margin A_i' w_agg, inlined over locals like the accelerated kernel
-    ``erm.apcg_erm_steps``.
+    at margin A_i' w_agg.  The steps run in the compiled kernel when it
+    loads; the Python loop below, inlined over locals like the accelerated
+    kernel ``erm.apcg_erm_steps``, is its reference and agrees to rounding.
     """
+    n, d = prob.n, prob.d
+    blocks = native.block_indices(sampler.take(n), n)
     m = prob.matrix
-    indices, values = m.indices, m.values
-    bounds = m.indptr.tolist()
-    col_norms_sq = prob.col_norms_sq.tolist()
-    anchors = prob.anchors.tolist()
-    lam_n = prob.lam * prob.n
+    lam_n = prob.lam * n
     gamma = prob.gamma
     is_box = prob.loss.dual_box is not None
-    x_at = x.item
-    for i in sampler.take(prob.n):
-        lo, hi = bounds[i], bounds[i + 1]
+    lib = native.library()
+    if lib is not None:
+        addr = native.address
+        lib.sdca_epoch(m.indptr.ctypes.data, m.indices.ctypes.data, m.values.ctypes.data,
+                       blocks.ctypes.data, blocks.size,
+                       addr(x, np.float64, n, "x", writable=True),
+                       addr(w_agg, np.float64, d, "w_agg", writable=True),
+                       addr(prob.col_norms_sq, np.float64, n, "col_norms_sq"),
+                       addr(prob.anchors, np.float64, n, "anchors"), lam_n, gamma, is_box)
+        return x, w_agg
+    indices, values, bound_at = m.indices, m.values, m.indptr.item
+    col_norms_sq_at, anchor_at, x_at = prob.col_norms_sq.item, prob.anchors.item, x.item
+    for i in blocks.tolist():
+        lo, hi = bound_at(i), bound_at(i + 1)
         idx = indices[lo:hi]
         val = values[lo:hi]
         w_idx = w_agg[idx]
-        q_i = col_norms_sq[i] / lam_n
+        q_i = col_norms_sq_at(i) / lam_n
         margin = float(val.dot(w_idx))
         x_i = x_at(i)
-        s = (anchors[i] - margin + x_i * q_i) / (gamma + q_i)
+        s = (anchor_at(i) - margin + x_i * q_i) / (gamma + q_i)
         if is_box:
             s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
         delta = s - x_i

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, erm
+from . import baselines, erm, native
 from .data import DatasetMeta, parse_libsvm, synth_binary
 from .errors import ConfigurationError, ParseError
 from .instances import diag_dominant_quadratic
@@ -60,10 +60,12 @@ class ExperimentConfig:
                 raise ConfigurationError(f"synthetic sparsity must lie in (0, 1], got {sparsity}")
         if self.loss not in ("smoothed_hinge", "square"):
             raise ConfigurationError(f"unknown loss {self.loss!r}")
-        if not self.lambdas or any(l <= 0 for l in self.lambdas):
-            raise ConfigurationError("need at least one positive lambda")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
+        if not self.lambdas or not all(0.0 < l < math.inf for l in self.lambdas):
+            raise ConfigurationError("need at least one lambda, each positive and finite")
+        if not 0.0 < self.gamma < math.inf:
+            raise ConfigurationError("gamma must be positive and finite")
+        if self.tol is not None and math.isnan(self.tol):
+            raise ConfigurationError("tol must be a number, not nan")
         if not self.solvers:
             raise ConfigurationError("need at least one solver")
         for s in self.solvers:
@@ -497,6 +499,7 @@ def main(argv=None) -> int:
                     f"final gap {r.final_gap:.3e}")
         print(f"{r.dataset} lam={r.lam:g} {r.solver} seed={r.seed}: "
               f"{r.epochs_run} epochs, {tol_part} -> {r.csv_path}")
+    print(f"kernels: {native.backend()}")
     return 0
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .errors import LabelError, ParseError
 
 
@@ -24,7 +25,9 @@ class SparseColMatrix:
     """d x n matrix in CSC layout: column j holds values[indptr[j]:indptr[j+1]].
 
     Row indices are strictly increasing within each column; stored values
-    are finite and nonzero.
+    are finite and nonzero.  The three arrays are kept as contiguous
+    read-only views, validated here once, so the compiled products trust
+    them without re-checking every row index.
     """
 
     d: int
@@ -35,9 +38,9 @@ class SparseColMatrix:
     col_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
+        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        values = np.ascontiguousarray(self.values, dtype=float)
         if indptr.shape != (self.n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError("malformed indptr")
         if np.any(np.diff(indptr) < 0):
@@ -54,10 +57,17 @@ class SparseColMatrix:
                     raise ValueError("row indices must be strictly increasing per column")
             if not np.all(np.isfinite(values)) or np.any(values == 0.0):
                 raise ValueError("stored values must be finite and nonzero")
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
+        for name, arr in (("indptr", indptr), ("indices", indices), ("values", values)):
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "col_ids", col_ids)
+
+    def __setstate__(self, state):
+        """Unpickling (as in ``--jobs`` workers) returns writable arrays."""
+        for name in ("indptr", "indices", "values"):
+            state[name].flags.writeable = False
+        self.__dict__.update(state)
 
     @property
     def nnz(self) -> int:
@@ -74,15 +84,37 @@ class SparseColMatrix:
             np.add.at(out, self.col_ids, self.values ** 2)
         return out
 
+    def _product(self, kernel, vec, size: int, out_size: int) -> np.ndarray:
+        """Run the compiled csc_dot or csc_tdot on ``vec``."""
+        vec = np.ascontiguousarray(vec, dtype=float)
+        out = np.zeros(out_size)
+        kernel(
+            self.n, self.indptr.ctypes.data, self.indices.ctypes.data,
+            self.values.ctypes.data, native.address(vec, np.float64, size, "operand"),
+            out.ctypes.data)
+        return out
+
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a length-n vector x; returns a length-d vector."""
+        """A @ x for a length-n vector x; returns a length-d vector.
+
+        Compiled when the kernels load, bitwise equal to the bincount form.
+        """
+        lib = native.library()
+        if lib is not None:
+            return self._product(lib.csc_dot, x, self.n, self.d)
         if self.nnz == 0:
             return np.zeros(self.d)
         return np.bincount(self.indices, weights=self.values * x[self.col_ids],
                            minlength=self.d)
 
     def tdot(self, w: np.ndarray) -> np.ndarray:
-        """A.T @ w for a length-d vector w; returns the n column dots."""
+        """A.T @ w for a length-d vector w; returns the n column dots.
+
+        Compiled when the kernels load, bitwise equal to the bincount form.
+        """
+        lib = native.library()
+        if lib is not None:
+            return self._product(lib.csc_tdot, w, self.d, self.n)
         if self.nnz == 0:
             return np.zeros(self.n)
         return np.bincount(self.col_ids, weights=self.values * w[self.indices],

@@ -28,6 +28,8 @@ twice for the aggregates.  Like the generic efficient solver, u and p are
 stored in the stabilized form ubar = rho^{k+1} u, pbar = rho^{k+1} p; pbar
 additionally folds its global rho-scaling into one scalar that is
 renormalized into the vector long before it can underflow.
+:meth:`ErmDualState.epoch` runs the compiled form of the same loop
+(``_kernels.c``, loaded by :mod:`apcg.native`) when it is available.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .core import (BlockPartition, CompositeProblem, SeparableRegularizer,
                    SmoothOracle)
 from .data import SparseColMatrix, spectral_norm
@@ -61,8 +64,8 @@ class SmoothedHingeLoss:
     dual_box = (0.0, 1.0)
 
     def __init__(self, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
 
     def anchors(self, n: int) -> np.ndarray:
@@ -97,11 +100,13 @@ class SquareLoss:
     dual_box = None
 
     def __init__(self, targets: np.ndarray, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
         self.eta = float(gamma)
         self.targets = np.asarray(targets, dtype=float)
+        if not np.all(np.isfinite(self.targets)):
+            raise ValueError("targets must be finite")
 
     def anchors(self, n: int) -> np.ndarray:
         if self.targets.shape != (n,):
@@ -137,13 +142,13 @@ class ErmProblem:
     _spectral: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         self.col_norms_sq = self.matrix.col_norms_sq()
         if not np.all(np.isfinite(self.col_norms_sq)):
             raise ValueError("matrix columns must be finite")
         self.R = math.sqrt(float(self.col_norms_sq.max())) if self.n else 0.0
-        self.anchors = self.loss.anchors(self.n)
+        self.anchors = np.ascontiguousarray(self.loss.anchors(self.n), dtype=float)
 
     @property
     def n(self) -> int:
@@ -440,20 +445,44 @@ class ErmDualState:
         self.k = 0
         self.last_h = 0.0  # increment of the most recent step, for diagnostics
         self.sampler = BlockSampler(n, seed)
-        # hot-loop constants, per-coordinate ones as lists for cheap scalar reads
-        self.col_bounds = prob.matrix.indptr.tolist()
+        # per-step constants of the kernels
         self.quad_weight = (self.alpha * (prob.col_norms_sq + prob.lam * prob.gamma * n)
-                            / (prob.lam * n)).tolist()
+                            / (prob.lam * n))
         self.grad_scale = 1.0 / (prob.lam * n * n)
-        self.anchor_over_n = (prob.anchors / n).tolist()
+        self.anchor_over_n = prob.anchors / n
         self.is_box = prob.loss.dual_box is not None
         self.gamma_over_n = prob.gamma / n
         self.half_minus = 0.5 * (1.0 - n * self.alpha)
         self.half_plus = 0.5 * (1.0 + n * self.alpha)
 
     def epoch(self) -> None:
-        """n coordinate steps on the sampler's next n indices."""
-        apcg_erm_steps(self.prob, self, self.sampler.take(self.prob.n))
+        """n coordinate steps on the sampler's next n indices.
+
+        Runs the compiled kernel when it loads, else :func:`apcg_erm_steps`;
+        the two agree to rounding.
+        """
+        n, d = self.prob.n, self.prob.d
+        blocks = native.block_indices(self.sampler.take(n), n)
+        lib = native.library()
+        if lib is None:
+            apcg_erm_steps(self.prob, self, blocks)
+            return
+        m, addr = self.prob.matrix, native.address
+        scalars = np.array([self.pbar_scale, self.last_h])
+        lib.apcg_erm_epoch(
+            m.indptr.ctypes.data, m.indices.ctypes.data, m.values.ctypes.data,
+            blocks.ctypes.data, blocks.size,
+            addr(self.ubar_raw, np.float64, n, "ubar_raw", writable=True),
+            addr(self.stamps, np.int64, n, "stamps", writable=True),
+            addr(self.v, np.float64, n, "v", writable=True),
+            addr(self.pbar_base, np.float64, d, "pbar_base", writable=True),
+            addr(self.q, np.float64, d, "q", writable=True), d,
+            addr(self.quad_weight, np.float64, n, "quad_weight"),
+            addr(self.anchor_over_n, np.float64, n, "anchor_over_n"),
+            self.rho, self.grad_scale, self.gamma_over_n, self.half_minus,
+            self.half_plus, self.is_box, self.k, scalars.ctypes.data)
+        self.pbar_scale, self.last_h = scalars.tolist()
+        self.k += blocks.size
 
     def ubar_effective(self) -> np.ndarray:
         return self.ubar_raw * self.rho ** (self.k - self.stamps).astype(float)
@@ -482,7 +511,8 @@ class ErmDualState:
 
 
 def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualState:
-    """One coordinate step of the dual solver per index in ``blocks``, in order.
+    """One coordinate step of the dual solver per index in ``blocks`` (an
+    int64 array), in order: the Python reference of the compiled epoch.
 
     Each step costs O(nnz(A_i)):
     grad_i = (A_i' pbar + A_i' q) / (lam n^2) + (gamma/n)(ubar_i + v_i);
@@ -494,17 +524,16 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
     each column's gathered aggregates are reused for its update.
     """
     m = prob.matrix
-    indices, values = m.indices, m.values
-    bounds = state.col_bounds
+    indices, values, bound_at = m.indices, m.values, m.indptr.item
     ubar_raw, stamps, v = state.ubar_raw, state.stamps, state.v
     ubar_at, stamp_at, v_at = ubar_raw.item, stamps.item, v.item
     pbar_base, q = state.pbar_base, state.q
-    quad_weight, anchor_over_n = state.quad_weight, state.anchor_over_n
+    quad_weight_at, anchor_over_n_at = state.quad_weight.item, state.anchor_over_n.item
     rho, grad_scale, gamma_over_n = state.rho, state.grad_scale, state.gamma_over_n
     half_minus, half_plus, is_box = state.half_minus, state.half_plus, state.is_box
     pbar_scale, k, h = state.pbar_scale, state.k, state.last_h
-    for i in blocks:
-        lo, hi = bounds[i], bounds[i + 1]
+    for i in blocks.tolist():
+        lo, hi = bound_at(i), bound_at(i + 1)
         idx = indices[lo:hi]
         val = values[lo:hi]
         pbar_idx = pbar_base[idx]
@@ -517,7 +546,7 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
         grad = a_dot * grad_scale + gamma_over_n * (ub_i + v_i)
 
         t0 = -ub_i + v_i
-        s = t0 + (anchor_over_n[i] - grad) / quad_weight[i]
+        s = t0 + (anchor_over_n_at(i) - grad) / quad_weight_at(i)
         if is_box:
             s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
         h = s - t0
@@ -539,9 +568,15 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
 
 def apcg_erm_step(prob: ErmProblem, state: ErmDualState,
                   forced_block: int | None = None) -> ErmDualState:
-    """One coordinate step on a drawn (or the forced) index; see apcg_erm_steps."""
+    """One coordinate step on a drawn (or the forced) index; see apcg_erm_steps.
+
+    Single steps run the Python kernel: one call into the compiled kernel
+    costs more than one interpreted step.
+    """
     i = state.sampler.draw() if forced_block is None else int(forced_block)
-    return apcg_erm_steps(prob, state, (i,))
+    if not 0 <= i < prob.n:
+        raise IndexError(f"block index out of range for {prob.n} coordinates")
+    return apcg_erm_steps(prob, state, np.array([i], dtype=np.int64))
 
 
 @dataclass

@@ -1,0 +1,139 @@
+"""Loader of the compiled kernels in ``_kernels.c``.
+
+The C file is built on first use with the system C compiler (``cc``, else
+``gcc``) and ``-O2 -ffp-contract=off -fPIC -shared`` into a per-user cache
+directory, ``$XDG_CACHE_HOME/apcg`` or ``~/.cache/apcg``.  The library's
+file name is a hash of the source, the flags and the compiler's identity
+(its resolved path, size and modification time, which change with its
+version and cost no subprocess to read), so a later process only loads it.
+A build writes to a temporary file and renames it into place, so processes
+building at the same time cannot see each other's half-written output.
+
+Nothing is loaded at import: :func:`library` loads on its first call.  When
+there is no compiler, the build fails or the cache cannot be written, it
+returns None, every caller runs its Python reference kernel instead, and
+:func:`backend` says why.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import platform
+import shutil
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_P, _I, _D, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
+SIGNATURES = {
+    "csc_dot": (_I, _P, _P, _P, _P, _P),
+    "csc_tdot": (_I, _P, _P, _P, _P, _P),
+    "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _I, _P, _P,
+                       _D, _D, _D, _D, _D, _INT, _I, _P),
+    "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
+}
+
+_UNLOADED = object()
+_lib = _UNLOADED
+_reason = ""
+
+
+class BuildError(Exception):
+    """The kernels could not be built or loaded; the message says why."""
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(Path.home(), ".cache")
+    return Path(base) / "apcg"
+
+
+def _compiler() -> str:
+    for name in ("cc", "gcc"):
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    raise BuildError("no C compiler (cc or gcc) on PATH")
+
+
+def _library_path(compiler: str) -> Path:
+    real = os.path.realpath(compiler)
+    st = os.stat(real)
+    key = b"\0".join([SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
+                      f"{real} {st.st_size} {st.st_mtime_ns} {platform.machine()}".encode()])
+    return _cache_dir() / f"kernels-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+
+
+def _build(compiler: str, target: Path) -> None:
+    import subprocess
+    import tempfile
+
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem + "-", suffix=".tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                              capture_output=True, text=True, errors="replace")
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
+            raise BuildError(f"{compiler} exited {proc.returncode}: {last}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load():
+    compiler = _compiler()
+    target = _library_path(compiler)
+    if not target.exists():
+        _build(compiler, target)
+    lib = ctypes.CDLL(str(target))
+    for name, argtypes in SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, None
+    return lib
+
+
+def library():
+    """The loaded kernels, or None when they are unavailable (see backend())."""
+    global _lib, _reason
+    if _lib is _UNLOADED:
+        try:
+            _lib = _load()
+        except (BuildError, OSError, RuntimeError, KeyError) as exc:
+            _lib, _reason = None, str(exc) or type(exc).__name__
+    return _lib
+
+
+def backend() -> str:
+    """``c``, or ``python (<why the kernels are unavailable>)``."""
+    return "c" if library() is not None else f"python ({_reason})"
+
+
+def address(a: np.ndarray, dtype, size: int, name: str,
+            writable: bool = False) -> int:
+    """Address of array ``a`` for a kernel that accesses ``size`` elements.
+
+    Raises ValueError unless ``a`` is a C-contiguous ``dtype`` vector of that
+    size (and writable, if asked): a kernel trusts every pointer it is given.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (size,)
+            and a.flags.c_contiguous and (a.flags.writeable or not writable)):
+        raise ValueError(f"{name} must be a {'writable ' if writable else ''}contiguous "
+                         f"{np.dtype(dtype)} vector of length {size}")
+    return a.ctypes.data
+
+
+def block_indices(blocks, n: int) -> np.ndarray:
+    """``blocks`` as an int64 array, raising IndexError outside [0, n)."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    if blocks.ndim != 1:
+        raise ValueError("block indices must form a vector")
+    if blocks.size and (int(blocks.min()) < 0 or int(blocks.max()) >= n):
+        raise IndexError(f"block index out of range for {n} coordinates")
+    return blocks

@@ -67,18 +67,20 @@ class BlockSampler:
         self._pos += 1
         return int(i)
 
-    def take(self, k: int) -> list[int]:
-        """The next k indices of the stream, as k calls of draw() would return them."""
+    def take(self, k: int) -> np.ndarray:
+        """The next k indices of the stream, as k calls of draw() would
+        return them, in a new int64 array."""
         if k < 0:
             raise ValueError("cannot take a negative number of indices")
-        out: list[int] = []
-        while len(out) < k:
+        parts = []
+        while k > 0:
             if self._pos >= self._buf.size:
                 self._refill()
-            end = min(self._buf.size, self._pos + k - len(out))
-            out.extend(self._buf[self._pos:end].tolist())
+            end = min(self._buf.size, self._pos + k)
+            parts.append(self._buf[self._pos:end])
+            k -= end - self._pos
             self._pos = end
-        return out
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 @dataclass

@@ -5,11 +5,25 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
+from apcg import native
 from apcg.data import synth_binary
 from apcg.erm import ErmProblem
 from apcg.instances import diag_dominant_quadratic
 
 import oracles
+
+
+@pytest.fixture
+def python_kernels(monkeypatch):
+    """Run the test on the Python reference kernels."""
+    monkeypatch.setattr(native, "library", lambda: None)
+
+
+@pytest.fixture
+def c_kernels():
+    """Run the test on the compiled kernels; skip where they cannot load."""
+    if native.library() is None:
+        pytest.skip(f"compiled kernels unavailable: {native.backend()}")
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.optimize
 
 from apcg.core import block_prox
-from apcg.erm import ErmProblem, dual_objective, erm_constants
+from apcg.erm import (ErmProblem, PrimalDualReport, dual_objective,
+                      erm_constants)
 
 
 def grid_minimize(fun, lo: float, hi: float, rounds: int = 4, points: int = 2001) -> float:
@@ -360,3 +361,21 @@ def apcg_step_nsc_reference(problem, state, alpha_prev: float, forced_block=None
 
     state.x, state.z, state.y, state.k = x_new, z_new, y, state.k + 1
     return state, alpha
+
+
+# Agreement of the compiled kernels with the Python reference kernels: the
+# two sum each column's dot product in a different order, so they agree to
+# rounding, not bitwise.  The gap bound is absolute, because P - D cancels
+# near the optimum.
+BACKEND_RTOL = 1e-12
+
+
+def assert_backends_agree(prob: ErmProblem, x_c: np.ndarray, x_py: np.ndarray) -> None:
+    """x, primal and dual within BACKEND_RTOL relative, gap within
+    BACKEND_RTOL * max(|P|, |D|) absolute."""
+    assert np.max(np.abs(x_c - x_py)) <= BACKEND_RTOL * np.max(np.abs(x_py))
+    c = PrimalDualReport.evaluate(prob, x_c, epoch=0)
+    py = PrimalDualReport.evaluate(prob, x_py, epoch=0)
+    assert abs(c.primal - py.primal) <= BACKEND_RTOL * abs(py.primal)
+    assert abs(c.dual - py.dual) <= BACKEND_RTOL * abs(py.dual)
+    assert abs(c.gap - py.gap) <= BACKEND_RTOL * max(abs(py.primal), abs(py.dual))

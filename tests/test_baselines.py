@@ -191,8 +191,9 @@ def erm_prob(request):
     return request.getfixturevalue(request.param)
 
 
-def test_sdca_epoch_matches_coordinate_updates(erm_prob):
-    prob = erm_prob
+def sdca_against_coordinate_updates(prob):
+    """Four sdca_epoch calls and the per-step closed form side by side;
+    returns ((x, w), (x_ref, w_ref))."""
     lam_n = prob.lam * prob.n
     x, w = np.zeros(prob.n), np.zeros(prob.d)
     x_ref, w_ref = x.copy(), w.copy()
@@ -207,7 +208,28 @@ def test_sdca_epoch_matches_coordinate_updates(erm_prob):
             if delta != 0.0:
                 x_ref[i] = s
                 w_ref[idx] += (delta / lam_n) * val
+    return (x, w), (x_ref, w_ref)
+
+
+def test_sdca_epoch_matches_coordinate_updates(erm_prob, python_kernels):
+    (x, w), (x_ref, w_ref) = sdca_against_coordinate_updates(erm_prob)
     assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+def test_compiled_sdca_epoch_matches_coordinate_updates(erm_prob, c_kernels):
+    prob = erm_prob
+    (x, w), (x_ref, w_ref) = sdca_against_coordinate_updates(prob)
+    oracles.assert_backends_agree(prob, x, x_ref)
+    assert np.max(np.abs(w - w_ref)) <= oracles.BACKEND_RTOL * np.max(np.abs(w_ref))
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_sdca_epoch_rejects_a_sampler_over_more_coordinates(hinge200, kernels, request):
+    request.getfixturevalue(kernels)
+    x, w = np.zeros(hinge200.n), np.zeros(hinge200.d)
+    with pytest.raises(IndexError):
+        sdca_epoch(hinge200, x, w, BlockSampler(2 * hinge200.n, 0))
+    assert not x.any() and not w.any()
 
 
 def test_rpcg_erm_epoch_matches_reference_steps(erm_prob):

@@ -160,6 +160,9 @@ BAD_INPUTS = {
     "synthetic-not-a-number": (None, ["--synthetic", "5,x,0.5"]),
     "synthetic-zero-examples": (None, ["--synthetic", "0,10,0.5"]),
     "synthetic-sparsity-above-one": (None, ["--synthetic", "5,10,1.5"]),
+    "lambda-nan": (None, ["--synthetic", "40,10,0.5", "--lambda", "nan"]),
+    "gamma-nan": (None, ["--synthetic", "40,10,0.5", "--gamma", "nan"]),
+    "tol-nan": (None, ["--synthetic", "40,10,0.5", "--tol", "nan"]),
 }
 
 

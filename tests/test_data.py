@@ -1,10 +1,15 @@
 import gzip
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from apcg import native
 from apcg.data import (DatasetMeta, SparseColMatrix, column_stats,
                        parse_libsvm, spectral_norm, synth_binary, write_libsvm)
 from apcg.errors import LabelError, ParseError
@@ -34,6 +39,94 @@ def test_dense_round_trip_and_products():
     again = SparseColMatrix.from_dense(dense)
     assert np.array_equal(again.indices, A.indices)
     assert np.array_equal(again.values, A.values)
+
+
+def bincount_dot(A, x):
+    """SparseColMatrix.dot's Python form, which the compiled one must equal."""
+    return np.bincount(A.indices, weights=A.values * x[A.col_ids], minlength=A.d)
+
+
+def bincount_tdot(A, w):
+    return np.bincount(A.col_ids, weights=A.values * w[A.indices], minlength=A.n)
+
+
+def product_cases():
+    rng = np.random.Generator(np.random.PCG64(8))
+    big, _ = synth_binary(1000, 2000, 0.05, seed=4)  # d = 2000, n = 1000
+    holes = random_sparse(6, 9, seed=3, density=0.3)  # empty rows and columns
+    return [big, holes, random_sparse(1, 7, seed=5), random_sparse(7, 1, seed=6),
+            random_sparse(1, 1, seed=7, density=1.0),
+            SparseColMatrix.from_dense(np.zeros((3, 4))),
+            SparseColMatrix.from_dense(np.zeros((3, 0))),
+            SparseColMatrix(d=4, n=3, indptr=np.array([0, 0, 2, 2]),
+                            indices=np.array([1, 3]), values=rng.standard_normal(2))]
+
+
+def test_compiled_products_equal_bincount_bitwise(c_kernels):
+    rng = np.random.Generator(np.random.PCG64(2))
+    cases = product_cases()
+    assert cases[0].d == 2000 and cases[0].n == 1000
+    assert np.any(np.diff(cases[1].indptr) == 0)  # an empty column
+    for A in cases:
+        x, w = rng.standard_normal(A.n), rng.standard_normal(A.d)
+        if A.nnz:
+            assert np.array_equal(A.dot(x), bincount_dot(A, x))
+            assert np.array_equal(A.tdot(w), bincount_tdot(A, w))
+        else:
+            assert np.array_equal(A.dot(x), np.zeros(A.d))
+            assert np.array_equal(A.tdot(w), np.zeros(A.n))
+        assert A.dot(x).shape == (A.d,) and A.tdot(w).shape == (A.n,)
+
+
+def test_compiled_products_check_their_operand(c_kernels):
+    A = random_sparse(5, 4, seed=1)
+    assert np.array_equal(A.dot([1, 2, 3, 4]), bincount_dot(A, np.arange(1.0, 5.0)))
+    assert np.array_equal(A.tdot(np.ones(10)[::2]), bincount_tdot(A, np.ones(5)))
+    with pytest.raises(ValueError):
+        A.dot(np.ones(5))
+    with pytest.raises(ValueError):
+        A.tdot(np.ones(4))
+
+
+def test_matrix_arrays_are_read_only():
+    A = random_sparse(5, 4, seed=1)
+    for B in (A, pickle.loads(pickle.dumps(A))):
+        for arr in (B.indptr, B.indices, B.values):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    assert np.array_equal(B.values, A.values) and np.array_equal(B.col_ids, A.col_ids)
+
+
+@st.composite
+def sparse_and_vectors(draw):
+    d, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+    dense = draw(hnp.arrays(np.float64, (d, n), elements=entries))
+    vec = st.floats(-1e3, 1e3, allow_nan=False)
+    x = draw(hnp.arrays(np.float64, n, elements=vec))
+    w = draw(hnp.arrays(np.float64, d, elements=vec))
+    return dense, x, w
+
+
+@pytest.mark.parametrize("kernels", ["python", "c"])
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_and_vectors())
+def test_products_match_dense(kernels, case):
+    if kernels == "c" and native.library() is None:
+        pytest.skip(f"compiled kernels unavailable: {native.backend()}")
+    dense, x, w = case
+    A = SparseColMatrix.from_dense(dense)
+    saved = native.library
+    if kernels == "python":
+        native.library = lambda: None
+    try:
+        ax, atw = A.dot(x), A.tdot(w)
+    finally:
+        native.library = saved
+    # rounding bound of a sum of at most max(d, n) products, plus underflow
+    eps, tiny = 4 * np.finfo(float).eps * max(dense.shape), np.finfo(float).tiny
+    assert np.all(np.abs(ax - dense @ x) <= eps * (np.abs(dense) @ np.abs(x)) + tiny)
+    assert np.all(np.abs(atw - dense.T @ w) <= eps * (np.abs(dense).T @ np.abs(w)) + tiny)
 
 
 def test_matrix_rejects_invalid_structure():

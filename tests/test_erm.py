@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from apcg import native
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
-                      apcg_erm_step, apcg_erm_steps, complexity_estimate,
+                      apcg_erm_step, complexity_estimate,
                       dual_composite, dual_objective, dual_subgradient,
                       erm_constants, full_prox_gap_bound, full_prox_step,
                       gap_by_dual_bound, primal_from_dual, primal_objective,
@@ -261,43 +262,96 @@ def test_erm_aggregate_consistency_over_many_steps(hinge200):
     state.check_consistency(1e-8)
 
 
-def fused_against_reference(prob, seed, epochs):
-    """Run the fused kernel per epoch and the per-step oracle side by side.
+def fused_against_reference(prob, seed, epochs, exact=True):
+    """Run ErmDualState.epoch and the per-step oracle side by side.
 
-    Asserts the two states agree bitwise and returns (clipped steps,
-    pbar_scale renormalizations) seen by the oracle.
+    With ``exact`` (the Python kernel) the two states must agree bitwise;
+    otherwise (the compiled kernel) to ``oracles.assert_backends_agree``,
+    with the same stamps, step count and pbar multiplier.  Returns (clipped
+    steps, pbar_scale renormalizations) seen by the oracle.
     """
     fused = ErmDualState(prob, seed=seed)
     ref = ErmDualState(prob, seed=seed)
     clipped = renorms = 0
     for _ in range(epochs):
-        apcg_erm_steps(prob, fused, fused.sampler.take(prob.n))
+        fused.epoch()
         for _ in range(prob.n):
             scale = ref.pbar_scale
             clipped += oracles.apcg_erm_step_reference(prob, ref, ref.sampler.draw())
             renorms += ref.pbar_scale > scale  # the scale only grows at a renorm
-    for name in ("ubar_raw", "v", "stamps", "pbar_base", "q"):
-        assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
-    assert (fused.pbar_scale, fused.k, fused.last_h) == (ref.pbar_scale, ref.k, ref.last_h)
+    assert (fused.pbar_scale, fused.k) == (ref.pbar_scale, ref.k)
+    assert np.array_equal(fused.stamps, ref.stamps)
+    if exact:
+        for name in ("ubar_raw", "v", "pbar_base", "q"):
+            assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
+        assert fused.last_h == ref.last_h
+    else:
+        oracles.assert_backends_agree(prob, fused.x(), ref.x())
     return clipped, renorms
 
 
-def test_fused_kernel_matches_reference_hinge(hinge200):
+def renormalizing_problem():
+    # lam n >> R^2 makes mu ~ 1, so rho^n ~ e^-2 and the pbar multiplier
+    # passes 1e-120 about every 140 epochs, inside a fused call
+    A, labels = synth_binary(5, 4, 0.5, seed=3, min_nnz=1)
+    return ErmProblem.ridge(A, labels, lam=10.0)
+
+
+def test_fused_kernel_matches_reference_hinge(hinge200, python_kernels):
     clipped, _ = fused_against_reference(hinge200, seed=4, epochs=8)
     assert clipped > 0
 
 
-def test_fused_kernel_matches_reference_square(ridge150):
+def test_fused_kernel_matches_reference_square(ridge150, python_kernels):
     fused_against_reference(ridge150, seed=4, epochs=8)
 
 
-def test_fused_kernel_matches_reference_across_renormalization():
-    # lam n >> R^2 makes mu ~ 1, so rho^n ~ e^-2 and the pbar multiplier
-    # passes 1e-120 about every 140 epochs, inside a fused call
-    A, labels = synth_binary(5, 4, 0.5, seed=3, min_nnz=1)
-    prob = ErmProblem.ridge(A, labels, lam=10.0)
-    _, renorms = fused_against_reference(prob, seed=1, epochs=300)
+def test_fused_kernel_matches_reference_across_renormalization(python_kernels):
+    _, renorms = fused_against_reference(renormalizing_problem(), seed=1, epochs=300)
     assert renorms >= 1
+
+
+def test_compiled_kernel_matches_reference_hinge(hinge200, c_kernels):
+    clipped, _ = fused_against_reference(hinge200, seed=4, epochs=8, exact=False)
+    assert clipped > 0
+
+
+def test_compiled_kernel_matches_reference_square(ridge150, c_kernels):
+    fused_against_reference(ridge150, seed=4, epochs=8, exact=False)
+
+
+def test_compiled_kernel_matches_reference_across_renormalization(c_kernels):
+    _, renorms = fused_against_reference(renormalizing_problem(), seed=1, epochs=300,
+                                         exact=False)
+    assert renorms >= 1
+
+
+def test_out_of_range_forced_block_raises_before_any_step(hinge200):
+    state = ErmDualState(hinge200, seed=0)
+    state.epoch()
+    before = [getattr(state, name).copy() for name in ("ubar_raw", "v", "pbar_base", "q")]
+    for bad in (hinge200.n, -1):
+        with pytest.raises(IndexError):
+            apcg_erm_step(hinge200, state, forced_block=bad)
+    after = [getattr(state, name) for name in ("ubar_raw", "v", "pbar_base", "q")]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert state.k == hinge200.n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_problem_rejects_non_positive_or_non_finite_parameters(bad):
+    A, labels = synth_binary(20, 5, 0.5, seed=1, min_nnz=1)
+    with pytest.raises(ValueError):
+        ErmProblem.smoothed_hinge(A, labels, lam=bad)
+    with pytest.raises(ValueError):
+        ErmProblem.ridge(A, labels, lam=1e-2, gamma=bad)
+    with pytest.raises(ValueError):
+        SmoothedHingeLoss(gamma=bad)
+    with pytest.raises(ValueError):
+        SquareLoss(labels, gamma=bad)
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError):
+            ErmProblem.ridge(A, np.where(labels > 0, bad, 1.0), lam=1e-2)
 
 
 def test_erm_state_rejects_infeasible_start(hinge200):
@@ -352,9 +406,10 @@ def test_subgradient_gap_bound_along_run(hinge200):
         assert rep.gap <= rep.subgradient_gap_bound + 1e-10
 
 
-def test_report_evaluate_consistency(hinge200, ridge150):
-    # the report shares one A x and one A' w between its fields; each must
-    # equal the separately computed value exactly
+def report_consistency(hinge200, ridge150):
+    """The report shares one A x and one A' w between its fields; each must
+    equal the separately computed value exactly.  Returns the reports."""
+    reports = []
     rng = np.random.default_rng(5)
     edge = rng.choice([0.0, 1.0, 0.5], size=hinge200.n)
     edge[:3] = (0.0, 1.0, 1.0 + 5e-10)  # within the rounding slack of the box
@@ -369,6 +424,19 @@ def test_report_evaluate_consistency(hinge200, ridge150):
         assert rep.gap == rep.primal - rep.dual
         assert rep.subgradient_gap_bound == prob.n / (2 * prob.gamma) * norm_sq
         assert rep.epoch == 3
+        reports.append(rep)
+    return reports
+
+
+def test_report_evaluate_consistency(hinge200, ridge150, python_kernels):
+    report_consistency(hinge200, ridge150)
+
+
+def test_report_evaluate_consistency_compiled(hinge200, ridge150, c_kernels, monkeypatch):
+    compiled = report_consistency(hinge200, ridge150)
+    monkeypatch.setattr(native, "library", lambda: None)
+    # the compiled products are bitwise the bincount ones, so reports are too
+    assert compiled == report_consistency(hinge200, ridge150)
 
 
 def test_report_evaluate_rejects_outside_domain(hinge200):
@@ -514,6 +582,26 @@ def test_solve_erm_deterministic(hinge200):
     # on the ERM dual rpcg runs the SDCA kernel
     assert np.array_equal(runs["rpcg"].x, runs["sdca"].x)
     assert untimed(runs["rpcg"]) == untimed(runs["sdca"])
+
+
+def test_compiled_runs_are_deterministic_and_agree_with_python(hinge200, ridge150,
+                                                               c_kernels, monkeypatch):
+    for prob in (hinge200, ridge150):
+        compiled = {}
+        for solver in KNOWN_SOLVERS:
+            a, b = (run_solver_trace(prob, solver, epochs=6, seed=3, tol=None)
+                    for _ in range(2))
+            assert np.array_equal(a.x, b.x)
+            assert untimed(a) == untimed(b)
+            compiled[solver] = a
+        with monkeypatch.context() as m:
+            m.setattr(native, "library", lambda: None)
+            for solver, c in compiled.items():
+                py = run_solver_trace(prob, solver, epochs=6, seed=3, tol=None)
+                if solver == "afg":  # full-vector products only: bitwise
+                    assert untimed(c) == untimed(py)
+                else:
+                    oracles.assert_backends_agree(prob, c.x, py.x)
 
 
 def test_solve_erm_tolerance_stop(hinge200):

@@ -1,0 +1,128 @@
+"""The compiled-kernel loader: build, cache, fallback and argument checks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import apcg
+from apcg import native
+from apcg.cli import main
+from apcg.data import synth_binary
+from apcg.erm import ErmDualState, ErmProblem
+
+SRC = str(Path(apcg.__file__).parent.parent)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """An unloaded loader whose cache is an empty directory."""
+    monkeypatch.setattr(native, "_lib", native._UNLOADED)
+    monkeypatch.setattr(native, "_reason", "")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "apcg"
+
+
+def test_build_failure_falls_back_to_python(fresh_loader, tmp_path, monkeypatch):
+    broken = tmp_path / "broken.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(native, "SOURCE", broken)
+    assert native.library() is None
+    assert native.backend().startswith("python (")
+    assert "exited" in native.backend()
+    assert not list(fresh_loader.glob("*"))  # no library, no temporary left
+
+
+def test_unwritable_cache_falls_back_to_python(fresh_loader, tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))  # a file, not a directory
+    assert native.library() is None
+    assert native.backend().startswith("python (")
+
+
+def test_library_is_built_once_then_loaded(fresh_loader, c_kernels):
+    lib = native.library()
+    built = list(fresh_loader.glob("kernels-*.so"))
+    assert len(built) == 1 and native.backend() == "c"
+    assert native.library() is lib
+    mtime = built[0].stat().st_mtime_ns
+    native._lib = native._UNLOADED
+    assert native.library() is not None
+    assert built[0].stat().st_mtime_ns == mtime
+
+
+def run_python(code, env):
+    return subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_two_processes_building_into_one_empty_cache(tmp_path, c_kernels):
+    code = (
+        "import numpy as np\n"
+        "from apcg import native\n"
+        "from apcg.data import synth_binary\n"
+        "A, _ = synth_binary(300, 40, 0.2, seed=1)\n"
+        "x = np.linspace(-1, 1, A.n)\n"
+        "want = np.bincount(A.indices, weights=A.values * x[A.col_ids], minlength=A.d)\n"
+        "assert np.array_equal(A.dot(x), want)\n"
+        "print(native.backend())\n")
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
+    procs = [run_python(code, env) for _ in range(2)]
+    for p in procs:
+        out, err = p.communicate(timeout=120)
+        assert p.returncode == 0, err
+        assert out.strip() == "c"
+    assert [f.suffix for f in (tmp_path / "apcg").iterdir()] == [".so"]
+
+
+def test_missing_compiler_falls_back_and_says_why(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, PATH="", XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "apcg.cli", "run", "--synthetic", "40,10,0.5",
+         "--solver", "apcg", "--solver", "sdca", "--epochs", "3",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "kernels: python (no C compiler (cc or gcc) on PATH)"
+
+
+def test_run_reports_the_kernels_it_used(tmp_path, capsys, python_kernels):
+    argv = ["run", "--synthetic", "40,10,0.5", "--epochs", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("kernels: python (")
+
+
+def test_run_reports_compiled_kernels(tmp_path, capsys, c_kernels):
+    argv = ["run", "--synthetic", "40,10,0.5", "--epochs", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "kernels: c"
+
+
+def test_compiled_epoch_rejects_a_replaced_state_array(c_kernels):
+    A, labels = synth_binary(30, 8, 0.4, seed=1, min_nnz=1)
+    state = ErmDualState(ErmProblem.smoothed_hinge(A, labels, lam=1e-2), seed=0)
+    state.v = state.v.astype(np.float32)
+    with pytest.raises(ValueError):
+        state.epoch()
+    state.v = np.zeros(31)
+    with pytest.raises(ValueError):
+        state.epoch()
+
+
+def test_address_checks():
+    a = np.zeros(4)
+    assert native.address(a, np.float64, 4, "a", writable=True) == a.ctypes.data
+    for bad in (np.zeros(3), np.zeros(4, np.float32), np.zeros(8)[::2], [0.0] * 4):
+        with pytest.raises(ValueError):
+            native.address(bad, np.float64, 4, "a")
+    a.flags.writeable = False
+    native.address(a, np.float64, 4, "a")
+    with pytest.raises(ValueError):
+        native.address(a, np.float64, 4, "a", writable=True)
+    assert native.block_indices([0, 3], 4).dtype == np.int64
+    with pytest.raises(IndexError):
+        native.block_indices([4], 4)

@@ -56,7 +56,12 @@ def test_sampler_take_continues_the_draw_stream(n):
     mixed = BlockSampler(n, seed=9)
     got = []
     for k in chunks:
-        got.extend([mixed.draw()] if k is None else mixed.take(k))
+        if k is None:
+            got.append(mixed.draw())
+            continue
+        chunk = mixed.take(k)
+        assert chunk.dtype == np.int64 and chunk.shape == (k,)
+        got.extend(chunk.tolist())
     pure = BlockSampler(n, seed=9)
     assert got == [pure.draw() for _ in range(len(got))]
     assert all(type(i) is int for i in got)
