@@ -10,14 +10,12 @@ from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       SolveResult, apcg_step_efficient, apcg_step_general,
                       solve)
 from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
-                  SmoothedHingeLoss, SquareLoss, apcg_erm_step,
-                  complexity_estimate, dual_composite, dual_objective,
-                  dual_subgradient, erm_constants, full_prox_gap_bound,
-                  full_prox_step, gap_by_dual_bound, primal_from_dual,
-                  primal_objective, run_epochs, solve_erm)
-from .baselines import (AfgState, afg_solve, afg_step, rpcg_solve, rpcg_step,
-                        sdca_epoch)
-from .data import (DatasetMeta, SparseColMatrix, column_stats, parse_libsvm,
-                   spectral_norm, synth_binary, write_libsvm)
+                  SmoothedHingeLoss, SquareLoss, complexity_estimate,
+                  dual_composite, dual_objective, erm_constants,
+                  full_prox_gap_bound, full_prox_step, gap_by_dual_bound,
+                  primal_from_dual, primal_objective, run_epochs, solve_erm)
+from .baselines import AfgState, afg_step, sdca_epoch
+from .data import (DatasetMeta, SparseColMatrix, parse_libsvm, spectral_norm,
+                   synth_binary, write_libsvm)
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
-"""Comparison solvers: plain randomized proximal coordinate gradient (RPCG),
-stochastic dual coordinate ascent (SDCA), and accelerated full gradient (AFG)
-with backtracking line search.
+"""Comparison solvers: stochastic dual coordinate ascent (SDCA) and
+accelerated full gradient (AFG) with backtracking line search.
 
-Cost accounting convention used by the benchmark harness: RPCG, SDCA and the
-accelerated dual coordinate solver all do n coordinate steps per epoch; one
-AFG iteration touches the full vector and is charged one epoch.  On the ERM
-dual, RPCG's prox step with weight L_i is SDCA's exact coordinate maximizer,
-so :func:`sdca_epoch` serves both there.
+Cost accounting convention used by the benchmark harness: SDCA, randomized
+proximal coordinate gradient (RPCG) and the accelerated dual coordinate
+solver all do n coordinate steps per epoch; one AFG iteration touches the
+full vector and is charged one epoch.  On the ERM dual, RPCG's prox step
+with weight L_i is SDCA's exact coordinate maximizer, so :func:`sdca_epoch`
+serves both there.
 """
 
 from __future__ import annotations
@@ -17,43 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .core import CompositeProblem, block_prox
+from .core import CompositeProblem
 from .erm import ErmProblem
 from .errors import StepSizeError
 from .solvers import BlockSampler
-
-
-# ---------------------------------------------------------------------------
-# RPCG on a generic composite problem
-# ---------------------------------------------------------------------------
-
-def rpcg_step(problem: CompositeProblem, x: np.ndarray, sampler: BlockSampler,
-              forced_block: int | None = None) -> np.ndarray:
-    """One plain proximal coordinate step (no momentum), in place on x.
-
-    Block i moves to argmin_s { L_i/2 ||s - x_i||^2 + <grad_i f(x), s> + Psi_i(s) }.
-    """
-    i = sampler.draw() if forced_block is None else int(forced_block)
-    sl = problem.partition.slice(i)
-    weight = float(problem.smooth.lipschitz[i])
-    grad_i = problem.smooth.partial_gradient(x, i)
-    x[sl] = block_prox(problem.reg, i, x[sl] - grad_i / weight, weight)
-    return x
-
-
-def rpcg_solve(problem: CompositeProblem, max_iters: int, seed: int = 0,
-               x0: np.ndarray | None = None, trace_every: int | None = None):
-    """Driver mirroring the accelerated solver's trace format."""
-    x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float, copy=True)
-    sampler = BlockSampler(problem.n, seed)
-    if trace_every is None:
-        trace_every = problem.n
-    trace = [(0, problem.objective(x))]
-    for k in range(1, max_iters + 1):
-        rpcg_step(problem, x, sampler)
-        if k % trace_every == 0 or k == max_iters:
-            trace.append((k, problem.objective(x)))
-    return x, trace
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +34,7 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     ``w_agg`` must equal A x / (lam n) on entry and is kept consistent by
     rank-one column updates.  Each step maximizes D over one coordinate
     exactly (a 1-d quadratic, clipped to the conjugate domain), so the dual
-    objective never decreases.  Every step is :func:`sdca_coordinate_update`
-    at margin A_i' w_agg.  The steps run in the compiled kernel when it
+    objective never decreases.  The steps run in the compiled kernel when it
     loads; the Python loop below, inlined over locals like the accelerated
     kernel ``erm.apcg_erm_steps``, is its reference and agrees to rounding.
     """
@@ -106,15 +72,6 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
             x[i] = s
             w_agg[idx] = w_idx + (delta / lam_n) * val
     return x, w_agg
-
-
-def sdca_coordinate_update(prob: ErmProblem, x_i: float, margin: float, i: int) -> float:
-    """Closed-form maximizer of D over coordinate i given A_i' w = margin."""
-    q_i = float(prob.col_norms_sq[i]) / (prob.lam * prob.n)
-    s = (float(prob.anchors[i]) - margin + x_i * q_i) / (prob.gamma + q_i)
-    if prob.loss.dual_box is not None:
-        s = min(max(s, prob.loss.dual_box[0]), prob.loss.dual_box[1])
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +133,3 @@ def afg_step(problem: CompositeProblem, state: AfgState,
     state.step = step * expand
     state.k += 1
     return state
-
-
-def afg_solve(problem: CompositeProblem, max_iters: int,
-              x0: np.ndarray | None = None, initial_step: float | None = None,
-              backtrack: float = 0.5, expand: float = 2.0, trace_every: int = 1):
-    state = afg_start(problem, x0=x0, initial_step=initial_step)
-    trace = [(0, problem.objective(state.x))]
-    for k in range(1, max_iters + 1):
-        afg_step(problem, state, backtrack=backtrack, expand=expand)
-        if k % trace_every == 0 or k == max_iters:
-            trace.append((k, problem.objective(state.x)))
-    return state.x, trace

@@ -389,7 +389,8 @@ def _parse_synthetic(text: str) -> tuple[int, int, float, int]:
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` config; list keys take comma-separated values."""
+    """Flat ``key = value`` config over CONFIG_KEYS; list keys take
+    comma-separated values."""
     out: dict = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -399,7 +400,10 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
+            out[key] = value.strip()
     return out
 
 
@@ -446,8 +450,12 @@ def _config_from_args(args) -> ExperimentConfig:
         if name in ("data", "synthetic"):  # a dataset flag replaces the other
             cfg.data = cfg.synthetic = None
         setattr(cfg, name, value)
-    if args.jobs is None and os.environ.get("APCG_JOBS"):
-        cfg.jobs = int(os.environ["APCG_JOBS"])
+    jobs = os.environ.get("APCG_JOBS")
+    if args.jobs is None and jobs:
+        try:
+            cfg.jobs = int(jobs)
+        except ValueError:
+            raise ConfigurationError(f"$APCG_JOBS: bad value {jobs!r}") from None
     return cfg
 
 

@@ -335,10 +335,3 @@ def spectral_norm(A: SparseColMatrix, tol: float = 1e-6, max_iters: int = 20000,
             break
         est = new_est
     return math.sqrt(est)
-
-
-def column_stats(A: SparseColMatrix) -> tuple[float, float]:
-    """(max column norm R, spectral norm estimate)."""
-    norms_sq = A.col_norms_sq()
-    R = math.sqrt(float(norms_sq.max())) if A.n else 0.0
-    return R, spectral_norm(A)

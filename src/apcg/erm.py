@@ -78,11 +78,6 @@ class SmoothedHingeLoss:
                         np.where(a <= 1.0 - g, 1.0 - a - g / 2.0,
                                  (1.0 - a) ** 2 / (2.0 * g)))
 
-    def conj(self, b, i: int = 0) -> float:
-        if -1.0 <= b <= 0.0:
-            return b + 0.5 * self.gamma * b * b
-        return math.inf
-
     def conj_neg(self, x: np.ndarray) -> np.ndarray:
         """phi*(-x_i) for dual-feasible x (caller handles the domain)."""
         x = np.asarray(x, dtype=float)
@@ -116,9 +111,6 @@ class SquareLoss:
     def phi(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         return (a - self.targets) ** 2 / (2.0 * self.gamma)
-
-    def conj(self, b, i: int = 0) -> float:
-        return float(self.targets[i]) * b + 0.5 * self.gamma * b * b
 
     def conj_neg(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -197,17 +189,18 @@ def erm_constants(prob: ErmProblem) -> tuple[np.ndarray, float]:
     return L, mu
 
 
-def _dual_feasible(prob: ErmProblem, x: np.ndarray,
-                   atol: float = DUAL_DOMAIN_ATOL) -> np.ndarray | None:
-    """Clipped copy of x if within the conjugate domain (up to atol), else None."""
-    box = prob.loss.dual_box
-    if box is None:
-        return np.asarray(x, dtype=float)
-    lo, hi = box
+def _clip(box, x):
+    """x projected onto the dual box (unchanged when there is none)."""
+    return x if box is None else np.clip(x, box[0], box[1])
+
+
+def _dual_feasible(box, x) -> np.ndarray | None:
+    """Clipped copy of x if within the box up to DUAL_DOMAIN_ATOL, else None."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < lo - atol) or np.any(x > hi + atol):
+    if box is not None and (np.any(x < box[0] - DUAL_DOMAIN_ATOL)
+                            or np.any(x > box[1] + DUAL_DOMAIN_ATOL)):
         return None
-    return np.clip(x, lo, hi)
+    return _clip(box, x)
 
 
 def _dual_value(prob: ErmProblem, xc: np.ndarray, ax: np.ndarray) -> float:
@@ -223,9 +216,17 @@ def _primal_value(prob: ErmProblem, w: np.ndarray, margins: np.ndarray) -> float
             + 0.5 * prob.lam * float(np.dot(w, w)))
 
 
-def _subgradient_selection(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
-                           ) -> tuple[np.ndarray, float]:
-    """(a, ||D'(xc)||^2) for a feasible xc, given margins = A' w(xc)."""
+def _subgradient_norm_sq(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
+                         ) -> float:
+    """||D'(xc)||^2 for a feasible xc, given margins = A' w(xc).
+
+    The selection a_i from the conjugate subdifferential at -x_i is
+    anchor_i - gamma x_i in the interior of the domain (anchor 1 for the
+    hinge, b_i for square loss).  Exactly on a box edge the subdifferential
+    is a half-line, and the margin is projected onto it, which makes the
+    selection vanish at constrained optima.  The squared norm is
+    (1/n^2) sum_i (A_i' w - a_i)^2.
+    """
     a = prob.anchors - prob.gamma * xc
     box = prob.loss.dual_box
     if box is not None:
@@ -233,11 +234,11 @@ def _subgradient_selection(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
         a = np.where(xc == box[0], np.maximum(a, margins), a)
         a = np.where(xc == box[1], np.minimum(a, margins), a)
     diffs = margins - a
-    return a, float(diffs @ diffs) / (prob.n * prob.n)
+    return float(diffs @ diffs) / (prob.n * prob.n)
 
 
 def _feasible_or_raise(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
-    xc = _dual_feasible(prob, x)
+    xc = _dual_feasible(prob.loss.dual_box, x)
     if xc is None:
         raise ValueError("dual point outside the conjugate domain")
     return xc
@@ -245,7 +246,7 @@ def _feasible_or_raise(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
 
 def dual_objective(prob: ErmProblem, x: np.ndarray) -> float:
     """D(x); returns -inf when x leaves the conjugate domain."""
-    xc = _dual_feasible(prob, x)
+    xc = _dual_feasible(prob.loss.dual_box, x)
     if xc is None:
         return -math.inf
     return _dual_value(prob, xc, prob.matrix.dot(xc))
@@ -259,22 +260,6 @@ def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
 def primal_from_dual(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
     """w = A x / (lam n), the gradient of the conjugate regularizer."""
     return prob.matrix.dot(np.asarray(x, dtype=float)) / (prob.lam * prob.n)
-
-
-def dual_subgradient(prob: ErmProblem, x: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(a, w, ||D'(x)||^2) with a_i in the conjugate subdifferential at -x_i.
-
-    In the interior of the domain the subdifferential is the singleton
-    a_i = anchor_i - gamma x_i (anchor 1 for the hinge, b_i for square
-    loss).  Exactly on a box edge it is a half-line, and the margin A_i' w
-    is projected onto it, which makes the selection vanish at constrained
-    optima.  The squared norm is (1/n^2) sum_i (A_i' w - a_i)^2.
-    """
-    xc = _feasible_or_raise(prob, x)
-    w = primal_from_dual(prob, xc)
-    a, norm_sq = _subgradient_selection(prob, xc, prob.matrix.tdot(w))
-    return a, w, norm_sq
 
 
 @dataclass(frozen=True)
@@ -294,14 +279,14 @@ class PrimalDualReport:
                  wall_time_s: float = 0.0) -> "PrimalDualReport":
         """Primal, dual and subgradient at x from one A x and one A' w.
 
-        Each field equals what dual_objective(x), dual_subgradient(x) and
-        primal_objective at that subgradient's w return separately.
+        The primal and dual equal primal_objective(primal_from_dual(x)) and
+        dual_objective(x) evaluated separately.
         """
         xc = _feasible_or_raise(prob, x)
         ax = prob.matrix.dot(xc)
         w = ax / (prob.lam * prob.n)
         margins = prob.matrix.tdot(w)
-        _, norm_sq = _subgradient_selection(prob, xc, margins)
+        norm_sq = _subgradient_norm_sq(prob, xc, margins)
         primal = _primal_value(prob, w, margins)
         dual = _dual_value(prob, xc, ax)
         return cls(epoch=epoch, primal=primal, dual=dual, gap=primal - dual,
@@ -329,31 +314,19 @@ class ConjugatePenalty(SeparableRegularizer):
         self.n = int(n)
         self.box = box
 
-    def _project(self, s):
-        if self.box is None:
-            return s
-        return np.clip(s, self.box[0], self.box[1])
-
-    def _in_box(self, s) -> bool:
-        if self.box is None:
-            return True
-        lo, hi = self.box
-        return bool(np.all(s >= lo - DUAL_DOMAIN_ATOL)
-                    and np.all(s <= hi + DUAL_DOMAIN_ATOL))
-
     def prox_block(self, i, center, weight):
         s = (weight * center + self.anchors[i] / self.n) / (weight + self.gamma / self.n)
-        return np.atleast_1d(self._project(s))
+        return np.atleast_1d(_clip(self.box, s))
 
     def eval_full(self, x, partition):
-        if not self._in_box(x):
+        xc = _dual_feasible(self.box, x)
+        if xc is None:
             return math.inf
-        xc = self._project(x)
         return float(-self.anchors @ xc + 0.5 * self.gamma * (xc @ xc)) / self.n
 
     def prox_full(self, center, weight, partition):
         s = (weight * center + self.anchors / self.n) / (weight + self.gamma / self.n)
-        return self._project(s)
+        return _clip(self.box, s)
 
 
 def dual_composite(prob: ErmProblem, splitting: str = "relocated") -> CompositeProblem:
@@ -434,7 +407,7 @@ class ErmDualState:
         if x0 is None:
             x0 = np.zeros(n)
         x0 = np.asarray(x0, dtype=float)
-        if _dual_feasible(prob, x0) is None:
+        if _dual_feasible(prob.loss.dual_box, x0) is None:
             raise ConfigurationError("x0 must lie in the conjugate domain")
         self.v = x0.copy()
         self.ubar_raw = np.zeros(n)
@@ -566,19 +539,6 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
     return state
 
 
-def apcg_erm_step(prob: ErmProblem, state: ErmDualState,
-                  forced_block: int | None = None) -> ErmDualState:
-    """One coordinate step on a drawn (or the forced) index; see apcg_erm_steps.
-
-    Single steps run the Python kernel: one call into the compiled kernel
-    costs more than one interpreted step.
-    """
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
-    if not 0 <= i < prob.n:
-        raise IndexError(f"block index out of range for {prob.n} coordinates")
-    return apcg_erm_steps(prob, state, np.array([i], dtype=np.int64))
-
-
 @dataclass
 class ErmRunResult:
     x: np.ndarray
@@ -639,9 +599,7 @@ def full_prox_step(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
     theta = prob.spectral_norm() ** 2 / (prob.lam * n * n)
     grad = prob.matrix.tdot(prob.matrix.dot(x)) / (prob.lam * n * n)
     y = (theta * x + prob.anchors / n - grad) / (theta + prob.gamma / n)
-    if prob.loss.dual_box is not None:
-        y = np.clip(y, *prob.loss.dual_box)
-    return y
+    return _clip(prob.loss.dual_box, y)
 
 
 def full_prox_gap_bound(prob: ErmProblem, x: np.ndarray, dstar: float) -> float:

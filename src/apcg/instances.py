@@ -1,11 +1,11 @@
 """Synthetic composite instances used by the diagnostics and tests.
 
 These are desk-scale problems with exactly known structure: a strongly
-convex quadratic smooth part with a diagonally dominant random Hessian, an
-optional l1 term, and per-coordinate Lipschitz constants read off the
-Hessian diagonal.  The convexity parameter in the L-weighted norm is
-computed exactly as the smallest eigenvalue of D^{-1/2} H D^{-1/2} with
-D = diag(L).
+convex quadratic smooth part with a random Hessian, an optional l1 term,
+and block Lipschitz constants read off the Hessian's diagonal blocks.  The
+convexity parameter in the L-weighted norm is computed exactly as the
+smallest eigenvalue of D^{-1/2} H D^{-1/2} with D = diag(L) (each L_i
+repeated over its block).
 """
 
 from __future__ import annotations
@@ -28,73 +28,13 @@ class QuadraticInstance:
     lipschitz_full: float  # largest eigenvalue of H, for full-gradient methods
 
 
-def _quadratic_oracle(H: np.ndarray, b: np.ndarray) -> SmoothOracle:
-    lipschitz = np.diag(H).copy()
-    scale = 1.0 / np.sqrt(lipschitz)
-    scaled = H * scale[:, None] * scale[None, :]
-    mu = float(np.linalg.eigvalsh(scaled)[0])
-    mu = min(max(mu, 0.0), 1.0)
-
-    def value(x):
-        return 0.5 * float(x @ (H @ x)) - float(b @ x)
-
-    def full_gradient(x):
-        return H @ x - b
-
-    def partial_gradient(x, i):
-        return np.array([float(H[i] @ x - b[i])])
-
-    return SmoothOracle(value=value, full_gradient=full_gradient,
-                        partial_gradient=partial_gradient,
-                        lipschitz=lipschitz, mu=mu)
-
-
-def diag_dominant_quadratic(n: int, seed: int = 0, l1: float = 0.1,
-                            dominance: float = 0.1) -> QuadraticInstance:
-    """Random SPD quadratic with scalar blocks and an l1 term.
-
-    The Hessian is a symmetric Gaussian matrix made diagonally dominant by
-    setting each diagonal entry to its absolute row sum plus ``dominance``,
-    which keeps the eigenvalues positive and the conditioning moderate.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    M = rng.standard_normal((n, n)) / np.sqrt(n)
-    H = 0.5 * (M + M.T)
-    np.fill_diagonal(H, 0.0)
-    diag = np.abs(H).sum(axis=1) + dominance
-    H = H + np.diag(diag)
-    b = rng.standard_normal(n)
-
-    smooth = _quadratic_oracle(H, b)
-    reg = L1Regularizer(l1) if l1 > 0 else ZeroRegularizer()
-    problem = CompositeProblem(partition=BlockPartition.scalar(n),
-                               smooth=smooth, reg=reg)
-    lf = float(np.linalg.eigvalsh(H)[-1])
-    return QuadraticInstance(problem=problem, hessian=H, linear=b,
-                             lipschitz_full=lf)
-
-
-def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
-                    l1: float = 0.0) -> QuadraticInstance:
-    """Random SPD quadratic over blocks of mixed sizes.
-
-    Block Lipschitz constants are the largest eigenvalues of the diagonal
-    blocks of H; the convexity parameter is computed exactly in the
-    block-weighted norm.
-    """
-    partition = BlockPartition(sizes)
-    dim = partition.total
-    rng = np.random.Generator(np.random.PCG64(seed))
-    M = rng.standard_normal((dim, dim))
-    H = M @ M.T / dim + 0.5 * np.eye(dim)
-    b = rng.standard_normal(dim)
-
+def _quadratic_instance(H: np.ndarray, b: np.ndarray, partition: BlockPartition,
+                        l1: float) -> QuadraticInstance:
     lipschitz = np.empty(partition.n)
     for i in range(partition.n):
         sl = partition.slice(i)
         lipschitz[i] = float(np.linalg.eigvalsh(H[sl, sl])[-1])
-    per_coord = np.repeat(lipschitz, partition.sizes_array())
-    scale = 1.0 / np.sqrt(per_coord)
+    scale = 1.0 / np.sqrt(np.repeat(lipschitz, partition.sizes_array()))
     mu = float(np.linalg.eigvalsh(H * scale[:, None] * scale[None, :])[0])
     mu = min(max(mu, 0.0), 1.0)
 
@@ -117,33 +57,35 @@ def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
                              lipschitz_full=float(np.linalg.eigvalsh(H)[-1]))
 
 
-def single_block_quadratic(dim: int, seed: int = 0) -> QuadraticInstance:
-    """One block holding all coordinates (n = 1); smooth part only.
+def diag_dominant_quadratic(n: int, seed: int = 0, l1: float = 0.1,
+                            dominance: float = 0.1) -> QuadraticInstance:
+    """Random SPD quadratic with scalar blocks and an l1 term.
 
-    With a single block the coordinate solvers lose all randomness and
-    reduce to deterministic accelerated gradient descent.
+    The Hessian is a symmetric Gaussian matrix made diagonally dominant by
+    setting each diagonal entry to its absolute row sum plus ``dominance``,
+    which keeps the eigenvalues positive and the conditioning moderate.
     """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    M = rng.standard_normal((n, n)) / np.sqrt(n)
+    H = 0.5 * (M + M.T)
+    np.fill_diagonal(H, 0.0)
+    diag = np.abs(H).sum(axis=1) + dominance
+    H = H + np.diag(diag)
+    b = rng.standard_normal(n)
+    return _quadratic_instance(H, b, BlockPartition.scalar(n), l1)
+
+
+def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
+                    l1: float = 0.0) -> QuadraticInstance:
+    """Random SPD quadratic over blocks of mixed sizes.
+
+    With a single block (``sizes = (dim,)``) the coordinate solvers lose all
+    randomness and reduce to deterministic accelerated gradient descent.
+    """
+    partition = BlockPartition(sizes)
+    dim = partition.total
     rng = np.random.Generator(np.random.PCG64(seed))
     M = rng.standard_normal((dim, dim))
     H = M @ M.T / dim + 0.5 * np.eye(dim)
     b = rng.standard_normal(dim)
-    eigs = np.linalg.eigvalsh(H)
-    lip = float(eigs[-1])
-    mu = float(eigs[0]) / lip
-
-    def value(x):
-        return 0.5 * float(x @ (H @ x)) - float(b @ x)
-
-    def full_gradient(x):
-        return H @ x - b
-
-    def partial_gradient(x, i):
-        return H @ x - b
-
-    smooth = SmoothOracle(value=value, full_gradient=full_gradient,
-                          partial_gradient=partial_gradient,
-                          lipschitz=np.array([lip]), mu=mu)
-    problem = CompositeProblem(partition=BlockPartition((dim,)),
-                               smooth=smooth, reg=ZeroRegularizer())
-    return QuadraticInstance(problem=problem, hessian=H, linear=b,
-                             lipschitz_full=lip)
+    return _quadratic_instance(H, b, partition, l1)

@@ -6,7 +6,8 @@ plain proximal-gradient loop for optimal objective values, dense SVD for
 spectral norms, an exact active-set QP solve for the smoothed-hinge dual
 optimum, and a direct deterministic accelerated gradient recursion.  The
 plain per-step forms that the package's merged or fused steppers replaced
-are kept here as references too.
+(the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
+subgradient) are kept here as references too.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 import scipy.optimize
 
 from apcg.core import block_prox
-from apcg.erm import (ErmProblem, PrimalDualReport, dual_objective,
-                      erm_constants)
+from apcg.erm import (DUAL_DOMAIN_ATOL, ErmProblem, PrimalDualReport,
+                      dual_objective, erm_constants, primal_from_dual)
+from apcg.solvers import BlockSampler
 
 
 def grid_minimize(fun, lo: float, hi: float, rounds: int = 4, points: int = 2001) -> float:
@@ -297,6 +299,65 @@ def rpcg_erm_step_reference(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
     if delta != 0.0:
         x[i] = s
         ax[idx] += delta * val
+
+
+def sdca_coordinate_update(prob: ErmProblem, x_i: float, margin: float, i: int) -> float:
+    """Closed-form maximizer of D over coordinate i given A_i' w = margin;
+    the per-step form of ``apcg.baselines.sdca_epoch``."""
+    q_i = float(prob.col_norms_sq[i]) / (prob.lam * prob.n)
+    s = (float(prob.anchors[i]) - margin + x_i * q_i) / (prob.gamma + q_i)
+    if prob.loss.dual_box is not None:
+        s = min(max(s, prob.loss.dual_box[0]), prob.loss.dual_box[1])
+    return s
+
+
+def rpcg_step(problem, x: np.ndarray, sampler: BlockSampler) -> np.ndarray:
+    """One plain proximal coordinate step (no momentum) of generic RPCG, in
+    place on x: block i moves to
+    argmin_s { L_i/2 ||s - x_i||^2 + <grad_i f(x), s> + Psi_i(s) }."""
+    i = sampler.draw()
+    sl = problem.partition.slice(i)
+    weight = float(problem.smooth.lipschitz[i])
+    grad_i = problem.smooth.partial_gradient(x, i)
+    x[sl] = block_prox(problem.reg, i, x[sl] - grad_i / weight, weight)
+    return x
+
+
+def rpcg_solve(problem, max_iters: int, seed: int = 0):
+    """Generic RPCG from zero; returns (x, [(k, F(x_k))]) traced every n steps."""
+    x = np.zeros(problem.dim)
+    sampler = BlockSampler(problem.n, seed)
+    trace = [(0, problem.objective(x))]
+    for k in range(1, max_iters + 1):
+        rpcg_step(problem, x, sampler)
+        if k % problem.n == 0 or k == max_iters:
+            trace.append((k, problem.objective(x)))
+    return x, trace
+
+
+def dual_subgradient(prob: ErmProblem, x: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, w, ||D'(x)||^2) with a_i in the conjugate subdifferential at -x_i,
+    computed on its own; ``PrimalDualReport.evaluate`` must match it.
+
+    In the interior of the domain a_i = anchor_i - gamma x_i; on a box edge
+    the margin A_i' w is projected onto the half-line subdifferential.
+    Raises ValueError outside the domain (beyond the rounding slack).
+    """
+    x = np.asarray(x, dtype=float)
+    box = prob.loss.dual_box
+    if box is not None:
+        if np.any(x < box[0] - DUAL_DOMAIN_ATOL) or np.any(x > box[1] + DUAL_DOMAIN_ATOL):
+            raise ValueError("dual point outside the conjugate domain")
+        x = np.clip(x, box[0], box[1])
+    w = primal_from_dual(prob, x)
+    margins = prob.matrix.tdot(w)
+    a = prob.anchors - prob.gamma * x
+    if box is not None:
+        a = np.where(x == box[0], np.maximum(a, margins), a)
+        a = np.where(x == box[1], np.minimum(a, margins), a)
+    diffs = margins - a
+    return a, w, float(diffs @ diffs) / (prob.n * prob.n)
 
 
 def _block_prox_update(problem, y, center, i, weight):

@@ -14,11 +14,11 @@ from apcg.cli import run_solver_trace
 from apcg.core import BoxIndicator, L1Regularizer, block_prox
 from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
-                      SmoothedHingeLoss, SquareLoss, apcg_erm_step,
+                      SmoothedHingeLoss, SquareLoss, apcg_erm_steps,
                       dual_composite, dual_objective, full_prox_gap_bound,
                       full_prox_step, primal_objective, primal_from_dual,
                       solve_erm)
-from apcg.instances import diag_dominant_quadratic, single_block_quadratic
+from apcg.instances import block_quadratic, diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
                           apcg_step_efficient, apcg_step_general, solve)
@@ -110,7 +110,7 @@ def test_erm_solver_equals_generic_uv_solver(hinge200):
         st4 = ApcgEfficientState(np.zeros(hinge200.n), comp, comp.smooth.mu,
                                  seed=seed)
         for _ in range(500):
-            apcg_erm_step(hinge200, st5)
+            apcg_erm_steps(hinge200, st5, st5.sampler.take(1))
             apcg_step_efficient(comp, st4)
             worst = max(worst, float(np.max(np.abs(st5.x() - st4.x_full()))))
         pbar, q = st5.aggregates()
@@ -167,7 +167,7 @@ def test_rate_envelope_over_seeds(lasso20, lasso20_optimum):
 def test_single_block_reduces_to_deterministic_accelerated_gradient():
     """With one block the randomized solver is the deterministic accelerated
     gradient method: iterate-for-iterate agreement to 1e-10 over 200 steps."""
-    inst = single_block_quadratic(6, seed=4)
+    inst = block_quadratic((6,), seed=4)
     problem = inst.problem
     want = oracles.momentum_accelerated_gradient(inst.hessian, inst.linear,
                                                  np.zeros(6), 200)
@@ -213,8 +213,7 @@ def test_full_prox_certificate_on_random_instances():
         _, dstar = oracles.hinge_dual_optimum(prob)
         state = ErmDualState(prob, seed=trial)
         for _ in range(4):
-            for _ in range(n):
-                apcg_erm_step(prob, state)
+            apcg_erm_steps(prob, state, state.sampler.take(n))
             x = state.x()
             t = full_prox_step(prob, x)
             gap_t = (primal_objective(prob, primal_from_dual(prob, t))
@@ -244,8 +243,7 @@ def test_dual_gap_epochs_within_complexity_bound(hinge200):
         epochs = 0
         while dstar - dual_objective(prob, state.x()) > eps:
             assert epochs <= budget, f"lam={lam}: exceeded {budget:.0f} epochs"
-            for _ in range(n):
-                apcg_erm_step(prob, state)
+            apcg_erm_steps(prob, state, state.sampler.take(n))
             epochs += 1
         margins.append((lam, epochs, budget))
         assert epochs <= budget
@@ -332,10 +330,10 @@ def test_closed_forms_match_reference_oracles():
                   c, w, -20.0, 20.0))
 
         b_h = float(rng.uniform(-1.0, 0.0))
-        check(hinge.conj(b_h),
+        check(hinge.conj_neg(np.array([-b_h]))[0],
               oracles.grid_conjugate_vec(hinge.phi, b_h, lo=-30.0, hi=30.0))
         b_s = float(rng.uniform(-3.0, 3.0))
-        check(square.conj(b_s, i), oracles.grid_conjugate_vec(
+        check(square.conj_neg(np.full(n_dual, -b_s))[i], oracles.grid_conjugate_vec(
             lambda z: (z - square.targets[i]) ** 2 / (2 * square.gamma),
             b_s, lo=-30.0, hi=30.0))
     report_pass("closed forms vs oracles", f"max |closed - oracle| = {worst:.2e}")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from apcg import baselines
-from apcg.baselines import (afg_solve, afg_start, afg_step, rpcg_solve,
-                            rpcg_step, sdca_coordinate_update, sdca_epoch)
+from apcg.baselines import afg_start, afg_step, sdca_epoch
 from apcg.cli import run_solver_trace
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
@@ -27,6 +26,14 @@ def scalar_quadratic(lipschitz):
                             reg=ZeroRegularizer())
 
 
+def afg_run(problem, iters):
+    """``iters`` AFG iterations from zero; returns (x, F(x))."""
+    state = afg_start(problem)
+    for _ in range(iters):
+        afg_step(problem, state)
+    return state.x, problem.objective(state.x)
+
+
 # ---------------------------------------------------------------------------
 # RPCG
 # ---------------------------------------------------------------------------
@@ -34,7 +41,7 @@ def scalar_quadratic(lipschitz):
 def test_rpcg_stationary_point_is_fixed(lasso20):
     problem = scalar_quadratic(2.0)
     x = np.zeros(1)
-    rpcg_step(problem, x, BlockSampler(1, 0))
+    oracles.rpcg_step(problem, x, BlockSampler(1, 0))
     assert x[0] == 0.0
 
 
@@ -42,7 +49,7 @@ def test_rpcg_scalar_quadratic_one_step_exact():
     # h = -grad / L lands exactly on the minimizer
     problem = scalar_quadratic(3.0)
     x = np.array([1.7])
-    rpcg_step(problem, x, BlockSampler(1, 0))
+    oracles.rpcg_step(problem, x, BlockSampler(1, 0))
     assert x[0] == pytest.approx(0.0, abs=1e-16)
 
 
@@ -56,7 +63,7 @@ def test_rpcg_slower_than_apcg_on_ill_conditioned_dual():
 
     res = solve(comp, variant="strongly_convex", max_iters=400 * comp.n, seed=0)
     apcg_epochs = next(k // comp.n for k, f in res.trace if f - fstar <= target)
-    _, trace = rpcg_solve(comp, max_iters=400 * comp.n, seed=0)
+    _, trace = oracles.rpcg_solve(comp, max_iters=400 * comp.n, seed=0)
     rpcg_epochs = next((k // comp.n for k, f in trace if f - fstar <= target),
                        math.inf)
     assert apcg_epochs < rpcg_epochs
@@ -105,7 +112,7 @@ def test_sdca_coordinate_update_matches_grid(hinge200):
             return -(s - 0.5 * hinge200.gamma * s * s) / hinge200.n + quad / hinge200.n
 
         want = oracles.grid_minimize(coord_neg_dual, -0.2, 1.2)
-        got = sdca_coordinate_update(hinge200, float(x[i]), float(val @ w[idx]), i)
+        got = oracles.sdca_coordinate_update(hinge200, float(x[i]), float(val @ w[idx]), i)
         assert got == pytest.approx(np.clip(want, 0, 1), abs=1e-6)
 
 
@@ -118,8 +125,8 @@ def test_afg_converges_on_smooth_quadratic():
     problem = inst.problem
     xstar = np.linalg.solve(inst.hessian, inst.linear)
     fstar = problem.objective(xstar)
-    x, trace = afg_solve(problem, 200)
-    assert trace[-1][1] - fstar < 1e-10
+    _, final = afg_run(problem, 200)
+    assert final - fstar < 1e-10
 
 
 def test_afg_line_search_shrinks_oversized_steps():
@@ -142,8 +149,8 @@ def test_afg_raises_when_backtracking_cannot_recover():
 def test_afg_on_dual_erm_reaches_optimum(hinge200, hinge200_optimum):
     _, dstar = hinge200_optimum
     comp = dual_composite(hinge200, "simple")
-    x, trace = afg_solve(comp, 400)
-    assert -trace[-1][1] == pytest.approx(dstar, abs=1e-8)
+    _, final = afg_run(comp, 400)
+    assert -final == pytest.approx(dstar, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +173,7 @@ def test_all_solvers_agree_on_dual_optimum(hinge200, hinge200_optimum):
     assert dual_objective(hinge200, x2) == pytest.approx(dstar, abs=1e-6)
 
     comp = dual_composite(hinge200, "simple")
-    x3, _ = afg_solve(comp, 400)
+    x3, _ = afg_run(comp, 400)
     assert dual_objective(hinge200, x3) == pytest.approx(dstar, abs=1e-6)
 
 
@@ -203,7 +210,7 @@ def sdca_against_coordinate_updates(prob):
         for _ in range(prob.n):
             i = ref_sampler.draw()
             idx, val = prob.matrix.col(i)
-            s = sdca_coordinate_update(prob, float(x_ref[i]), float(val @ w_ref[idx]), i)
+            s = oracles.sdca_coordinate_update(prob, float(x_ref[i]), float(val @ w_ref[idx]), i)
             delta = s - float(x_ref[i])
             if delta != 0.0:
                 x_ref[i] = s

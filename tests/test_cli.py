@@ -157,6 +157,7 @@ BAD_INPUTS = {
     "bad-label": ("+1 1:1.0\n2 1:0.5\n", ["--data"]),
     "empty-data": ("", ["--data"]),
     "bad-config-value": ("synthetic = 40,10,0.5\nepochs = x\n", ["--config"]),
+    "config-unknown-key": ("synthetic = 40,10,0.5\nlamda = 0.5\n", ["--config"]),
     "synthetic-not-a-number": (None, ["--synthetic", "5,x,0.5"]),
     "synthetic-zero-examples": (None, ["--synthetic", "0,10,0.5"]),
     "synthetic-sparsity-above-one": (None, ["--synthetic", "5,10,1.5"]),
@@ -183,6 +184,14 @@ def test_bad_input_exits_with_error_line(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_bad_jobs_environment_exits_with_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("APCG_JOBS", "abc")
+    rc = main(["run", "--synthetic", "40,10,0.5", "--epochs", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: $APCG_JOBS: bad value 'abc'" in capsys.readouterr().err.splitlines()
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -202,6 +211,9 @@ def test_config_file_and_overrides(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs 3\n")
     with pytest.raises(ConfigurationError):
+        load_config_file(bad)
+    bad.write_text("epochs = 3\nlamda = 0.5\n")
+    with pytest.raises(ConfigurationError, match=r"bad\.cfg:2: unknown key 'lamda'"):
         load_config_file(bad)
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from apcg import native
-from apcg.data import (DatasetMeta, SparseColMatrix, column_stats,
-                       parse_libsvm, spectral_norm, synth_binary, write_libsvm)
+from apcg.data import (DatasetMeta, SparseColMatrix, parse_libsvm,
+                       spectral_norm, synth_binary, write_libsvm)
 from apcg.errors import LabelError, ParseError
 
 import oracles
@@ -224,6 +224,32 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(B.values, A.values)  # bit exact
 
 
+@st.composite
+def sparse_and_labels(draw):
+    """A CSC matrix with some empty columns and nonzero finite values of any
+    magnitude (subnormals included), plus +-1 labels."""
+    d, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    nonzero = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+    dense = draw(hnp.arrays(np.float64, (d, n), elements=st.one_of(st.just(0.0), nonzero)))
+    dense[:, draw(hnp.arrays(np.bool_, n))] = 0.0
+    labels = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([1.0, -1.0])))
+    return SparseColMatrix.from_dense(dense), labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_and_labels())
+def test_round_trip_property_bit_exact(case):
+    A, labels = case
+    buf = io.StringIO()
+    write_libsvm(A, labels, buf)
+    buf.seek(0)
+    B, lab2 = parse_libsvm(buf, n_features=A.d)
+    assert np.array_equal(B.indptr, A.indptr)
+    assert np.array_equal(B.indices, A.indices)
+    assert np.array_equal(B.values.view(np.int64), A.values.view(np.int64))
+    assert np.array_equal(lab2, labels)
+
+
 def test_round_trip_gzip(tmp_path):
     A = random_sparse(6, 4, seed=9, density=0.5)
     labels = np.array([1.0, -1.0, 1.0, 1.0])
@@ -295,6 +321,11 @@ def test_synth_rejects_bad_sparsity():
 # ---------------------------------------------------------------------------
 # column stats
 # ---------------------------------------------------------------------------
+
+def column_stats(A):
+    """(max column norm R, spectral norm estimate)."""
+    return math.sqrt(float(A.col_norms_sq().max())), spectral_norm(A)
+
 
 def test_column_stats_identity():
     A = SparseColMatrix.from_dense(np.eye(3))

@@ -8,11 +8,10 @@ from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
-                      apcg_erm_step, complexity_estimate,
-                      dual_composite, dual_objective, dual_subgradient,
-                      erm_constants, full_prox_gap_bound, full_prox_step,
-                      gap_by_dual_bound, primal_from_dual, primal_objective,
-                      solve_erm)
+                      apcg_erm_steps, complexity_estimate, dual_composite,
+                      dual_objective, erm_constants, full_prox_gap_bound,
+                      full_prox_step, gap_by_dual_bound, primal_from_dual,
+                      primal_objective, solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
@@ -38,12 +37,21 @@ def test_hinge_branches():
     assert loss2.phi(np.array([0.0]))[0] == pytest.approx(1.0 - 0.25)
 
 
+def hinge_conj(loss, b):
+    """phi*(b) on the conjugate domain [-1, 0], read off the run path's conj_neg."""
+    return float(loss.conj_neg(np.array([-b]))[0])
+
+
 def test_hinge_conjugate_domain():
     loss = SmoothedHingeLoss(gamma=0.7)
-    assert loss.conj(-0.5) == pytest.approx(-0.5 + 0.35 * 0.25)
-    assert loss.conj(0.0) == 0.0
-    assert loss.conj(0.1) == math.inf
-    assert loss.conj(-1.1) == math.inf
+    assert hinge_conj(loss, -0.5) == pytest.approx(-0.5 + 0.35 * 0.25)
+    assert hinge_conj(loss, 0.0) == 0.0
+    # phi*(0.1) and phi*(-1.1) are +inf: x = -0.1 and x = 1.1 leave the box,
+    # where the dual is -inf
+    assert loss.dual_box == (0.0, 1.0)
+    prob = single_column_problem([1.0], gamma=0.7)
+    assert dual_objective(prob, np.array([-0.1])) == -math.inf
+    assert dual_objective(prob, np.array([1.1])) == -math.inf
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -51,7 +59,7 @@ def test_hinge_conjugate_matches_grid_oracle(gamma):
     loss = SmoothedHingeLoss(gamma=gamma)
     for b in np.linspace(-1.0, 0.0, 21):
         want = oracles.grid_conjugate(lambda z: float(loss.phi(np.array([z]))[0]), b)
-        assert loss.conj(b) == pytest.approx(want, abs=1e-6)
+        assert hinge_conj(loss, b) == pytest.approx(want, abs=1e-6)
 
 
 def test_square_conjugate_matches_grid_oracle():
@@ -61,7 +69,7 @@ def test_square_conjugate_matches_grid_oracle():
             lambda z: float(loss.phi(np.array([z if i == 0 else loss.targets[0],
                                                z if i == 1 else loss.targets[1]]))[i]),
             b)
-        assert loss.conj(b, i) == pytest.approx(want, abs=1e-6)
+        assert loss.conj_neg(np.full(2, -b))[i] == pytest.approx(want, abs=1e-6)
 
 
 def test_fenchel_young_inequality_and_equality():
@@ -79,9 +87,9 @@ def test_fenchel_young_inequality_and_equality():
         a = rng.uniform(-3, 3)
         b = rng.uniform(-1, 0)
         phi_a = float(loss.phi(np.array([a]))[0])
-        assert phi_a + loss.conj(b) >= a * b - 1e-12
+        assert phi_a + hinge_conj(loss, b) >= a * b - 1e-12
         bstar = phi_prime(a)
-        assert phi_a + loss.conj(bstar) == pytest.approx(a * bstar, abs=1e-12)
+        assert phi_a + hinge_conj(loss, bstar) == pytest.approx(a * bstar, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,7 @@ def test_erm_step_equals_generic_efficient_on_relocated_splitting(hinge200):
         st4 = ApcgEfficientState(np.zeros(hinge200.n), comp, comp.smooth.mu,
                                  seed=seed)
         for _ in range(500):
-            apcg_erm_step(hinge200, st5)
+            apcg_erm_steps(hinge200, st5, st5.sampler.take(1))
             apcg_step_efficient(comp, st4)
         assert np.max(np.abs(st5.x() - st4.x_full())) <= 1e-8
 
@@ -245,7 +253,7 @@ def test_erm_step_fixed_point_at_optimum(hinge200, hinge200_optimum):
     xstar, _ = hinge200_optimum
     state = ErmDualState(hinge200, x0=xstar, seed=0)
     for i in range(hinge200.n):
-        apcg_erm_step(hinge200, state, forced_block=i)
+        apcg_erm_steps(hinge200, state, np.array([i]))
         assert abs(state.last_h) <= 1e-8
     assert np.max(np.abs(state.x() - xstar)) <= 1e-7
 
@@ -253,8 +261,7 @@ def test_erm_step_fixed_point_at_optimum(hinge200, hinge200_optimum):
 def test_erm_aggregate_consistency_over_many_steps(hinge200):
     state = ErmDualState(hinge200, seed=7)
     for chunk in range(10):
-        for _ in range(1000):
-            apcg_erm_step(hinge200, state)
+        apcg_erm_steps(hinge200, state, state.sampler.take(1000))
         pbar, q = state.aggregates()
         p_ref, q_ref = state.recomputed_aggregates()
         assert np.linalg.norm(pbar - p_ref) <= 1e-8 * max(1.0, np.linalg.norm(p_ref))
@@ -326,16 +333,38 @@ def test_compiled_kernel_matches_reference_across_renormalization(c_kernels):
     assert renorms >= 1
 
 
-def test_out_of_range_forced_block_raises_before_any_step(hinge200):
-    state = ErmDualState(hinge200, seed=0)
-    state.epoch()
-    before = [getattr(state, name).copy() for name in ("ubar_raw", "v", "pbar_base", "q")]
-    for bad in (hinge200.n, -1):
-        with pytest.raises(IndexError):
-            apcg_erm_step(hinge200, state, forced_block=bad)
-    after = [getattr(state, name) for name in ("ubar_raw", "v", "pbar_base", "q")]
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    assert state.k == hinge200.n
+def test_out_of_range_forced_block_raises_before_any_step(hinge200, monkeypatch):
+    """A sampler index outside [0, n) makes the epoch raise IndexError before
+    any step, on the Python kernel and, where it loads, the compiled one."""
+    compiled = native.library()
+    names = ("ubar_raw", "v", "pbar_base", "q")
+    for lib in [None] + ([compiled] if compiled is not None else []):
+        monkeypatch.setattr(native, "library", lambda lib=lib: lib)
+        state = ErmDualState(hinge200, seed=0)
+        state.epoch()
+        before = [getattr(state, name).copy() for name in names]
+        bad = iter(([hinge200.n], [-1]))
+        monkeypatch.setattr(state.sampler, "take", lambda k: np.array(next(bad)))
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                state.epoch()
+        after = [getattr(state, name) for name in names]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert state.k == hinge200.n
+
+
+def test_compiled_aggregates_stay_consistent_over_long_runs(c_kernels):
+    """300 compiled epochs, past at least one pbar renormalization, with the
+    maintained aggregates checked against recomputation every 50 epochs."""
+    state = ErmDualState(renormalizing_problem(), seed=1)
+    renorms = 0
+    for epoch in range(1, 301):
+        scale = state.pbar_scale
+        state.epoch()
+        renorms += state.pbar_scale > scale  # the scale only grows at a renorm
+        if epoch % 50 == 0:
+            state.check_consistency()
+    assert renorms >= 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
@@ -366,7 +395,7 @@ def test_erm_long_run_survives_scale_renormalization(hinge200):
     renorms = 0
     last_scale = state.pbar_scale
     for _ in range(200_000):
-        apcg_erm_step(hinge200, state)
+        apcg_erm_steps(hinge200, state, state.sampler.take(1))
         if state.pbar_scale > last_scale:  # scale only grows at a renorm
             renorms += 1
         last_scale = state.pbar_scale
@@ -382,13 +411,13 @@ def test_erm_long_run_survives_scale_renormalization(hinge200):
 
 def test_dual_subgradient_interior_value():
     prob = single_column_problem([1.0], lam=1.0, gamma=1.0)
-    a, w, _ = dual_subgradient(prob, np.array([0.5]))
+    a, w, _ = oracles.dual_subgradient(prob, np.array([0.5]))
     assert a[0] == pytest.approx(0.5)
 
 
 def test_dual_subgradient_vanishes_at_optimum(hinge200, hinge200_optimum):
     xstar, _ = hinge200_optimum
-    _, _, norm_sq = dual_subgradient(hinge200, xstar)
+    _, _, norm_sq = oracles.dual_subgradient(hinge200, xstar)
     assert norm_sq <= 1e-12
 
 
@@ -396,7 +425,7 @@ def test_dual_subgradient_rejects_outside_domain(hinge200):
     x = np.zeros(hinge200.n)
     x[0] = 1.2
     with pytest.raises(ValueError):
-        dual_subgradient(hinge200, x)
+        oracles.dual_subgradient(hinge200, x)
 
 
 def test_subgradient_gap_bound_along_run(hinge200):
@@ -417,7 +446,7 @@ def report_consistency(hinge200, ridge150):
              (ridge150, rng.standard_normal(ridge150.n))]
     for prob, x in cases:
         rep = PrimalDualReport.evaluate(prob, x, epoch=3)
-        _, w, norm_sq = dual_subgradient(prob, x)
+        _, w, norm_sq = oracles.dual_subgradient(prob, x)
         assert rep.primal == primal_objective(prob, w)
         assert rep.dual == dual_objective(prob, x)
         assert rep.dual_subgrad_norm_sq == norm_sq
@@ -480,8 +509,7 @@ def test_full_prox_gap_bound_along_trajectory(hinge200, hinge200_optimum):
     _, dstar = hinge200_optimum
     state = ErmDualState(hinge200, seed=5)
     for _ in range(12):
-        for _ in range(hinge200.n):
-            apcg_erm_step(hinge200, state)
+        apcg_erm_steps(hinge200, state, state.sampler.take(hinge200.n))
         x = state.x()
         t = full_prox_step(hinge200, x)
         rep = PrimalDualReport.evaluate(hinge200, t, epoch=0)
@@ -504,8 +532,7 @@ def test_gap_by_dual_bound_ridge_run():
     assert gap_by_dual_bound(prob, xstar, dstar) <= 1e-10
     state = ErmDualState(prob, seed=1)
     for epoch in range(50):
-        for _ in range(prob.n):
-            apcg_erm_step(prob, state)
+        apcg_erm_steps(prob, state, state.sampler.take(prob.n))
         x = state.x()
         rep = PrimalDualReport.evaluate(prob, x, epoch=epoch)
         assert rep.gap <= gap_by_dual_bound(prob, x, dstar) + 1e-10

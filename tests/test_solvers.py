@@ -6,8 +6,7 @@ import pytest
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.errors import ConfigurationError
-from apcg.instances import (block_quadratic, diag_dominant_quadratic,
-                            single_block_quadratic)
+from apcg.instances import block_quadratic, diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule, theta_coefficients
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                           apcg_step_efficient, apcg_step_general, solve)
@@ -389,7 +388,7 @@ def test_nsc_variant_rejects_gamma0_above_one(lasso20):
 
 
 def test_single_block_matches_deterministic_accelerated_gradient_quick():
-    inst = single_block_quadratic(5, seed=4)
+    inst = block_quadratic((5,), seed=4)
     problem = inst.problem
     res = solve(problem, variant="strongly_convex", max_iters=50, seed=0,
                 trace_every=1)
