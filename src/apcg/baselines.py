@@ -47,8 +47,7 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     lib = native.library()
     if lib is not None:
         addr = native.address
-        lib.sdca_epoch(m.indptr.ctypes.data, m.indices.ctypes.data, m.values.ctypes.data,
-                       blocks.ctypes.data, blocks.size,
+        lib.sdca_epoch(*m.addresses, blocks.ctypes.data, blocks.size,
                        addr(x, np.float64, n, "x", writable=True),
                        addr(w_agg, np.float64, d, "w_agg", writable=True),
                        addr(prob.col_norms_sq, np.float64, n, "col_norms_sq"),

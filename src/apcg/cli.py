@@ -153,10 +153,19 @@ def _write_trace(path: Path, reports) -> None:
                              repr(r.dual_subgrad_norm_sq), f"{r.wall_time_s:.6f}"])
 
 
+def _cells(config: ExperimentConfig, dataset: str, A, labels):
+    """Every (lambda, solver, seed) cell, in output order.  Each lambda's
+    problem is built once, when its first cell is reached, and shared by
+    its cells."""
+    for lam in config.lambdas:
+        prob = _build_problem(config, A, labels, lam)
+        for solver in config.solvers:
+            for seed in config.seeds:
+                yield (dataset, config.loss, lam, solver, seed, config, prob)
+
+
 def _run_cell(args):
-    (dataset, loss_name, lam, solver, seed, config_bytes) = args
-    config, A, labels = config_bytes
-    prob = _build_problem(config, A, labels, lam)
+    (dataset, loss_name, lam, solver, seed, config, prob) = args
     result = run_solver_trace(prob, solver, epochs=config.epochs, seed=seed,
                               tol=config.tol)
     return (dataset, loss_name, lam, solver, seed, result)
@@ -170,12 +179,9 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = [(dataset, config.loss, lam, solver, seed, (config, A, labels))
-             for lam in config.lambdas
-             for solver in config.solvers
-             for seed in config.seeds]
-
-    if config.jobs > 1 and len(cells) > 1:
+    cells = _cells(config, dataset, A, labels)
+    n_cells = len(config.lambdas) * len(config.solvers) * len(config.seeds)
+    if config.jobs > 1 and n_cells > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:

@@ -19,6 +19,8 @@ import numpy as np
 from . import native
 from .errors import LabelError, ParseError
 
+_NO_LIMIT = 2 ** 63 - 1  # largest int64
+
 
 @dataclass(frozen=True, eq=False)
 class SparseColMatrix:
@@ -26,8 +28,9 @@ class SparseColMatrix:
 
     Row indices are strictly increasing within each column; stored values
     are finite and nonzero.  The three arrays are kept as contiguous
-    read-only views, validated here once, so the compiled products trust
-    them without re-checking every row index.
+    read-only views, validated here once, so the compiled kernels trust
+    them without re-checking every row index; ``addresses`` holds their
+    data pointers in that order, so a kernel call need not look them up.
     """
 
     d: int
@@ -36,6 +39,7 @@ class SparseColMatrix:
     indices: np.ndarray
     values: np.ndarray
     col_ids: np.ndarray = field(init=False, repr=False)
+    addresses: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -62,12 +66,19 @@ class SparseColMatrix:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "col_ids", col_ids)
+        self._set_addresses()
 
     def __setstate__(self, state):
-        """Unpickling (as in ``--jobs`` workers) returns writable arrays."""
+        """Unpickling (as in ``--jobs`` workers) returns writable arrays at
+        new addresses."""
         for name in ("indptr", "indices", "values"):
             state[name].flags.writeable = False
         self.__dict__.update(state)
+        self._set_addresses()
+
+    def _set_addresses(self) -> None:
+        object.__setattr__(self, "addresses", (
+            self.indptr.ctypes.data, self.indices.ctypes.data, self.values.ctypes.data))
 
     @property
     def nnz(self) -> int:
@@ -88,10 +99,8 @@ class SparseColMatrix:
         """Run the compiled csc_dot or csc_tdot on ``vec``."""
         vec = np.ascontiguousarray(vec, dtype=float)
         out = np.zeros(out_size)
-        kernel(
-            self.n, self.indptr.ctypes.data, self.indices.ctypes.data,
-            self.values.ctypes.data, native.address(vec, np.float64, size, "operand"),
-            out.ctypes.data)
+        kernel(self.n, *self.addresses,
+               native.address(vec, np.float64, size, "operand"), out.ctypes.data)
         return out
 
     def dot(self, x: np.ndarray) -> np.ndarray:
@@ -168,13 +177,13 @@ class DatasetMeta:
         return cls(name=name, n=A.n, d=A.d, sparsity=sparsity)
 
 
-def _open_maybe_gzip(source):
-    if hasattr(source, "read"):
-        return source, False
-    path = Path(source)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="ascii"), True
-    return open(path, "r", encoding="ascii"), True
+def _gunzip(path: Path) -> bytes:
+    """The decompressed contents of a ``.gz`` file.  A truncated stream
+    raises OSError, as a file that is not gzip at all does."""
+    try:
+        return gzip.decompress(path.read_bytes())
+    except EOFError as exc:
+        raise OSError(f"{path}: {exc}") from None
 
 
 def parse_libsvm(source, n_features: int | None = None
@@ -185,8 +194,63 @@ def parse_libsvm(source, n_features: int | None = None
     line (duplicates rejected); labels must be +1 or -1.  Examples become
     the columns of the returned matrix.  Explicitly stored zero values are
     dropped.  ``source`` is a path (``.gz`` accepted) or a text stream.
+
+    The compiled tokenizer (``libsvm_parse`` in ``_kernels.c``) parses the
+    common plain form of the format and declines anything else: other
+    whitespace or line endings, other spellings of labels or numbers, a
+    malformed line, a subnormal or out-of-range value.  Declined input,
+    and all input when the kernels are unavailable, goes through the Python
+    parser, which accepts it or raises a line-numbered ParseError.  Both
+    give bitwise-equal results on what the tokenizer accepts.
     """
-    stream, owned = _open_maybe_gzip(source)
+    lib = native.library()
+    if lib is None:
+        return _parse_python(source, n_features)
+    if hasattr(source, "read"):
+        text = source.read()
+        source = io.StringIO(text)  # for the Python parser, if it is needed
+        data = text.encode("ascii") if text.isascii() else None
+    else:
+        path = Path(source)
+        data = _gunzip(path) if path.suffix == ".gz" else path.read_bytes()
+    parsed = None if data is None else _parse_compiled(lib, data, n_features)
+    return parsed if parsed is not None else _parse_python(source, n_features)
+
+
+def _parse_compiled(lib, data: bytes, n_features: int | None):
+    """parse_libsvm's result from the compiled tokenizer, or None when
+    ``data`` lies outside the subset it accepts."""
+    # no index has more than 18 digits, so this bound stands for "none"
+    limit = _NO_LIMIT if n_features is None else min(max(int(n_features), 0), _NO_LIMIT)
+    # every line but the last ends in \n, and every feature has one ':'
+    lines, features = data.count(b"\n") + 1, data.count(b":")
+    shape = np.array([lines, features, 0], dtype=np.int64)
+    labels, values = np.empty(lines), np.empty(features)
+    indptr, indices = np.zeros(lines + 1, dtype=np.int64), np.empty(features, dtype=np.int64)
+    if lib.libsvm_parse(data, len(data), limit, shape.ctypes.data, labels.ctypes.data,
+                        indptr.ctypes.data, indices.ctypes.data, values.ctypes.data):
+        return None
+    n, kept, max_index = shape.tolist()
+    if kept < features:  # explicit zeros were left out
+        indices, values = indices[:kept].copy(), values[:kept].copy()
+    d = max_index if n_features is None else int(n_features)
+    A = SparseColMatrix(d=d, n=n, indptr=indptr[:n + 1], indices=indices, values=values)
+    return A, labels[:n]
+
+
+def _parse_python(source, n_features: int | None
+                  ) -> tuple[SparseColMatrix, np.ndarray]:
+    """parse_libsvm in Python: the reference for every input, and the parser
+    of whatever the compiled tokenizer declines."""
+    if hasattr(source, "read"):
+        stream, owned = source, False
+    else:
+        # ASCII files; a byte above 0x7f decodes to a lone surrogate, which
+        # is reported below with its line number
+        path = Path(source)
+        binary = io.BytesIO(_gunzip(path)) if path.suffix == ".gz" else open(path, "rb")
+        stream = io.TextIOWrapper(binary, encoding="ascii", errors="surrogateescape")
+        owned = True
     labels: list[float] = []
     indptr = [0]
     indices: list[int] = []
@@ -194,6 +258,8 @@ def parse_libsvm(source, n_features: int | None = None
     max_index = 0
     try:
         for line_no, raw in enumerate(stream, start=1):
+            if owned and not raw.isascii():
+                raise ParseError(line_no, "non-ASCII byte")
             line = raw.strip()
             if not line:
                 raise ParseError(line_no, "blank line")

@@ -443,8 +443,7 @@ class ErmDualState:
         m, addr = self.prob.matrix, native.address
         scalars = np.array([self.pbar_scale, self.last_h])
         lib.apcg_erm_epoch(
-            m.indptr.ctypes.data, m.indices.ctypes.data, m.values.ctypes.data,
-            blocks.ctypes.data, blocks.size,
+            *m.addresses, blocks.ctypes.data, blocks.size,
             addr(self.ubar_raw, np.float64, n, "ubar_raw", writable=True),
             addr(self.stamps, np.int64, n, "stamps", writable=True),
             addr(self.v, np.float64, n, "v", writable=True),

@@ -1,8 +1,8 @@
 """Loader of the compiled kernels in ``_kernels.c``.
 
 The C file is built on first use with the system C compiler (``cc``, else
-``gcc``) and ``-O2 -ffp-contract=off -fPIC -shared`` into a per-user cache
-directory, ``$XDG_CACHE_HOME/apcg`` or ``~/.cache/apcg``.  The library's
+``gcc``) and ``-O2 -ffp-contract=off -falign-loops=64 -fPIC -shared`` into
+a per-user cache directory, ``$XDG_CACHE_HOME/apcg`` or ``~/.cache/apcg``.  The library's
 file name is a hash of the source, the flags and the compiler's identity
 (its resolved path, size and modification time, which change with its
 version and cost no subprocess to read), so a later process only loads it.
@@ -27,7 +27,10 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# Every loop starts on a 64-byte boundary: otherwise where a kernel's inner
+# loop falls depends on unrelated code before it, and csc_dot measured 15%
+# slower when the tokenizer's libc imports moved its loop off such a line.
+CFLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-fPIC", "-shared")
 
 _P, _I, _D, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
 SIGNATURES = {
@@ -36,7 +39,9 @@ SIGNATURES = {
     "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _I, _P, _P,
                        _D, _D, _D, _D, _D, _INT, _I, _P),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
+    "libsvm_parse": (_P, _I, _I, _P, _P, _P, _P, _P),
 }
+RESTYPES = {"libsvm_parse": _INT}  # the others return nothing
 
 _UNLOADED = object()
 _lib = _UNLOADED
@@ -95,7 +100,7 @@ def _load():
     lib = ctypes.CDLL(str(target))
     for name, argtypes in SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
+        fn.argtypes, fn.restype = argtypes, RESTYPES.get(name)
     return lib
 
 

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import apcg
+from apcg import cli
 from apcg.cli import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig,
                       _config_from_args, build_parser, check_invariants,
                       load_config_file, main, run_experiment)
@@ -155,6 +157,7 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
 BAD_INPUTS = {
     "malformed-data": ("+1 1:abc\n", ["--data"]),
     "bad-label": ("+1 1:1.0\n2 1:0.5\n", ["--data"]),
+    "non-ascii-data": ("+1 1:0.5\n-1 2:\u00e9\n", ["--data"]),
     "empty-data": ("", ["--data"]),
     "bad-config-value": ("synthetic = 40,10,0.5\nepochs = x\n", ["--config"]),
     "config-unknown-key": ("synthetic = 40,10,0.5\nlamda = 0.5\n", ["--config"]),
@@ -172,7 +175,7 @@ def test_bad_input_exits_with_error_line(case, tmp_path):
     text, flags = BAD_INPUTS[case]
     if text is not None:
         path = tmp_path / "in.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         flags = [*flags, str(path)]
     env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
     proc = subprocess.run(
@@ -182,6 +185,46 @@ def test_bad_input_exits_with_error_line(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_non_ascii_data_names_its_line(tmp_path, capsys):
+    path = tmp_path / "f"
+    path.write_bytes(b"+1 1:0.5\n-1 2:\xc3\xa9\n")
+    assert main(["run", "--data", str(path), "--loss", "square", "--epochs", "2",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_truncated_gzip_exits_with_io_error(tmp_path):
+    whole = gzip.compress(b"+1 1:0.5 2:1.5\n-1 1:-0.5\n" * 100)
+    path = tmp_path / "cut.txt.gz"
+    path.write_bytes(whole[:len(whole) // 2])
+    env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "apcg.cli", "run", "--data", str(path), "--epochs", "1",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert any(line.startswith("i/o error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
+    built, build = [], cli._build_problem
+
+    def counting_build(config, A, labels, lam):
+        built.append(lam)
+        return build(config, A, labels, lam)
+
+    monkeypatch.setattr(cli, "_build_problem", counting_build)
+    config = small_config(tmp_path, lambdas=[1e-2, 1e-3], seeds=[0, 1],
+                          solvers=["apcg", "sdca"], jobs=jobs)
+    results = run_experiment(config)
+    assert built == [1e-2, 1e-3]
+    assert [(r.lam, r.solver, r.seed) for r in results] == [
+        (lam, solver, seed) for lam in (1e-2, 1e-3) for solver in ("apcg", "sdca")
+        for seed in (0, 1)]
 
 
 def test_bad_jobs_environment_exits_with_error_line(tmp_path, monkeypatch, capsys):

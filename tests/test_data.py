@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from apcg import native
-from apcg.data import (DatasetMeta, SparseColMatrix, parse_libsvm,
-                       spectral_norm, synth_binary, write_libsvm)
+from apcg.data import (DatasetMeta, SparseColMatrix, _parse_compiled,
+                       _parse_python, parse_libsvm, spectral_norm,
+                       synth_binary, write_libsvm)
 from apcg.errors import LabelError, ParseError
 
 import oracles
@@ -95,6 +96,17 @@ def test_matrix_arrays_are_read_only():
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
     assert np.array_equal(B.values, A.values) and np.array_equal(B.col_ids, A.col_ids)
+
+
+def test_unpickled_matrix_products_are_bitwise_equal(c_kernels):
+    A, _ = synth_binary(400, 300, 0.05, seed=3, min_nnz=1)
+    B = pickle.loads(pickle.dumps(A))
+    assert B.addresses == (B.indptr.ctypes.data, B.indices.ctypes.data,
+                           B.values.ctypes.data) != A.addresses
+    rng = np.random.Generator(np.random.PCG64(4))
+    x, w = rng.standard_normal(A.n), rng.standard_normal(A.d)
+    assert A.dot(x).tobytes() == B.dot(x).tobytes()
+    assert A.tdot(w).tobytes() == B.tdot(w).tobytes()
 
 
 @st.composite
@@ -268,6 +280,170 @@ def test_parse_respects_explicit_feature_count():
     assert A.d == 10
     with pytest.raises(ParseError):
         parse_libsvm(io.StringIO("+1 12:1.0\n"), n_features=10)
+
+
+def parsed(parse, source, n_features=None):
+    """A parse's result as bytes, or (error class, line number)."""
+    try:
+        A, labels = parse(source, n_features)
+    except ParseError as exc:
+        return type(exc), exc.line_no
+    return (A.d, A.n, A.indptr.tobytes(), A.indices.tobytes(), A.values.tobytes(),
+            labels.tobytes())
+
+
+def test_compiled_parse_equals_python_on_written_files(tmp_path, c_kernels):
+    for seed in range(3):
+        A, labels = synth_binary(300, 200, 0.05, seed=seed, min_nnz=1)
+        path = tmp_path / f"w{seed}.libsvm"
+        write_libsvm(A, labels, path)
+        assert _parse_compiled(native.library(), path.read_bytes(), None) is not None
+        want = parsed(_parse_python, path)
+        assert parsed(parse_libsvm, path) == want
+        assert parsed(parse_libsvm, str(path), 200) == parsed(_parse_python, path, 200)
+        assert want[4] == A.values.tobytes()
+
+
+# (input, whether the compiled tokenizer takes it rather than the Python parser)
+TOKENIZER_CASES = [
+    (b"", True),
+    (b"+1 1:2.0 3:-1.0\n-1 2:0.25\n", True),
+    (b"1 1:2\r\n-1\t 2:-3.5e-7 \t\r\n+1", True),   # CRLF, tabs, no last ending
+    (b" +1 1:0 2:-0.0 5:1E+3\n", True),               # zeros dropped, still counted
+    (b"-1\n", True),                                   # no features
+    (b"+1 000000000000000001:1\n", True),              # 18 digits
+    (b"+1 0000000000000000001:1\n", False),            # 19 digits
+    (b"+1 1:1\r-1 2:1\n", False),                      # lone \r
+    (b"+1 1:1\r", False),
+    (b"+1 1:1\n\n", False),                            # blank line
+    (b"+1 1:1\n  \n", False),
+    (b"+1\x0b1:1\n", False),                           # other whitespace
+    (b"+1 1:1\x00\n", False),
+    (b"+1 1:\xc3\xa9\n", False),
+    (b"1.0 1:1\n", False), (b"+10 1:1\n", False), (b"0 1:1\n", False),
+    (b"+1 0:1\n", False), (b"+1 2:1 2:1\n", False), (b"+1 3:1 2:1\n", False),
+    (b"+1 +1:1\n", False), (b"+1 1_0:1\n", False), (b"+1 1:1_0\n", False),
+    (b"+1 1:.5\n", False), (b"+1 1:5.\n", False), (b"+1 1:1e\n", False),
+    (b"+1 1:inf\n", False), (b"+1 1:nan\n", False), (b"+1 1:0x10\n", False),
+    (b"+1 1:1e999\n", False), (b"+1 1:1e-400\n", False),
+    (b"+1 1:4.9e-324\n", False),                        # subnormal: strtod's ERANGE
+    (b"+1 1:" + b"1" * 63 + b"\n", True),
+    (b"+1 1:" + b"1" * 64 + b"\n", False),               # token over 63 bytes
+    (b"+1 1:1:2\n", False), (b"+1 1 :1\n", False), (b"+1 1:1x\n", False),
+    (b"+11:1\n", False),
+]
+
+
+@pytest.mark.parametrize("data,taken", TOKENIZER_CASES)
+def test_compiled_tokenizer_takes_exactly_its_subset(data, taken, tmp_path, c_kernels):
+    assert (_parse_compiled(native.library(), data, None) is not None) == taken
+    path = tmp_path / "in.libsvm"
+    path.write_bytes(data)
+    assert parsed(parse_libsvm, path) == parsed(_parse_python, path)
+
+
+def test_compiled_tokenizer_respects_feature_count(c_kernels):
+    lib = native.library()
+    assert _parse_compiled(lib, b"+1 3:1\n", 3)[0].d == 3
+    assert _parse_compiled(lib, b"+1 3:1\n", 2) is None
+    assert _parse_compiled(lib, b"+1 3:1\n", -1) is None
+    assert _parse_compiled(lib, b"-1\n", 2**70)[0].d == 2**70
+
+
+# (the tokenizer's grammar, what leaves it); a file draws from the first
+# pool alone or from both
+SEPARATORS = ([" ", "\t", "  ", " \t"], ["\x0b", "\x0c", "\xa0", "\u3000"])
+ENDINGS = (["\n", "\r\n"], ["\r", "\n\n", " \n", "\x85", "\n\x00"])
+LABELS = (["+1", "-1", "1"], ["1.0", "+10", "0", "-1e0", "\xe9", "+ 1"])
+ODD_VALUES = ["inf", "nan", "-Infinity", "1_0", ".5", "5.", "1e", "+-1", "1e-400", "1e400",
+              "2.5e-320", "0x1p3", "\u0661", "1" * 70]
+MUTATIONS = ["zero", "dup", "swap", "pad", "colon"]
+
+
+def values(clean: bool):
+    grammar = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False).map(repr),
+        st.from_regex(r"\A[+-]?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,2})?\Z"),
+        st.sampled_from(["0", "-0.0", "0e5", "1" * 63]))
+    return grammar if clean else st.one_of(grammar, st.sampled_from(ODD_VALUES))
+
+
+@st.composite
+def libsvm_files(draw):
+    """LIBSVM text from the tokenizer's grammar, or with things that leave it."""
+    clean = draw(st.booleans())
+    pools = [st.sampled_from(grammar if clean else grammar + odd)
+             for grammar, odd in (SEPARATORS, ENDINGS, LABELS)]
+    separators, endings, labels = pools
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        idx = sorted(draw(st.sets(st.integers(1, 30), max_size=6)))
+        mutation = None if clean else draw(st.sampled_from([None] + MUTATIONS))
+        if idx and mutation == "zero":
+            idx[0] = 0
+        elif idx and mutation == "dup":
+            idx.append(idx[-1])
+        elif len(idx) > 1 and mutation == "swap":
+            idx[0], idx[1] = idx[1], idx[0]
+        tokens = [draw(labels)]
+        for i in idx:
+            name = f"{i:019d}" if mutation == "pad" else str(i)
+            colon = "::" if mutation == "colon" else ":"
+            tokens.append(f"{name}{colon}{draw(values(clean))}")
+        lines.append(draw(separators).join(tokens) + draw(endings))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    limits = st.integers(30, 40) if clean else st.integers(0, 35)
+    return "".join(lines), draw(st.one_of(st.none(), limits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=libsvm_files())
+def test_compiled_and_python_parsers_agree(case, tmp_path_factory):
+    """On files and on text streams: the same arrays, bit for bit, or the
+    same error class at the same line."""
+    if native.library() is None:
+        pytest.skip(f"compiled kernels unavailable: {native.backend()}")
+    text, n_features = case
+    path = tmp_path_factory.getbasetemp() / "differential.libsvm"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (lambda: path, lambda: io.StringIO(text)):
+        got = parsed(parse_libsvm, source(), n_features)
+        saved = native.library
+        native.library = lambda: None
+        try:
+            want = parsed(parse_libsvm, source(), n_features)
+        finally:
+            native.library = saved
+        assert got == want
+
+
+@pytest.fixture(params=["python", "c"])
+def kernels(request, monkeypatch):
+    """Run the test on each backend; the compiled run skips where it cannot load."""
+    if request.param == "python":
+        monkeypatch.setattr(native, "library", lambda: None)
+    elif native.library() is None:
+        pytest.skip(f"compiled kernels unavailable: {native.backend()}")
+
+
+def test_non_ascii_byte_is_a_parse_error_at_its_line(kernels, tmp_path):
+    path = tmp_path / "f.libsvm"
+    path.write_bytes(b"+1 1:0.5\n-1 2:\xc3\xa9\n")
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(path)
+    assert err.value.line_no == 2
+    # a text stream may hold any str; float() decides, as it always has
+    A, _ = parse_libsvm(io.StringIO("+1 1:\u0661.5\n"))
+    assert A.values.tolist() == [1.5]
+
+
+def test_truncated_gzip_is_an_os_error(kernels, tmp_path):
+    whole = gzip.compress(b"+1 1:0.5 2:1.5\n" * 200)
+    path = tmp_path / "cut.libsvm.gz"
+    path.write_bytes(whole[:len(whole) // 2])
+    with pytest.raises(OSError, match="end-of-stream"):
+        parse_libsvm(path)
 
 
 # ---------------------------------------------------------------------------

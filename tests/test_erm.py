@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apcg import native
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
@@ -130,6 +132,51 @@ def test_weak_duality_random_pairs(hinge200):
         x = rng.uniform(0, 1, hinge200.n)
         w = rng.standard_normal(hinge200.d)
         assert primal_objective(hinge200, w) >= dual_objective(hinge200, x) - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), loss=st.sampled_from(["smoothed_hinge", "square"]),
+       log_lam=st.floats(-5, 0), gamma=st.floats(0.05, 5.0), scale=st.floats(0.0, 50.0))
+def test_weak_duality_property(seed, loss, log_lam, gamma, scale):
+    """P(w(x)) >= D(x) at random feasible x, with w(x) = A x / (lam n)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, d = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+    A, labels = synth_binary(n, d, float(rng.uniform(0.05, 1.0)), seed=seed,
+                             normalize=bool(rng.integers(2)))
+    lam = 10.0 ** log_lam
+    if loss == "smoothed_hinge":
+        prob = ErmProblem.smoothed_hinge(A, labels, lam=lam, gamma=gamma)
+        x = rng.uniform(0.0, 1.0, n)
+        x[rng.uniform(size=n) < 0.3] = rng.integers(0, 2)  # box edges
+    else:
+        prob = ErmProblem.ridge(A, labels, lam=lam, gamma=gamma)
+        x = scale * rng.standard_normal(n)
+    primal = primal_objective(prob, primal_from_dual(prob, x))
+    dual = dual_objective(prob, x)
+    assert primal >= dual - 1e-12 * max(1.0, abs(primal), abs(dual))
+
+
+@settings(max_examples=80, deadline=None)
+@given(anchor=st.floats(-2.0, 2.0), gamma=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+       n=st.integers(1, 10), box=st.booleans(), center=st.floats(-3.0, 3.0),
+       weight=st.floats(0.2, 5.0))
+def test_prox_block_property_matches_brute_force(anchor, gamma, n, box, center, weight):
+    """Each closed-form ConjugatePenalty prox against a grid search of
+    weight/2 (s - center)^2 + (1/n)(-a s + gamma/2 s^2) over the domain."""
+    reg = ConjugatePenalty(np.array([0.5, anchor]), gamma=gamma, n=n,
+                           box=(0.0, 1.0) if box else None)
+
+    def psi(s):
+        if box and not 0.0 <= s <= 1.0:
+            return math.inf
+        return (-anchor * s + 0.5 * gamma * s * s) / n
+
+    # the minimizer lies within 10 of center when gamma = 0 (|a/(n weight)|
+    # <= 10), and between center and a/gamma otherwise
+    want = oracles.grid_prox(psi, center, weight, -25.0, 25.0)
+    got = reg.prox_block(1, np.array([center]), weight)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(want, abs=1e-6)
 
 
 def test_primal_from_dual_examples():
