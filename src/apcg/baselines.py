@@ -79,12 +79,28 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
 
 @dataclass
 class AfgState:
+    """AFG iterates x and y, with their images ax = A x and ay = A y under
+    the smooth part's linear lift (x and y themselves when it has none)."""
+
     x: np.ndarray
     y: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
     t: float
     step: float
     k: int
     backtracks: int = 0
+
+
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _lift(problem: CompositeProblem):
+    """(apply, value_of, gradient_of) of the smooth part; the identity lift,
+    with f and grad f themselves, when it declares none."""
+    smooth = problem.smooth
+    return smooth.lift or (_identity, smooth.value, smooth.full_gradient)
 
 
 def afg_start(problem: CompositeProblem, x0: np.ndarray | None = None,
@@ -93,7 +109,10 @@ def afg_start(problem: CompositeProblem, x0: np.ndarray | None = None,
     if initial_step is None:
         # crude global Lipschitz estimate: sum of the block constants
         initial_step = 1.0 / float(np.sum(problem.smooth.lipschitz))
-    return AfgState(x=x0, y=x0.copy(), t=1.0, step=float(initial_step), k=0)
+    apply, _, _ = _lift(problem)
+    ax0 = apply(x0)
+    return AfgState(x=x0, y=x0.copy(), ax=ax0, ay=ax0.copy(), t=1.0,
+                    step=float(initial_step), k=0)
 
 
 def afg_step(problem: CompositeProblem, state: AfgState,
@@ -105,17 +124,24 @@ def afg_step(problem: CompositeProblem, state: AfgState,
     f(x+) <= f(y) + <grad f(y), x+ - y> + ||x+ - y||^2 / (2 step)
     shrinking the step by ``backtrack`` on failure; the accepted step is
     expanded by ``expand`` for the next iteration.
+
+    f and grad f are read from the carried image ay = A y, so an iteration
+    applies A once per trial (to the trial point) and the lift's gradient
+    once.  The accepted trial's fresh A x+ gives the next image,
+    A y+ = A x+ + momentum (A x+ - A x), so no error accumulates.
     """
+    apply, value_of, gradient_of = _lift(problem)
     y = state.y
-    fy = float(problem.smooth.value(y))
-    gy = problem.smooth.full_gradient(y)
+    fy = float(value_of(state.ay))
+    gy = gradient_of(state.ay)
     step = state.step
     for _ in range(max_backtracks):
         x_new = problem.reg.prox_full(y - step * gy, 1.0 / step, problem.partition)
         diff = x_new - y
         with np.errstate(over="ignore"):  # oversized trial steps may overflow
             quad = fy + float(gy @ diff) + float(diff @ diff) / (2.0 * step)
-            f_new = float(problem.smooth.value(x_new))
+            ax_new = apply(x_new)
+            f_new = float(value_of(ax_new))
         if math.isfinite(f_new) and math.isfinite(quad) \
                 and f_new <= quad + 1e-12 * max(1.0, abs(quad)):
             break
@@ -127,7 +153,8 @@ def afg_step(problem: CompositeProblem, state: AfgState,
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
     momentum = (state.t - 1.0) / t_next
     state.y = x_new + momentum * (x_new - state.x)
-    state.x = x_new
+    state.ay = ax_new + momentum * (ax_new - state.ax)
+    state.x, state.ax = x_new, ax_new
     state.t = t_next
     state.step = step * expand
     state.k += 1

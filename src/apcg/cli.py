@@ -73,6 +73,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown solver {s!r}; choose from {KNOWN_SOLVERS}")
         if not self.seeds:
             raise ConfigurationError("need at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigurationError("seeds must be >= 0")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.jobs < 1:
@@ -108,23 +110,27 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
     the relocated dual splitting the coordinate subproblem is an exact 1-d
     quadratic, so the prox step with weight L_i is SDCA's exact maximizer,
     x_i + (a_i/n - grad_i)/L_i = (a_i - A_i'w + x_i q_i)/(gamma + q_i).
+    Each solver hands the reports the A x it maintains anyway: APCG's
+    aggregates, SDCA's lam n w, AFG's carried image of its iterate.
     """
     if solver == "apcg":
         state = erm.ErmDualState(prob, seed=seed)
-        epoch, current = state.epoch, state.x
+        epoch, current, ax = state.epoch, state.x, state.ax
     elif solver in ("sdca", "rpcg"):
         x, w_agg = np.zeros(prob.n), np.zeros(prob.d)
         sampler = BlockSampler(prob.n, seed)
         epoch = lambda: baselines.sdca_epoch(prob, x, w_agg, sampler)
         current = lambda: x
+        ax = lambda: (prob.lam * prob.n) * w_agg
     elif solver == "afg":
         composite = erm.dual_composite(prob, splitting="simple")
         afg = baselines.afg_start(composite)
         epoch = lambda: baselines.afg_step(composite, afg)
         current = lambda: afg.x
+        ax = lambda: afg.ax
     else:
         raise ConfigurationError(f"unknown solver {solver!r}")
-    return erm.run_epochs(prob, epoch, current, epochs, tol)
+    return erm.run_epochs(prob, epoch, current, epochs, tol, ax=ax)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,13 @@ class ErmProblem:
             raise ValueError("matrix columns must be finite")
         self.R = math.sqrt(float(self.col_norms_sq.max())) if self.n else 0.0
         self.anchors = np.ascontiguousarray(self.loss.anchors(self.n), dtype=float)
+        if self.n:
+            with np.errstate(over="ignore", under="ignore"):
+                L, mu = erm_constants(self)
+            if not (np.all(np.isfinite(L)) and mu > 0.0):
+                raise ConfigurationError(
+                    "coordinate constants ||A_i||^2/(lam n^2) overflow (or mu underflows "
+                    "to 0) at this lambda; rescale the data or raise lambda")
 
     @property
     def n(self) -> int:
@@ -276,14 +283,19 @@ class PrimalDualReport:
 
     @classmethod
     def evaluate(cls, prob: ErmProblem, x: np.ndarray, epoch: int,
-                 wall_time_s: float = 0.0) -> "PrimalDualReport":
+                 wall_time_s: float = 0.0, ax: np.ndarray | None = None
+                 ) -> "PrimalDualReport":
         """Primal, dual and subgradient at x from one A x and one A' w.
 
         The primal and dual equal primal_objective(primal_from_dual(x)) and
-        dual_objective(x) evaluated separately.
+        dual_objective(x) evaluated separately.  A solver that maintains
+        ``ax = A x`` passes it, and the report then costs only the A' w; such
+        a report is exact up to the aggregate's drift, so it is not a
+        weak-duality certificate (see :func:`run_epochs`).
         """
         xc = _feasible_or_raise(prob, x)
-        ax = prob.matrix.dot(xc)
+        if ax is None:
+            ax = prob.matrix.dot(xc)
         w = ax / (prob.lam * prob.n)
         margins = prob.matrix.tdot(w)
         norm_sq = _subgradient_norm_sq(prob, xc, margins)
@@ -343,15 +355,21 @@ def dual_composite(prob: ErmProblem, splitting: str = "relocated") -> CompositeP
     A = prob.matrix
     scale = 1.0 / (lam * n * n)
 
+    # the quadratic coupling ||A x||^2 / (2 lam n^2) as a function of A x
+    def coupling_value(ax):
+        return 0.5 * scale * float(ax @ ax)
+
+    def coupling_gradient(ax):
+        return A.tdot(ax) * scale
+
     def value(x):
-        ax = A.dot(x)
-        v = 0.5 * scale * float(ax @ ax)
+        v = coupling_value(A.dot(x))
         if relocated:
             v += 0.5 * gamma / n * float(x @ x)
         return v
 
     def full_gradient(x):
-        g = A.tdot(A.dot(x)) * scale
+        g = coupling_gradient(A.dot(x))
         if relocated:
             g = g + (gamma / n) * x
         return g
@@ -375,8 +393,10 @@ def dual_composite(prob: ErmProblem, splitting: str = "relocated") -> CompositeP
     reg = ConjugatePenalty(prob.anchors, 0.0 if relocated else gamma, n,
                            prob.loss.dual_box)
 
+    lift = None if relocated else (A.dot, coupling_value, coupling_gradient)
     smooth = SmoothOracle(value=value, full_gradient=full_gradient,
-                          partial_gradient=partial_gradient, lipschitz=L, mu=mu)
+                          partial_gradient=partial_gradient, lipschitz=L, mu=mu,
+                          lift=lift)
     return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
                             reg=reg)
 
@@ -462,9 +482,9 @@ class ErmDualState:
     def x(self) -> np.ndarray:
         return self.ubar_effective() / self.rho + self.v
 
-    def w(self) -> np.ndarray:
-        pbar = self.pbar_base * self.pbar_scale
-        return (pbar / self.rho + self.q) / (self.prob.lam * self.prob.n)
+    def ax(self) -> np.ndarray:
+        """A x() from the maintained aggregates, without a product."""
+        return self.pbar_base * self.pbar_scale / self.rho + self.q
 
     def aggregates(self) -> tuple[np.ndarray, np.ndarray]:
         return self.pbar_base * self.pbar_scale, self.q.copy()
@@ -548,29 +568,49 @@ class ErmRunResult:
 
 
 def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
-               tol: float | None = None) -> ErmRunResult:
+               tol: float | None = None, ax=None) -> ErmRunResult:
     """Drive any dual solver epoch by epoch, reporting at every boundary.
 
     ``epoch()`` advances the solver by one epoch and ``x()`` returns its dual
     iterate.  The trace starts with the epoch-0 row at the initial point and
     stops after ``epochs`` epochs or once the primal-dual gap reaches ``tol``.
     Wall time accumulates the ``epoch()`` calls only, not report evaluation.
+
+    A solver that maintains A x passes ``ax()``, which returns it, and each
+    report then costs one A' w.  A gap from a maintained aggregate is not a
+    weak-duality certificate, so a row whose gap reaches ``tol`` and the last
+    row are evaluated again from a fresh A x: the run stops only once that
+    exact gap is <= ``tol``, and the returned ``w`` is the last row's.
     """
-    reports = [PrimalDualReport.evaluate(prob, x(), epoch=0)]
-    reached = 0 if (tol is not None and reports[0].gap <= tol) else None
+    def row(done: int, elapsed: float):
+        """The report after ``done`` epochs, and its fresh A x (None when
+        the maintained one served)."""
+        point = x()
+        if ax is not None and done < epochs:
+            rep = PrimalDualReport.evaluate(prob, point, epoch=done,
+                                            wall_time_s=elapsed, ax=ax())
+            if tol is None or not rep.gap <= tol:
+                return rep, None
+        xc = _feasible_or_raise(prob, point)
+        fresh = prob.matrix.dot(xc)
+        return PrimalDualReport.evaluate(prob, xc, epoch=done, wall_time_s=elapsed,
+                                         ax=fresh), fresh
+
+    rep, fresh = row(0, 0.0)
+    reports = [rep]
     elapsed = 0.0
     done = 0
-    while done < epochs and reached is None:
+    while done < epochs and not (tol is not None and rep.gap <= tol):
         t0 = time.perf_counter()
         epoch()
         elapsed += time.perf_counter() - t0
         done += 1
-        rep = PrimalDualReport.evaluate(prob, x(), epoch=done, wall_time_s=elapsed)
+        rep, fresh = row(done, elapsed)
         reports.append(rep)
-        if tol is not None and rep.gap <= tol:
-            reached = done
-    final = x()
-    return ErmRunResult(x=final, w=primal_from_dual(prob, final), reports=reports,
+    # the last row is always a fresh one: either done == epochs, or its
+    # maintained gap reached tol and the exact gap confirmed it
+    reached = done if (tol is not None and rep.gap <= tol) else None
+    return ErmRunResult(x=x(), w=fresh / (prob.lam * prob.n), reports=reports,
                         epochs_run=done, epochs_to_tol=reached)
 
 
@@ -578,7 +618,7 @@ def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,
               x0: np.ndarray | None = None, tol: float | None = None) -> ErmRunResult:
     """Run the dual coordinate solver, n steps per epoch; see run_epochs."""
     state = ErmDualState(prob, x0=x0, seed=seed)
-    return run_epochs(prob, state.epoch, state.x, epochs, tol)
+    return run_epochs(prob, state.epoch, state.x, epochs, tol, ax=state.ax)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from apcg.cli import run_solver_trace
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.data import synth_binary
-from apcg.erm import (ErmProblem, dual_composite, dual_objective,
-                      primal_from_dual, solve_erm)
+from apcg.erm import (ErmProblem, PrimalDualReport, dual_composite,
+                      dual_objective, primal_from_dual, solve_erm)
 from apcg.instances import diag_dominant_quadratic
 from apcg.solvers import BlockSampler, solve
 
@@ -153,6 +154,42 @@ def test_afg_on_dual_erm_reaches_optimum(hinge200, hinge200_optimum):
     assert -final == pytest.approx(dstar, abs=1e-8)
 
 
+@pytest.fixture(params=["hinge200", "ridge150"])
+def erm_prob(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_simple_splitting_lift_reproduces_value_and_gradient(erm_prob):
+    smooth = dual_composite(erm_prob, "simple").smooth
+    apply, value_of, gradient_of = smooth.lift
+    rng = np.random.default_rng(8)
+    for x in (np.zeros(erm_prob.n), rng.uniform(0, 1, erm_prob.n),
+              rng.standard_normal(erm_prob.n)):
+        assert smooth.value(x) == value_of(apply(x))
+        assert np.array_equal(smooth.full_gradient(x), gradient_of(apply(x)))
+    assert dual_composite(erm_prob, "relocated").smooth.lift is None
+
+
+def test_afg_under_the_lift_takes_the_same_steps(erm_prob):
+    """Carrying A y through the momentum step changes f and grad f by
+    rounding only: the same accepted steps and backtracks over 200
+    iterations, and P and D within 1e-12 of AFG without the lift."""
+    lifted = dual_composite(erm_prob, "simple")
+    plain = CompositeProblem(partition=lifted.partition, reg=lifted.reg,
+                             smooth=dataclasses.replace(lifted.smooth, lift=None))
+    a, b = afg_start(lifted), afg_start(plain)
+    for _ in range(200):
+        afg_step(lifted, a)
+        afg_step(plain, b)
+        assert (a.step, a.backtracks) == (b.step, b.backtracks)
+        ra = PrimalDualReport.evaluate(erm_prob, a.x, a.k)
+        rb = PrimalDualReport.evaluate(erm_prob, b.x, b.k)
+        assert abs(ra.primal - rb.primal) <= 1e-12 * abs(rb.primal)
+        assert abs(ra.dual - rb.dual) <= 1e-12 * abs(rb.dual)
+    assert np.array_equal(a.ax, erm_prob.matrix.dot(a.x))  # a fresh product, not carried
+    assert b.ax is b.x  # without a lift the image is the iterate itself
+
+
 # ---------------------------------------------------------------------------
 # cross-solver agreement
 # ---------------------------------------------------------------------------
@@ -191,11 +228,6 @@ def test_rpcg_erm_epoch_maintains_aggregate(hinge200, monkeypatch):
     assert x is run.x
     ax = w_agg * (hinge200.lam * hinge200.n)
     assert np.allclose(ax, hinge200.matrix.dot(x), atol=1e-10)
-
-
-@pytest.fixture(params=["hinge200", "ridge150"])
-def erm_prob(request):
-    return request.getfixturevalue(request.param)
 
 
 def sdca_against_coordinate_updates(prob):

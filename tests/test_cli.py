@@ -167,6 +167,13 @@ BAD_INPUTS = {
     "lambda-nan": (None, ["--synthetic", "40,10,0.5", "--lambda", "nan"]),
     "gamma-nan": (None, ["--synthetic", "40,10,0.5", "--gamma", "nan"]),
     "tol-nan": (None, ["--synthetic", "40,10,0.5", "--tol", "nan"]),
+    "negative-seed": (None, ["--synthetic", "40,10,0.5", "--seed", "-1"]),
+    # ||A_i||^2 / (lam n^2) overflows, so every coordinate constant L_i is inf
+    "overflowing-constants-hinge": ("+1 1:1e150 2:1e150\n-1 1:1e150\n",
+                                    ["--lambda", "1e-10", "--data"]),
+    "overflowing-constants-square": ("+1 1:1e150 2:1e150\n-1 1:1e150\n",
+                                     ["--loss", "square", "--solver", "afg",
+                                      "--lambda", "1e-10", "--data"]),
 }
 
 

@@ -13,7 +13,7 @@ from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       apcg_erm_steps, complexity_estimate, dual_composite,
                       dual_objective, erm_constants, full_prox_gap_bound,
                       full_prox_step, gap_by_dual_bound, primal_from_dual,
-                      primal_objective, solve_erm)
+                      primal_objective, run_epochs, solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
@@ -430,6 +430,21 @@ def test_problem_rejects_non_positive_or_non_finite_parameters(bad):
             ErmProblem.ridge(A, np.where(labels > 0, bad, 1.0), lam=1e-2)
 
 
+@pytest.mark.parametrize("col, lam, gamma", [
+    ([1e150, 1e150], 1e-10, 1.0),  # ||A_i||^2 / (lam n^2) overflows: L_i = inf
+    ([1e100], 1e-10, 1e-300),      # L_i finite, but (gamma/n) / max L_i underflows
+])
+def test_problem_rejects_coordinate_constants_out_of_range(col, lam, gamma):
+    dense = np.zeros((2, 2))
+    dense[:len(col), 0] = col
+    dense[0, 1] = 1.0
+    A = SparseColMatrix.from_dense(dense)
+    labels = np.array([1.0, -1.0])
+    for build in (ErmProblem.smoothed_hinge, ErmProblem.ridge):
+        with pytest.raises(ConfigurationError, match="overflow"):
+            build(A, labels, lam=lam, gamma=gamma)
+
+
 def test_erm_state_rejects_infeasible_start(hinge200):
     with pytest.raises(ConfigurationError):
         ErmDualState(hinge200, x0=np.full(hinge200.n, 2.0))
@@ -687,3 +702,116 @@ def test_solve_erm_tolerance_stop(hinge200):
         assert run.reports[-1].gap <= 1e-5
         assert all(r.gap > 1e-5 for r in run.reports[:-1])
         assert run.epochs_run == run.epochs_to_tol < 500
+
+
+def test_certification_ignores_a_maintained_gap_that_reads_tol_early(ridge150):
+    """Negative control: a solver whose maintained A x is off by a relative
+    2e-6 reports gaps <= tol epochs before the exact gap gets there.  The
+    run must still stop on the exact gap, and the certifying and last rows
+    must be the exact reports."""
+    tol = 1e-9
+    exact_state = ErmDualState(ridge150, seed=4)
+    exact = run_epochs(ridge150, exact_state.epoch, exact_state.x, 500, tol)
+    ax_star = ridge150.matrix.dot(exact.x)
+    # d gap / d scale of the aggregate is about ||A x*||^2 / (lam n^2) near
+    # the optimum, so this shrink lowers the reported gap by about 50 tol
+    shrink = 50 * tol * ridge150.lam * ridge150.n ** 2 / float(ax_star @ ax_star)
+    state = ErmDualState(ridge150, seed=4)
+    seen = []  # (x, perturbed A x) per maintained report, one per epoch
+
+    def perturbed():
+        z = (1.0 - shrink) * state.ax()
+        seen.append((state.x(), z))
+        return z
+
+    run = run_epochs(ridge150, state.epoch, state.x, 500, tol, ax=perturbed)
+    reached = run.epochs_to_tol
+    early = [e for e, (x, z) in enumerate(seen)
+             if PrimalDualReport.evaluate(ridge150, x, e, ax=z).gap <= tol]
+    assert reached == exact.epochs_to_tol
+    assert early and early[0] <= reached - 3  # the control does read tol early
+    assert all(r.gap > tol for r in run.reports[:reached])
+    for e in early:  # every row whose maintained gap read tol was re-evaluated
+        row = run.reports[e]
+        assert row == PrimalDualReport.evaluate(ridge150, seen[e][0], e,
+                                                wall_time_s=row.wall_time_s)
+    last = run.reports[-1]
+    assert last.epoch == reached
+    assert last == PrimalDualReport.evaluate(ridge150, run.x, reached,
+                                             wall_time_s=last.wall_time_s)
+    assert np.array_equal(run.w, primal_from_dual(ridge150, run.x))
+
+    # a run cut by its epoch budget before any gap reads tol still ends on
+    # an exact row
+    state = ErmDualState(ridge150, seed=4)
+    budget = early[0] - 1
+    cut = run_epochs(ridge150, state.epoch, state.x, budget, tol, ax=perturbed)
+    assert cut.epochs_to_tol is None
+    last = cut.reports[-1]
+    assert last == PrimalDualReport.evaluate(ridge150, cut.x, budget,
+                                             wall_time_s=last.wall_time_s)
+    assert np.array_equal(cut.w, primal_from_dual(ridge150, cut.x))
+
+
+@pytest.mark.parametrize("solver, kernels", [
+    ("apcg", "python_kernels"), ("apcg", "c_kernels"),
+    ("sdca", "python_kernels"), ("sdca", "c_kernels"),
+    ("rpcg", None), ("afg", None)])
+def test_rows_from_maintained_products_agree_with_evaluate(hinge200, ridge150, solver,
+                                                          kernels, request, monkeypatch):
+    """Every report a cell makes, from a maintained A x or a fresh one, is
+    within 1e-12 of PrimalDualReport.evaluate at the same x (hinge200 has
+    box edges active)."""
+    if kernels is not None:
+        request.getfixturevalue(kernels)
+    evaluate = PrimalDualReport.evaluate
+    for prob in (hinge200, ridge150):
+        made = []
+
+        def spy(prob_, x, *args, **kwargs):
+            rep = evaluate(prob_, x, *args, **kwargs)
+            made.append((np.array(x, copy=True), rep))
+            return rep
+
+        with monkeypatch.context() as m:
+            m.setattr(PrimalDualReport, "evaluate", staticmethod(spy))
+            run = run_solver_trace(prob, solver, epochs=30, seed=2, tol=None)
+        assert {id(r) for r in run.reports} <= {id(rep) for _, rep in made}
+        for x, rep in made:
+            want = evaluate(prob, x, rep.epoch, wall_time_s=rep.wall_time_s)
+            assert abs(rep.primal - want.primal) <= 1e-12 * abs(want.primal)
+            assert abs(rep.dual - want.dual) <= 1e-12 * abs(want.dual)
+            assert abs(rep.gap - want.gap) <= 1e-12 * max(abs(want.primal), abs(want.dual))
+            if solver == "afg":  # its carried A x is the accepted trial's fresh product
+                assert rep == want
+
+
+@pytest.mark.parametrize("solver", KNOWN_SOLVERS)
+def test_cell_product_budget(hinge200, solver, monkeypatch):
+    """Sparse products per cell: one A' w per report and no A x for the
+    coordinate solvers; AFG adds one A' w per gradient and one A x per
+    line-search trial.  On top: the start (APCG's q = A x0, AFG's image of
+    x0) and the last row's fresh A x and A' w."""
+    counts = {"dot": 0, "tdot": 0, "trials": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SparseColMatrix, "dot", counting("dot", SparseColMatrix.dot))
+    monkeypatch.setattr(SparseColMatrix, "tdot", counting("tdot", SparseColMatrix.tdot))
+    monkeypatch.setattr(ConjugatePenalty, "prox_full",
+                        counting("trials", ConjugatePenalty.prox_full))
+    epochs = 12
+    run_solver_trace(hinge200, solver, epochs=epochs, seed=1, tol=None)
+    start = {"apcg": 1, "sdca": 0, "rpcg": 0, "afg": 1}[solver]
+    if solver == "afg":
+        assert counts["trials"] >= epochs
+        assert counts["dot"] == start + counts["trials"] + 1
+        assert counts["tdot"] == 2 * epochs + 1
+    else:
+        assert counts["trials"] == 0
+        assert counts["dot"] == start + 1
+        assert counts["tdot"] == epochs + 1
