@@ -1,5 +1,5 @@
-/* Compiled forms of apcg's per-epoch coordinate kernels, CSC products and
-   LIBSVM tokenizer.
+/* Compiled forms of apcg's per-epoch coordinate kernels, CSC products,
+   LIBSVM tokenizer and synthetic column generator.
 
    Each function is a plain loop over (for the tokenizer, into) the arrays
    of a SparseColMatrix (d x n, column j holds values[indptr[j]:indptr[j+1]]
@@ -10,6 +10,9 @@
      apcg_erm_epoch  erm.apcg_erm_steps
      sdca_epoch      the Python body of baselines.sdca_epoch
      libsvm_parse    data._parse_python, on a strict subset of its input
+     synth_columns   the column loop of data._synth_columns_python, less
+                     the normalisation (built only with numpy's random
+                     library, see below)
 
    The products add the same rounded terms in the same order as np.bincount,
    so they are bitwise equal to it.  The epochs sum each column dot product
@@ -18,11 +21,17 @@
    -O2 -ffp-contract=off -falign-loops=64: no fused multiply-add, no
    fast-math, and every loop starting a cache line.  The tokenizer reads
    values with strtod, which rounds correctly like Python's float(), so
-   what it accepts parses to the same bits.  Callers validate dtypes,
-   shapes and index ranges before every call. */
+   what it accepts parses to the same bits.  synth_columns makes the same
+   calls into numpy's own distributions, on the caller's Generator, in the
+   same order as the Python loop, so its indptr, indices and values, and
+   the draws that follow it, are bitwise the same; the unit-norm scaling of
+   each column stays in numpy because np.linalg.norm sums with BLAS ddot,
+   whose order a C loop would not match.  Callers validate dtypes, shapes
+   and index ranges before every call. */
 
 #include <errno.h>
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -253,3 +262,114 @@ int libsvm_parse(const char *buf, int64_t len, int64_t n_features, int64_t *shap
     shape[2] = max_index;
     return 0;
 }
+
+#ifdef APCG_NPYRANDOM
+/* Synthetic sparse columns, drawn through numpy's own C distributions
+   (numpy/random/lib/libnpyrandom.a, linked in by apcg.native when it
+   exists) from the bit generator of the caller's Generator.  These
+   declarations mirror numpy/random/bitgen.h and distributions.h, which
+   cannot be included: distributions.h pulls in Python.h. */
+typedef struct bitgen bitgen_t;  /* only ever passed through */
+typedef struct {
+    int has_binomial;
+    double psave;
+    int64_t nsave;
+    double r, q, fm;
+    int64_t m;
+    double p1, xm, xl, xr, c, laml, lamr, p2, p3, p4;
+} binomial_t;
+
+int64_t random_binomial(bitgen_t *bitgen, double p, int64_t n, binomial_t *binomial);
+uint64_t random_bounded_uint64(bitgen_t *bitgen, uint64_t off, uint64_t rng,
+                               uint64_t mask, bool use_masked);
+void random_standard_normal_fill(bitgen_t *bitgen, intptr_t cnt, double *out);
+
+static int cmp_int64(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* rows[0..k) are distinct rows, each marked in mark: sort them and clear
+   their marks. */
+static void sort_marked(int64_t *rows, int64_t k, unsigned char *mark, int64_t d)
+{
+    if (k < d / 40) {  /* sorting k rows beat a scan of d marks below about d / 40 */
+        qsort(rows, (size_t)k, sizeof *rows, cmp_int64);
+        for (int64_t i = 0; i < k; i++)
+            mark[rows[i]] = 0;
+        return;
+    }
+    for (int64_t r = 0, i = 0; i < k; r++)
+        if (mark[r]) {
+            mark[r] = 0;
+            rows[i++] = r;
+        }
+}
+
+/* Columns 0..n-1 of data.synth_binary before normalisation: for each,
+   k = max(Binomial(d, p), min_k) rows drawn as Generator.choice(d, k,
+   replace=False) draws them, sorted, then k standard normals times
+   row_scale[row], with an exact 0 replaced by 1e-12.  Generator.binomial
+   caches only what it derives from (d, p), so a zeroed binomial_t draws
+   the same.  choice uses Floyd's algorithm followed by a shuffle of the
+   k picks (whose draws are made here and discarded, since the rows are
+   sorted) when d <= 10000 or k <= d / 50, and otherwise a partial
+   Fisher-Yates shuffle of arange(d) whose last k entries are the picks.
+
+   mark (d bytes, zeroed) and pool (d entries) are scratch; indptr[0] = 0
+   and indices, values hold capacity entries.  Returns 0 when every column
+   is written, or 1 as soon as a column would not fit, after its binomial
+   draw: the Generator is then spent and the caller starts over. */
+int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_k,
+                  const double *row_scale, unsigned char *mark, int64_t *pool,
+                  int64_t *indptr, int64_t *indices, double *values,
+                  int64_t capacity)
+{
+    binomial_t binomial;
+    memset(&binomial, 0, sizeof binomial);
+    for (int64_t j = 0; j < n; j++) {
+        int64_t k = random_binomial(bitgen, p, d, &binomial);
+        if (k < min_k)
+            k = min_k;
+        const int64_t lo = indptr[j];
+        if (k > capacity - lo)
+            return 1;
+        indptr[j + 1] = lo + k;
+        if (k == 0)
+            continue;
+        int64_t *rows = indices + lo;
+        double *vals = values + lo;
+        if (d <= 10000 || k <= d / 50) {
+            for (int64_t t = d - k, i = 0; t < d; t++, i++) {
+                const int64_t r = (int64_t)random_bounded_uint64(bitgen, 0, (uint64_t)t, 0, false);
+                rows[i] = mark[r] ? t : r;
+                mark[rows[i]] = 1;
+            }
+            for (int64_t i = k - 1; i > 0; i--)
+                random_bounded_uint64(bitgen, 0, (uint64_t)i, 0, false);
+        } else {
+            for (int64_t r = 0; r < d; r++)
+                pool[r] = r;
+            for (int64_t i = d - 1; i >= (d - k > 1 ? d - k : 1); i--) {
+                const int64_t s = (int64_t)random_bounded_uint64(bitgen, 0, (uint64_t)i, 0, false);
+                const int64_t tmp = pool[s];
+                pool[s] = pool[i];
+                pool[i] = tmp;
+            }
+            for (int64_t i = 0; i < k; i++) {
+                rows[i] = pool[d - k + i];
+                mark[rows[i]] = 1;
+            }
+        }
+        sort_marked(rows, k, mark, d);
+        random_standard_normal_fill(bitgen, (intptr_t)k, vals);
+        for (int64_t i = 0; i < k; i++) {
+            vals[i] *= row_scale[rows[i]];
+            if (vals[i] == 0.0)
+                vals[i] = 1e-12;
+        }
+    }
+    return 0;
+}
+#endif

@@ -338,20 +338,47 @@ def synth_binary(n: int, d: int, sparsity: float, condition: float = 1.0,
     conditioning.  With ``normalize`` every nonzero column has unit
     Euclidean norm, so the column-norm bound R is exactly 1.  Labels are
     ``sign(column . w_true + noise * eps)`` for a hidden Gaussian w_true.
+
+    The columns come from the compiled ``synth_columns`` when it is built
+    (see apcg.native), else from the Python loop; both draw the same
+    numbers from one Generator in the same order, so the result is bitwise
+    the same either way.
     """
     if not (0.0 < sparsity <= 1.0):
         raise ValueError(f"sparsity must lie in (0, 1], got {sparsity}")
-    if condition < 1.0:
-        raise ValueError("condition knob must be >= 1")
+    for name, value in (("n", n), ("d", d), ("min_nnz", min_nnz)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not (1.0 <= condition < math.inf):
+        raise ValueError(f"condition must be a finite number >= 1, got {condition}")
+    if not (0.0 <= noise < math.inf):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     rng = np.random.Generator(np.random.PCG64(seed))
     row_scale = (np.geomspace(1.0, 1.0 / condition, d)
                  if condition > 1.0 else np.ones(d))
+    args = (n, d, sparsity, min(min_nnz, d), row_scale, normalize)
+    columns = _synth_columns_compiled(rng, *args)
+    if columns is None:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        columns = _synth_columns_python(rng, *args)
+    indptr, indices, values = columns
+    A = SparseColMatrix(d=d, n=n, indptr=indptr, indices=indices, values=values)
+    w_true = rng.standard_normal(d)
+    margins = A.tdot(w_true)
+    if noise > 0.0:
+        margins = margins + noise * rng.standard_normal(n)
+    labels = np.where(margins >= 0.0, 1.0, -1.0)
+    return A, labels
+
+
+def _synth_columns_python(rng, n, d, sparsity, min_k, row_scale, normalize):
+    """synth_binary's (indptr, indices, values), one column at a time: the
+    reference for synth_columns, and the path where it is not built."""
     indptr = [0]
     indices: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for _ in range(n):
-        k = int(rng.binomial(d, sparsity))
-        k = max(k, min(min_nnz, d))
+        k = max(int(rng.binomial(d, sparsity)), min_k)
         if k == 0:
             indptr.append(indptr[-1])
             continue
@@ -363,16 +390,45 @@ def synth_binary(n: int, d: int, sparsity: float, condition: float = 1.0,
         indices.append(rows)
         values.append(vals)
         indptr.append(indptr[-1] + k)
-    A = SparseColMatrix(
-        d=d, n=n, indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.concatenate(indices) if indices else np.empty(0, np.int64),
-        values=np.concatenate(values) if values else np.empty(0, float))
-    w_true = rng.standard_normal(d)
-    margins = A.tdot(w_true)
-    if noise > 0.0:
-        margins = margins + noise * rng.standard_normal(n)
-    labels = np.where(margins >= 0.0, 1.0, -1.0)
-    return A, labels
+    return (np.asarray(indptr, dtype=np.int64),
+            np.concatenate(indices) if indices else np.empty(0, np.int64),
+            np.concatenate(values) if values else np.empty(0, float))
+
+
+def _synth_capacity(n: int, d: int, sparsity: float, min_k: int) -> int:
+    """Room for the values of n columns.  Their total is at most n min_k
+    plus a Binomial(n d, sparsity), which exceeds its mean by 8 standard
+    deviations plus 64 with probability below 1e-9 (Chernoff)."""
+    mean = n * d * sparsity
+    return min(n * d, int(mean + n * min_k + 8.0 * math.sqrt(mean) + 64.0))
+
+
+def _synth_columns_compiled(rng, n, d, sparsity, min_k, row_scale, normalize):
+    """_synth_columns_python's result from the compiled synth_columns, or
+    None, with ``rng`` spent, when the kernel is not built or the columns
+    outgrow _synth_capacity."""
+    kernel = getattr(native.library(), "synth_columns", None)
+    if kernel is None:
+        return None
+    capacity = _synth_capacity(n, d, sparsity, min_k)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices, values = np.empty(capacity, dtype=np.int64), np.empty(capacity)
+    mark, pool = np.zeros(d, dtype=np.uint8), np.empty(d, dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        if kernel(bitgen.ctypes.bit_generator, n, d, sparsity, min_k,
+                  row_scale.ctypes.data, mark.ctypes.data, pool.ctypes.data,
+                  indptr.ctypes.data, indices.ctypes.data, values.ctypes.data, capacity):
+            return None
+    nnz = int(indptr[-1])
+    indices, values = indices[:nnz], values[:nnz]
+    # np.linalg.norm is sqrt(v.dot(v)) and division is elementwise, so this
+    # is bitwise vals / np.linalg.norm(vals); an empty column's 0 is repeated 0 times
+    if normalize:
+        bounds = indptr.tolist()
+        norms = [math.sqrt((v := values[lo:hi]).dot(v)) for lo, hi in zip(bounds, bounds[1:])]
+        values /= np.repeat(norms, np.diff(indptr))
+    return indptr, indices, values
 
 
 def spectral_norm(A: SparseColMatrix, tol: float = 1e-6, max_iters: int = 20000,

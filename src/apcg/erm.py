@@ -264,11 +264,6 @@ def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
     return _primal_value(prob, w, prob.matrix.tdot(w))
 
 
-def primal_from_dual(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
-    """w = A x / (lam n), the gradient of the conjugate regularizer."""
-    return prob.matrix.dot(np.asarray(x, dtype=float)) / (prob.lam * prob.n)
-
-
 @dataclass(frozen=True)
 class PrimalDualReport:
     """One row of trace output, evaluated at an epoch boundary."""
@@ -287,7 +282,7 @@ class PrimalDualReport:
                  ) -> "PrimalDualReport":
         """Primal, dual and subgradient at x from one A x and one A' w.
 
-        The primal and dual equal primal_objective(primal_from_dual(x)) and
+        The primal and dual equal primal_objective(A x / (lam n)) and
         dual_objective(x) evaluated separately.  A solver that maintains
         ``ax = A x`` passes it, and the report then costs only the A' w; such
         a report is exact up to the aggregate's drift, so it is not a

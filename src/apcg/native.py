@@ -2,10 +2,15 @@
 
 The C file is built on first use with the system C compiler (``cc``, else
 ``gcc``) and ``-O2 -ffp-contract=off -falign-loops=64 -fPIC -shared`` into
-a per-user cache directory, ``$XDG_CACHE_HOME/apcg`` or ``~/.cache/apcg``.  The library's
-file name is a hash of the source, the flags and the compiler's identity
-(its resolved path, size and modification time, which change with its
-version and cost no subprocess to read), so a later process only loads it.
+a per-user cache directory, ``$XDG_CACHE_HOME/apcg`` or ``~/.cache/apcg``.
+When numpy ships its C distributions as ``numpy/random/lib/libnpyrandom.a``
+(position-independent, needing only libm), the build links it and defines
+``APCG_NPYRANDOM``, which adds ``synth_columns``; without it that one kernel
+is left out, every other kernel loads, and ``data.synth_binary`` runs its
+Python loop.  The library's file name is a hash of the source, the flags,
+the compiler's identity and the archive's (each a resolved path, size and
+modification time, which change with its version and cost no subprocess
+to read), so a later process only loads it and a numpy upgrade rebuilds it.
 A build writes to a temporary file and renames it into place, so processes
 building at the same time cannot see each other's half-written output.
 
@@ -31,6 +36,7 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 # loop falls depends on unrelated code before it, and csc_dot measured 15%
 # slower when the tokenizer's libc imports moved its loop off such a line.
 CFLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-fPIC", "-shared")
+RANDOM_ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 _P, _I, _D, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
 SIGNATURES = {
@@ -40,8 +46,10 @@ SIGNATURES = {
                        _D, _D, _D, _D, _D, _INT, _I, _P),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
     "libsvm_parse": (_P, _I, _I, _P, _P, _P, _P, _P),
+    "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _P, _I),
 }
-RESTYPES = {"libsvm_parse": _INT}  # the others return nothing
+RESTYPES = {"libsvm_parse": _INT, "synth_columns": _INT}  # the others return nothing
+RANDOM_KERNELS = ("synth_columns",)  # built only with RANDOM_ARCHIVE
 
 _UNLOADED = object()
 _lib = _UNLOADED
@@ -65,23 +73,30 @@ def _compiler() -> str:
     raise BuildError("no C compiler (cc or gcc) on PATH")
 
 
-def _library_path(compiler: str) -> Path:
-    real = os.path.realpath(compiler)
+def _identity(path) -> str:
+    real = os.path.realpath(path)
     st = os.stat(real)
+    return f"{real} {st.st_size} {st.st_mtime_ns}"
+
+
+def _library_path(compiler: str, archive: bool) -> Path:
     key = b"\0".join([SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
-                      f"{real} {st.st_size} {st.st_mtime_ns} {platform.machine()}".encode()])
+                      f"{_identity(compiler)} {platform.machine()}".encode(),
+                      (_identity(RANDOM_ARCHIVE) if archive else "no archive").encode()])
     return _cache_dir() / f"kernels-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
 
 
-def _build(compiler: str, target: Path) -> None:
+def _build(compiler: str, archive: bool, target: Path) -> None:
     import subprocess
     import tempfile
 
+    inputs = (["-DAPCG_NPYRANDOM", str(SOURCE), str(RANDOM_ARCHIVE)] if archive
+              else [str(SOURCE)])
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem + "-", suffix=".tmp")
     os.close(fd)
     try:
-        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+        proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, *inputs, "-lm"],
                               capture_output=True, text=True, errors="replace")
         if proc.returncode != 0:
             last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
@@ -94,11 +109,14 @@ def _build(compiler: str, target: Path) -> None:
 
 def _load():
     compiler = _compiler()
-    target = _library_path(compiler)
+    archive = RANDOM_ARCHIVE.is_file()
+    target = _library_path(compiler, archive)
     if not target.exists():
-        _build(compiler, target)
+        _build(compiler, archive, target)
     lib = ctypes.CDLL(str(target))
     for name, argtypes in SIGNATURES.items():
+        if name in RANDOM_KERNELS and not hasattr(lib, name):
+            continue
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, RESTYPES.get(name)
     return lib

@@ -19,8 +19,13 @@ import scipy.optimize
 
 from apcg.core import block_prox
 from apcg.erm import (DUAL_DOMAIN_ATOL, ErmProblem, PrimalDualReport,
-                      dual_objective, erm_constants, primal_from_dual)
+                      dual_objective, erm_constants)
 from apcg.solvers import BlockSampler
+
+
+def primal_from_dual(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
+    """w = A x / (lam n), the gradient of the conjugate regularizer."""
+    return prob.matrix.dot(np.asarray(x, dtype=float)) / (prob.lam * prob.n)
 
 
 def grid_minimize(fun, lo: float, hi: float, rounds: int = 4, points: int = 2001) -> float:

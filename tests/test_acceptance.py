@@ -16,14 +16,14 @@ from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       SmoothedHingeLoss, SquareLoss, apcg_erm_steps,
                       dual_composite, dual_objective, full_prox_gap_bound,
-                      full_prox_step, primal_objective, primal_from_dual,
-                      solve_erm)
+                      full_prox_step, primal_objective, solve_erm)
 from apcg.instances import block_quadratic, diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
                           apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
+from oracles import primal_from_dual
 from conftest import report_pass
 
 

@@ -11,11 +11,12 @@ from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.data import synth_binary
 from apcg.erm import (ErmProblem, PrimalDualReport, dual_composite,
-                      dual_objective, primal_from_dual, solve_erm)
+                      dual_objective, solve_erm)
 from apcg.instances import diag_dominant_quadratic
 from apcg.solvers import BlockSampler, solve
 
 import oracles
+from oracles import primal_from_dual
 
 
 def scalar_quadratic(lipschitz):

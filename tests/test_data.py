@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from apcg import native
+from apcg import data, native
 from apcg.data import (DatasetMeta, SparseColMatrix, _parse_compiled,
                        _parse_python, parse_libsvm, spectral_norm,
                        synth_binary, write_libsvm)
@@ -492,6 +492,104 @@ def test_synth_rejects_bad_sparsity():
         synth_binary(10, 5, 0.0)
     with pytest.raises(ValueError):
         synth_binary(10, 5, 1.5)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(condition=math.nan), "condition"),
+    (dict(condition=math.inf), "condition"),
+    (dict(condition=0.5), "condition"),
+    (dict(noise=math.nan), "noise"),
+    (dict(noise=-0.1), "noise"),
+    (dict(noise=math.inf), "noise"),
+    (dict(n=-1), "n"),
+    (dict(d=-1), "d"),
+    (dict(min_nnz=-1), "min_nnz"),
+])
+def test_synth_rejects_bad_arguments_before_any_draw(kernels, monkeypatch, kwargs, name):
+    def no_draws(seed):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draws)
+    args = dict(n=10, d=5, sparsity=0.5) | kwargs
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        synth_binary(**args)
+
+
+def require_synth_kernel():
+    """Skip where the compiled synth_columns is not built."""
+    if getattr(native.library(), "synth_columns", None) is None:
+        pytest.skip(f"synth_columns unavailable (kernels: {native.backend()})")
+
+
+def synth_on_both_backends(*args, **kwargs):
+    """synth_binary through synth_columns, then through the Python loop."""
+    saved_python = data._synth_columns_python
+    data._synth_columns_python = None  # the compiled run must not fall back
+    try:
+        compiled = synth_binary(*args, **kwargs)
+    finally:
+        data._synth_columns_python = saved_python
+    saved = native.library
+    native.library = lambda: None
+    try:
+        reference = synth_binary(*args, **kwargs)
+    finally:
+        native.library = saved
+    return compiled, reference
+
+
+def assert_same_synth(got, want):
+    (A, labels), (B, want_labels) = got, want
+    assert (A.d, A.n) == (B.d, B.n)
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert labels.tobytes() == want_labels.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 30), d=st.integers(1, 400),
+       sparsity=st.floats(0.001, 1.0), seed=st.integers(0, 2 ** 32),
+       min_nnz=st.integers(0, 80), condition=st.floats(1.0, 1e6),
+       normalize=st.booleans(), noise=st.sampled_from([0.0, 0.3, 2.0]))
+def test_synth_compiled_is_bitwise_the_python_loop(n, d, sparsity, seed, min_nnz,
+                                                   condition, normalize, noise):
+    require_synth_kernel()
+    assert_same_synth(*synth_on_both_backends(
+        n, d, sparsity, condition=condition, seed=seed, normalize=normalize,
+        noise=noise, min_nnz=min_nnz))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    # d = 10001 > 10000: Floyd's algorithm up to k = d // 50 = 200, the tail
+    # shuffle above it; min_nnz pins k on either side
+    ((12, 10001, 0.0005), dict(min_nnz=200)),
+    ((12, 10001, 0.0005), dict(min_nnz=201)),
+    ((12, 10001, 0.02), dict(noise=0.5)),
+    ((3, 10001, 1.0), dict(condition=50.0)),
+    ((40, 10000, 0.05), dict()),  # d <= 10000: Floyd's whatever k is
+    ((8, 3, 0.5), dict(min_nnz=7)),  # min_nnz > d
+    ((60, 20, 0.01), dict()),  # mostly k = 0 columns
+    ((30, 1, 0.5), dict(noise=1.0)),
+    ((0, 7, 0.5), dict(noise=1.0)),
+    ((200, 2000, 0.004), dict(normalize=False)),  # k < d / 40: rows sorted by qsort
+    ((500, 40, 0.3), dict(noise=0.2, condition=1e3)),  # the noise follows the kernel's draws
+])
+def test_synth_compiled_matches_on_edge_shapes(args, kwargs):
+    require_synth_kernel()
+    assert_same_synth(*synth_on_both_backends(*args, seed=11, **kwargs))
+
+
+def test_synth_restarts_in_python_when_capacity_is_short(monkeypatch):
+    require_synth_kernel()
+    want = synth_on_both_backends(300, 50, 0.2, seed=4, noise=0.1)[1]
+    monkeypatch.setattr(data, "_synth_capacity", lambda *args: 100)
+    calls = []
+    python = data._synth_columns_python
+    monkeypatch.setattr(data, "_synth_columns_python",
+                        lambda *args: calls.append(1) or python(*args))
+    assert_same_synth(synth_binary(300, 50, 0.2, seed=4, noise=0.1), want)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
                       apcg_erm_steps, complexity_estimate, dual_composite,
                       dual_objective, erm_constants, full_prox_gap_bound,
-                      full_prox_step, gap_by_dual_bound, primal_from_dual,
-                      primal_objective, run_epochs, solve_erm)
+                      full_prox_step, gap_by_dual_bound, primal_objective,
+                      run_epochs, solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
 import oracles
+from oracles import primal_from_dual
 
 
 def single_column_problem(col, lam=1.0, gamma=1.0):

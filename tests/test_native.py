@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import apcg
-from apcg import native
+from apcg import data, native
 from apcg.cli import main
 from apcg.data import synth_binary
 from apcg.erm import ErmDualState, ErmProblem
@@ -53,6 +53,35 @@ def test_library_is_built_once_then_loaded(fresh_loader, c_kernels):
     native._lib = native._UNLOADED
     assert native.library() is not None
     assert built[0].stat().st_mtime_ns == mtime
+
+
+def test_without_numpys_random_archive_only_synth_columns_is_left_out(
+        fresh_loader, c_kernels, monkeypatch, tmp_path):
+    if not hasattr(native.library(), "synth_columns"):
+        pytest.skip(f"numpy ships no {native.RANDOM_ARCHIVE.name}")
+    want = synth_binary(200, 30, 0.2, seed=5, noise=0.1, min_nnz=1)
+    linked = set(fresh_loader.glob("kernels-*.so"))
+
+    monkeypatch.setattr(native, "RANDOM_ARCHIVE", tmp_path / "missing.a")
+    monkeypatch.setattr(native, "_lib", native._UNLOADED)
+    lib = native.library()
+    assert native.backend() == "c" and not hasattr(lib, "synth_columns")
+    assert all(hasattr(lib, name) for name in native.SIGNATURES if name != "synth_columns")
+    unlinked = set(fresh_loader.glob("kernels-*.so")) - linked
+    assert len(unlinked) == 1 and len(linked) == 1
+
+    calls = []
+    python = data._synth_columns_python
+    monkeypatch.setattr(data, "_synth_columns_python",
+                        lambda *args: calls.append(1) or python(*args))
+    A, labels = synth_binary(200, 30, 0.2, seed=5, noise=0.1, min_nnz=1)
+    assert calls == [1]
+    for name in ("indptr", "indices", "values"):
+        assert getattr(A, name).tobytes() == getattr(want[0], name).tobytes()
+    assert labels.tobytes() == want[1].tobytes()
+    x = np.linspace(-1, 1, A.n)
+    want_ax = np.bincount(A.indices, weights=A.values * x[A.col_ids], minlength=A.d)
+    assert A.dot(x).tobytes() == want_ax.tobytes()  # through the new library's csc_dot
 
 
 def run_python(code, env):
