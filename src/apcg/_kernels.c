@@ -59,56 +59,56 @@ void csc_tdot(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
 }
 
-/* One accelerated dual coordinate step per index in blocks, starting at
-   iteration k; see erm.apcg_erm_steps for the update.  scalars holds
-   (pbar_scale, last_h) on entry and on return. */
-void apcg_erm_epoch(const int64_t *indptr, const int64_t *indices,
-                    const double *values, const int64_t *blocks, int64_t nblocks,
-                    double *ubar_raw, int64_t *stamps, double *v,
-                    double *pbar_base, double *q, int64_t d,
-                    const double *quad_weight, const double *anchor_over_n,
-                    double rho, double grad_scale, double gamma_over_n,
-                    double half_minus, double half_plus, int is_box,
-                    int64_t k, double *scalars)
+/* One accelerated dual coordinate step per index in blocks; see
+   erm.apcg_erm_steps for the update.  ubar = scale * ubar_base (length n)
+   and pbar = scale * pbar_base (length d) share scale, which every step
+   multiplies by rho and which is folded into both base vectors once it
+   falls below 1e-120.  Returns the scale after the last step. */
+double apcg_erm_epoch(const int64_t *indptr, const int64_t *indices,
+                      const double *values, const int64_t *blocks, int64_t nblocks,
+                      double *ubar_base, double *v, int64_t n,
+                      double *pbar_base, double *q, int64_t d,
+                      const double *quad_weight, const double *anchor_over_n,
+                      double rho, double grad_scale, double gamma_over_n,
+                      double half_minus, double half_plus, int is_box, double scale)
 {
-    double pbar_scale = scalars[0], h = scalars[1];
-    for (int64_t b = 0; b < nblocks; b++, k++) {
+    for (int64_t b = 0; b < nblocks; b++) {
         const int64_t i = blocks[b], lo = indptr[i], hi = indptr[i + 1];
         double p_dot = 0.0, q_dot = 0.0;
         for (int64_t j = lo; j < hi; j++) {
             p_dot += values[j] * pbar_base[indices[j]];
             q_dot += values[j] * q[indices[j]];
         }
-        const double ub_i = ubar_raw[i] * pow(rho, (double)(k - stamps[i]));
+        const double ub_i = ubar_base[i] * scale;
         const double v_i = v[i];
-        const double a_dot = p_dot * pbar_scale + q_dot;
+        const double a_dot = p_dot * scale + q_dot;
         const double grad = a_dot * grad_scale + gamma_over_n * (ub_i + v_i);
 
         const double t0 = -ub_i + v_i;
         double s = t0 + (anchor_over_n[i] - grad) / quad_weight[i];
         if (is_box)
             s = s < 0.0 ? 0.0 : (s > 1.0 ? 1.0 : s);
-        h = s - t0;
+        const double h = s - t0;
 
-        ubar_raw[i] = rho * (ub_i - half_minus * h);
-        stamps[i] = k + 1;
         v[i] = v_i + half_plus * h;
         if (h != 0.0) {
-            const double dp = half_minus * h / pbar_scale, dq = half_plus * h;
+            const double dp = half_minus * h / scale, dq = half_plus * h;
+            ubar_base[i] -= dp;
             for (int64_t j = lo; j < hi; j++) {
                 pbar_base[indices[j]] -= dp * values[j];
                 q[indices[j]] += dq * values[j];
             }
         }
-        pbar_scale *= rho;
-        if (pbar_scale < 1e-120) {
+        scale *= rho;
+        if (scale < 1e-120) {
+            for (int64_t r = 0; r < n; r++)
+                ubar_base[r] *= scale;
             for (int64_t r = 0; r < d; r++)
-                pbar_base[r] *= pbar_scale;
-            pbar_scale = 1.0;
+                pbar_base[r] *= scale;
+            scale = 1.0;
         }
     }
-    scalars[0] = pbar_scale;
-    scalars[1] = h;
+    return scale;
 }
 
 /* One exact dual coordinate ascent step per index in blocks, in place on

@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,6 +187,9 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     cells = _cells(config, dataset, A, labels)
     n_cells = len(config.lambdas) * len(config.solvers) * len(config.seeds)
     if config.jobs > 1 and n_cells > 1:
+        # imported here: it pulls in multiprocessing, which --jobs 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:

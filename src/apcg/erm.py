@@ -25,9 +25,10 @@ its linear rate.  The coordinate-wise constants are
 iteration that maintains p = A u and q = A v alongside (u, v), so each step
 costs O(nnz(A_i)): one column is read twice for the gradient and updated
 twice for the aggregates.  Like the generic efficient solver, u and p are
-stored in the stabilized form ubar = rho^{k+1} u, pbar = rho^{k+1} p; pbar
-additionally folds its global rho-scaling into one scalar that is
-renormalized into the vector long before it can underflow.
+stored in the stabilized form ubar = rho^{k+1} u, pbar = rho^{k+1} p, as
+ubar = scale * ubar_base and pbar = scale * pbar_base under one shared
+scalar, which each step multiplies by rho and which is folded into both
+base vectors long before it can underflow.
 :meth:`ErmDualState.epoch` runs the compiled form of the same loop
 (``_kernels.c``, loaded by :mod:`apcg.native`) when it is available.
 """
@@ -45,7 +46,7 @@ from .core import (BlockPartition, CompositeProblem, SeparableRegularizer,
                    SmoothOracle)
 from .data import SparseColMatrix, spectral_norm
 from .errors import ConfigurationError
-from .solvers import BlockSampler
+from .solvers import BlockSampler, change_of_variables_rates
 
 DUAL_DOMAIN_ATOL = 1e-9  # rounding slack when testing box membership
 
@@ -404,9 +405,10 @@ class ErmDualState:
     """Iterate state of the structure-exploiting dual solver.
 
     Maintains (ubar, v) in R^n and the aggregates pbar = A ubar, q = A v in
-    R^d.  ubar's once-per-iteration rho-scaling uses per-coordinate stamps;
-    pbar's uses one scalar multiplier folded back into the vector whenever
-    it threatens to underflow.
+    R^d, with ubar = scale * ubar_base and pbar = scale * pbar_base.  The
+    once-per-iteration rho-scaling of both is one multiply of the shared
+    ``scale``, folded back into the base vectors whenever it threatens to
+    underflow; a step with a zero increment writes neither base vector.
     """
 
     def __init__(self, prob: ErmProblem, x0: np.ndarray | None = None, seed: int = 0):
@@ -414,24 +416,18 @@ class ErmDualState:
         L, mu = erm_constants(prob)
         self.prob = prob
         self.mu = mu
-        self.alpha = math.sqrt(mu) / n
-        self.rho = (1.0 - self.alpha) / (1.0 + self.alpha)
-        if self.rho <= 0.0:
-            raise ConfigurationError("degenerate rho; problem is a single perfectly "
-                                     "conditioned coordinate")
+        self.alpha, self.rho = change_of_variables_rates(mu, n)
         if x0 is None:
             x0 = np.zeros(n)
         x0 = np.asarray(x0, dtype=float)
         if _dual_feasible(prob.loss.dual_box, x0) is None:
             raise ConfigurationError("x0 must lie in the conjugate domain")
         self.v = x0.copy()
-        self.ubar_raw = np.zeros(n)
-        self.stamps = np.zeros(n, dtype=np.int64)
+        self.ubar_base = np.zeros(n)
         self.pbar_base = np.zeros(prob.d)
-        self.pbar_scale = 1.0
+        self.scale = 1.0
         self.q = prob.matrix.dot(x0)
         self.k = 0
-        self.last_h = 0.0  # increment of the most recent step, for diagnostics
         self.sampler = BlockSampler(n, seed)
         # per-step constants of the kernels
         self.quad_weight = (self.alpha * (prob.col_norms_sq + prob.lam * prob.gamma * n)
@@ -456,37 +452,32 @@ class ErmDualState:
             apcg_erm_steps(self.prob, self, blocks)
             return
         m, addr = self.prob.matrix, native.address
-        scalars = np.array([self.pbar_scale, self.last_h])
-        lib.apcg_erm_epoch(
+        self.scale = lib.apcg_erm_epoch(
             *m.addresses, blocks.ctypes.data, blocks.size,
-            addr(self.ubar_raw, np.float64, n, "ubar_raw", writable=True),
-            addr(self.stamps, np.int64, n, "stamps", writable=True),
-            addr(self.v, np.float64, n, "v", writable=True),
+            addr(self.ubar_base, np.float64, n, "ubar_base", writable=True),
+            addr(self.v, np.float64, n, "v", writable=True), n,
             addr(self.pbar_base, np.float64, d, "pbar_base", writable=True),
             addr(self.q, np.float64, d, "q", writable=True), d,
             addr(self.quad_weight, np.float64, n, "quad_weight"),
             addr(self.anchor_over_n, np.float64, n, "anchor_over_n"),
             self.rho, self.grad_scale, self.gamma_over_n, self.half_minus,
-            self.half_plus, self.is_box, self.k, scalars.ctypes.data)
-        self.pbar_scale, self.last_h = scalars.tolist()
+            self.half_plus, self.is_box, self.scale)
         self.k += blocks.size
 
-    def ubar_effective(self) -> np.ndarray:
-        return self.ubar_raw * self.rho ** (self.k - self.stamps).astype(float)
-
     def x(self) -> np.ndarray:
-        return self.ubar_effective() / self.rho + self.v
+        return self.ubar_base * (self.scale / self.rho) + self.v
 
     def ax(self) -> np.ndarray:
         """A x() from the maintained aggregates, without a product."""
-        return self.pbar_base * self.pbar_scale / self.rho + self.q
+        return self.pbar_base * (self.scale / self.rho) + self.q
 
     def aggregates(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.pbar_base * self.pbar_scale, self.q.copy()
+        return self.pbar_base * self.scale, self.q.copy()
 
     def recomputed_aggregates(self) -> tuple[np.ndarray, np.ndarray]:
         """(A ubar, A v) from scratch, for drift checks against aggregates()."""
-        return self.prob.matrix.dot(self.ubar_effective()), self.prob.matrix.dot(self.v)
+        return (self.prob.matrix.dot(self.ubar_base * self.scale),
+                self.prob.matrix.dot(self.v))
 
     def check_consistency(self, tol: float = 1e-8) -> None:
         pbar, q = self.aggregates()
@@ -512,13 +503,12 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
     """
     m = prob.matrix
     indices, values, bound_at = m.indices, m.values, m.indptr.item
-    ubar_raw, stamps, v = state.ubar_raw, state.stamps, state.v
-    ubar_at, stamp_at, v_at = ubar_raw.item, stamps.item, v.item
-    pbar_base, q = state.pbar_base, state.q
+    ubar_base, v, pbar_base, q = state.ubar_base, state.v, state.pbar_base, state.q
+    ubar_at, v_at = ubar_base.item, v.item
     quad_weight_at, anchor_over_n_at = state.quad_weight.item, state.anchor_over_n.item
     rho, grad_scale, gamma_over_n = state.rho, state.grad_scale, state.gamma_over_n
     half_minus, half_plus, is_box = state.half_minus, state.half_plus, state.is_box
-    pbar_scale, k, h = state.pbar_scale, state.k, state.last_h
+    scale = state.scale
     for i in blocks.tolist():
         lo, hi = bound_at(i), bound_at(i + 1)
         idx = indices[lo:hi]
@@ -526,10 +516,11 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
         pbar_idx = pbar_base[idx]
         q_idx = q[idx]
 
-        ub_i = ubar_at(i) * rho ** float(k - stamp_at(i))
+        ub_base_i = ubar_at(i)
+        ub_i = ub_base_i * scale
         v_i = v_at(i)
         # ndarray.dot is numpy.dot without the module-level dispatch
-        a_dot = float(val.dot(pbar_idx)) * pbar_scale + float(val.dot(q_idx))
+        a_dot = float(val.dot(pbar_idx)) * scale + float(val.dot(q_idx))
         grad = a_dot * grad_scale + gamma_over_n * (ub_i + v_i)
 
         t0 = -ub_i + v_i
@@ -538,18 +529,19 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
             s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
         h = s - t0
 
-        ubar_raw[i] = rho * (ub_i - half_minus * h)
-        stamps[i] = k + 1
         v[i] = v_i + half_plus * h
         if h != 0.0:
-            pbar_base[idx] = pbar_idx - (half_minus * h / pbar_scale) * val
+            dp = half_minus * h / scale
+            ubar_base[i] = ub_base_i - dp
+            pbar_base[idx] = pbar_idx - dp * val
             q[idx] = q_idx + (half_plus * h) * val
-        pbar_scale *= rho
-        if pbar_scale < 1e-120:
-            pbar_base *= pbar_scale
-            pbar_scale = 1.0
-        k += 1
-    state.pbar_scale, state.k, state.last_h = pbar_scale, k, h
+        scale *= rho
+        if scale < 1e-120:
+            ubar_base *= scale
+            pbar_base *= scale
+            scale = 1.0
+    state.scale = scale
+    state.k += len(blocks)
     return state
 
 

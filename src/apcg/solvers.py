@@ -18,9 +18,10 @@ that touches one block of the pair (u, v) per iteration, with
 ``x = rho^k u + v``, ``y = rho^{k+1} u + v``, ``z = -rho^k u + v``.
 
 The efficient state stores the stabilized vector ``ubar = rho^{k+1} u``
-instead of u itself (u grows like rho^{-k}); the global per-iteration
-rho-scaling of untouched blocks is folded into per-block "last touched"
-stamps so each step costs O(N_i) outside the gradient oracle.
+instead of u itself (u grows like rho^{-k}), as ``ubar = scale * ubar_base``:
+the rho-scaling that every block receives each iteration is one scalar
+multiply, folded into ``ubar_base`` before it can underflow, so each step
+costs O(N_i) outside the gradient oracle.
 """
 
 from __future__ import annotations
@@ -137,14 +138,26 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
     return state
 
 
+def change_of_variables_rates(mu: float, n: int) -> tuple[float, float]:
+    """``alpha = sqrt(mu)/n`` and ``rho = (1 - alpha)/(1 + alpha)`` of the
+    change-of-variables form; raises ConfigurationError when rho <= 0."""
+    alpha = math.sqrt(mu) / n
+    rho = (1.0 - alpha) / (1.0 + alpha)
+    if rho <= 0.0:
+        raise ConfigurationError(
+            "rho = (1-alpha)/(1+alpha) degenerates at mu = 1, n = 1 (a single "
+            "perfectly conditioned coordinate); use an explicit variant")
+    return alpha, rho
+
+
 class ApcgEfficientState:
     """State of the change-of-variables form for ``mu > 0``.
 
-    Stores ``v`` and the stabilized ``ubar^{(k)} = rho^{k+1} u^{(k)}``.  The
-    rho-scaling that every untouched block of ubar receives each iteration is
-    applied lazily: block i keeps the value it had when last touched at
-    iteration ``stamp[i]`` and is multiplied by ``rho^(k - stamp[i])`` on
-    access.  Reconstructions:
+    Stores ``v`` and the stabilized ``ubar^{(k)} = rho^{k+1} u^{(k)}`` as
+    ``scale * ubar_base``.  Every iteration multiplies ``scale`` by rho, which
+    scales all of ubar at once; a step writes only its block of
+    ``ubar_base``, and ``scale`` is folded into ``ubar_base`` when it falls
+    below 1e-120.  Reconstructions:
 
         x = ubar / rho + v,   y = ubar + v,   z = -ubar / rho + v.
     """
@@ -152,29 +165,14 @@ class ApcgEfficientState:
     def __init__(self, x0: np.ndarray, problem: CompositeProblem, mu: float, seed: int):
         if not (mu > 0.0):
             raise ConfigurationError("efficient variant requires mu > 0")
-        n = problem.n
-        self.alpha = math.sqrt(mu) / n
-        self.rho = (1.0 - self.alpha) / (1.0 + self.alpha)
-        if self.rho <= 0.0:
-            raise ConfigurationError(
-                "rho = (1-alpha)/(1+alpha) degenerates at mu = 1, n = 1; "
-                "use an explicit variant")
-        self.partition = problem.partition
-        self.ubar_raw = np.zeros(problem.dim)
-        self.stamps = np.zeros(n, dtype=np.int64)
+        self.alpha, self.rho = change_of_variables_rates(mu, problem.n)
+        self.ubar_base = np.zeros(problem.dim)
+        self.scale = 1.0
         self.v = np.array(x0, dtype=float, copy=True)
-        self.k = 0
-        self.last_h: np.ndarray | None = None  # most recent block increment
-        self.sampler = BlockSampler(n, seed)
-
-    def ubar_block(self, i: int) -> np.ndarray:
-        decay = self.rho ** (self.k - int(self.stamps[i]))
-        return self.ubar_raw[self.partition.slice(i)] * decay
+        self.sampler = BlockSampler(problem.n, seed)
 
     def ubar_full(self) -> np.ndarray:
-        gaps = (self.k - self.stamps).astype(float)
-        factors = np.repeat(self.rho ** gaps, self.partition.sizes_array())
-        return self.ubar_raw * factors
+        return self.ubar_base * self.scale
 
     def x_full(self) -> np.ndarray:
         return self.ubar_full() / self.rho + self.v
@@ -193,25 +191,25 @@ def apcg_step_efficient(problem: CompositeProblem, state: ApcgEfficientState,
     The prox argument is ``Psi_i(-ubar_i + v_i + h)``; afterwards
     ``ubar_i <- rho (ubar_i - (1 - n a)/2 h)`` and
     ``v_i <- v_i + (1 + n a)/2 h`` while every other block of ubar scales by
-    rho through the lazy stamps.
+    rho through the shared ``scale``.
     """
     n = problem.n
     alpha, rho = state.alpha, state.rho
     i = state.sampler.draw() if forced_block is None else int(forced_block)
     sl = problem.partition.slice(i)
 
-    ubar_i = state.ubar_block(i)
-    t0 = -ubar_i + state.v[sl]
+    t0 = -state.ubar_base[sl] * state.scale + state.v[sl]
     grad_i = problem.smooth.partial_gradient(state.y_full(), i)
     weight = n * alpha * float(problem.smooth.lipschitz[i])
     s = block_prox(problem.reg, i, t0 - grad_i / weight, weight)
     h = s - t0
-    state.last_h = h
 
-    state.ubar_raw[sl] = rho * (ubar_i - 0.5 * (1.0 - n * alpha) * h)
-    state.stamps[i] = state.k + 1
+    state.ubar_base[sl] -= 0.5 * (1.0 - n * alpha) * h / state.scale
     state.v[sl] += 0.5 * (1.0 + n * alpha) * h
-    state.k += 1
+    state.scale *= rho
+    if state.scale < 1e-120:
+        state.ubar_base *= state.scale
+        state.scale = 1.0
     return state
 
 

@@ -257,10 +257,9 @@ def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:
     idx = m.indices[lo:hi]
     val = m.values[lo:hi]
 
-    rho = state.rho
-    ub_i = float(state.ubar_raw[i]) * rho ** float(state.k - state.stamps[i])
+    ub_i = float(state.ubar_base[i]) * state.scale
     v_i = float(state.v[i])
-    a_dot = float(val @ state.pbar_base[idx]) * state.pbar_scale + float(val @ state.q[idx])
+    a_dot = float(val @ state.pbar_base[idx]) * state.scale + float(val @ state.q[idx])
     grad = a_dot * state.grad_scale + state.gamma_over_n * (ub_i + v_i)
 
     t0 = -ub_i + v_i
@@ -270,18 +269,18 @@ def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:
         clipped = s < 0.0 or s > 1.0
         s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
     h = s - t0
-    state.last_h = h
 
-    state.ubar_raw[i] = rho * (ub_i - state.half_minus * h)
-    state.stamps[i] = state.k + 1
     state.v[i] = v_i + state.half_plus * h
     if h != 0.0:
-        state.pbar_base[idx] -= (state.half_minus * h / state.pbar_scale) * val
+        dp = state.half_minus * h / state.scale
+        state.ubar_base[i] -= dp
+        state.pbar_base[idx] -= dp * val
         state.q[idx] += (state.half_plus * h) * val
-    state.pbar_scale *= rho
-    if state.pbar_scale < 1e-120:
-        state.pbar_base *= state.pbar_scale
-        state.pbar_scale = 1.0
+    state.scale *= state.rho
+    if state.scale < 1e-120:
+        state.ubar_base *= state.scale
+        state.pbar_base *= state.scale
+        state.scale = 1.0
     state.k += 1
     return clipped
 

@@ -328,3 +328,15 @@ def test_check_invariants_negative_control():
 def test_main_check_exit_codes():
     assert main(["check"]) == 0
     assert main(["check", "--corrupt-alpha-root"]) == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # --jobs 1 starts no worker, so it should not pay for importing
+    # multiprocessing through concurrent.futures
+    env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import apcg.cli, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

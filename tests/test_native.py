@@ -1,6 +1,8 @@
 """The compiled-kernel loader: build, cache, fallback and argument checks."""
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,3 +157,23 @@ def test_address_checks():
     assert native.block_indices([0, 3], 4).dtype == np.int64
     with pytest.raises(IndexError):
         native.block_indices([4], 4)
+
+
+def test_signatures_match_the_c_definitions():
+    """Every ctypes signature agrees with its kernel's C definition, by arity
+    and by type class: ctypes cannot see the C side, so a mismatch would
+    pass the wrong bits or corrupt memory silently."""
+    source = re.sub(r"/\*.*?\*/", "", native.SOURCE.read_text(), flags=re.S)
+    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int}
+    result = {"void": None, **scalar}
+    for name, argtypes in native.SIGNATURES.items():
+        found = re.findall(rf"^(\w+)\s+{name}\s*\(([^)]*)\)\s*\{{", source, flags=re.M)
+        assert len(found) == 1, name
+        restype, params = found[0]
+        want = []
+        for param in params.split(","):
+            words = param.replace("*", " * ").split()
+            want.append(ctypes.c_void_p if "*" in words else scalar[words[-2]])
+        assert list(argtypes) == want, name
+        assert native.RESTYPES.get(name) is result[restype], name
+    assert set(native.RESTYPES) <= set(native.SIGNATURES)

@@ -121,7 +121,8 @@ def test_efficient_step_matches_z_increment_golden():
     eff = ApcgEfficientState(np.array([1.0, 1.0]), problem, 1.0, seed=0)
     assert np.allclose(eff.y_full(), [1.0, 1.0], atol=1e-15)  # u=0, v=x0
     apcg_step_efficient(problem, eff, forced_block=0)
-    assert eff.last_h == pytest.approx(np.array([-1.0]), abs=1e-14)
+    # h = -1: v_0 moves by (1 + n alpha)/2 h, which is h at n alpha = 1
+    assert eff.v == pytest.approx(np.array([0.0, 1.0]), abs=1e-14)
     assert np.allclose(eff.x_full(), [0.0, 1.0], atol=1e-14)
 
 
@@ -216,6 +217,25 @@ def test_efficient_rejects_degenerate_rho():
     problem = shifted_quadratic(np.zeros(1))
     with pytest.raises(ConfigurationError):
         ApcgEfficientState(np.zeros(1), problem, 1.0, seed=0)
+
+
+def test_efficient_matches_explicit_across_scale_folds():
+    # mu ~ 0.96 at n = 2 gives rho ~ 1/3, so scale falls below 1e-120 and is
+    # folded into ubar_base within about 250 steps
+    problem = diag_dominant_quadratic(2, seed=1, dominance=10.0).problem
+    mu = problem.smooth.mu
+    sched = ApcgSchedule(2, mu, mu)
+    exp = ApcgExplicitState.start(np.zeros(2), seed=3, n_blocks=2)
+    eff = ApcgEfficientState(np.zeros(2), problem, mu, seed=3)
+    assert eff.rho < 0.35
+    folds = 0
+    for _ in range(600):
+        scale = eff.scale
+        apcg_step_general(problem, exp, sched)
+        apcg_step_efficient(problem, eff)
+        folds += eff.scale > scale  # the scale only grows at a fold
+        assert np.max(np.abs(eff.x_full() - exp.x)) <= 1e-8
+    assert folds >= 1
 
 
 def test_mixed_block_sizes_equivalence_and_lipschitz():
