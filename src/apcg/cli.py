@@ -24,7 +24,7 @@ from . import baselines, erm, native
 from .data import DatasetMeta, parse_libsvm, synth_binary
 from .errors import ConfigurationError, ParseError
 from .instances import diag_dominant_quadratic
-from .schedule import ApcgSchedule, solve_alpha, theta_coefficients
+from .schedule import ApcgSchedule, _alpha_root, theta_coefficients
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       apcg_step_efficient, apcg_step_general, solve)
 
@@ -229,30 +229,29 @@ class CheckResult:
 
 
 def _check_schedule(corrupt_alpha_root: bool) -> CheckResult:
-    solver = None
-    if corrupt_alpha_root:
-        def solver(gamma_k, mu, n):  # noqa: F811 - deliberate test hook
-            return solve_alpha(gamma_k, mu, n) * (1.0 + 1e-6)
+    def corrupted(gamma_k, mu, n):  # deliberate test hook
+        return _alpha_root(gamma_k, mu, n) * (1.0 + 1e-6)
     worst = 0.0
     steps = 10_000
     for n in (1, 2, 10, 1000):
         for mu in (0.0, 1e-6, 0.01, 1.0):
             for gamma0 in (max(mu, 0.1), 1.0):
-                sched = ApcgSchedule(n, mu, gamma0, _alpha_solver=solver)
+                sched = ApcgSchedule(n, mu, gamma0, corrupted if corrupt_alpha_root else None)
+                alphas, gammas, _, lams = sched.history(steps)
                 lo = math.sqrt(mu) / n
-                for k in range(steps):
-                    alpha, gamma_next, _ = sched.step()
-                    if not (lo - 1e-15 <= alpha <= 1.0 / n + 1e-15):
+                escaped = ~((lo - 1e-15 <= alphas) & (alphas <= 1.0 / n + 1e-15))
+                resid = np.abs(gammas[1:] - (n * alphas) ** 2) / np.maximum(gammas[1:], 1e-300)
+                # report the first failing k, the alpha bound before the residual
+                failing = np.flatnonzero(escaped | (resid > 1e-12))
+                if failing.size:
+                    k = int(failing[0])
+                    if escaped[k]:
                         return CheckResult("schedule", False,
                                            f"alpha escaped bounds at n={n} mu={mu} k={k}")
-                    resid = abs(gamma_next - (n * alpha) ** 2) / max(gamma_next, 1e-300)
-                    worst = max(worst, resid)
-                    if resid > 1e-12:
-                        return CheckResult("schedule", False,
-                                           f"gamma != (n alpha)^2 at n={n} mu={mu} k={k}: {resid:.2e}")
-                lam = np.asarray(sched.lambdas)
-                bound = np.array([sched.rate_bound(k) for k in range(steps + 1)])
-                if np.any(lam > bound * (1.0 + 1e-12) + 1e-300):
+                    return CheckResult("schedule", False,
+                                       f"gamma != (n alpha)^2 at n={n} mu={mu} k={k}: {resid[k]:.2e}")
+                worst = max(worst, float(resid.max()))
+                if np.any(lams > sched.rate_bound(np.arange(steps + 1)) * (1.0 + 1e-12) + 1e-300):
                     return CheckResult("schedule", False,
                                        f"lambda_k exceeded its bound at n={n} mu={mu}")
     return CheckResult("schedule", True, f"worst |gamma-(n a)^2| rel err {worst:.2e}")
@@ -305,9 +304,9 @@ def _check_equivalence() -> CheckResult:
     inst = diag_dominant_quadratic(20, seed=5, l1=0.1)
     problem = inst.problem
     mu = problem.smooth.mu
-    sched = ApcgSchedule(problem.n, mu, mu)  # the constant strongly convex schedule
     worst = 0.0
     for seed in (0, 1):
+        sched = ApcgSchedule(problem.n, mu, mu)  # the constant strongly convex schedule
         explicit = ApcgExplicitState.start(np.zeros(problem.dim), seed=seed,
                                            n_blocks=problem.n)
         fast = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=seed)
@@ -362,12 +361,9 @@ def _check_envelope() -> CheckResult:
     sched = ApcgSchedule(problem.n, problem.smooth.mu, gamma0)
     # skip epochs whose theoretical bound is below what doubles can resolve
     floor = 1e-12 * max(1.0, abs(fstar))
-    ratio = 0.0
-    for j, gap in enumerate(mean_gap):
-        k = j * problem.n
-        bound = sched.rate_bound(k) * budget
-        if bound >= floor:
-            ratio = max(ratio, gap / bound)
+    bounds = sched.rate_bound(problem.n * np.arange(mean_gap.size)) * budget
+    resolved = bounds >= floor
+    ratio = float(np.max(mean_gap[resolved] / bounds[resolved], initial=0.0))
     passed = ratio <= 1.2
     return CheckResult("envelope", passed, f"max (F-F*)/bound = {ratio:.3f}")
 

@@ -20,19 +20,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def solve_alpha(gamma_k: float, mu: float, n: int) -> float:
-    """Root in (0, 1/n] of ``n^2 a^2 = (1 - a) gamma_k + a mu``.
-
-    Uses the rationalized closed form ``2 gamma / (b + sqrt(b^2 + 4 n^2 gamma))``
-    with ``b = gamma_k - mu`` when ``b >= 0`` to avoid cancellation.
-    """
-    if not (0.0 < gamma_k <= 1.0):
-        raise ConfigurationError(f"gamma_k must lie in (0, 1], got {gamma_k}")
-    if not (0.0 <= mu <= 1.0):
-        raise ConfigurationError(f"mu must lie in [0, 1], got {mu}")
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError(f"block count must be >= 1, got {n}")
+def _alpha_root(gamma_k: float, mu: float, n: int) -> float:
+    """:func:`solve_alpha` without input checks, for a schedule whose
+    constructor checked them and whose recursion keeps gamma_k in [mu, gamma0]."""
     b = gamma_k - mu
     disc = math.sqrt(b * b + 4.0 * n * n * gamma_k)
     if b >= 0.0:
@@ -51,58 +41,74 @@ def solve_alpha(gamma_k: float, mu: float, n: int) -> float:
     return alpha
 
 
+def solve_alpha(gamma_k: float, mu: float, n: int) -> float:
+    """Root in (0, 1/n] of ``n^2 a^2 = (1 - a) gamma_k + a mu``.
+
+    Uses the rationalized closed form ``2 gamma / (b + sqrt(b^2 + 4 n^2 gamma))``
+    with ``b = gamma_k - mu`` when ``b >= 0`` to avoid cancellation.
+    """
+    if not (0.0 < gamma_k <= 1.0):
+        raise ConfigurationError(f"gamma_k must lie in (0, 1], got {gamma_k}")
+    if not (0.0 <= mu <= 1.0):
+        raise ConfigurationError(f"mu must lie in [0, 1], got {mu}")
+    n = int(n)
+    if n < 1:
+        raise ConfigurationError(f"block count must be >= 1, got {n}")
+    return _alpha_root(gamma_k, mu, n)
+
+
 class ApcgSchedule:
-    """Generates and records the (alpha_k, gamma_k, beta_k, lambda_k) history.
+    """Steps the (alpha_k, gamma_k, beta_k, lambda_k) recursion in O(1) memory:
+    it holds ``k``, ``gamma`` (gamma_k) and ``lam`` (lambda_k) and serves one
+    solver run; :meth:`history` records the sequence as arrays.
 
     Valid initializations require ``0 < gamma0 <= 1`` and ``gamma0 >= mu``.
     With ``gamma0 == mu > 0`` the schedule is constant:
     ``gamma_k = mu`` and ``alpha_k = beta_k = sqrt(mu)/n`` for all k.
     """
 
+    __slots__ = ("n", "mu", "gamma0", "k", "gamma", "lam", "_root")
+
     def __init__(self, n: int, mu: float, gamma0: float, _alpha_solver=None):
         n = int(n)
-        if n < 1:
-            raise ConfigurationError(f"block count must be >= 1, got {n}")
-        if not (0.0 <= mu <= 1.0):
-            raise ConfigurationError(f"mu must lie in [0, 1], got {mu}")
-        if not (0.0 < gamma0 <= 1.0) or gamma0 < mu:
-            raise ConfigurationError(
-                f"gamma0 must lie in (0, 1] with gamma0 >= mu; got gamma0={gamma0}, mu={mu}")
+        if not (n >= 1 and 0.0 <= mu <= gamma0 <= 1.0 and gamma0 > 0.0):
+            raise ConfigurationError("need n >= 1 and 0 <= mu <= gamma0 <= 1 with gamma0 > 0; "
+                                     f"got n={n}, mu={mu}, gamma0={gamma0}")
         self.n = n
         self.mu = float(mu)
         self.gamma0 = float(gamma0)
-        self.alphas: list[float] = []
-        self.gammas: list[float] = [float(gamma0)]
-        self.betas: list[float] = []
-        self.lambdas: list[float] = [1.0]
-        self._solve = _alpha_solver if _alpha_solver is not None else solve_alpha
-
-    @property
-    def steps_taken(self) -> int:
-        return len(self.alphas)
+        self.k = 0
+        self.gamma = self.gamma0
+        self.lam = 1.0
+        self._root = _alpha_solver if _alpha_solver is not None else _alpha_root
 
     def step(self) -> tuple[float, float, float]:
         """Advance one iteration; returns (alpha_k, gamma_{k+1}, beta_k)."""
-        gamma_k = self.gammas[-1]
-        alpha = self._solve(gamma_k, self.mu, self.n)
+        gamma_k = self.gamma
+        alpha = self._root(gamma_k, self.mu, self.n)
         gamma_next = (1.0 - alpha) * gamma_k + alpha * self.mu
         beta = alpha * self.mu / gamma_next
-        self.alphas.append(alpha)
-        self.gammas.append(gamma_next)
-        self.betas.append(beta)
-        self.lambdas.append(self.lambdas[-1] * (1.0 - alpha))
+        self.k += 1
+        self.gamma = gamma_next
+        self.lam *= 1.0 - alpha
         return alpha, gamma_next, beta
 
-    def advance(self, k: int) -> None:
-        """Ensure at least k iterations of history exist."""
-        while self.steps_taken < k:
-            self.step()
+    def history(self, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(alphas, gammas, betas, lambdas)`` of a fresh copy of this schedule
+        for k < steps (gammas and lambdas also at k = steps); it does not move."""
+        fresh = ApcgSchedule(self.n, self.mu, self.gamma0, self._root)
+        alphas, betas = [0.0] * steps, [0.0] * steps
+        gammas, lams = [fresh.gamma] * (steps + 1), [fresh.lam] * (steps + 1)
+        for k in range(steps):
+            alphas[k], gammas[k + 1], betas[k] = fresh.step()
+            lams[k + 1] = fresh.lam
+        return np.array(alphas), np.array(gammas), np.array(betas), np.array(lams)
 
-    def rate_bound(self, k: int) -> float:
-        """min{(1 - sqrt(mu)/n)^k, (2n / (2n + k sqrt(gamma0)))^2}."""
+    def rate_bound(self, k):
+        """min{(1 - sqrt(mu)/n)^k, (2n / (2n + k sqrt(gamma0)))^2}, k an int or an array."""
         linear = (1.0 - math.sqrt(self.mu) / self.n) ** k
         sub = (2.0 * self.n / (2.0 * self.n + k * math.sqrt(self.gamma0))) ** 2
-        return min(linear, sub)
+        return np.minimum(linear, sub)
 
 
 def theta_coefficients(sched: ApcgSchedule, k: int) -> np.ndarray:
@@ -121,17 +127,17 @@ def theta_coefficients(sched: ApcgSchedule, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
-    sched.advance(k)
+    alphas, gammas, _, _ = (h.tolist() for h in sched.history(k))
     n, mu = sched.n, sched.mu
     theta = np.array([1.0])
     for j in range(k):
-        a_j = sched.alphas[j]
+        a_j = alphas[j]
         if j == 0:
             theta = np.array([1.0 - n * a_j, n * a_j])
             continue
-        a_prev = sched.alphas[j - 1]
-        g_j = sched.gammas[j]
-        g_next = sched.gammas[j + 1]
+        a_prev = alphas[j - 1]
+        g_j = gammas[j]
+        g_next = gammas[j + 1]
         denom = a_j * g_j + g_next
         scale = (1.0 - mu / n) * g_next / denom
         mid = ((1.0 - mu / n) * (a_j * g_j + n * a_prev * g_next) / denom

@@ -106,15 +106,13 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
 
     y is formed from (x, z), the selected block of z is replaced by the prox
     solution while the other blocks move to ``(1-beta) z + beta y``, and x
-    changes only on the selected block.
+    changes only on the selected block.  ``sched`` serves this run alone.
     """
     k = state.k
-    if sched.steps_taken <= k:
-        sched.advance(k + 1)
-    alpha = sched.alphas[k]
-    gamma_k = sched.gammas[k]
-    gamma_next = sched.gammas[k + 1]
-    beta = sched.betas[k]
+    if sched.k != k:
+        raise ConfigurationError(f"schedule at iteration {sched.k}, state at {k}: one per run")
+    gamma_k = sched.gamma
+    alpha, gamma_next, beta = sched.step()
     n = problem.n
     mu = sched.mu
 

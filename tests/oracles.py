@@ -7,7 +7,8 @@ spectral norms, an exact active-set QP solve for the smoothed-hinge dual
 optimum, and a direct deterministic accelerated gradient recursion.  The
 plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
-subgradient) are kept here as references too.
+subgradient, the explicit step on recorded schedule lists, the per-step
+schedule check) are kept here as references too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import numpy as np
 import scipy.optimize
 
+from apcg import schedule
+from apcg.cli import CheckResult
 from apcg.core import block_prox
 from apcg.erm import (DUAL_DOMAIN_ATOL, ErmProblem, PrimalDualReport,
                       dual_objective, erm_constants)
@@ -426,6 +429,67 @@ def apcg_step_nsc_reference(problem, state, alpha_prev: float, forced_block=None
 
     state.x, state.z, state.y, state.k = x_new, z_new, y, state.k + 1
     return state, alpha
+
+
+def apcg_step_general_reference(problem, state, history, forced_block=None):
+    """``apcg.solvers.apcg_step_general`` reading its coefficients from the
+    schedule lists ``history = (alphas, gammas, betas, mu)`` at ``state.k``,
+    as the stepper did while the schedule kept its history."""
+    alphas, gammas, betas, mu = history
+    k = state.k
+    alpha, gamma_k, gamma_next, beta = alphas[k], gammas[k], gammas[k + 1], betas[k]
+    n = problem.n
+
+    x, z = state.x, state.z
+    y = (alpha * gamma_k * z + gamma_next * x) / (alpha * gamma_k + gamma_next)
+    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    center = (1.0 - beta) * z + beta * y if beta != 0.0 else z.copy()
+    weight = n * alpha * float(problem.smooth.lipschitz[i])
+    s = _block_prox_update(problem, y, center, i, weight)
+
+    sl = problem.partition.slice(i)
+    z_i_old = z[sl].copy()
+    z_new = center
+    z_new[sl] = s
+    x_new = y.copy()
+    x_new[sl] = y[sl] + n * alpha * (s - z_i_old) + (mu / n) * (z_i_old - y[sl])
+
+    state.x, state.z, state.y, state.k = x_new, z_new, y, k + 1
+    return state
+
+
+def check_schedule_reference(corrupt_alpha_root: bool) -> CheckResult:
+    """The per-step form of ``apcg.cli._check_schedule``: every step is
+    checked as it is taken, and ``rate_bound`` is called once per k."""
+    solver = None
+    if corrupt_alpha_root:
+        def solver(gamma_k, mu, n):
+            return schedule._alpha_root(gamma_k, mu, n) * (1.0 + 1e-6)
+    worst = 0.0
+    steps = 10_000
+    for n in (1, 2, 10, 1000):
+        for mu in (0.0, 1e-6, 0.01, 1.0):
+            for gamma0 in (max(mu, 0.1), 1.0):
+                sched = schedule.ApcgSchedule(n, mu, gamma0, _alpha_solver=solver)
+                lo = math.sqrt(mu) / n
+                lambdas = [sched.lam]
+                for k in range(steps):
+                    alpha, gamma_next, _ = sched.step()
+                    lambdas.append(sched.lam)
+                    if not (lo - 1e-15 <= alpha <= 1.0 / n + 1e-15):
+                        return CheckResult("schedule", False,
+                                           f"alpha escaped bounds at n={n} mu={mu} k={k}")
+                    resid = abs(gamma_next - (n * alpha) ** 2) / max(gamma_next, 1e-300)
+                    worst = max(worst, resid)
+                    if resid > 1e-12:
+                        return CheckResult("schedule", False,
+                                           f"gamma != (n alpha)^2 at n={n} mu={mu} k={k}: {resid:.2e}")
+                lam = np.asarray(lambdas)
+                bound = np.array([sched.rate_bound(k) for k in range(steps + 1)])
+                if np.any(lam > bound * (1.0 + 1e-12) + 1e-300):
+                    return CheckResult("schedule", False,
+                                       f"lambda_k exceeded its bound at n={n} mu={mu}")
+    return CheckResult("schedule", True, f"worst |gamma-(n a)^2| rel err {worst:.2e}")
 
 
 # Agreement of the compiled kernels with the Python reference kernels: the

@@ -47,8 +47,10 @@ def test_schedule_invariants_full_grid():
                 sched = ApcgSchedule(n, mu, gamma0)
                 lo = math.sqrt(mu) / n
                 prev_alpha = prev_gamma = math.inf
+                lams = [sched.lam]
                 for _ in range(steps):
                     alpha, gamma_next, _ = sched.step()
+                    lams.append(sched.lam)
                     assert lo * (1 - 1e-12) <= alpha <= (1.0 / n) * (1 + 1e-12)
                     assert mu * (1 - 1e-12) <= gamma_next <= 1.0 + 1e-12
                     assert alpha <= prev_alpha * (1 + 1e-12)
@@ -57,8 +59,8 @@ def test_schedule_invariants_full_grid():
                     worst_resid = max(worst_resid, resid)
                     assert resid <= 1e-12
                     prev_alpha, prev_gamma = alpha, gamma_next
-                lams = np.asarray(sched.lambdas)
-                bounds = np.array([sched.rate_bound(k) for k in range(steps + 1)])
+                lams = np.asarray(lams)
+                bounds = sched.rate_bound(np.arange(steps + 1))
                 # compare where the bound is representable in doubles; past
                 # that point both sides have underflowed.  The 1e-12 slack
                 # matches the criterion's relative-tolerance regime.
@@ -80,9 +82,9 @@ def test_explicit_and_uv_forms_are_equivalent(lasso20):
     start = time.perf_counter()
     problem = lasso20.problem
     mu = problem.smooth.mu
-    sched = ApcgSchedule(problem.n, mu, mu)
     worst = 0.0
     for seed in range(5):
+        sched = ApcgSchedule(problem.n, mu, mu)
         exp = ApcgExplicitState.start(np.zeros(problem.dim), seed=seed,
                                       n_blocks=problem.n)
         eff = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=seed)
@@ -353,10 +355,10 @@ def test_single_block_update_solves_full_argmin():
         for _ in range(3):
             apcg_step_general(problem, state, sched)
         k = state.k
-        sched.advance(k + 1)
-        alpha = sched.alphas[k]
-        gamma_k, gamma_next = sched.gammas[k], sched.gammas[k + 1]
-        beta = sched.betas[k]
+        alphas, gammas, betas, _ = sched.history(k + 1)
+        alpha = alphas[k]
+        gamma_k, gamma_next = gammas[k], gammas[k + 1]
+        beta = betas[k]
         y = (alpha * gamma_k * state.z + gamma_next * state.x) \
             / (alpha * gamma_k + gamma_next)
         center = (1 - beta) * state.z + beta * y

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 import apcg
-from apcg import cli
+from apcg import cli, schedule
 from apcg.cli import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig,
                       _config_from_args, build_parser, check_invariants,
                       load_config_file, main, run_experiment)
 from apcg.errors import ConfigurationError
+
+import oracles
 
 
 def small_config(tmp_path, **overrides):
@@ -325,9 +327,64 @@ def test_check_invariants_negative_control():
     assert not schedule_check.passed
 
 
-def test_main_check_exit_codes():
+def test_main_check_exit_codes(capsys):
+    # both schedule lines come from scalar IEEE arithmetic only, so they
+    # are the same on every platform
     assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[PASS] schedule: worst |gamma-(n a)^2| rel err 8.88e-16"
+    assert len(lines) == 6 and all(line.startswith("[PASS] ") for line in lines)
     assert main(["check", "--corrupt-alpha-root"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] schedule: gamma != (n alpha)^2 at n=1 mu=0.0 k=0: 2.37e-06"
+    assert all(line.startswith("[PASS] ") for line in lines[1:])
+
+
+def _scaled_root(factor):
+    """A corrupted alpha root: the true root times ``factor(gamma, mu, n)``."""
+    true_root = schedule._alpha_root
+    return lambda gamma_k, mu, n: true_root(gamma_k, mu, n) * factor(gamma_k, mu, n)
+
+
+@pytest.mark.parametrize("root, detail", [
+    (None, "worst |gamma-(n a)^2| rel err"),
+    # twice the root at n = 1 stays inside (0, 1] but breaks the residual
+    (_scaled_root(lambda g, mu, n: 2.0 if n == 1 else 1.0),
+     "gamma != (n alpha)^2 at n=1 mu=0.0 k=0:"),
+    # off only once gamma_k falls below 0.05, so the first failing k > 0
+    (_scaled_root(lambda g, mu, n: 1.0 + 1e-6 if g < 0.05 else 1.0),
+     "gamma != (n alpha)^2 at n=1 mu=0.0 k=3:"),
+    # alpha = 2 > 1/n at n = 1, mu = 1, where gamma stays 1
+    (_scaled_root(lambda g, mu, n: 2.0 if mu == 1.0 else 1.0),
+     "alpha escaped bounds at n=1 mu=1.0 k=0"),
+    # half the root near gamma = mu drops below sqrt(mu)/n, and breaks the
+    # residual at the same k: the alpha bound is reported first
+    (_scaled_root(lambda g, mu, n: 0.5 if g < 1.1 * mu else 1.0),
+     "alpha escaped bounds at n=1 mu=1e-06 k=3727"),
+])
+def test_array_schedule_check_matches_the_per_step_reference(monkeypatch, root, detail):
+    if root is not None:
+        monkeypatch.setattr(schedule, "_alpha_root", root)
+    got = cli._check_schedule(False)
+    assert got == oracles.check_schedule_reference(False)
+    assert got.detail.startswith(detail)
+    assert got.passed == (root is None)
+
+
+def test_array_schedule_check_matches_the_reference_on_the_cli_corruption():
+    got = cli._check_schedule(True)
+    assert got == oracles.check_schedule_reference(True)
+    assert not got.passed
+
+
+def test_array_schedule_check_matches_the_reference_on_a_broken_rate_bound(monkeypatch):
+    true_bound = schedule.ApcgSchedule.rate_bound
+    monkeypatch.setattr(schedule.ApcgSchedule, "rate_bound",
+                        lambda self, k: true_bound(self, k) * (0.5 if self.mu == 0.01 else 1.0))
+    got = cli._check_schedule(False)
+    assert got == oracles.check_schedule_reference(False)
+    assert got == cli.CheckResult("schedule", False,
+                                  "lambda_k exceeded its bound at n=1 mu=0.01")
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from apcg.errors import ConfigurationError
-from apcg.schedule import ApcgSchedule, solve_alpha, theta_coefficients
+from apcg.schedule import ApcgSchedule, _alpha_root, solve_alpha, theta_coefficients
+
+# the grid of `apcg-bench check`'s schedule line: (n, mu, gamma0)
+CHECK_GRID = [(n, mu, gamma0) for n in (1, 2, 10, 1000) for mu in (0.0, 1e-6, 0.01, 1.0)
+              for gamma0 in (max(mu, 0.1), 1.0)]
 
 
 def test_solve_alpha_constant_schedule_point():
@@ -48,6 +52,54 @@ def test_solve_alpha_input_validation():
         solve_alpha(0.5, 2.0, 3)
     with pytest.raises(ConfigurationError):
         solve_alpha(0.5, 0.1, 0)
+    with pytest.raises(ConfigurationError):
+        solve_alpha(math.nan, 0.1, 3)
+    with pytest.raises(ConfigurationError):
+        solve_alpha(0.5, math.nan, 3)
+    with pytest.raises(ConfigurationError):
+        solve_alpha(0.5, 0.1, -2)
+
+
+def test_unchecked_root_is_solve_alpha_bitwise_on_the_check_grid():
+    for n, mu, gamma0 in CHECK_GRID:
+        alphas, gammas, _, _ = ApcgSchedule(n, mu, gamma0).history(2000)
+        for g in gammas.tolist():
+            assert _alpha_root(g, mu, n) == solve_alpha(g, mu, n)
+        # alpha = 1/n at mu = gamma = 1, the top of (0, 1/n]
+        assert _alpha_root(1.0, 1.0, n) == solve_alpha(1.0, 1.0, n) == 1.0 / n
+
+
+def test_history_is_the_step_sequence_and_leaves_the_schedule_alone():
+    for n, mu, gamma0 in CHECK_GRID:
+        sched = ApcgSchedule(n, mu, gamma0)
+        sched.step()
+        alphas, gammas, betas, lambdas = sched.history(300)
+        assert sched.k == 1
+        assert (alphas.size, gammas.size, betas.size, lambdas.size) == (300, 301, 300, 301)
+        fresh = ApcgSchedule(n, mu, gamma0)
+        assert (gammas[0], lambdas[0]) == (fresh.gamma, fresh.lam) == (gamma0, 1.0)
+        for k in range(300):
+            assert fresh.step() == (alphas[k], gammas[k + 1], betas[k])
+            assert fresh.lam == lambdas[k + 1]
+    assert [h.size for h in ApcgSchedule(3, 0.0, 1.0).history(0)] == [0, 1, 0, 1]
+
+
+def test_rate_bound_array_form_drifts_at_most_one_ulp():
+    # rate_bound evaluates numpy's power on an array of k; it may round
+    # differently from Python's scalar ``**`` (measured <= 2.2e-16 relative
+    # on this grid).  Below the smallest normal double an ulp is absolute,
+    # so the drift is measured against max(|want|, tiny).
+    tiny = np.finfo(float).tiny
+    ks = np.arange(10_001)
+    for n, mu, gamma0 in CHECK_GRID:
+        sched = ApcgSchedule(n, mu, gamma0)
+        got = sched.rate_bound(ks)
+        want = np.array([min((1.0 - math.sqrt(mu) / n) ** k,
+                             (2.0 * n / (2.0 * n + k * math.sqrt(gamma0))) ** 2)
+                         for k in range(ks.size)])
+        assert np.all(np.abs(got - want) <= 4.5e-16 * np.maximum(want, tiny))
+        # an int k keeps Python's scalar arithmetic
+        assert sched.rate_bound(17) == want[17]
 
 
 def test_schedule_constant_when_gamma0_equals_mu():
@@ -71,8 +123,8 @@ def test_schedule_beta_zero_when_mu_zero():
 def test_schedule_lambda4_bound_example():
     # mu=0, gamma0=1, n=2: lambda_4 <= (2n/(2n+4))^2 = 0.25
     sched = ApcgSchedule(2, 0.0, 1.0)
-    sched.advance(4)
-    assert sched.lambdas[4] <= 0.25
+    lambdas = sched.history(4)[3]
+    assert lambdas[4] <= 0.25
     assert sched.rate_bound(4) == pytest.approx(0.25)
 
 
@@ -94,8 +146,10 @@ def test_schedule_sequence_properties(n, mu):
         sched = ApcgSchedule(n, mu, gamma0)
         lo = math.sqrt(mu) / n
         prev_alpha, prev_gamma = math.inf, math.inf
+        lambdas = [sched.lam]
         for k in range(1000):
             alpha, gamma_next, _ = sched.step()
+            lambdas.append(sched.lam)
             assert lo * (1 - 1e-12) <= alpha <= (1.0 / n) * (1 + 1e-12)
             assert mu * (1 - 1e-12) <= gamma_next <= 1.0 + 1e-12
             assert alpha <= prev_alpha * (1 + 1e-12)
@@ -104,13 +158,13 @@ def test_schedule_sequence_properties(n, mu):
             assert resid <= 1e-12 * gamma_next
             prev_alpha, prev_gamma = alpha, gamma_next
         for k in range(0, 1001, 50):
-            assert sched.lambdas[k] <= sched.rate_bound(k) * (1 + 1e-12)
+            assert lambdas[k] <= sched.rate_bound(k) * (1 + 1e-12)
 
 
 def test_theta_k1_is_two_point_combination():
     sched = ApcgSchedule(3, 0.2, 1.0)
     theta = theta_coefficients(sched, 1)
-    a0 = sched.alphas[0]
+    a0 = sched.history(1)[0][0]
     assert theta == pytest.approx([1 - 3 * a0, 3 * a0], abs=1e-15)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_general_step_two_block_golden():
     sched = ApcgSchedule(2, 1.0, 1.0)
     state = ApcgExplicitState.start(np.array([1.0, 1.0]), seed=0, n_blocks=2)
     apcg_step_general(problem, state, sched, forced_block=0)
-    assert sched.alphas[0] == pytest.approx(0.5, abs=1e-15)
+    assert sched.history(1)[0][0] == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(state.y, [1.0, 1.0], atol=1e-15)
     assert np.allclose(state.z, [0.0, 1.0], atol=1e-14)
     assert np.allclose(state.x, [0.0, 1.0], atol=1e-14)
@@ -132,9 +133,8 @@ def test_nsc_alpha_recursion_values():
     assert alpha0 == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
     # with mu = 0 the schedule follows alpha_k^2 = (1 - alpha_k) alpha_{k-1}^2
     for n in (2, 3, 10, 100):
-        sched = ApcgSchedule(n, 0.0, 1.0)
-        sched.advance(50)
-        for prev, a in zip(sched.alphas, sched.alphas[1:]):
+        alphas = ApcgSchedule(n, 0.0, 1.0).history(50)[0].tolist()
+        for prev, a in zip(alphas, alphas[1:]):
             a2 = prev * prev
             assert a == pytest.approx(0.5 * (math.sqrt(a2 * a2 + 4.0 * a2) - a2), rel=1e-13)
 
@@ -147,6 +147,53 @@ def test_nsc_alpha_decreasing_to_zero():
         assert a < prev
         prev = a
     assert a < 1e-3
+
+
+@pytest.mark.parametrize("preset", ["general", "strongly_convex", "non_strongly_convex"])
+def test_general_step_is_bitwise_the_history_indexed_step(lasso20, preset):
+    problem = lasso20.problem
+    n, mu = problem.n, problem.smooth.mu
+    sched = {"general": ApcgSchedule(n, mu, 1.0),
+             "strongly_convex": ApcgSchedule(n, mu, mu),
+             "non_strongly_convex": ApcgSchedule(n, 0.0, 1.0)}[preset]
+    alphas, gammas, betas, _ = (h.tolist() for h in sched.history(500))
+    history = (alphas, gammas, betas, sched.mu)
+    got = ApcgExplicitState.start(np.zeros(problem.dim), seed=7, n_blocks=n)
+    want = ApcgExplicitState.start(np.zeros(problem.dim), seed=7, n_blocks=n)
+    for _ in range(500):
+        apcg_step_general(problem, got, sched)
+        oracles.apcg_step_general_reference(problem, want, history)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
+        assert np.array_equal(got.y, want.y)
+    assert sched.k == got.k == 500
+
+
+def test_schedule_serves_exactly_one_run():
+    problem = shifted_quadratic(np.array([0.5, -1.0]))
+    sched = ApcgSchedule(2, 0.25, 1.0)
+    first = ApcgExplicitState.start(np.zeros(2), seed=0, n_blocks=2)
+    apcg_step_general(problem, first, sched)
+    # a second state would start at iteration 0 on a schedule at 1
+    second = ApcgExplicitState.start(np.zeros(2), seed=1, n_blocks=2)
+    with pytest.raises(ConfigurationError):
+        apcg_step_general(problem, second, sched)
+    # a schedule stepped ahead of its state
+    sched.step()
+    with pytest.raises(ConfigurationError):
+        apcg_step_general(problem, first, sched)
+    assert (first.k, second.k, sched.k) == (1, 0, 2)
+
+
+def test_long_schedule_runs_in_bounded_memory(lasso20):
+    # the schedule keeps O(1) state, so 5 x 10^4 steps need no more memory
+    # than a few iterate vectors
+    tracemalloc.start()
+    try:
+        solve(lasso20.problem, "strongly_convex", max_iters=50_000, trace_every=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1e6
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +225,12 @@ def test_nsc_equals_general_with_mu_zero(lasso20):
         s_nsc = ApcgExplicitState.start(np.zeros(problem.dim), seed=9, n_blocks=n)
         s_gen = ApcgExplicitState.start(np.zeros(problem.dim), seed=9, n_blocks=n)
         sched = ApcgSchedule(n, 0.0, (n * alpha_prev) ** 2)
+        alphas = sched.history(300)[0]
         dev = 0.0
         for k in range(300):
             _, alpha_prev = oracles.apcg_step_nsc_reference(problem, s_nsc, alpha_prev)
             apcg_step_general(problem, s_gen, sched)
-            assert sched.alphas[k] == pytest.approx(alpha_prev, rel=1e-12)
+            assert alphas[k] == pytest.approx(alpha_prev, rel=1e-12)
             dev = max(dev, float(np.max(np.abs(s_nsc.x - s_gen.x))),
                       float(np.max(np.abs(s_nsc.z - s_gen.z))))
         assert dev <= 1e-10
@@ -192,8 +240,8 @@ def test_efficient_reconstructions_match_explicit(lasso20):
     problem = lasso20.problem
     mu = problem.smooth.mu
     alpha = math.sqrt(mu) / problem.n
-    sched = ApcgSchedule(problem.n, mu, mu)
     for seed in (0, 1, 2):
+        sched = ApcgSchedule(problem.n, mu, mu)
         exp = ApcgExplicitState.start(np.zeros(problem.dim), seed=seed,
                                       n_blocks=problem.n)
         eff = ApcgEfficientState(np.zeros(problem.dim), problem, mu, seed=seed)
@@ -278,9 +326,9 @@ def test_z_update_matches_full_argmin_small():
     for _ in range(3):
         apcg_step_general(problem, state, sched)
     k = state.k
-    sched.advance(k + 1)
-    alpha, gamma_k, gamma_next = sched.alphas[k], sched.gammas[k], sched.gammas[k + 1]
-    beta = sched.betas[k]
+    alphas, gammas, betas, _ = sched.history(k + 1)
+    alpha, gamma_k, gamma_next = alphas[k], gammas[k], gammas[k + 1]
+    beta = betas[k]
     y = (alpha * gamma_k * state.z + gamma_next * state.x) / (alpha * gamma_k + gamma_next)
     center = (1 - beta) * state.z + beta * y
     grad = problem.smooth.full_gradient(y)
