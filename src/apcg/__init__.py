@@ -12,7 +12,6 @@ from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
 from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
                   SmoothedHingeLoss, SquareLoss, complexity_estimate,
                   dual_composite, dual_objective, erm_constants,
-                  full_prox_gap_bound, full_prox_step, gap_by_dual_bound,
                   primal_objective, run_epochs, solve_erm)
 from .baselines import AfgState, afg_step, sdca_epoch
 from .data import (DatasetMeta, SparseColMatrix, parse_libsvm, spectral_norm,

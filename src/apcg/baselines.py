@@ -4,9 +4,11 @@ accelerated full gradient (AFG) with backtracking line search.
 Cost accounting convention used by the benchmark harness: SDCA, randomized
 proximal coordinate gradient (RPCG) and the accelerated dual coordinate
 solver all do n coordinate steps per epoch; one AFG iteration touches the
-full vector and is charged one epoch.  On the ERM dual, RPCG's prox step
-with weight L_i is SDCA's exact coordinate maximizer, so :func:`sdca_epoch`
-serves both there.
+full vector and is charged one epoch.  On the ERM dual's relocated
+splitting, RPCG's prox step with weight L_i is SDCA's exact coordinate
+maximizer, so :func:`sdca_epoch` serves both there.  AFG runs on any
+composite problem; on the ERM dual it runs the simple splitting,
+``erm.dual_composite``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .erm import ErmProblem
 from .errors import StepSizeError
 from .solvers import BlockSampler
 
+# AFG line search: shrink a rejected step by BACKTRACK, at most MAX_BACKTRACKS
+# times per iteration, and try the accepted step times EXPAND next
+BACKTRACK = 0.5
+EXPAND = 2.0
+MAX_BACKTRACKS = 100
 
 # ---------------------------------------------------------------------------
 # SDCA on the dual ERM problem
@@ -103,27 +110,23 @@ def _lift(problem: CompositeProblem):
     return smooth.lift or (_identity, smooth.value, smooth.full_gradient)
 
 
-def afg_start(problem: CompositeProblem, x0: np.ndarray | None = None,
-              initial_step: float | None = None) -> AfgState:
-    x0 = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float, copy=True)
-    if initial_step is None:
-        # crude global Lipschitz estimate: sum of the block constants
-        initial_step = 1.0 / float(np.sum(problem.smooth.lipschitz))
+def afg_start(problem: CompositeProblem) -> AfgState:
+    """AFG at x = 0, with the inverse of a crude global Lipschitz estimate,
+    the sum of the block constants, as its first step."""
+    x0 = np.zeros(problem.dim)
     apply, _, _ = _lift(problem)
     ax0 = apply(x0)
     return AfgState(x=x0, y=x0.copy(), ax=ax0, ay=ax0.copy(), t=1.0,
-                    step=float(initial_step), k=0)
+                    step=1.0 / float(np.sum(problem.smooth.lipschitz)), k=0)
 
 
-def afg_step(problem: CompositeProblem, state: AfgState,
-             backtrack: float = 0.5, expand: float = 2.0,
-             max_backtracks: int = 100) -> AfgState:
+def afg_step(problem: CompositeProblem, state: AfgState) -> AfgState:
     """One accelerated proximal gradient iteration with line search.
 
     Backtracks on the smooth-part upper bound
     f(x+) <= f(y) + <grad f(y), x+ - y> + ||x+ - y||^2 / (2 step)
-    shrinking the step by ``backtrack`` on failure; the accepted step is
-    expanded by ``expand`` for the next iteration.
+    shrinking the step by BACKTRACK on failure; the accepted step is
+    expanded by EXPAND for the next iteration.
 
     f and grad f are read from the carried image ay = A y, so an iteration
     applies A once per trial (to the trial point) and the lift's gradient
@@ -135,8 +138,8 @@ def afg_step(problem: CompositeProblem, state: AfgState,
     fy = float(value_of(state.ay))
     gy = gradient_of(state.ay)
     step = state.step
-    for _ in range(max_backtracks):
-        x_new = problem.reg.prox_full(y - step * gy, 1.0 / step, problem.partition)
+    for _ in range(MAX_BACKTRACKS):
+        x_new = problem.reg.prox_full(y - step * gy, 1.0 / step)
         diff = x_new - y
         with np.errstate(over="ignore"):  # oversized trial steps may overflow
             quad = fy + float(gy @ diff) + float(diff @ diff) / (2.0 * step)
@@ -145,10 +148,10 @@ def afg_step(problem: CompositeProblem, state: AfgState,
         if math.isfinite(f_new) and math.isfinite(quad) \
                 and f_new <= quad + 1e-12 * max(1.0, abs(quad)):
             break
-        step *= backtrack
+        step *= BACKTRACK
         state.backtracks += 1
     else:
-        raise StepSizeError(f"no acceptable step after {max_backtracks} backtracks")
+        raise StepSizeError(f"no acceptable step after {MAX_BACKTRACKS} backtracks")
 
     t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
     momentum = (state.t - 1.0) / t_next
@@ -156,6 +159,6 @@ def afg_step(problem: CompositeProblem, state: AfgState,
     state.ay = ax_new + momentum * (ax_new - state.ax)
     state.x, state.ax = x_new, ax_new
     state.t = t_next
-    state.step = step * expand
+    state.step = step * EXPAND
     state.k += 1
     return state

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -78,6 +79,15 @@ class ExperimentConfig:
             raise ConfigurationError("epochs must be >= 0")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        # each cell writes its own trace file, whose name has lambda to 6 digits
+        seen = {}
+        for lam, solver, seed in itertools.product(self.lambdas, self.solvers, self.seeds):
+            name = _cell_filename("<dataset>", self.loss, lam, solver, seed)
+            cell = f"lambda={lam!r} solver={solver} seed={seed}"
+            if name in seen:
+                raise ConfigurationError(
+                    f"cells {seen[name]} and {cell} would write the same trace file {name}")
+            seen[name] = cell
 
 
 def _load_dataset(config: ExperimentConfig):
@@ -105,9 +115,11 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
     """Per-epoch primal/dual/gap trace for one solver on one instance.
 
     Every solver is charged by the shared accounting: n coordinate steps or
-    one full-gradient iteration per epoch.  ``rpcg`` runs the SDCA kernel: on
-    the relocated dual splitting the coordinate subproblem is an exact 1-d
-    quadratic, so the prox step with weight L_i is SDCA's exact maximizer,
+    one full-gradient iteration per epoch.  ``apcg`` runs the relocated dual
+    splitting in specialized form (``erm.ErmDualState``), and ``afg`` the
+    simple splitting (``erm.dual_composite``).  ``rpcg`` runs the SDCA
+    kernel: on the relocated splitting the coordinate subproblem is an exact
+    1-d quadratic, so the prox step with weight L_i is SDCA's exact maximizer,
     x_i + (a_i/n - grad_i)/L_i = (a_i - A_i'w + x_i q_i)/(gamma + q_i).
     Each solver hands the reports the A x it maintains anyway: APCG's
     aggregates, SDCA's lam n w, AFG's carried image of its iterate.
@@ -122,7 +134,7 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
         current = lambda: x
         ax = lambda: (prob.lam * prob.n) * w_agg
     elif solver == "afg":
-        composite = erm.dual_composite(prob, splitting="simple")
+        composite = erm.dual_composite(prob)
         afg = baselines.afg_start(composite)
         epoch = lambda: baselines.afg_step(composite, afg)
         current = lambda: afg.x
@@ -288,10 +300,8 @@ def _check_combination_and_psihat() -> CheckResult:
         theta = theta_coefficients(sched, k)
         combo = sum(t * z for t, z in zip(theta, zs))
         worst_comb = max(worst_comb, float(np.max(np.abs(combo - state.x))))
-        psi_hat = sum(t * problem.reg.eval_full(z, problem.partition)
-                      for t, z in zip(theta, zs))
-        worst_psi = max(worst_psi,
-                        problem.reg.eval_full(state.x, problem.partition) - psi_hat)
+        psi_hat = sum(t * problem.reg.eval_full(z) for t, z in zip(theta, zs))
+        worst_psi = max(worst_psi, problem.reg.eval_full(state.x) - psi_hat)
     if worst_comb > 1e-8:
         return CheckResult("combination", False, f"x != sum theta z by {worst_comb:.2e}")
     if worst_psi > 1e-10:
@@ -342,7 +352,7 @@ def _check_envelope() -> CheckResult:
     step = 1.0 / inst.lipschitz_full
     for _ in range(300_000):
         x_new = problem.reg.prox_full(x - step * problem.smooth.full_gradient(x),
-                                      1.0 / step, problem.partition)
+                                      1.0 / step)
         if np.array_equal(x_new, x) or np.array_equal(x_new, prev):
             break
         x, prev = x_new, x

@@ -121,27 +121,26 @@ class SeparableRegularizer:
 
     Subclasses implement ``prox_block``, the minimizer of
     ``weight/2 * ||h - center||^2 + Psi_i(h)`` over block vectors ``h``,
-    and its whole-vector forms: ``eval_full`` (``math.inf`` off the domain
-    of indicator-type terms) and ``prox_full``, the block proxes applied to
-    every block at once.
+    where ``i`` is a block index or ``slice(None)`` for every block at once,
+    and ``eval_full`` (``math.inf`` off the domain of indicator-type terms).
     """
 
-    def prox_block(self, i: int, center: np.ndarray, weight: float) -> np.ndarray:
+    def prox_block(self, i, center: np.ndarray, weight: float) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_full(self, x: np.ndarray, partition: BlockPartition) -> float:
+    def eval_full(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def prox_full(self, center: np.ndarray, weight: float,
-                  partition: BlockPartition) -> np.ndarray:
-        raise NotImplementedError
+    def prox_full(self, center: np.ndarray, weight: float) -> np.ndarray:
+        """The block proxes applied to every block at once."""
+        return self.prox_block(slice(None), center, weight)
 
 
 def block_prox(reg: SeparableRegularizer, i: int, center: np.ndarray,
                weight: float) -> np.ndarray:
     """Prox of Psi_i: argmin_h { weight/2 * ||h - center||^2 + Psi_i(h) }."""
     center = np.asarray(center, dtype=float)
-    if not np.all(np.isfinite(center)):
+    if not np.isfinite(center).all():
         raise ValueError("prox center must be finite")
     if not (weight > 0 and math.isfinite(weight)):
         raise ValueError(f"prox weight must be positive and finite, got {weight}")
@@ -154,11 +153,8 @@ class ZeroRegularizer(SeparableRegularizer):
     def prox_block(self, i, center, weight):
         return np.array(center, dtype=float, copy=True)
 
-    def eval_full(self, x, partition):
+    def eval_full(self, x):
         return 0.0
-
-    def prox_full(self, center, weight, partition):
-        return np.array(center, dtype=float, copy=True)
 
 
 class L1Regularizer(SeparableRegularizer):
@@ -173,12 +169,8 @@ class L1Regularizer(SeparableRegularizer):
         t = self.strength / weight
         return np.sign(center) * np.maximum(np.abs(center) - t, 0.0)
 
-    def eval_full(self, x, partition):
+    def eval_full(self, x):
         return self.strength * float(np.sum(np.abs(x)))
-
-    def prox_full(self, center, weight, partition):
-        t = self.strength / weight
-        return np.sign(center) * np.maximum(np.abs(center) - t, 0.0)
 
 
 class BoxIndicator(SeparableRegularizer):
@@ -197,13 +189,10 @@ class BoxIndicator(SeparableRegularizer):
     def prox_block(self, i, center, weight):
         return np.clip(center, self.lo, self.hi)
 
-    def eval_full(self, x, partition):
+    def eval_full(self, x):
         if np.any(x < self.lo - self.atol) or np.any(x > self.hi + self.atol):
             return math.inf
         return 0.0
-
-    def prox_full(self, center, weight, partition):
-        return np.clip(center, self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +216,7 @@ class CompositeProblem:
         return self.partition.total
 
     def objective(self, x: np.ndarray) -> float:
-        return float(self.smooth.value(x)) + self.reg.eval_full(x, self.partition)
+        return float(self.smooth.value(x)) + self.reg.eval_full(x)
 
     def weighted_norm(self, x: np.ndarray) -> float:
         return weighted_norm(x, self.smooth.lipschitz, self.partition)

@@ -8,10 +8,9 @@ with one column A_i per example.  Its dual over x in R^n is
 
     D(x) = (1/n) sum_i -phi*_i(-x_i) - ||A x||^2 / (2 lam n^2),
 
-and the solvers minimize F = -D as a composite problem.  Two splittings of
-F into smooth + separable parts are supported: the "simple" one keeps the
-conjugates in the separable part, while the "relocated" one moves their
-gamma-strong convexity into the smooth part,
+and the solvers minimize F = -D as a composite problem.  The coordinate
+solver runs on the paper's relocated splitting of F, which moves the
+conjugates' gamma-strong convexity into the smooth part,
 
     f(x)   = ||A x||^2 / (2 lam n^2) + (gamma / 2n) ||x||^2,
     Psi_i  = (1/n) (phi*_i(-x_i) - (gamma/2) x_i^2),
@@ -20,15 +19,17 @@ so that f is strongly convex and the accelerated coordinate solver attains
 its linear rate.  The coordinate-wise constants are
 ``L_i = ||A_i||^2/(lam n^2) + gamma/n`` and
 ``mu = (gamma/n) / max_i L_i >= lam gamma n / (R^2 + lam gamma n)``.
+:func:`dual_composite` is the simple splitting instead, which keeps the
+conjugates whole in the separable part; the full-gradient baseline runs it.
 
-:class:`ErmDualState` and :func:`apcg_erm_steps` implement the specialized
-iteration that maintains p = A u and q = A v alongside (u, v), so each step
-costs O(nnz(A_i)): one column is read twice for the gradient and updated
-twice for the aggregates.  Like the generic efficient solver, u and p are
-stored in the stabilized form ubar = rho^{k+1} u, pbar = rho^{k+1} p, as
-ubar = scale * ubar_base and pbar = scale * pbar_base under one shared
-scalar, which each step multiplies by rho and which is folded into both
-base vectors long before it can underflow.
+:class:`ErmDualState` and :func:`apcg_erm_steps` implement the relocated
+iteration in specialized form: they maintain p = A u and q = A v alongside
+(u, v), so each step costs O(nnz(A_i)): one column is read twice for the
+gradient and updated twice for the aggregates.  Like the generic efficient
+solver, u and p are stored in the stabilized form ubar = rho^{k+1} u,
+pbar = rho^{k+1} p, as ubar = scale * ubar_base and pbar = scale * pbar_base
+under one shared scalar, which each step multiplies by rho and which is
+folded into both base vectors long before it can underflow.
 :meth:`ErmDualState.epoch` runs the compiled form of the same loop
 (``_kernels.c``, loaded by :mod:`apcg.native`) when it is available.
 """
@@ -44,7 +45,7 @@ import numpy as np
 from . import native
 from .core import (BlockPartition, CompositeProblem, SeparableRegularizer,
                    SmoothOracle)
-from .data import SparseColMatrix, spectral_norm
+from .data import SparseColMatrix
 from .errors import ConfigurationError
 from .solvers import BlockSampler, change_of_variables_rates
 
@@ -61,7 +62,6 @@ class SmoothedHingeLoss:
     """
 
     name = "smoothed_hinge"
-    eta = None  # not strongly convex
     dual_box = (0.0, 1.0)
 
     def __init__(self, gamma: float = 1.0):
@@ -99,7 +99,6 @@ class SquareLoss:
         if not 0.0 < gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
-        self.eta = float(gamma)
         self.targets = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(self.targets)):
             raise ValueError("targets must be finite")
@@ -132,7 +131,6 @@ class ErmProblem:
     col_norms_sq: np.ndarray = field(init=False, repr=False)
     anchors: np.ndarray = field(init=False, repr=False)
     R: float = field(init=False)
-    _spectral: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
@@ -161,11 +159,6 @@ class ErmProblem:
     @property
     def gamma(self) -> float:
         return self.loss.gamma
-
-    def spectral_norm(self) -> float:
-        if self._spectral is None:
-            self._spectral = spectral_norm(self.matrix)
-        return self._spectral
 
     @classmethod
     def smoothed_hinge(cls, A: SparseColMatrix, labels: np.ndarray,
@@ -304,16 +297,17 @@ class PrimalDualReport:
 
 
 # ---------------------------------------------------------------------------
-# Dual problem as a generic composite instance (both splittings)
+# Dual problem as a generic composite instance (the simple splitting)
 # ---------------------------------------------------------------------------
 
 class ConjugatePenalty(SeparableRegularizer):
     """Psi_i(s) = (1/n)(-a_i s + (gamma/2) s^2) on the domain, +inf off it.
 
-    With the loss's gamma this is (1/n) phi*_i(-s), the simple splitting's
-    penalty; with gamma = 0 it is the relocated splitting's linear penalty,
-    (1/n) phi*_i(-s) less the loss's (gamma/2n) s^2.  The prox solves the 1-d
-    quadratic and projects onto the box if there is one.
+    With the loss's gamma this is (1/n) phi*_i(-s), the penalty of
+    :func:`dual_composite`; with gamma = 0 it is the relocated splitting's
+    linear penalty, (1/n) phi*_i(-s) less the loss's (gamma/2n) s^2, which
+    :func:`apcg_erm_steps` solves inline.  The prox solves the 1-d quadratic
+    and projects onto the box if there is one; the anchors are read at ``i``.
     """
 
     def __init__(self, anchors: np.ndarray, gamma: float, n: int, box):
@@ -326,73 +320,43 @@ class ConjugatePenalty(SeparableRegularizer):
         s = (weight * center + self.anchors[i] / self.n) / (weight + self.gamma / self.n)
         return np.atleast_1d(_clip(self.box, s))
 
-    def eval_full(self, x, partition):
+    def eval_full(self, x):
         xc = _dual_feasible(self.box, x)
         if xc is None:
             return math.inf
         return float(-self.anchors @ xc + 0.5 * self.gamma * (xc @ xc)) / self.n
 
-    def prox_full(self, center, weight, partition):
-        s = (weight * center + self.anchors / self.n) / (weight + self.gamma / self.n)
-        return _clip(self.box, s)
 
-
-def dual_composite(prob: ErmProblem, splitting: str = "relocated") -> CompositeProblem:
-    """The dual of the ERM problem as a generic composite minimization.
-
-    ``relocated`` puts the conjugates' strong convexity into the smooth part
-    (mu > 0, what the coordinate solvers want); ``simple`` keeps f as the
-    quadratic coupling only (mu = 0, what full-gradient methods use).
+def dual_composite(prob: ErmProblem) -> CompositeProblem:
+    """The dual of the ERM problem as a generic composite minimization under
+    the simple splitting, which the full-gradient baseline runs: f is the
+    quadratic coupling ||A x||^2 / (2 lam n^2) alone (mu = 0), a function of
+    A x declared as the smooth part's lift, and Psi keeps the conjugates.
     """
-    if splitting not in ("relocated", "simple"):
-        raise ConfigurationError(f"unknown splitting {splitting!r}")
-    relocated = splitting == "relocated"
-    lam, n, gamma = prob.lam, prob.n, prob.gamma
+    n = prob.n
     A = prob.matrix
-    scale = 1.0 / (lam * n * n)
+    scale = 1.0 / (prob.lam * n * n)
 
-    # the quadratic coupling ||A x||^2 / (2 lam n^2) as a function of A x
-    def coupling_value(ax):
+    def value_of(ax):
         return 0.5 * scale * float(ax @ ax)
 
-    def coupling_gradient(ax):
+    def gradient_of(ax):
         return A.tdot(ax) * scale
 
-    def value(x):
-        v = coupling_value(A.dot(x))
-        if relocated:
-            v += 0.5 * gamma / n * float(x @ x)
-        return v
-
-    def full_gradient(x):
-        g = coupling_gradient(A.dot(x))
-        if relocated:
-            g = g + (gamma / n) * x
-        return g
-
     def partial_gradient(x, i):
-        ax = A.dot(x)
         idx, val = A.col(i)
-        g = float(val @ ax[idx]) * scale
-        if relocated:
-            g += (gamma / n) * x[i]
-        return np.array([g])
+        return np.array([float(val @ A.dot(x)[idx]) * scale])
 
-    if relocated:
-        L, mu = erm_constants(prob)
-    else:
-        L = prob.col_norms_sq * scale
-        mu = 0.0
-        if np.any(L <= 0.0):
-            raise ConfigurationError(
-                "simple splitting needs nonzero columns; use the relocated one")
-    reg = ConjugatePenalty(prob.anchors, 0.0 if relocated else gamma, n,
-                           prob.loss.dual_box)
-
-    lift = None if relocated else (A.dot, coupling_value, coupling_gradient)
-    smooth = SmoothOracle(value=value, full_gradient=full_gradient,
-                          partial_gradient=partial_gradient, lipschitz=L, mu=mu,
-                          lift=lift)
+    # f does not depend on the coordinate of an empty column, so any positive
+    # constant bounds it there: the largest nonzero one, or 1 when A = 0
+    L = prob.col_norms_sq * scale
+    top = float(L.max())
+    L = np.where(L > 0.0, L, top if top > 0.0 else 1.0)
+    smooth = SmoothOracle(value=lambda x: value_of(A.dot(x)),
+                          full_gradient=lambda x: gradient_of(A.dot(x)),
+                          partial_gradient=partial_gradient, lipschitz=L, mu=0.0,
+                          lift=(A.dot, value_of, gradient_of))
+    reg = ConjugatePenalty(prob.anchors, prob.gamma, n, prob.loss.dual_box)
     return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
                             reg=reg)
 
@@ -606,44 +570,6 @@ def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,
     """Run the dual coordinate solver, n steps per epoch; see run_epochs."""
     state = ErmDualState(prob, x0=x0, seed=seed)
     return run_epochs(prob, state.epoch, state.x, epochs, tol, ax=state.ax)
-
-
-# ---------------------------------------------------------------------------
-# Certification: full prox step and gap bounds
-# ---------------------------------------------------------------------------
-
-def full_prox_step(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
-    """One proximal full-gradient step T(x) under the simple splitting.
-
-    T(x) = argmin { <grad f(x), y> + theta/2 ||y - x||^2 + Psi(y) } with
-    theta = ||A||_2^2 / (lam n^2); separable, so each coordinate solves a
-    1-d quadratic: y_i = (theta x_i + a_i/n - grad_i) / (theta + gamma/n),
-    projected onto the conjugate domain.
-    """
-    x = np.asarray(x, dtype=float)
-    n = prob.n
-    theta = prob.spectral_norm() ** 2 / (prob.lam * n * n)
-    grad = prob.matrix.tdot(prob.matrix.dot(x)) / (prob.lam * n * n)
-    y = (theta * x + prob.anchors / n - grad) / (theta + prob.gamma / n)
-    return _clip(prob.loss.dual_box, y)
-
-
-def full_prox_gap_bound(prob: ErmProblem, x: np.ndarray, dstar: float) -> float:
-    """Bound on P(omega(T(x))) - D(T(x)): (4 ||A||^2 / (lam gamma n)) (D* - D(x))."""
-    coef = 4.0 * prob.spectral_norm() ** 2 / (prob.lam * prob.gamma * prob.n)
-    return coef * (dstar - dual_objective(prob, x))
-
-
-def gap_by_dual_bound(prob: ErmProblem, x: np.ndarray, dstar: float) -> float:
-    """Strongly convex losses only: gap at (omega(x), x) is bounded by
-    (lam eta n + ||A||^2) / (lam gamma n) * (D* - D(x))."""
-    eta = prob.loss.eta
-    if eta is None:
-        raise ConfigurationError(
-            "gap_by_dual_bound needs a strongly convex loss (square loss)")
-    coef = (prob.lam * eta * prob.n + prob.spectral_norm() ** 2) / (
-        prob.lam * prob.gamma * prob.n)
-    return coef * (dstar - dual_objective(prob, x))
 
 
 def complexity_estimate(n: int, R: float, lam: float, gamma: float,

@@ -8,7 +8,9 @@ optimum, and a direct deterministic accelerated gradient recursion.  The
 plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
-schedule check) are kept here as references too.
+schedule check) are kept here as references too, and so are the ERM dual's
+relocated splitting as a generic composite problem and the paper's gap
+certificates through a full prox step.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import scipy.optimize
 
 from apcg import schedule
 from apcg.cli import CheckResult
-from apcg.core import block_prox
-from apcg.erm import (DUAL_DOMAIN_ATOL, ErmProblem, PrimalDualReport,
-                      dual_objective, erm_constants)
+from apcg.core import BlockPartition, CompositeProblem, SmoothOracle, block_prox
+from apcg.data import spectral_norm
+from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmProblem,
+                      PrimalDualReport, SquareLoss, dual_objective, erm_constants)
+from apcg.errors import ConfigurationError
 from apcg.solvers import BlockSampler
 
 
@@ -154,7 +158,7 @@ def ista_minimize(problem, lipschitz_full: float, iters: int) -> np.ndarray:
     grad = problem.smooth.full_gradient
     prox = problem.reg.prox_full
     for _ in range(iters):
-        x = prox(x - step * grad(x), lipschitz_full, problem.partition)
+        x = prox(x - step * grad(x), lipschitz_full)
     return x
 
 
@@ -246,6 +250,70 @@ def ridge_dual_optimum(prob: ErmProblem) -> tuple[np.ndarray, float]:
     M = prob.gamma * np.eye(n) + gram / (prob.lam * n)
     x = np.linalg.solve(M, prob.anchors)
     return x, dual_objective(prob, x)
+
+
+def relocated_dual_composite(prob: ErmProblem) -> CompositeProblem:
+    """The ERM dual under the relocated splitting as a generic composite
+    problem: f(x) = ||A x||^2 / (2 lam n^2) + (gamma/2n) ||x||^2 (mu > 0) and
+    the linear penalty ``ConjugatePenalty(anchors, 0, n, box)``.
+    ``apcg.erm.ErmDualState`` runs this splitting in specialized form and
+    ``apcg.baselines.sdca_epoch`` solves its coordinate prox steps exactly."""
+    lam, n, gamma = prob.lam, prob.n, prob.gamma
+    A = prob.matrix
+    scale = 1.0 / (lam * n * n)
+
+    def value(x):
+        ax = A.dot(x)
+        return 0.5 * scale * float(ax @ ax) + 0.5 * gamma / n * float(x @ x)
+
+    def full_gradient(x):
+        return A.tdot(A.dot(x)) * scale + (gamma / n) * x
+
+    def partial_gradient(x, i):
+        idx, val = A.col(i)
+        return np.array([float(val @ A.dot(x)[idx]) * scale + (gamma / n) * x[i]])
+
+    L, mu = erm_constants(prob)
+    smooth = SmoothOracle(value=value, full_gradient=full_gradient,
+                          partial_gradient=partial_gradient, lipschitz=L, mu=mu)
+    return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
+                            reg=ConjugatePenalty(prob.anchors, 0.0, n, prob.loss.dual_box))
+
+
+def full_prox_step(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
+    """One proximal full-gradient step T(x) under the simple splitting.
+
+    T(x) = argmin { <grad f(x), y> + theta/2 ||y - x||^2 + Psi(y) } with
+    theta = ||A||_2^2 / (lam n^2); separable, so each coordinate solves a
+    1-d quadratic: y_i = (theta x_i + a_i/n - grad_i) / (theta + gamma/n),
+    projected onto the conjugate domain.
+    """
+    x = np.asarray(x, dtype=float)
+    n = prob.n
+    theta = spectral_norm(prob.matrix) ** 2 / (prob.lam * n * n)
+    grad = prob.matrix.tdot(prob.matrix.dot(x)) / (prob.lam * n * n)
+    y = (theta * x + prob.anchors / n - grad) / (theta + prob.gamma / n)
+    box = prob.loss.dual_box
+    return y if box is None else np.clip(y, box[0], box[1])
+
+
+def full_prox_gap_bound(prob: ErmProblem, x: np.ndarray, dstar: float) -> float:
+    """Bound on P(omega(T(x))) - D(T(x)): (4 ||A||^2 / (lam gamma n)) (D* - D(x))."""
+    coef = 4.0 * spectral_norm(prob.matrix) ** 2 / (prob.lam * prob.gamma * prob.n)
+    return coef * (dstar - dual_objective(prob, x))
+
+
+def gap_by_dual_bound(prob: ErmProblem, x: np.ndarray, dstar: float) -> float:
+    """Strongly convex losses only: gap at (omega(x), x) is bounded by
+    (lam eta n + ||A||^2) / (lam gamma n) * (D* - D(x)), where eta = gamma
+    for the square loss."""
+    if not isinstance(prob.loss, SquareLoss):
+        raise ConfigurationError(
+            "gap_by_dual_bound needs a strongly convex loss (square loss)")
+    eta = prob.loss.gamma
+    coef = (prob.lam * eta * prob.n + spectral_norm(prob.matrix) ** 2) / (
+        prob.lam * prob.gamma * prob.n)
+    return coef * (dstar - dual_objective(prob, x))
 
 
 def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:

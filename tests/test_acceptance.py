@@ -15,8 +15,7 @@ from apcg.core import BoxIndicator, L1Regularizer, block_prox
 from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       SmoothedHingeLoss, SquareLoss, apcg_erm_steps,
-                      dual_composite, dual_objective, full_prox_gap_bound,
-                      full_prox_step, primal_objective, solve_erm)
+                      dual_objective, primal_objective, solve_erm)
 from apcg.instances import block_quadratic, diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
@@ -104,7 +103,7 @@ def test_erm_solver_equals_generic_uv_solver(hinge200):
     relocated splitting: 3 seeds, 500 iterations, 1e-8; aggregate
     recomputation drift also within 1e-8 relative."""
     start = time.perf_counter()
-    comp = dual_composite(hinge200, "relocated")
+    comp = oracles.relocated_dual_composite(hinge200)
     worst = 0.0
     worst_drift = 0.0
     for seed in range(3):
@@ -217,10 +216,10 @@ def test_full_prox_certificate_on_random_instances():
         for _ in range(4):
             apcg_erm_steps(prob, state, state.sampler.take(n))
             x = state.x()
-            t = full_prox_step(prob, x)
+            t = oracles.full_prox_step(prob, x)
             gap_t = (primal_objective(prob, primal_from_dual(prob, t))
                      - dual_objective(prob, t))
-            bound = full_prox_gap_bound(prob, x, dstar)
+            bound = oracles.full_prox_gap_bound(prob, x, dstar)
             worst_margin = max(worst_margin, gap_t - bound)
             assert gap_t <= bound + 1e-10
     report_pass("full-prox certificate", f"max gap-bound = {worst_margin:.2e}")

@@ -9,9 +9,10 @@ from apcg.baselines import afg_start, afg_step, sdca_epoch
 from apcg.cli import run_solver_trace
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
-from apcg.data import synth_binary
+from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ErmProblem, PrimalDualReport, dual_composite,
                       dual_objective, solve_erm)
+from apcg.errors import StepSizeError
 from apcg.instances import diag_dominant_quadratic
 from apcg.solvers import BlockSampler, solve
 
@@ -58,7 +59,7 @@ def test_rpcg_scalar_quadratic_one_step_exact():
 def test_rpcg_slower_than_apcg_on_ill_conditioned_dual():
     A, labels = synth_binary(100, 25, 0.3, seed=6, min_nnz=1)
     prob = ErmProblem.smoothed_hinge(A, labels, lam=1e-5, gamma=1.0)
-    comp = dual_composite(prob, "relocated")
+    comp = oracles.relocated_dual_composite(prob)
     target = 1e-6
     xstar, dstar = oracles.hinge_dual_optimum(prob)
     fstar = -dstar  # composite minimizes -D
@@ -133,26 +134,36 @@ def test_afg_converges_on_smooth_quadratic():
 
 def test_afg_line_search_shrinks_oversized_steps():
     inst = diag_dominant_quadratic(6, seed=3, l1=0.1)
-    state = afg_start(inst.problem, initial_step=1e6)
+    state = afg_start(inst.problem)
+    state.step = 1e6
     afg_step(inst.problem, state)
     assert state.backtracks > 0
     assert state.step < 1e6 * 2
 
 
 def test_afg_raises_when_backtracking_cannot_recover():
-    from apcg.errors import StepSizeError
     inst = diag_dominant_quadratic(6, seed=3, l1=0.1)
-    state = afg_start(inst.problem, initial_step=1e200)
-    # barely-shrinking factor cannot bring 1e200 into range in 100 tries
+    state = afg_start(inst.problem)
+    state.step = 1e200
+    # 100 halvings leave 1e200 * 2^-100 ~ 8e169, whose trial point still overflows
     with pytest.raises(StepSizeError):
-        afg_step(inst.problem, state, backtrack=0.999)
+        afg_step(inst.problem, state)
 
 
 def test_afg_on_dual_erm_reaches_optimum(hinge200, hinge200_optimum):
     _, dstar = hinge200_optimum
-    comp = dual_composite(hinge200, "simple")
+    comp = dual_composite(hinge200)
     _, final = afg_run(comp, 400)
     assert -final == pytest.approx(dstar, abs=1e-8)
+
+
+def test_simple_splitting_bounds_an_empty_column_by_the_largest_constant():
+    A = SparseColMatrix.from_dense(np.array([[0.5, 0.0, 0.0], [1.0, 0.0, -0.3]]))
+    L = dual_composite(ErmProblem.ridge(A, np.ones(3), lam=1e-2)).smooth.lipschitz
+    assert L[1] == L[0] and L[0] > L[2] > 0.0
+    zero = SparseColMatrix.from_dense(np.zeros((2, 3)))
+    L = dual_composite(ErmProblem.ridge(zero, np.ones(3), lam=1e-2)).smooth.lipschitz
+    assert np.array_equal(L, np.ones(3))
 
 
 @pytest.fixture(params=["hinge200", "ridge150"])
@@ -161,21 +172,21 @@ def erm_prob(request):
 
 
 def test_simple_splitting_lift_reproduces_value_and_gradient(erm_prob):
-    smooth = dual_composite(erm_prob, "simple").smooth
+    smooth = dual_composite(erm_prob).smooth
     apply, value_of, gradient_of = smooth.lift
     rng = np.random.default_rng(8)
     for x in (np.zeros(erm_prob.n), rng.uniform(0, 1, erm_prob.n),
               rng.standard_normal(erm_prob.n)):
         assert smooth.value(x) == value_of(apply(x))
         assert np.array_equal(smooth.full_gradient(x), gradient_of(apply(x)))
-    assert dual_composite(erm_prob, "relocated").smooth.lift is None
+    assert oracles.relocated_dual_composite(erm_prob).smooth.lift is None
 
 
 def test_afg_under_the_lift_takes_the_same_steps(erm_prob):
     """Carrying A y through the momentum step changes f and grad f by
     rounding only: the same accepted steps and backtracks over 200
     iterations, and P and D within 1e-12 of AFG without the lift."""
-    lifted = dual_composite(erm_prob, "simple")
+    lifted = dual_composite(erm_prob)
     plain = CompositeProblem(partition=lifted.partition, reg=lifted.reg,
                              smooth=dataclasses.replace(lifted.smooth, lift=None))
     a, b = afg_start(lifted), afg_start(plain)
@@ -210,7 +221,7 @@ def test_all_solvers_agree_on_dual_optimum(hinge200, hinge200_optimum):
     x2 = run_solver_trace(hinge200, "rpcg", epochs=400, seed=0, tol=None).x
     assert dual_objective(hinge200, x2) == pytest.approx(dstar, abs=1e-6)
 
-    comp = dual_composite(hinge200, "simple")
+    comp = dual_composite(hinge200)
     x3, _ = afg_run(comp, 400)
     assert dual_objective(hinge200, x3) == pytest.approx(dstar, abs=1e-6)
 

@@ -9,7 +9,7 @@ import pytest
 
 import apcg
 from apcg import cli, schedule
-from apcg.cli import (CONFIG_KEYS, CSV_HEADER, ExperimentConfig,
+from apcg.cli import (CONFIG_KEYS, CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig,
                       _config_from_args, build_parser, check_invariants,
                       load_config_file, main, run_experiment)
 from apcg.errors import ConfigurationError
@@ -216,6 +216,51 @@ def test_truncated_gzip_exits_with_io_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert any(line.startswith("i/o error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+# how the repeated cell is asked for -> (flags, config-file text, the two cells)
+COLLIDING_CELLS = {
+    "seed-flag": (["--lambda", "1e-3", "--seed", "1", "--seed", "1"], None,
+                  ("lambda=0.001 solver=apcg seed=1", "lambda=0.001 solver=apcg seed=1")),
+    "seed-config": ([], "lambda = 1e-3\nseed = 1, 1\n",
+                    ("lambda=0.001 solver=apcg seed=1", "lambda=0.001 solver=apcg seed=1")),
+    "lambda-6-digits": (["--lambda", "1e-3", "--lambda", "1.0000001e-3", "--seed", "1"],
+                        None, ("lambda=0.001 solver=apcg seed=1",
+                               "lambda=0.0010000001 solver=apcg seed=1")),
+}
+
+
+@pytest.mark.parametrize("case", COLLIDING_CELLS)
+def test_cells_sharing_a_trace_file_are_refused_before_any_runs(case, tmp_path, capsys,
+                                                               monkeypatch):
+    flags, text, (first, second) = COLLIDING_CELLS[case]
+    if text is not None:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        flags = [*flags, "--config", str(cfg_file)]
+    monkeypatch.setattr(cli, "run_solver_trace", lambda *args: pytest.fail("a cell ran"))
+    out = tmp_path / "out"
+    assert main(["run", "--synthetic", "40,10,0.5", "--solver", "apcg", "--epochs", "1",
+                 "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cells {first} and {second} would write the same trace file "
+        "<dataset>_smoothed_hinge_lam0.001_apcg_s1.csv"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss", ["smoothed_hinge", "square"])
+def test_example_without_features_solved_by_every_solver(loss, tmp_path):
+    """An example with no features is an empty column of A; f does not depend
+    on its dual coordinate, so AFG bounds it by any positive constant."""
+    data = tmp_path / "gaps.txt"
+    data.write_text("+1 1:0.5 2:1\n-1\n+1 2:-0.3\n")
+    config = small_config(tmp_path, loss=loss, solvers=list(KNOWN_SOLVERS),
+                          epochs=400, tol=1e-9)
+    config.synthetic = None
+    config.data = str(data)
+    results = run_experiment(config)
+    assert [r.solver for r in results] == list(KNOWN_SOLVERS)
+    assert all(r.epochs_to_tol is not None for r in results)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

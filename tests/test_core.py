@@ -6,6 +6,7 @@ import pytest
 from apcg.core import (BlockPartition, BoxIndicator, CompositeProblem,
                        L1Regularizer, SmoothOracle, ZeroRegularizer,
                        block_prox, weighted_norm)
+from apcg.erm import ConjugatePenalty
 
 import oracles
 
@@ -110,6 +111,32 @@ def test_block_prox_rejects_bad_inputs():
         block_prox(reg, 0, np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         block_prox(reg, 0, np.array([1.0]), -2.0)
+
+
+# regularizer name -> constructor from per-coordinate anchors
+PROX_FORMS = {
+    "zero": lambda a: ZeroRegularizer(),
+    "l1": lambda a: L1Regularizer(0.7),
+    "box": lambda a: BoxIndicator(-0.5, 0.8),
+    "conjugate-linear-boxed": lambda a: ConjugatePenalty(a, 0.0, a.size, (0.0, 1.0)),
+    "conjugate-linear-free": lambda a: ConjugatePenalty(a, 0.0, a.size, None),
+    "conjugate-quadratic-boxed": lambda a: ConjugatePenalty(a, 1.3, a.size, (0.0, 1.0)),
+    "conjugate-quadratic-free": lambda a: ConjugatePenalty(a, 1.3, a.size, None),
+}
+
+
+@pytest.mark.parametrize("name", PROX_FORMS)
+def test_prox_full_is_prox_block_at_every_coordinate(name):
+    rng = np.random.default_rng(13)
+    n = 40
+    reg = PROX_FORMS[name](rng.standard_normal(n))
+    for weight in (0.03, 1.0, 17.0):
+        c = rng.uniform(-3.0, 3.0, n)
+        full = reg.prox_full(c, weight)
+        per_block = np.concatenate([reg.prox_block(i, c[i:i + 1], weight)
+                                    for i in range(n)])
+        assert full.dtype == per_block.dtype and full.shape == (n,)
+        assert full.tobytes() == per_block.tobytes()  # bitwise, signed zeros too
 
 
 def test_prox_subgradient_optimality_l1():

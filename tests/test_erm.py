@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from apcg import native
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
-from apcg.data import SparseColMatrix, synth_binary
+from apcg.data import SparseColMatrix, spectral_norm, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
-                      apcg_erm_steps, complexity_estimate, dual_composite,
-                      dual_objective, erm_constants, full_prox_gap_bound,
-                      full_prox_step, gap_by_dual_bound, primal_objective,
-                      run_epochs, solve_erm)
+                      apcg_erm_steps, complexity_estimate, dual_objective,
+                      erm_constants, primal_objective, run_epochs, solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
@@ -286,7 +284,7 @@ def test_conjugate_penalty_prox_matches_grid_oracle():
 # ---------------------------------------------------------------------------
 
 def test_erm_step_equals_generic_efficient_on_relocated_splitting(hinge200):
-    comp = dual_composite(hinge200, "relocated")
+    comp = oracles.relocated_dual_composite(hinge200)
     for seed in (0, 1, 2):
         st5 = ErmDualState(hinge200, seed=seed)
         st4 = ApcgEfficientState(np.zeros(hinge200.n), comp, comp.smooth.mu,
@@ -543,7 +541,7 @@ def test_report_evaluate_rejects_outside_domain(hinge200):
 
 def test_full_prox_fixed_point_at_optimum(hinge200, hinge200_optimum):
     xstar, _ = hinge200_optimum
-    assert np.max(np.abs(full_prox_step(hinge200, xstar) - xstar)) <= 1e-9
+    assert np.max(np.abs(oracles.full_prox_step(hinge200, xstar) - xstar)) <= 1e-9
 
 
 def test_full_prox_matches_grid_on_tiny_instance():
@@ -551,8 +549,8 @@ def test_full_prox_matches_grid_on_tiny_instance():
     A = SparseColMatrix.from_dense(dense)
     prob = ErmProblem.smoothed_hinge(A, np.array([1.0, -1.0]), lam=0.5, gamma=1.0)
     x = np.zeros(2)
-    got = full_prox_step(prob, x)
-    theta = prob.spectral_norm() ** 2 / (prob.lam * 4)
+    got = oracles.full_prox_step(prob, x)
+    theta = spectral_norm(prob.matrix) ** 2 / (prob.lam * 4)
     grad = prob.matrix.tdot(prob.matrix.dot(x)) / (prob.lam * 4)
 
     def objective(v):
@@ -573,31 +571,31 @@ def test_full_prox_gap_bound_along_trajectory(hinge200, hinge200_optimum):
     for _ in range(12):
         apcg_erm_steps(hinge200, state, state.sampler.take(hinge200.n))
         x = state.x()
-        t = full_prox_step(hinge200, x)
+        t = oracles.full_prox_step(hinge200, x)
         rep = PrimalDualReport.evaluate(hinge200, t, epoch=0)
-        assert rep.gap <= full_prox_gap_bound(hinge200, x, dstar) + 1e-10
+        assert rep.gap <= oracles.full_prox_gap_bound(hinge200, x, dstar) + 1e-10
 
 
 def test_gap_by_dual_bound_requires_strongly_convex_loss(hinge200):
     with pytest.raises(ConfigurationError):
-        gap_by_dual_bound(hinge200, np.zeros(hinge200.n), 0.0)
+        oracles.gap_by_dual_bound(hinge200, np.zeros(hinge200.n), 0.0)
 
 
 def test_gap_by_dual_bound_ridge_run():
     A, labels = synth_binary(20, 5, 0.6, seed=9, min_nnz=1)
     prob = ErmProblem.ridge(A, labels, lam=1e-2, gamma=1.0)
     xstar, dstar = oracles.ridge_dual_optimum(prob)
-    # coefficient always exceeds 1
-    coef = (prob.lam * prob.loss.eta * prob.n + prob.spectral_norm() ** 2) / (
+    # coefficient always exceeds 1 (eta = gamma for the square loss)
+    coef = (prob.lam * prob.gamma * prob.n + spectral_norm(prob.matrix) ** 2) / (
         prob.lam * prob.gamma * prob.n)
     assert coef > 1.0
-    assert gap_by_dual_bound(prob, xstar, dstar) <= 1e-10
+    assert oracles.gap_by_dual_bound(prob, xstar, dstar) <= 1e-10
     state = ErmDualState(prob, seed=1)
     for epoch in range(50):
         apcg_erm_steps(prob, state, state.sampler.take(prob.n))
         x = state.x()
         rep = PrimalDualReport.evaluate(prob, x, epoch=epoch)
-        assert rep.gap <= gap_by_dual_bound(prob, x, dstar) + 1e-10
+        assert rep.gap <= oracles.gap_by_dual_bound(prob, x, dstar) + 1e-10
 
 
 def test_ridge_solver_reaches_oracle_optimum():

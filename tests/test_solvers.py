@@ -361,9 +361,9 @@ def test_theta_combination_identity_and_psi_hat(lasso20):
         for t, z in zip(theta, zs):
             combo += t * z
         assert np.max(np.abs(combo - state.x)) <= 1e-8
-        psi_hat = sum(t * problem.reg.eval_full(z, problem.partition)
+        psi_hat = sum(t * problem.reg.eval_full(z)
                       for t, z in zip(theta, zs))
-        psi_x = problem.reg.eval_full(state.x, problem.partition)
+        psi_x = problem.reg.eval_full(state.x)
         assert psi_x <= psi_hat + 1e-10
 
 
