@@ -14,7 +14,7 @@ from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
                   dual_composite, dual_objective, erm_constants,
                   primal_objective, run_epochs, solve_erm)
 from .baselines import AfgState, afg_step, sdca_epoch
-from .data import (DatasetMeta, SparseColMatrix, parse_libsvm, spectral_norm,
-                   synth_binary, write_libsvm)
+from .data import (DatasetMeta, SparseColMatrix, parse_libsvm, synth_binary,
+                   write_libsvm)
 
 __version__ = "0.1.0"

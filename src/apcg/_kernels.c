@@ -141,8 +141,8 @@ void sdca_epoch(const int64_t *indptr, const int64_t *indices,
 /* LIBSVM text to CSC arrays, for the strict subset of the format that
    data.parse_libsvm hands to it: lines end in \n or \r\n (the last may have
    no ending); fields are separated by spaces or tabs; the label is +1, -1
-   or 1; each feature is idx:val with idx 1 to 18 ASCII digits, >= 1,
-   strictly increasing along the line and <= n_features; val matches
+   or 1; each feature is idx:val with idx 1 to 18 ASCII digits (so it
+   fits an int64_t), >= 1 and strictly increasing along the line; val matches
    [+-]?digits[.digits][(e|E)[+-]?digits].  The value is read by strtod from
    a NUL-terminated copy, which must consume all of it and give a finite
    number without ERANGE.  Anything else (another byte, a blank line, a lone
@@ -188,8 +188,8 @@ static const char *scan_value(const char *p, const char *end)
     return q;
 }
 
-int libsvm_parse(const char *buf, int64_t len, int64_t n_features, int64_t *shape,
-                 double *labels, int64_t *indptr, int64_t *indices, double *values)
+int libsvm_parse(const char *buf, int64_t len, int64_t *shape, double *labels,
+                 int64_t *indptr, int64_t *indices, double *values)
 {
     const char *p = buf, *const end = buf + len;
     const int64_t max_lines = shape[0], max_values = shape[1];
@@ -223,7 +223,7 @@ int libsvm_parse(const char *buf, int64_t len, int64_t n_features, int64_t *shap
                     return 1;
                 idx = 10 * idx + (*p - '0');
             }
-            if (p == digits || p == end || *p != ':' || idx <= prev || idx > n_features)
+            if (p == digits || p == end || *p != ':' || idx <= prev)
                 return 1;  /* idx >= 1 follows from idx > prev >= 0 */
             const char *val = ++p;
             if ((p = scan_value(p, end)) == NULL)
@@ -309,22 +309,21 @@ static void sort_marked(int64_t *rows, int64_t k, unsigned char *mark, int64_t d
 
 /* Columns 0..n-1 of data.synth_binary before normalisation: for each,
    k = max(Binomial(d, p), min_k) rows drawn as Generator.choice(d, k,
-   replace=False) draws them, sorted, then k standard normals times
-   row_scale[row], with an exact 0 replaced by 1e-12.  Generator.binomial
-   caches only what it derives from (d, p), so a zeroed binomial_t draws
-   the same.  choice uses Floyd's algorithm followed by a shuffle of the
-   k picks (whose draws are made here and discarded, since the rows are
-   sorted) when d <= 10000 or k <= d / 50, and otherwise a partial
-   Fisher-Yates shuffle of arange(d) whose last k entries are the picks.
+   replace=False) draws them, sorted, then k standard normals, with an
+   exact 0 replaced by 1e-12.  Generator.binomial caches only what it
+   derives from (d, p), so a zeroed binomial_t draws the same.  choice
+   uses Floyd's algorithm followed by a shuffle of the k picks (whose
+   draws are made here and discarded, since the rows are sorted) when
+   d <= 10000 or k <= d / 50, and otherwise a partial Fisher-Yates
+   shuffle of arange(d) whose last k entries are the picks.
 
    mark (d bytes, zeroed) and pool (d entries) are scratch; indptr[0] = 0
    and indices, values hold capacity entries.  Returns 0 when every column
    is written, or 1 as soon as a column would not fit, after its binomial
    draw: the Generator is then spent and the caller starts over. */
 int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_k,
-                  const double *row_scale, unsigned char *mark, int64_t *pool,
-                  int64_t *indptr, int64_t *indices, double *values,
-                  int64_t capacity)
+                  unsigned char *mark, int64_t *pool, int64_t *indptr,
+                  int64_t *indices, double *values, int64_t capacity)
 {
     binomial_t binomial;
     memset(&binomial, 0, sizeof binomial);
@@ -364,11 +363,9 @@ int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_
         }
         sort_marked(rows, k, mark, d);
         random_standard_normal_fill(bitgen, (intptr_t)k, vals);
-        for (int64_t i = 0; i < k; i++) {
-            vals[i] *= row_scale[rows[i]];
+        for (int64_t i = 0; i < k; i++)
             if (vals[i] == 0.0)
                 vals[i] = 1e-12;
-        }
     }
     return 0;
 }

@@ -378,7 +378,7 @@ def _check_envelope() -> CheckResult:
     return CheckResult("envelope", passed, f"max (F-F*)/bound = {ratio:.3f}")
 
 
-def check_invariants(corrupt_alpha_root: bool = False, echo=print) -> list[CheckResult]:
+def check_invariants(corrupt_alpha_root: bool = False) -> list[CheckResult]:
     """Run the diagnostic suite at desk scale; each result prints one line."""
     checks = [
         _check_schedule(corrupt_alpha_root),
@@ -389,7 +389,7 @@ def check_invariants(corrupt_alpha_root: bool = False, echo=print) -> list[Check
         _check_envelope(),
     ]
     for c in checks:
-        echo(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
+        print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
     return checks
 
 
@@ -409,21 +409,25 @@ def _parse_synthetic(text: str) -> tuple[int, int, float, int]:
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` config over CONFIG_KEYS; list keys take
+    """Flat ``key = value`` UTF-8 config over CONFIG_KEYS; list keys take
     comma-separated values."""
     out: dict = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
-            out[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 

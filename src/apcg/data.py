@@ -19,8 +19,6 @@ import numpy as np
 from . import native
 from .errors import LabelError, ParseError
 
-_NO_LIMIT = 2 ** 63 - 1  # largest int64
-
 
 @dataclass(frozen=True, eq=False)
 class SparseColMatrix:
@@ -186,14 +184,14 @@ def _gunzip(path: Path) -> bytes:
         raise OSError(f"{path}: {exc}") from None
 
 
-def parse_libsvm(source, n_features: int | None = None
-                 ) -> tuple[SparseColMatrix, np.ndarray]:
+def parse_libsvm(source) -> tuple[SparseColMatrix, np.ndarray]:
     """Parse LIBSVM text: one example per line, ``label idx:val idx:val ...``.
 
     Feature indices are 1-based on disk and strictly increasing within a
     line (duplicates rejected); labels must be +1 or -1.  Examples become
-    the columns of the returned matrix.  Explicitly stored zero values are
-    dropped.  ``source`` is a path (``.gz`` accepted) or a text stream.
+    the columns of the returned matrix, whose row count d is the largest
+    index seen.  Explicitly stored zero values are dropped, but still count
+    for d.  ``source`` is a path (``.gz`` accepted) or a text stream.
 
     The compiled tokenizer (``libsvm_parse`` in ``_kernels.c``) parses the
     common plain form of the format and declines anything else: other
@@ -205,7 +203,7 @@ def parse_libsvm(source, n_features: int | None = None
     """
     lib = native.library()
     if lib is None:
-        return _parse_python(source, n_features)
+        return _parse_python(source)
     if hasattr(source, "read"):
         text = source.read()
         source = io.StringIO(text)  # for the Python parser, if it is needed
@@ -213,33 +211,29 @@ def parse_libsvm(source, n_features: int | None = None
     else:
         path = Path(source)
         data = _gunzip(path) if path.suffix == ".gz" else path.read_bytes()
-    parsed = None if data is None else _parse_compiled(lib, data, n_features)
-    return parsed if parsed is not None else _parse_python(source, n_features)
+    parsed = None if data is None else _parse_compiled(lib, data)
+    return parsed if parsed is not None else _parse_python(source)
 
 
-def _parse_compiled(lib, data: bytes, n_features: int | None):
+def _parse_compiled(lib, data: bytes):
     """parse_libsvm's result from the compiled tokenizer, or None when
     ``data`` lies outside the subset it accepts."""
-    # no index has more than 18 digits, so this bound stands for "none"
-    limit = _NO_LIMIT if n_features is None else min(max(int(n_features), 0), _NO_LIMIT)
     # every line but the last ends in \n, and every feature has one ':'
     lines, features = data.count(b"\n") + 1, data.count(b":")
     shape = np.array([lines, features, 0], dtype=np.int64)
     labels, values = np.empty(lines), np.empty(features)
     indptr, indices = np.zeros(lines + 1, dtype=np.int64), np.empty(features, dtype=np.int64)
-    if lib.libsvm_parse(data, len(data), limit, shape.ctypes.data, labels.ctypes.data,
+    if lib.libsvm_parse(data, len(data), shape.ctypes.data, labels.ctypes.data,
                         indptr.ctypes.data, indices.ctypes.data, values.ctypes.data):
         return None
     n, kept, max_index = shape.tolist()
     if kept < features:  # explicit zeros were left out
         indices, values = indices[:kept].copy(), values[:kept].copy()
-    d = max_index if n_features is None else int(n_features)
-    A = SparseColMatrix(d=d, n=n, indptr=indptr[:n + 1], indices=indices, values=values)
+    A = SparseColMatrix(d=max_index, n=n, indptr=indptr[:n + 1], indices=indices, values=values)
     return A, labels[:n]
 
 
-def _parse_python(source, n_features: int | None
-                  ) -> tuple[SparseColMatrix, np.ndarray]:
+def _parse_python(source) -> tuple[SparseColMatrix, np.ndarray]:
     """parse_libsvm in Python: the reference for every input, and the parser
     of whatever the compiled tokenizer declines."""
     if hasattr(source, "read"):
@@ -283,9 +277,6 @@ def _parse_python(source, n_features: int | None
                     raise ParseError(line_no, f"bad feature token {tok!r}") from None
                 if idx < 1:
                     raise ParseError(line_no, f"feature index {idx} must be >= 1")
-                if n_features is not None and idx > n_features:
-                    raise ParseError(line_no,
-                                     f"feature index {idx} exceeds n_features={n_features}")
                 if idx == prev:
                     raise ParseError(line_no, f"duplicate feature index {idx}")
                 if idx < prev:
@@ -302,8 +293,7 @@ def _parse_python(source, n_features: int | None
         if owned:
             stream.close()
 
-    d = max_index if n_features is None else int(n_features)
-    A = SparseColMatrix(d=d, n=len(labels),
+    A = SparseColMatrix(d=max_index, n=len(labels),
                         indptr=np.asarray(indptr, dtype=np.int64),
                         indices=np.asarray(indices, dtype=np.int64),
                         values=np.asarray(values, dtype=float))
@@ -327,17 +317,14 @@ def write_libsvm(A: SparseColMatrix, labels: np.ndarray, target) -> None:
             stream.close()
 
 
-def synth_binary(n: int, d: int, sparsity: float, condition: float = 1.0,
-                 seed: int = 0, normalize: bool = True, noise: float = 0.0,
+def synth_binary(n: int, d: int, sparsity: float, *, seed: int = 0,
                  min_nnz: int = 0) -> tuple[SparseColMatrix, np.ndarray]:
     """Reproducible sparse Gaussian columns with planted-hyperplane labels.
 
     Each column draws Binomial(d, sparsity) nonzero rows (at least
-    ``min_nnz``) with standard normal values; ``condition > 1`` scales the
-    rows geometrically from 1 down to 1/condition to worsen the data
-    conditioning.  With ``normalize`` every nonzero column has unit
-    Euclidean norm, so the column-norm bound R is exactly 1.  Labels are
-    ``sign(column . w_true + noise * eps)`` for a hidden Gaussian w_true.
+    ``min_nnz``) with standard normal values.  Every nonzero column has
+    unit Euclidean norm, so the column-norm bound R is exactly 1.  Labels
+    are ``sign(column . w_true)`` for a hidden Gaussian w_true.
 
     The columns come from the compiled ``synth_columns`` when it is built
     (see apcg.native), else from the Python loop; both draw the same
@@ -349,14 +336,8 @@ def synth_binary(n: int, d: int, sparsity: float, condition: float = 1.0,
     for name, value in (("n", n), ("d", d), ("min_nnz", min_nnz)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if not (1.0 <= condition < math.inf):
-        raise ValueError(f"condition must be a finite number >= 1, got {condition}")
-    if not (0.0 <= noise < math.inf):
-        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    row_scale = (np.geomspace(1.0, 1.0 / condition, d)
-                 if condition > 1.0 else np.ones(d))
-    args = (n, d, sparsity, min(min_nnz, d), row_scale, normalize)
+    args = (n, d, sparsity, min(min_nnz, d))
     columns = _synth_columns_compiled(rng, *args)
     if columns is None:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -364,14 +345,11 @@ def synth_binary(n: int, d: int, sparsity: float, condition: float = 1.0,
     indptr, indices, values = columns
     A = SparseColMatrix(d=d, n=n, indptr=indptr, indices=indices, values=values)
     w_true = rng.standard_normal(d)
-    margins = A.tdot(w_true)
-    if noise > 0.0:
-        margins = margins + noise * rng.standard_normal(n)
-    labels = np.where(margins >= 0.0, 1.0, -1.0)
+    labels = np.where(A.tdot(w_true) >= 0.0, 1.0, -1.0)
     return A, labels
 
 
-def _synth_columns_python(rng, n, d, sparsity, min_k, row_scale, normalize):
+def _synth_columns_python(rng, n, d, sparsity, min_k):
     """synth_binary's (indptr, indices, values), one column at a time: the
     reference for synth_columns, and the path where it is not built."""
     indptr = [0]
@@ -383,12 +361,10 @@ def _synth_columns_python(rng, n, d, sparsity, min_k, row_scale, normalize):
             indptr.append(indptr[-1])
             continue
         rows = np.sort(rng.choice(d, size=k, replace=False))
-        vals = rng.standard_normal(k) * row_scale[rows]
+        vals = rng.standard_normal(k)
         vals[vals == 0.0] = 1e-12  # standard_normal never returns 0 in practice
-        if normalize:
-            vals = vals / np.linalg.norm(vals)
         indices.append(rows)
-        values.append(vals)
+        values.append(vals / np.linalg.norm(vals))
         indptr.append(indptr[-1] + k)
     return (np.asarray(indptr, dtype=np.int64),
             np.concatenate(indices) if indices else np.empty(0, np.int64),
@@ -403,7 +379,7 @@ def _synth_capacity(n: int, d: int, sparsity: float, min_k: int) -> int:
     return min(n * d, int(mean + n * min_k + 8.0 * math.sqrt(mean) + 64.0))
 
 
-def _synth_columns_compiled(rng, n, d, sparsity, min_k, row_scale, normalize):
+def _synth_columns_compiled(rng, n, d, sparsity, min_k):
     """_synth_columns_python's result from the compiled synth_columns, or
     None, with ``rng`` spent, when the kernel is not built or the columns
     outgrow _synth_capacity."""
@@ -417,43 +393,14 @@ def _synth_columns_compiled(rng, n, d, sparsity, min_k, row_scale, normalize):
     bitgen = rng.bit_generator
     with bitgen.lock:
         if kernel(bitgen.ctypes.bit_generator, n, d, sparsity, min_k,
-                  row_scale.ctypes.data, mark.ctypes.data, pool.ctypes.data,
+                  mark.ctypes.data, pool.ctypes.data,
                   indptr.ctypes.data, indices.ctypes.data, values.ctypes.data, capacity):
             return None
     nnz = int(indptr[-1])
     indices, values = indices[:nnz], values[:nnz]
     # np.linalg.norm is sqrt(v.dot(v)) and division is elementwise, so this
     # is bitwise vals / np.linalg.norm(vals); an empty column's 0 is repeated 0 times
-    if normalize:
-        bounds = indptr.tolist()
-        norms = [math.sqrt((v := values[lo:hi]).dot(v)) for lo, hi in zip(bounds, bounds[1:])]
-        values /= np.repeat(norms, np.diff(indptr))
+    bounds = indptr.tolist()
+    norms = [math.sqrt((v := values[lo:hi]).dot(v)) for lo, hi in zip(bounds, bounds[1:])]
+    values /= np.repeat(norms, np.diff(indptr))
     return indptr, indices, values
-
-
-def spectral_norm(A: SparseColMatrix, tol: float = 1e-6, max_iters: int = 20000,
-                  seed: int = 0) -> float:
-    """Largest singular value by power iteration on A A^T.
-
-    Stops when the Rayleigh quotient stabilizes to ``tol`` relative; near-tied
-    top singular values stall the iteration but then the estimate is within
-    the tie gap of the true value anyway.
-    """
-    if A.nnz == 0:
-        return 0.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    w = rng.standard_normal(A.d)
-    w /= np.linalg.norm(w)
-    est = 0.0
-    for it in range(max_iters):
-        bw = A.dot(A.tdot(w))
-        norm = np.linalg.norm(bw)
-        if norm == 0.0:
-            return 0.0
-        new_est = float(w @ bw)
-        w = bw / norm
-        if it >= 10 and abs(new_est - est) <= tol * 0.1 * max(new_est, 1e-300):
-            est = new_est
-            break
-        est = new_est
-    return math.sqrt(est)

@@ -135,9 +135,10 @@ class ErmProblem:
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lam must be positive and finite")
-        self.col_norms_sq = self.matrix.col_norms_sq()
-        if not np.all(np.isfinite(self.col_norms_sq)):
-            raise ValueError("matrix columns must be finite")
+        # stored values are finite, so only an overflowing square makes a
+        # norm inf; the constants below then overflow and are reported
+        with np.errstate(over="ignore"):
+            self.col_norms_sq = self.matrix.col_norms_sq()
         self.R = math.sqrt(float(self.col_norms_sq.max())) if self.n else 0.0
         self.anchors = np.ascontiguousarray(self.loss.anchors(self.n), dtype=float)
         if self.n:
@@ -566,9 +567,10 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
 
 
 def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,
-              x0: np.ndarray | None = None, tol: float | None = None) -> ErmRunResult:
-    """Run the dual coordinate solver, n steps per epoch; see run_epochs."""
-    state = ErmDualState(prob, x0=x0, seed=seed)
+              tol: float | None = None) -> ErmRunResult:
+    """Run the dual coordinate solver from x = 0, n steps per epoch; see
+    run_epochs."""
+    state = ErmDualState(prob, seed=seed)
     return run_epochs(prob, state.epoch, state.x, epochs, tol, ax=state.ax)
 
 

@@ -45,8 +45,8 @@ SIGNATURES = {
     "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P,
                        _D, _D, _D, _D, _D, _INT, _D),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
-    "libsvm_parse": (_P, _I, _I, _P, _P, _P, _P, _P),
-    "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _P, _I),
+    "libsvm_parse": (_P, _I, _P, _P, _P, _P, _P),
+    "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _I),
 }
 RESTYPES = {"apcg_erm_epoch": _D, "libsvm_parse": _INT,
             "synth_columns": _INT}  # the others return nothing

@@ -101,7 +101,7 @@ class ApcgExplicitState:
 
 
 def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
-                      sched: ApcgSchedule, forced_block: int | None = None) -> ApcgExplicitState:
+                      sched: ApcgSchedule) -> ApcgExplicitState:
     """One iteration with schedule coefficients (any gamma0 in [mu, 1]).
 
     y is formed from (x, z), the selected block of z is replaced by the prox
@@ -118,7 +118,7 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
 
     x, z = state.x, state.z
     y = (alpha * gamma_k * z + gamma_next * x) / (alpha * gamma_k + gamma_next)
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    i = state.sampler.draw()
     center = (1.0 - beta) * z + beta * y if beta != 0.0 else z.copy()
     weight = n * alpha * float(problem.smooth.lipschitz[i])
     # block-i minimizer of weight/2 ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)
@@ -182,8 +182,8 @@ class ApcgEfficientState:
         return -self.ubar_full() / self.rho + self.v
 
 
-def apcg_step_efficient(problem: CompositeProblem, state: ApcgEfficientState,
-                        forced_block: int | None = None) -> ApcgEfficientState:
+def apcg_step_efficient(problem: CompositeProblem,
+                        state: ApcgEfficientState) -> ApcgEfficientState:
     """One iteration touching a single block of (ubar, v).
 
     The prox argument is ``Psi_i(-ubar_i + v_i + h)``; afterwards
@@ -193,7 +193,7 @@ def apcg_step_efficient(problem: CompositeProblem, state: ApcgEfficientState,
     """
     n = problem.n
     alpha, rho = state.alpha, state.rho
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    i = state.sampler.draw()
     sl = problem.partition.slice(i)
 
     t0 = -state.ubar_base[sl] * state.scale + state.v[sl]
@@ -215,41 +215,26 @@ def apcg_step_efficient(problem: CompositeProblem, state: ApcgEfficientState,
 class SolveResult:
     x: np.ndarray
     trace: list[tuple[int, float]]
-    iterations: int
-    stopped_early: bool
 
 
 def solve(problem: CompositeProblem, variant: str = "general",
-          gamma0: float | None = None, max_iters: int = 1000, seed: int = 0,
-          x0: np.ndarray | None = None, trace_every: int | None = None,
-          callback=None, tolerance: float | None = None) -> SolveResult:
-    """Run the selected variant and trace the objective.
+          gamma0: float | None = None, max_iters: int = 1000,
+          seed: int = 0) -> SolveResult:
+    """Run the selected variant from x = 0 and trace the objective.
 
     ``gamma0`` (default 1) starts the ``general`` and ``non_strongly_convex``
     schedules; ``strongly_convex`` always starts at ``gamma0 = mu`` and
-    ``efficient`` has no schedule.  ``trace_every`` defaults to one epoch
-    (n coordinate steps).  The trace holds (iteration, F(x)) pairs including
-    iteration 0 and the final iterate; objective evaluations happen only at
-    trace points and are not part of the per-iteration cost.
-    ``callback(k, x)`` is invoked at trace points; if it returns a number
-    and ``tolerance`` is set, the run stops once the number drops to
-    ``tolerance`` or below.  Runs with the same seed and options produce
-    identical traces.
+    ``efficient`` has no schedule.  The trace holds (iteration, F(x)) pairs
+    at iteration 0, after every n coordinate steps (one epoch) and at the
+    end; objective evaluations happen only at trace points and are not part
+    of the per-iteration cost.  Runs with the same seed produce identical
+    traces.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
     n = problem.n
     mu = problem.smooth.mu
-    if x0 is None:
-        x0 = np.zeros(problem.dim)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
-    if trace_every is None:
-        trace_every = n
-    if trace_every < 1:
-        raise ConfigurationError("trace_every must be >= 1")
-
+    x0 = np.zeros(problem.dim)
     if variant in ("strongly_convex", "efficient") and not mu > 0.0:
         raise ConfigurationError(f"variant {variant!r} requires mu > 0, problem has mu={mu}")
 
@@ -270,25 +255,8 @@ def solve(problem: CompositeProblem, variant: str = "general",
         current_x = lambda: state.x
 
     trace: list[tuple[int, float]] = [(0, problem.objective(x0))]
-    stopped = False
-    if callback is not None:
-        val = callback(0, x0.copy())
-        if tolerance is not None and isinstance(val, (int, float)) and val <= tolerance:
-            stopped = True
-
-    k = 0
-    while k < max_iters and not stopped:
+    for k in range(1, max_iters + 1):
         step()
-        k += 1
-        if k % trace_every == 0 or k == max_iters:
-            xk = current_x()
-            trace.append((k, problem.objective(xk)))
-            if callback is not None:
-                val = callback(k, xk.copy())
-                if tolerance is not None and isinstance(val, (int, float)) and val <= tolerance:
-                    stopped = True
-
-    x_final = current_x().copy() if k > 0 else x0.copy()
-    if trace[-1][0] != k:
-        trace.append((k, problem.objective(x_final)))
-    return SolveResult(x=x_final, trace=trace, iterations=k, stopped_early=stopped)
+        if k % n == 0 or k == max_iters:
+            trace.append((k, problem.objective(current_x())))
+    return SolveResult(x=current_x().copy(), trace=trace)

@@ -2,9 +2,10 @@
 
 Every closed form in the package is checked against one of these slow but
 simple oracles: refined grid searches for 1-d proxes and conjugates, a
-plain proximal-gradient loop for optimal objective values, dense SVD for
-spectral norms, an exact active-set QP solve for the smoothed-hinge dual
-optimum, and a direct deterministic accelerated gradient recursion.  The
+plain proximal-gradient loop for optimal objective values, dense SVD and
+power iteration for spectral norms, an exact active-set QP solve for the
+smoothed-hinge dual optimum, and a direct deterministic accelerated
+gradient recursion.  The
 plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
@@ -23,7 +24,6 @@ import scipy.optimize
 from apcg import schedule
 from apcg.cli import CheckResult
 from apcg.core import BlockPartition, CompositeProblem, SmoothOracle, block_prox
-from apcg.data import spectral_norm
 from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmProblem,
                       PrimalDualReport, SquareLoss, dual_objective, erm_constants)
 from apcg.errors import ConfigurationError
@@ -152,18 +152,54 @@ def sampled_block_lipschitz(smooth, partition, samples: int = 200, seed: int = 0
 
 
 def ista_minimize(problem, lipschitz_full: float, iters: int) -> np.ndarray:
-    """Plain proximal-gradient descent; the reference for optimal values."""
-    x = np.zeros(problem.dim)
+    """Plain proximal-gradient descent; the reference for optimal values.
+
+    Returns iterate ``iters``.  The step is a fixed map, so once an iterate
+    equals the one two steps back the iterates repeat with period 2 (or
+    stand still); the loop stops there and returns the iterate of the
+    same parity as ``iters``, bitwise what the remaining steps would give.
+    """
+    x = prev = np.zeros(problem.dim)
     step = 1.0 / lipschitz_full
     grad = problem.smooth.full_gradient
     prox = problem.reg.prox_full
-    for _ in range(iters):
-        x = prox(x - step * grad(x), lipschitz_full)
+    for k in range(1, iters + 1):
+        x_new = prox(x - step * grad(x), lipschitz_full)
+        if np.array_equal(x_new, prev):
+            return x_new if (iters - k) % 2 == 0 else x
+        x, prev = x_new, x
     return x
 
 
 def dense_spectral_norm(A) -> float:
     return float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
+
+
+def spectral_norm(A) -> float:
+    """Largest singular value of a SparseColMatrix by power iteration on A A^T.
+
+    Stops when the Rayleigh quotient stabilizes to 1e-7 relative, or after
+    20000 iterations; near-tied top singular values stall the iteration but
+    then the estimate is within the tie gap of the true value anyway.
+    """
+    if A.nnz == 0:
+        return 0.0
+    rng = np.random.Generator(np.random.PCG64(0))
+    w = rng.standard_normal(A.d)
+    w /= np.linalg.norm(w)
+    est = 0.0
+    for it in range(20000):
+        bw = A.dot(A.tdot(w))
+        norm = np.linalg.norm(bw)
+        if norm == 0.0:
+            return 0.0
+        new_est = float(w @ bw)
+        w = bw / norm
+        if it >= 10 and abs(new_est - est) <= 1e-6 * 0.1 * max(new_est, 1e-300):
+            est = new_est
+            break
+        est = new_est
+    return math.sqrt(est)
 
 
 def momentum_accelerated_gradient(H: np.ndarray, b: np.ndarray, x0: np.ndarray,
@@ -442,7 +478,7 @@ def _block_prox_update(problem, y, center, i, weight):
     return block_prox(problem.reg, i, center[sl] - grad_i / weight, weight)
 
 
-def apcg_step_sc_reference(problem, state, alpha: float, forced_block=None):
+def apcg_step_sc_reference(problem, state, alpha: float):
     """One APCG step of the paper's constant-coefficient form, ``alpha = sqrt(mu)/n``.
 
     ``y = (x + alpha z) / (1 + alpha)``, block prox with weight ``n alpha L_i``
@@ -454,7 +490,7 @@ def apcg_step_sc_reference(problem, state, alpha: float, forced_block=None):
     n = problem.n
     x, z = state.x, state.z
     y = (x + alpha * z) / (1.0 + alpha)
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    i = state.sampler.draw()
     center = (1.0 - alpha) * z + alpha * y
     weight = n * alpha * float(problem.smooth.lipschitz[i])
     s = _block_prox_update(problem, y, center, i, weight)
@@ -470,7 +506,7 @@ def apcg_step_sc_reference(problem, state, alpha: float, forced_block=None):
     return state
 
 
-def apcg_step_nsc_reference(problem, state, alpha_prev: float, forced_block=None):
+def apcg_step_nsc_reference(problem, state, alpha_prev: float):
     """One APCG step of the paper's mu = 0 form; returns (state, alpha_k).
 
     ``alpha_k = (sqrt(a^4 + 4 a^2) - a^2) / 2`` with ``a = alpha_prev``,
@@ -484,7 +520,7 @@ def apcg_step_nsc_reference(problem, state, alpha_prev: float, forced_block=None
     alpha = 0.5 * (math.sqrt(a2 * a2 + 4.0 * a2) - a2)
     x, z = state.x, state.z
     y = (1.0 - alpha) * x + alpha * z
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    i = state.sampler.draw()
     weight = n * alpha * float(problem.smooth.lipschitz[i])
     s = _block_prox_update(problem, y, z, i, weight)
 
@@ -499,7 +535,7 @@ def apcg_step_nsc_reference(problem, state, alpha_prev: float, forced_block=None
     return state, alpha
 
 
-def apcg_step_general_reference(problem, state, history, forced_block=None):
+def apcg_step_general_reference(problem, state, history):
     """``apcg.solvers.apcg_step_general`` reading its coefficients from the
     schedule lists ``history = (alphas, gammas, betas, mu)`` at ``state.k``,
     as the stepper did while the schedule kept its history."""
@@ -510,7 +546,7 @@ def apcg_step_general_reference(problem, state, history, forced_block=None):
 
     x, z = state.x, state.z
     y = (alpha * gamma_k * z + gamma_next * x) / (alpha * gamma_k + gamma_next)
-    i = state.sampler.draw() if forced_block is None else int(forced_block)
+    i = state.sampler.draw()
     center = (1.0 - beta) * z + beta * y if beta != 0.0 else z.copy()
     weight = n * alpha * float(problem.smooth.lipschitz[i])
     s = _block_prox_update(problem, y, center, i, weight)

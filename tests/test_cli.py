@@ -176,6 +176,12 @@ BAD_INPUTS = {
     "overflowing-constants-square": ("+1 1:1e150 2:1e150\n-1 1:1e150\n",
                                      ["--loss", "square", "--solver", "afg",
                                       "--lambda", "1e-10", "--data"]),
+    # ||A_i||^2 itself overflows, whatever lambda is
+    "overflowing-norm-hinge": ("+1 1:1e200 2:1e200\n-1 1:0.5\n", ["--data"]),
+    "overflowing-norm-square": ("+1 1:1e200 2:1e200\n-1 1:0.5\n",
+                                ["--loss", "square", "--data"]),
+    # not UTF-8, even inside a comment
+    "config-not-utf8": (b"# \xff\nsynthetic = 40,10,0.5\n", ["--config"]),
 }
 
 
@@ -184,7 +190,7 @@ def test_bad_input_exits_with_error_line(case, tmp_path):
     text, flags = BAD_INPUTS[case]
     if text is not None:
         path = tmp_path / "in.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         flags = [*flags, str(path)]
     env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
     proc = subprocess.run(
@@ -193,7 +199,7 @@ def test_bad_input_exits_with_error_line(case, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_non_ascii_data_names_its_line(tmp_path, capsys):
@@ -361,15 +367,17 @@ def test_parser_rejects_unknown_solver():
         build_parser().parse_args(["run", "--solver", "newton"])
 
 
-def test_check_invariants_passes():
-    checks = check_invariants(echo=lambda *_: None)
+def test_check_invariants_passes(capsys):
+    checks = check_invariants()
     assert all(c.passed for c in checks)
+    assert capsys.readouterr().out.count("[PASS] ") == len(checks)
 
 
-def test_check_invariants_negative_control():
-    checks = check_invariants(corrupt_alpha_root=True, echo=lambda *_: None)
+def test_check_invariants_negative_control(capsys):
+    checks = check_invariants(corrupt_alpha_root=True)
     schedule_check = next(c for c in checks if c.name == "schedule")
     assert not schedule_check.passed
+    assert capsys.readouterr().out.startswith("[FAIL] schedule: ")
 
 
 def test_main_check_exit_codes(capsys):

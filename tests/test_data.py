@@ -11,8 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from apcg import data, native
 from apcg.data import (DatasetMeta, SparseColMatrix, _parse_compiled,
-                       _parse_python, parse_libsvm, spectral_norm,
-                       synth_binary, write_libsvm)
+                       _parse_python, parse_libsvm, synth_binary, write_libsvm)
 from apcg.errors import LabelError, ParseError
 
 import oracles
@@ -229,9 +228,10 @@ def test_round_trip_bit_exact(tmp_path):
         labels = np.where(rng.uniform(size=8) < 0.5, 1.0, -1.0)
         path = tmp_path / f"rt{trial}.txt"
         write_libsvm(A, labels, path)
-        B, lab2 = parse_libsvm(path, n_features=10)
+        B, lab2 = parse_libsvm(path)
         assert np.array_equal(lab2, labels)
-        assert B.d == A.d and B.n == A.n
+        # d is the largest index on disk: the last nonzero row
+        assert B.d == A.indices.max() + 1 and B.n == A.n
         assert np.array_equal(B.indices, A.indices)
         assert np.array_equal(B.values, A.values)  # bit exact
 
@@ -255,7 +255,7 @@ def test_round_trip_property_bit_exact(case):
     buf = io.StringIO()
     write_libsvm(A, labels, buf)
     buf.seek(0)
-    B, lab2 = parse_libsvm(buf, n_features=A.d)
+    B, lab2 = parse_libsvm(buf)
     assert np.array_equal(B.indptr, A.indptr)
     assert np.array_equal(B.indices, A.indices)
     assert np.array_equal(B.values.view(np.int64), A.values.view(np.int64))
@@ -270,22 +270,15 @@ def test_round_trip_gzip(tmp_path):
     path = tmp_path / "data.txt.gz"
     with gzip.open(path, "wt", encoding="ascii") as fh:
         fh.write(buf.getvalue())
-    B, lab2 = parse_libsvm(path, n_features=6)
+    B, lab2 = parse_libsvm(path)
     assert np.array_equal(B.values, A.values)
     assert np.array_equal(lab2, labels)
 
 
-def test_parse_respects_explicit_feature_count():
-    A, _ = parse_libsvm(io.StringIO("+1 2:1.0\n"), n_features=10)
-    assert A.d == 10
-    with pytest.raises(ParseError):
-        parse_libsvm(io.StringIO("+1 12:1.0\n"), n_features=10)
-
-
-def parsed(parse, source, n_features=None):
+def parsed(parse, source):
     """A parse's result as bytes, or (error class, line number)."""
     try:
-        A, labels = parse(source, n_features)
+        A, labels = parse(source)
     except ParseError as exc:
         return type(exc), exc.line_no
     return (A.d, A.n, A.indptr.tobytes(), A.indices.tobytes(), A.values.tobytes(),
@@ -297,10 +290,10 @@ def test_compiled_parse_equals_python_on_written_files(tmp_path, c_kernels):
         A, labels = synth_binary(300, 200, 0.05, seed=seed, min_nnz=1)
         path = tmp_path / f"w{seed}.libsvm"
         write_libsvm(A, labels, path)
-        assert _parse_compiled(native.library(), path.read_bytes(), None) is not None
+        assert _parse_compiled(native.library(), path.read_bytes()) is not None
         want = parsed(_parse_python, path)
         assert parsed(parse_libsvm, path) == want
-        assert parsed(parse_libsvm, str(path), 200) == parsed(_parse_python, path, 200)
+        assert parsed(parse_libsvm, str(path)) == want
         assert want[4] == A.values.tobytes()
 
 
@@ -336,18 +329,10 @@ TOKENIZER_CASES = [
 
 @pytest.mark.parametrize("data,taken", TOKENIZER_CASES)
 def test_compiled_tokenizer_takes_exactly_its_subset(data, taken, tmp_path, c_kernels):
-    assert (_parse_compiled(native.library(), data, None) is not None) == taken
+    assert (_parse_compiled(native.library(), data) is not None) == taken
     path = tmp_path / "in.libsvm"
     path.write_bytes(data)
     assert parsed(parse_libsvm, path) == parsed(_parse_python, path)
-
-
-def test_compiled_tokenizer_respects_feature_count(c_kernels):
-    lib = native.library()
-    assert _parse_compiled(lib, b"+1 3:1\n", 3)[0].d == 3
-    assert _parse_compiled(lib, b"+1 3:1\n", 2) is None
-    assert _parse_compiled(lib, b"+1 3:1\n", -1) is None
-    assert _parse_compiled(lib, b"-1\n", 2**70)[0].d == 2**70
 
 
 # (the tokenizer's grammar, what leaves it); a file draws from the first
@@ -393,26 +378,24 @@ def libsvm_files(draw):
         lines.append(draw(separators).join(tokens) + draw(endings))
     if lines and draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")
-    limits = st.integers(30, 40) if clean else st.integers(0, 35)
-    return "".join(lines), draw(st.one_of(st.none(), limits))
+    return "".join(lines)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=libsvm_files())
-def test_compiled_and_python_parsers_agree(case, tmp_path_factory):
+@given(text=libsvm_files())
+def test_compiled_and_python_parsers_agree(text, tmp_path_factory):
     """On files and on text streams: the same arrays, bit for bit, or the
     same error class at the same line."""
     if native.library() is None:
         pytest.skip(f"compiled kernels unavailable: {native.backend()}")
-    text, n_features = case
     path = tmp_path_factory.getbasetemp() / "differential.libsvm"
     path.write_bytes(text.encode("utf-8"))
     for source in (lambda: path, lambda: io.StringIO(text)):
-        got = parsed(parse_libsvm, source(), n_features)
+        got = parsed(parse_libsvm, source())
         saved = native.library
         native.library = lambda: None
         try:
-            want = parsed(parse_libsvm, source(), n_features)
+            want = parsed(parse_libsvm, source())
         finally:
             native.library = saved
         assert got == want
@@ -461,7 +444,7 @@ def test_synth_same_seed_identical():
 
 
 def test_synth_normalization_gives_unit_R():
-    A, _ = synth_binary(100, 30, 0.3, seed=1, normalize=True, min_nnz=1)
+    A, _ = synth_binary(100, 30, 0.3, seed=1, min_nnz=1)
     norms = np.sqrt(A.col_norms_sq())
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     R, _ = column_stats(A)
@@ -475,16 +458,13 @@ def test_synth_nnz_concentration():
 
 
 def test_synth_labels_are_signs():
-    _, labels = synth_binary(40, 10, 0.5, seed=3, noise=0.3)
+    _, labels = synth_binary(40, 10, 0.5, seed=3)
     assert set(np.unique(labels)) <= {1.0, -1.0}
 
 
-def test_synth_condition_knob_scales_rows():
-    A, _ = synth_binary(200, 50, 0.5, seed=4, normalize=False, condition=100.0)
-    dense = np.abs(A.to_dense())
-    top = dense[:5].mean()
-    bottom = dense[-5:].mean()
-    assert top > 10 * bottom
+def test_synth_takes_seed_and_min_nnz_by_keyword_only():
+    with pytest.raises(TypeError):
+        synth_binary(10, 5, 0.5, 3)
 
 
 def test_synth_rejects_bad_sparsity():
@@ -495,12 +475,6 @@ def test_synth_rejects_bad_sparsity():
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    (dict(condition=math.nan), "condition"),
-    (dict(condition=math.inf), "condition"),
-    (dict(condition=0.5), "condition"),
-    (dict(noise=math.nan), "noise"),
-    (dict(noise=-0.1), "noise"),
-    (dict(noise=math.inf), "noise"),
     (dict(n=-1), "n"),
     (dict(d=-1), "d"),
     (dict(min_nnz=-1), "min_nnz"),
@@ -550,14 +524,10 @@ def assert_same_synth(got, want):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(0, 30), d=st.integers(1, 400),
        sparsity=st.floats(0.001, 1.0), seed=st.integers(0, 2 ** 32),
-       min_nnz=st.integers(0, 80), condition=st.floats(1.0, 1e6),
-       normalize=st.booleans(), noise=st.sampled_from([0.0, 0.3, 2.0]))
-def test_synth_compiled_is_bitwise_the_python_loop(n, d, sparsity, seed, min_nnz,
-                                                   condition, normalize, noise):
+       min_nnz=st.integers(0, 80))
+def test_synth_compiled_is_bitwise_the_python_loop(n, d, sparsity, seed, min_nnz):
     require_synth_kernel()
-    assert_same_synth(*synth_on_both_backends(
-        n, d, sparsity, condition=condition, seed=seed, normalize=normalize,
-        noise=noise, min_nnz=min_nnz))
+    assert_same_synth(*synth_on_both_backends(n, d, sparsity, seed=seed, min_nnz=min_nnz))
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -565,15 +535,15 @@ def test_synth_compiled_is_bitwise_the_python_loop(n, d, sparsity, seed, min_nnz
     # shuffle above it; min_nnz pins k on either side
     ((12, 10001, 0.0005), dict(min_nnz=200)),
     ((12, 10001, 0.0005), dict(min_nnz=201)),
-    ((12, 10001, 0.02), dict(noise=0.5)),
-    ((3, 10001, 1.0), dict(condition=50.0)),
+    ((12, 10001, 0.02), dict()),
+    ((3, 10001, 1.0), dict()),
     ((40, 10000, 0.05), dict()),  # d <= 10000: Floyd's whatever k is
     ((8, 3, 0.5), dict(min_nnz=7)),  # min_nnz > d
     ((60, 20, 0.01), dict()),  # mostly k = 0 columns
-    ((30, 1, 0.5), dict(noise=1.0)),
-    ((0, 7, 0.5), dict(noise=1.0)),
-    ((200, 2000, 0.004), dict(normalize=False)),  # k < d / 40: rows sorted by qsort
-    ((500, 40, 0.3), dict(noise=0.2, condition=1e3)),  # the noise follows the kernel's draws
+    ((30, 1, 0.5), dict()),
+    ((0, 7, 0.5), dict()),
+    ((200, 2000, 0.004), dict()),  # k < d / 40: rows sorted by qsort
+    ((500, 40, 0.3), dict()),
 ])
 def test_synth_compiled_matches_on_edge_shapes(args, kwargs):
     require_synth_kernel()
@@ -582,13 +552,13 @@ def test_synth_compiled_matches_on_edge_shapes(args, kwargs):
 
 def test_synth_restarts_in_python_when_capacity_is_short(monkeypatch):
     require_synth_kernel()
-    want = synth_on_both_backends(300, 50, 0.2, seed=4, noise=0.1)[1]
+    want = synth_on_both_backends(300, 50, 0.2, seed=4)[1]
     monkeypatch.setattr(data, "_synth_capacity", lambda *args: 100)
     calls = []
     python = data._synth_columns_python
     monkeypatch.setattr(data, "_synth_columns_python",
                         lambda *args: calls.append(1) or python(*args))
-    assert_same_synth(synth_binary(300, 50, 0.2, seed=4, noise=0.1), want)
+    assert_same_synth(synth_binary(300, 50, 0.2, seed=4), want)
     assert calls == [1]
 
 
@@ -598,7 +568,7 @@ def test_synth_restarts_in_python_when_capacity_is_short(monkeypatch):
 
 def column_stats(A):
     """(max column norm R, spectral norm estimate)."""
-    return math.sqrt(float(A.col_norms_sq().max())), spectral_norm(A)
+    return math.sqrt(float(A.col_norms_sq().max())), oracles.spectral_norm(A)
 
 
 def test_column_stats_identity():
@@ -619,7 +589,7 @@ def test_spectral_norm_matches_dense_svd():
     for seed in range(4):
         A = random_sparse(20, 50, seed=seed, density=0.3)
         want = oracles.dense_spectral_norm(A)
-        assert spectral_norm(A) == pytest.approx(want, rel=1e-5)
+        assert oracles.spectral_norm(A) == pytest.approx(want, rel=1e-5)
 
 
 def test_norm_chain_inequality():

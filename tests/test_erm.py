@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from apcg import native
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
-from apcg.data import SparseColMatrix, spectral_norm, synth_binary
+from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
                       apcg_erm_steps, complexity_estimate, dual_objective,
@@ -140,8 +140,9 @@ def test_weak_duality_property(seed, loss, log_lam, gamma, scale):
     """P(w(x)) >= D(x) at random feasible x, with w(x) = A x / (lam n)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n, d = int(rng.integers(1, 40)), int(rng.integers(1, 20))
-    A, labels = synth_binary(n, d, float(rng.uniform(0.05, 1.0)), seed=seed,
-                             normalize=bool(rng.integers(2)))
+    A, labels = synth_binary(n, d, float(rng.uniform(0.05, 1.0)), seed=seed)
+    if rng.integers(2):  # columns of other norms than 1
+        A = A.scale_columns(rng.uniform(0.1, 10.0, n))
     lam = 10.0 ** log_lam
     if loss == "smoothed_hinge":
         prob = ErmProblem.smoothed_hinge(A, labels, lam=lam, gamma=gamma)
@@ -550,7 +551,7 @@ def test_full_prox_matches_grid_on_tiny_instance():
     prob = ErmProblem.smoothed_hinge(A, np.array([1.0, -1.0]), lam=0.5, gamma=1.0)
     x = np.zeros(2)
     got = oracles.full_prox_step(prob, x)
-    theta = spectral_norm(prob.matrix) ** 2 / (prob.lam * 4)
+    theta = oracles.spectral_norm(prob.matrix) ** 2 / (prob.lam * 4)
     grad = prob.matrix.tdot(prob.matrix.dot(x)) / (prob.lam * 4)
 
     def objective(v):
@@ -586,7 +587,7 @@ def test_gap_by_dual_bound_ridge_run():
     prob = ErmProblem.ridge(A, labels, lam=1e-2, gamma=1.0)
     xstar, dstar = oracles.ridge_dual_optimum(prob)
     # coefficient always exceeds 1 (eta = gamma for the square loss)
-    coef = (prob.lam * prob.gamma * prob.n + spectral_norm(prob.matrix) ** 2) / (
+    coef = (prob.lam * prob.gamma * prob.n + oracles.spectral_norm(prob.matrix) ** 2) / (
         prob.lam * prob.gamma * prob.n)
     assert coef > 1.0
     assert oracles.gap_by_dual_bound(prob, xstar, dstar) <= 1e-10

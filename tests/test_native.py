@@ -61,7 +61,7 @@ def test_without_numpys_random_archive_only_synth_columns_is_left_out(
         fresh_loader, c_kernels, monkeypatch, tmp_path):
     if not hasattr(native.library(), "synth_columns"):
         pytest.skip(f"numpy ships no {native.RANDOM_ARCHIVE.name}")
-    want = synth_binary(200, 30, 0.2, seed=5, noise=0.1, min_nnz=1)
+    want = synth_binary(200, 30, 0.2, seed=5, min_nnz=1)
     linked = set(fresh_loader.glob("kernels-*.so"))
 
     monkeypatch.setattr(native, "RANDOM_ARCHIVE", tmp_path / "missing.a")
@@ -76,7 +76,7 @@ def test_without_numpys_random_archive_only_synth_columns_is_left_out(
     python = data._synth_columns_python
     monkeypatch.setattr(data, "_synth_columns_python",
                         lambda *args: calls.append(1) or python(*args))
-    A, labels = synth_binary(200, 30, 0.2, seed=5, noise=0.1, min_nnz=1)
+    A, labels = synth_binary(200, 30, 0.2, seed=5, min_nnz=1)
     assert calls == [1]
     for name in ("indptr", "indices", "values"):
         assert getattr(A, name).tobytes() == getattr(want[0], name).tobytes()

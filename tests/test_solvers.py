@@ -28,6 +28,16 @@ def shifted_quadratic(target):
                             reg=ZeroRegularizer())
 
 
+class FixedBlock:
+    """A stand-in for a state's sampler that always draws block ``i``."""
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def draw(self) -> int:
+        return self.i
+
+
 # ---------------------------------------------------------------------------
 # sampler
 # ---------------------------------------------------------------------------
@@ -80,7 +90,8 @@ def test_y_equals_x_when_z_equals_x():
     problem = shifted_quadratic(np.array([0.3, -0.7]))
     sched = ApcgSchedule(2, 1.0, 1.0)
     state = ApcgExplicitState.start(np.array([1.0, 2.0]), seed=0, n_blocks=2)
-    apcg_step_general(problem, state, sched, forced_block=0)
+    state.sampler = FixedBlock(0)
+    apcg_step_general(problem, state, sched)
     assert np.allclose(state.y, [1.0, 2.0], atol=1e-15)
 
 
@@ -93,12 +104,14 @@ def test_stationary_point_is_fixed_for_all_steppers(block):
     for sched in (ApcgSchedule(3, 1.0, 1.0), ApcgSchedule(3, 0.25, 0.5),
                   ApcgSchedule(3, 0.0, 1.0)):
         st = ApcgExplicitState.start(target, seed=0, n_blocks=3)
-        apcg_step_general(problem, st, sched, forced_block=block)
+        st.sampler = FixedBlock(block)
+        apcg_step_general(problem, st, sched)
         assert np.allclose(st.x, target, atol=1e-14)
         assert np.allclose(st.z, target, atol=1e-14)
 
     eff = ApcgEfficientState(target, problem, 1.0, seed=0)
-    apcg_step_efficient(problem, eff, forced_block=block)
+    eff.sampler = FixedBlock(block)
+    apcg_step_efficient(problem, eff)
     assert np.allclose(eff.x_full(), target, atol=1e-14)
 
 
@@ -108,7 +121,8 @@ def test_general_step_two_block_golden():
     problem = shifted_quadratic(np.zeros(2))
     sched = ApcgSchedule(2, 1.0, 1.0)
     state = ApcgExplicitState.start(np.array([1.0, 1.0]), seed=0, n_blocks=2)
-    apcg_step_general(problem, state, sched, forced_block=0)
+    state.sampler = FixedBlock(0)
+    apcg_step_general(problem, state, sched)
     assert sched.history(1)[0][0] == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(state.y, [1.0, 1.0], atol=1e-15)
     assert np.allclose(state.z, [0.0, 1.0], atol=1e-14)
@@ -121,7 +135,8 @@ def test_efficient_step_matches_z_increment_golden():
     problem = shifted_quadratic(np.zeros(2))
     eff = ApcgEfficientState(np.array([1.0, 1.0]), problem, 1.0, seed=0)
     assert np.allclose(eff.y_full(), [1.0, 1.0], atol=1e-15)  # u=0, v=x0
-    apcg_step_efficient(problem, eff, forced_block=0)
+    eff.sampler = FixedBlock(0)
+    apcg_step_efficient(problem, eff)
     # h = -1: v_0 moves by (1 + n alpha)/2 h, which is h at n alpha = 1
     assert eff.v == pytest.approx(np.array([0.0, 1.0]), abs=1e-14)
     assert np.allclose(eff.x_full(), [0.0, 1.0], atol=1e-14)
@@ -187,9 +202,13 @@ def test_schedule_serves_exactly_one_run():
 def test_long_schedule_runs_in_bounded_memory(lasso20):
     # the schedule keeps O(1) state, so 5 x 10^4 steps need no more memory
     # than a few iterate vectors
+    problem = lasso20.problem
     tracemalloc.start()
     try:
-        solve(lasso20.problem, "strongly_convex", max_iters=50_000, trace_every=10**9)
+        sched = ApcgSchedule(problem.n, problem.smooth.mu, problem.smooth.mu)
+        state = ApcgExplicitState.start(np.zeros(problem.dim), seed=0, n_blocks=problem.n)
+        for _ in range(50_000):
+            apcg_step_general(problem, state, sched)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,10 +391,9 @@ def test_theta_combination_identity_and_psi_hat(lasso20):
 # ---------------------------------------------------------------------------
 
 def test_solve_zero_iterations_returns_x0(lasso20):
-    x0 = np.full(lasso20.problem.dim, 0.25)
-    res = solve(lasso20.problem, variant="general", max_iters=0, seed=0, x0=x0)
+    x0 = np.zeros(lasso20.problem.dim)
+    res = solve(lasso20.problem, variant="general", max_iters=0, seed=0)
     assert np.array_equal(res.x, x0)
-    assert res.iterations == 0
     assert len(res.trace) == 1 and res.trace[0][0] == 0
 
 
@@ -405,30 +423,10 @@ def test_solve_objective_decreases_on_average(lasso20, lasso20_optimum):
     assert res.trace[-1][1] - fstar <= 1e-6 * (res.trace[0][1] - fstar)
 
 
-def test_solve_callback_tolerance_stop(lasso20, lasso20_optimum):
-    _, fstar = lasso20_optimum
-    seen = []
-
-    def gap(k, x):
-        seen.append(k)
-        return lasso20.problem.objective(x) - fstar
-
-    res = solve(lasso20.problem, variant="strongly_convex", max_iters=10_000,
-                seed=0, callback=gap, tolerance=1e-4)
-    assert res.stopped_early
-    assert res.iterations < 10_000
-    assert lasso20.problem.objective(res.x) - fstar <= 1e-4
-    assert seen[0] == 0
-
-
 def test_solve_validates_options(lasso20):
     problem = shifted_quadratic(np.zeros(3))
     with pytest.raises(ConfigurationError):
         solve(lasso20.problem, variant="nope")
-    with pytest.raises(ConfigurationError):
-        solve(lasso20.problem, variant="general", trace_every=0)
-    with pytest.raises(ConfigurationError):
-        solve(lasso20.problem, variant="general", x0=np.zeros(3))
     # mu = 0 problem cannot run the strongly convex variants
     zero_mu = CompositeProblem(
         partition=problem.partition,
@@ -458,8 +456,7 @@ def test_nsc_variant_rejects_gamma0_above_one(lasso20):
 def test_single_block_matches_deterministic_accelerated_gradient_quick():
     inst = block_quadratic((5,), seed=4)
     problem = inst.problem
-    res = solve(problem, variant="strongly_convex", max_iters=50, seed=0,
-                trace_every=1)
+    res = solve(problem, variant="strongly_convex", max_iters=50, seed=0)
     want = oracles.momentum_accelerated_gradient(inst.hessian, inst.linear,
                                                  np.zeros(5), 50)
     state = ApcgExplicitState.start(np.zeros(5), seed=0, n_blocks=1)
@@ -467,3 +464,4 @@ def test_single_block_matches_deterministic_accelerated_gradient_quick():
     for k in range(1, 51):
         apcg_step_general(problem, state, sched)
         assert np.max(np.abs(state.x - want[k])) <= 1e-10
+    assert np.array_equal(res.x, state.x)
