@@ -14,9 +14,8 @@ import argparse
 import csv
 import itertools
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -408,79 +407,14 @@ def _parse_synthetic(text: str) -> tuple[int, int, float, int]:
         raise ConfigurationError(f"--synthetic expects n,d,sparsity[,seed], got {text!r}") from None
 
 
-def load_config_file(path) -> dict:
-    """Flat ``key = value`` UTF-8 config over CONFIG_KEYS; list keys take
-    comma-separated values."""
-    out: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _split(parse):
-    return lambda text: [parse(v) for v in text.split(",")]
-
-
-# config-file key -> (ExperimentConfig field, which is also the flag's dest;
-# parser of the file's text).  The flags arrive parsed, except --synthetic.
-CONFIG_KEYS = {
-    "data": ("data", str),
-    "synthetic": ("synthetic", _parse_synthetic),
-    "loss": ("loss", str),
-    "lambda": ("lambdas", _split(float)),
-    "gamma": ("gamma", float),
-    "solver": ("solvers", _split(str.strip)),
-    "seed": ("seeds", _split(int)),
-    "epochs": ("epochs", int),
-    "tol": ("tol", float),
-    "out": ("out", str),
-    "jobs": ("jobs", int),
-}
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    """The config file's values, overridden by the flags given;
-    $APCG_JOBS applies when --jobs is absent."""
-    cfg = ExperimentConfig()
-    raw = load_config_file(args.config) if args.config else {}
-    for key, (name, parse) in CONFIG_KEYS.items():
-        if key in raw:
-            try:
-                value = parse(raw[key])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{args.config}: bad value {raw[key]!r} for {key!r}") from None
-            setattr(cfg, name, value)
-    for name, _ in CONFIG_KEYS.values():
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name == "synthetic":
-            value = _parse_synthetic(value)
-        if name in ("data", "synthetic"):  # a dataset flag replaces the other
-            cfg.data = cfg.synthetic = None
-        setattr(cfg, name, value)
-    jobs = os.environ.get("APCG_JOBS")
-    if args.jobs is None and jobs:
-        try:
-            cfg.jobs = int(jobs)
-        except ValueError:
-            raise ConfigurationError(f"$APCG_JOBS: bad value {jobs!r}") from None
-    return cfg
+    """The ExperimentConfig defaults, overridden by the flags given.  Each
+    field is also its flag's dest; only --synthetic arrives unparsed."""
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name) is not None}
+    if "synthetic" in given:
+        given["synthetic"] = _parse_synthetic(given["synthetic"])
+    return ExperimentConfig(**given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run solver comparison, write CSV traces")
-    run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--data", help="LIBSVM file (optionally .gz)")
     run.add_argument("--synthetic", help="n,d,sparsity[,seed] synthetic dataset")
     run.add_argument("--loss", choices=["smoothed_hinge", "square"])
@@ -503,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epochs", type=int)
     run.add_argument("--tol", type=float, help="stop a run once gap <= tol")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--jobs", type=int, help="parallel cells (default $APCG_JOBS or 1)")
+    run.add_argument("--jobs", type=int, help="parallel cells (default 1)")
 
     check = sub.add_parser("check", help="run the diagnostic invariant suite")
     check.add_argument("--corrupt-alpha-root", action="store_true",
@@ -521,6 +454,9 @@ def main(argv=None) -> int:
         results = run_experiment(config)
     except (ConfigurationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the array's size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

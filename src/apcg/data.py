@@ -175,6 +175,11 @@ class DatasetMeta:
         return cls(name=name, n=A.n, d=A.d, sparsity=sparsity)
 
 
+# the largest feature index on disk: the most the compiled tokenizer reads
+# (18 digits), and within int64
+MAX_INDEX = 10**18 - 1
+
+
 def _gunzip(path: Path) -> bytes:
     """The decompressed contents of a ``.gz`` file.  A truncated stream
     raises OSError, as a file that is not gzip at all does."""
@@ -187,10 +192,10 @@ def _gunzip(path: Path) -> bytes:
 def parse_libsvm(source) -> tuple[SparseColMatrix, np.ndarray]:
     """Parse LIBSVM text: one example per line, ``label idx:val idx:val ...``.
 
-    Feature indices are 1-based on disk and strictly increasing within a
-    line (duplicates rejected); labels must be +1 or -1.  Examples become
-    the columns of the returned matrix, whose row count d is the largest
-    index seen.  Explicitly stored zero values are dropped, but still count
+    Feature indices are 1-based on disk, at most MAX_INDEX and strictly
+    increasing within a line (duplicates rejected); labels must be +1 or
+    -1.  Examples become the columns of the returned matrix, whose row
+    count d is the largest index seen.  Explicitly stored zero values are dropped, but still count
     for d.  ``source`` is a path (``.gz`` accepted) or a text stream.
 
     The compiled tokenizer (``libsvm_parse`` in ``_kernels.c``) parses the
@@ -275,8 +280,8 @@ def _parse_python(source) -> tuple[SparseColMatrix, np.ndarray]:
                     val = float(val_s)
                 except ValueError:
                     raise ParseError(line_no, f"bad feature token {tok!r}") from None
-                if idx < 1:
-                    raise ParseError(line_no, f"feature index {idx} must be >= 1")
+                if not 1 <= idx <= MAX_INDEX:
+                    raise ParseError(line_no, f"feature index {idx} outside [1, {MAX_INDEX}]")
                 if idx == prev:
                     raise ParseError(line_no, f"duplicate feature index {idx}")
                 if idx < prev:

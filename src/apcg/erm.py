@@ -144,10 +144,11 @@ class ErmProblem:
         if self.n:
             with np.errstate(over="ignore", under="ignore"):
                 L, mu = erm_constants(self)
-            if not (np.all(np.isfinite(L)) and mu > 0.0):
+            if not (np.all(np.isfinite(L)) and mu > 0.0 and math.isfinite(self.lam * self.n)):
                 raise ConfigurationError(
                     "coordinate constants ||A_i||^2/(lam n^2) overflow (or mu underflows "
-                    "to 0) at this lambda; rescale the data or raise lambda")
+                    "to 0, or lam n overflows) at this lambda; rescale the data or "
+                    "change lambda")
 
     @property
     def n(self) -> int:

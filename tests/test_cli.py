@@ -3,15 +3,15 @@ import gzip
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import apcg
 from apcg import cli, schedule
-from apcg.cli import (CONFIG_KEYS, CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig,
-                      _config_from_args, build_parser, check_invariants,
-                      load_config_file, main, run_experiment)
+from apcg.cli import (CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig, _config_from_args,
+                      build_parser, check_invariants, main, run_experiment)
 from apcg.errors import ConfigurationError
 
 import oracles
@@ -161,8 +161,9 @@ BAD_INPUTS = {
     "bad-label": ("+1 1:1.0\n2 1:0.5\n", ["--data"]),
     "non-ascii-data": ("+1 1:0.5\n-1 2:\u00e9\n", ["--data"]),
     "empty-data": ("", ["--data"]),
-    "bad-config-value": ("synthetic = 40,10,0.5\nepochs = x\n", ["--config"]),
-    "config-unknown-key": ("synthetic = 40,10,0.5\nlamda = 0.5\n", ["--config"]),
+    # an index above int64, and one whose d = 10^18 - 1 cannot be allocated
+    "index-above-int64": ("+1 100000000000000000000:1\n-1 1:0.5\n", ["--data"]),
+    "index-beyond-memory": ("+1 999999999999999999:1\n-1 1:0.5\n", ["--data"]),
     "synthetic-not-a-number": (None, ["--synthetic", "5,x,0.5"]),
     "synthetic-zero-examples": (None, ["--synthetic", "0,10,0.5"]),
     "synthetic-sparsity-above-one": (None, ["--synthetic", "5,10,1.5"]),
@@ -180,8 +181,10 @@ BAD_INPUTS = {
     "overflowing-norm-hinge": ("+1 1:1e200 2:1e200\n-1 1:0.5\n", ["--data"]),
     "overflowing-norm-square": ("+1 1:1e200 2:1e200\n-1 1:0.5\n",
                                 ["--loss", "square", "--data"]),
-    # not UTF-8, even inside a comment
-    "config-not-utf8": (b"# \xff\nsynthetic = 40,10,0.5\n", ["--config"]),
+    # lam n overflows, so the apcg step weights would be inf/inf
+    "overflowing-lambda-n-hinge": (None, ["--synthetic", "40,10,0.5", "--lambda", "1e308"]),
+    "overflowing-lambda-n-square": (None, ["--synthetic", "40,10,0.5", "--loss", "square",
+                                           "--lambda", "1e308"]),
 }
 
 
@@ -190,7 +193,7 @@ def test_bad_input_exits_with_error_line(case, tmp_path):
     text, flags = BAD_INPUTS[case]
     if text is not None:
         path = tmp_path / "in.txt"
-        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        path.write_text(text, encoding="utf-8")
         flags = [*flags, str(path)]
     env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
     proc = subprocess.run(
@@ -224,26 +227,20 @@ def test_truncated_gzip_exits_with_io_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# how the repeated cell is asked for -> (flags, config-file text, the two cells)
+# how the repeated cell is asked for -> (flags, the two cells)
 COLLIDING_CELLS = {
-    "seed-flag": (["--lambda", "1e-3", "--seed", "1", "--seed", "1"], None,
+    "seed-flag": (["--lambda", "1e-3", "--seed", "1", "--seed", "1"],
                   ("lambda=0.001 solver=apcg seed=1", "lambda=0.001 solver=apcg seed=1")),
-    "seed-config": ([], "lambda = 1e-3\nseed = 1, 1\n",
-                    ("lambda=0.001 solver=apcg seed=1", "lambda=0.001 solver=apcg seed=1")),
     "lambda-6-digits": (["--lambda", "1e-3", "--lambda", "1.0000001e-3", "--seed", "1"],
-                        None, ("lambda=0.001 solver=apcg seed=1",
-                               "lambda=0.0010000001 solver=apcg seed=1")),
+                        ("lambda=0.001 solver=apcg seed=1",
+                         "lambda=0.0010000001 solver=apcg seed=1")),
 }
 
 
 @pytest.mark.parametrize("case", COLLIDING_CELLS)
 def test_cells_sharing_a_trace_file_are_refused_before_any_runs(case, tmp_path, capsys,
                                                                monkeypatch):
-    flags, text, (first, second) = COLLIDING_CELLS[case]
-    if text is not None:
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(text)
-        flags = [*flags, "--config", str(cfg_file)]
+    flags, (first, second) = COLLIDING_CELLS[case]
     monkeypatch.setattr(cli, "run_solver_trace", lambda *args: pytest.fail("a cell ran"))
     out = tmp_path / "out"
     assert main(["run", "--synthetic", "40,10,0.5", "--solver", "apcg", "--epochs", "1",
@@ -287,84 +284,45 @@ def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
         for seed in (0, 1)]
 
 
-def test_bad_jobs_environment_exits_with_error_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("APCG_JOBS", "abc")
-    rc = main(["run", "--synthetic", "40,10,0.5", "--epochs", "2",
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "error: $APCG_JOBS: bad value 'abc'" in capsys.readouterr().err.splitlines()
-
-
-def test_config_file_and_overrides(tmp_path):
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(
-        "# comment line\n"
-        "synthetic = 40,10,0.5\n"
-        "lambda = 1e-2,1e-3\n"
-        "solver = apcg,sdca\n"
-        "seed = 0\n"
-        "epochs = 2\n"
-        f"out = {tmp_path / 'cfg_out'}\n")
-    rc = main(["run", "--config", str(cfg_file), "--epochs", "1"])
-    assert rc == 0
-    summary = read_rows(tmp_path / "cfg_out" / "summary.csv")
-    assert len(summary) == 5  # header + 2 lambdas x 2 solvers
-    assert all(row[5] == "1" for row in summary[1:])  # flag overrode epochs
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("epochs 3\n")
-    with pytest.raises(ConfigurationError):
-        load_config_file(bad)
-    bad.write_text("epochs = 3\nlamda = 0.5\n")
-    with pytest.raises(ConfigurationError, match=r"bad\.cfg:2: unknown key 'lamda'"):
-        load_config_file(bad)
-
-
-# config-file key -> (field, file text, value from the file, flags, value from the flags)
+# ExperimentConfig field's flag -> (field, flags, value from the flags)
 CONFIG_CASES = {
-    "data": ("data", "a.txt", "a.txt", ["--data", "b.txt"], "b.txt"),
-    "synthetic": ("synthetic", "40,10,0.5", (40, 10, 0.5, 0),
-                  ["--synthetic", "50,12,0.25,7"], (50, 12, 0.25, 7)),
-    "loss": ("loss", "square", "square", ["--loss", "smoothed_hinge"], "smoothed_hinge"),
-    "lambda": ("lambdas", "1e-2, 1e-3", [1e-2, 1e-3], ["--lambda", "0.5"], [0.5]),
-    "gamma": ("gamma", "0.5", 0.5, ["--gamma", "2"], 2.0),
-    "solver": ("solvers", "apcg, sdca", ["apcg", "sdca"],
-               ["--solver", "afg", "--solver", "rpcg"], ["afg", "rpcg"]),
-    "seed": ("seeds", "1,2", [1, 2], ["--seed", "3"], [3]),
-    "epochs": ("epochs", "7", 7, ["--epochs", "0"], 0),
-    "tol": ("tol", "1e-6", 1e-6, ["--tol", "1e-9"], 1e-9),
-    "out": ("out", "o1", "o1", ["--out", "o2"], "o2"),
-    "jobs": ("jobs", "3", 3, ["--jobs", "2"], 2),
+    "data": ("data", ["--data", "b.txt"], "b.txt"),
+    "synthetic": ("synthetic", ["--synthetic", "50,12,0.25,7"], (50, 12, 0.25, 7)),
+    "loss": ("loss", ["--loss", "square"], "square"),
+    "lambda": ("lambdas", ["--lambda", "0.5", "--lambda", "2"], [0.5, 2.0]),
+    "gamma": ("gamma", ["--gamma", "2"], 2.0),
+    "solver": ("solvers", ["--solver", "afg", "--solver", "rpcg"], ["afg", "rpcg"]),
+    "seed": ("seeds", ["--seed", "3"], [3]),
+    "epochs": ("epochs", ["--epochs", "0"], 0),
+    "tol": ("tol", ["--tol", "1e-9"], 1e-9),
+    "out": ("out", ["--out", "o2"], "o2"),
+    "jobs": ("jobs", ["--jobs", "2"], 2),
 }
 
 
 @pytest.mark.parametrize("key", CONFIG_CASES)
-def test_config_key_from_file_and_flag(key, tmp_path, monkeypatch):
-    assert set(CONFIG_CASES) == set(CONFIG_KEYS)
-    monkeypatch.delenv("APCG_JOBS", raising=False)
-    field, text, from_file, flags, from_flags = CONFIG_CASES[key]
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(f"{key} = {text}\n")
+def test_config_key_from_file_and_flag(key):
+    """Each flag sets its own field; without it the field keeps its default."""
+    assert {case[0] for case in CONFIG_CASES.values()} == {
+        f.name for f in fields(ExperimentConfig)}
+    name, flags, from_flags = CONFIG_CASES[key]
     parser = build_parser()
-    cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)]))
-    assert getattr(cfg, field) == from_file
-    cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)] + flags))
-    assert getattr(cfg, field) == from_flags
-    if key in ("data", "synthetic"):  # a dataset flag clears the other source
-        other = "synthetic" if key == "data" else "data"
-        cfg_file.write_text(f"{key} = {text}\n{other} = {CONFIG_CASES[other][1]}\n")
-        cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)] + flags))
-        assert getattr(cfg, field) == from_flags and getattr(cfg, other) is None
-    if key == "jobs":  # $APCG_JOBS overrides the file, not the flag
-        monkeypatch.setenv("APCG_JOBS", "4")
-        assert _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)])).jobs == 4
-        cfg = _config_from_args(parser.parse_args(["run", "--config", str(cfg_file)] + flags))
-        assert cfg.jobs == from_flags
+    default = getattr(ExperimentConfig(), name)
+    assert from_flags != default
+    assert getattr(_config_from_args(parser.parse_args(["run"])), name) == default
+    assert getattr(_config_from_args(parser.parse_args(["run"] + flags)), name) == from_flags
 
 
 def test_parser_rejects_unknown_solver():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--solver", "newton"])
+
+
+def test_parser_takes_no_config_file(capsys):
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(["run", "--config", "x"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
 def test_check_invariants_passes(capsys):

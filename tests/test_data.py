@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from apcg import data, native
-from apcg.data import (DatasetMeta, SparseColMatrix, _parse_compiled,
+from apcg.data import (MAX_INDEX, DatasetMeta, SparseColMatrix, _parse_compiled,
                        _parse_python, parse_libsvm, synth_binary, write_libsvm)
 from apcg.errors import LabelError, ParseError
 
@@ -306,6 +306,8 @@ TOKENIZER_CASES = [
     (b"-1\n", True),                                   # no features
     (b"+1 000000000000000001:1\n", True),              # 18 digits
     (b"+1 0000000000000000001:1\n", False),            # 19 digits
+    (b"+1 999999999999999999:1\n", True),               # MAX_INDEX
+    (b"+1 1000000000000000000:1\n", False),             # MAX_INDEX + 1
     (b"+1 1:1\r-1 2:1\n", False),                      # lone \r
     (b"+1 1:1\r", False),
     (b"+1 1:1\n\n", False),                            # blank line
@@ -419,6 +421,19 @@ def test_non_ascii_byte_is_a_parse_error_at_its_line(kernels, tmp_path):
     # a text stream may hold any str; float() decides, as it always has
     A, _ = parse_libsvm(io.StringIO("+1 1:\u0661.5\n"))
     assert A.values.tolist() == [1.5]
+
+
+@pytest.mark.parametrize("index", [MAX_INDEX, MAX_INDEX + 1, 10**20])
+def test_feature_index_is_at_most_18_digits(kernels, index, tmp_path):
+    path = tmp_path / "f.libsvm"
+    path.write_text(f"+1 1:0.5\n-1 {index}:1\n")
+    if index <= MAX_INDEX:
+        A, _ = parse_libsvm(path)
+        assert A.d == index and A.indices.tolist() == [0, index - 1]
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(path)
+        assert err.value.line_no == 2
 
 
 def test_truncated_gzip_is_an_os_error(kernels, tmp_path):

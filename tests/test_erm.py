@@ -432,6 +432,7 @@ def test_problem_rejects_non_positive_or_non_finite_parameters(bad):
 @pytest.mark.parametrize("col, lam, gamma", [
     ([1e150, 1e150], 1e-10, 1.0),  # ||A_i||^2 / (lam n^2) overflows: L_i = inf
     ([1e100], 1e-10, 1e-300),      # L_i finite, but (gamma/n) / max L_i underflows
+    ([1.0], 1e308, 1.0),           # lam n overflows: the step weights would be inf/inf
 ])
 def test_problem_rejects_coordinate_constants_out_of_range(col, lam, gamma):
     dense = np.zeros((2, 2))
@@ -442,6 +443,17 @@ def test_problem_rejects_coordinate_constants_out_of_range(col, lam, gamma):
     for build in (ErmProblem.smoothed_hinge, ErmProblem.ridge):
         with pytest.raises(ConfigurationError, match="overflow"):
             build(A, labels, lam=lam, gamma=gamma)
+
+
+@pytest.mark.parametrize("solver", KNOWN_SOLVERS)
+def test_overflowing_lam_n_squared_alone_runs_finite(solver):
+    """lam n is finite but lam n^2 overflows: L_i = gamma/n, and the rows stay finite."""
+    A, labels = synth_binary(40, 10, 0.5, seed=0, min_nnz=1)
+    for build in (ErmProblem.smoothed_hinge, ErmProblem.ridge):
+        prob = build(A, labels, lam=1e306)
+        assert math.isinf(prob.lam * prob.n * prob.n)
+        reports = run_solver_trace(prob, solver, epochs=3, seed=0, tol=None).reports
+        assert all(math.isfinite(r.gap) for r in reports)
 
 
 def test_erm_state_rejects_infeasible_start(hinge200):
