@@ -2,10 +2,10 @@
 minimization, their specialization to dual regularized ERM, baseline solvers,
 and a benchmark CLI."""
 
-from .core import (BlockPartition, BoxIndicator, CompositeProblem,
-                   L1Regularizer, SeparableRegularizer, SmoothOracle,
-                   ZeroRegularizer, block_prox, weighted_norm)
-from .schedule import ApcgSchedule, solve_alpha, theta_coefficients
+from .core import (BlockPartition, CompositeProblem, L1Regularizer,
+                   SeparableRegularizer, SmoothOracle, ZeroRegularizer,
+                   block_prox, weighted_norm)
+from .schedule import ApcgSchedule, theta_coefficients
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       SolveResult, apcg_step_efficient, apcg_step_general,
                       solve)

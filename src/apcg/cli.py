@@ -24,7 +24,7 @@ from . import baselines, erm, native
 from .data import DatasetMeta, parse_libsvm, synth_binary
 from .errors import ConfigurationError, ParseError
 from .instances import diag_dominant_quadratic
-from .schedule import ApcgSchedule, _alpha_root, theta_coefficients
+from .schedule import ApcgSchedule, theta_coefficients
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       apcg_step_efficient, apcg_step_general, solve)
 
@@ -201,7 +201,9 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
         # imported here: it pulls in multiprocessing, which --jobs 1 never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the fork start method starts every worker at once, so no more
+        # workers than cells
+        with ProcessPoolExecutor(max_workers=min(config.jobs, n_cells)) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(c) for c in cells]
@@ -239,15 +241,13 @@ class CheckResult:
     detail: str
 
 
-def _check_schedule(corrupt_alpha_root: bool) -> CheckResult:
-    def corrupted(gamma_k, mu, n):  # deliberate test hook
-        return _alpha_root(gamma_k, mu, n) * (1.0 + 1e-6)
+def _check_schedule() -> CheckResult:
     worst = 0.0
     steps = 10_000
     for n in (1, 2, 10, 1000):
         for mu in (0.0, 1e-6, 0.01, 1.0):
             for gamma0 in (max(mu, 0.1), 1.0):
-                sched = ApcgSchedule(n, mu, gamma0, corrupted if corrupt_alpha_root else None)
+                sched = ApcgSchedule(n, mu, gamma0)
                 alphas, gammas, _, lams = sched.history(steps)
                 lo = math.sqrt(mu) / n
                 escaped = ~((lo - 1e-15 <= alphas) & (alphas <= 1.0 / n + 1e-15))
@@ -363,7 +363,7 @@ def _check_envelope() -> CheckResult:
     epochs = 30
     traces = []
     for seed in range(20):
-        res = solve(problem, variant="general", gamma0=gamma0,
+        res = solve(problem, ApcgSchedule(problem.n, problem.smooth.mu, gamma0),
                     max_iters=epochs * problem.n, seed=seed)
         traces.append([f for _, f in res.trace])
     mean_gap = np.mean(traces, axis=0) - fstar
@@ -377,10 +377,10 @@ def _check_envelope() -> CheckResult:
     return CheckResult("envelope", passed, f"max (F-F*)/bound = {ratio:.3f}")
 
 
-def check_invariants(corrupt_alpha_root: bool = False) -> list[CheckResult]:
+def check_invariants() -> list[CheckResult]:
     """Run the diagnostic suite at desk scale; each result prints one line."""
     checks = [
-        _check_schedule(corrupt_alpha_root),
+        _check_schedule(),
         _check_theta(),
         _check_combination_and_psihat(),
         _check_equivalence(),
@@ -438,16 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory")
     run.add_argument("--jobs", type=int, help="parallel cells (default 1)")
 
-    check = sub.add_parser("check", help="run the diagnostic invariant suite")
-    check.add_argument("--corrupt-alpha-root", action="store_true",
-                       help=argparse.SUPPRESS)  # negative-control hook
+    sub.add_parser("check", help="run the diagnostic invariant suite")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "check":
-        checks = check_invariants(corrupt_alpha_root=args.corrupt_alpha_root)
+        checks = check_invariants()
         return 0 if all(c.passed for c in checks) else 1
     try:
         config = _config_from_args(args)

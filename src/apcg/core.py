@@ -34,19 +34,20 @@ class BlockPartition:
     offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.sizes) == 0:
+        sizes = np.asarray(self.sizes, dtype=np.int64)
+        if sizes.size == 0:
             raise ValueError("partition needs at least one block")
-        if any(int(s) < 1 for s in self.sizes):
+        if sizes.min() < 1:
             raise ValueError("block sizes must be >= 1")
-        sizes = tuple(int(s) for s in self.sizes)
-        offsets = (0,) + tuple(np.cumsum(sizes[:-1]).tolist())
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "offsets", offsets)
+        offsets = np.zeros_like(sizes)
+        np.cumsum(sizes[:-1], out=offsets[1:])
+        object.__setattr__(self, "sizes", tuple(sizes.tolist()))
+        object.__setattr__(self, "offsets", tuple(offsets.tolist()))
 
     @classmethod
     def scalar(cls, n: int) -> "BlockPartition":
         """n blocks of one coordinate each."""
-        return cls(sizes=(1,) * int(n))
+        return cls(sizes=np.ones(int(n), dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -59,10 +60,6 @@ class BlockPartition:
     def slice(self, i: int) -> slice:
         off = self.offsets[i]
         return slice(off, off + self.sizes[i])
-
-    def block(self, x: np.ndarray, i: int) -> np.ndarray:
-        """View of block ``i`` of ``x``."""
-        return x[self.slice(i)]
 
     def sizes_array(self) -> np.ndarray:
         return np.asarray(self.sizes, dtype=np.int64)
@@ -171,28 +168,6 @@ class L1Regularizer(SeparableRegularizer):
 
     def eval_full(self, x):
         return self.strength * float(np.sum(np.abs(x)))
-
-
-class BoxIndicator(SeparableRegularizer):
-    """Indicator of the box [lo, hi] per coordinate; prox is projection.
-
-    Membership is tested with absolute tolerance ``atol`` so that iterates
-    reconstructed through floating-point change-of-variables do not get
-    flagged infeasible by rounding in the last ulp.
-    """
-
-    def __init__(self, lo: float, hi: float, atol: float = 1e-9):
-        if not lo <= hi:
-            raise ValueError("need lo <= hi")
-        self.lo, self.hi, self.atol = float(lo), float(hi), float(atol)
-
-    def prox_block(self, i, center, weight):
-        return np.clip(center, self.lo, self.hi)
-
-    def eval_full(self, x):
-        if np.any(x < self.lo - self.atol) or np.any(x > self.hi + self.atol):
-            return math.inf
-        return 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,26 +138,6 @@ class SparseColMatrix:
                                indices=self.indices.copy(),
                                values=self.values * factors[self.col_ids])
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.d, self.n))
-        out[self.indices, self.col_ids] = self.values
-        return out
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseColMatrix":
-        dense = np.asarray(dense, dtype=float)
-        d, n = dense.shape
-        indptr = [0]
-        indices, values = [], []
-        for j in range(n):
-            rows = np.flatnonzero(dense[:, j])
-            indices.append(rows)
-            values.append(dense[rows, j])
-            indptr.append(indptr[-1] + rows.size)
-        return cls(d=d, n=n, indptr=np.asarray(indptr, dtype=np.int64),
-                   indices=np.concatenate(indices) if n else np.empty(0, np.int64),
-                   values=np.concatenate(values) if n else np.empty(0, float))
-
 
 @dataclass(frozen=True)
 class DatasetMeta:

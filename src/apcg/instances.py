@@ -74,18 +74,3 @@ def diag_dominant_quadratic(n: int, seed: int = 0, l1: float = 0.1,
     b = rng.standard_normal(n)
     return _quadratic_instance(H, b, BlockPartition.scalar(n), l1)
 
-
-def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
-                    l1: float = 0.0) -> QuadraticInstance:
-    """Random SPD quadratic over blocks of mixed sizes.
-
-    With a single block (``sizes = (dim,)``) the coordinate solvers lose all
-    randomness and reduce to deterministic accelerated gradient descent.
-    """
-    partition = BlockPartition(sizes)
-    dim = partition.total
-    rng = np.random.Generator(np.random.PCG64(seed))
-    M = rng.standard_normal((dim, dim))
-    H = M @ M.T / dim + 0.5 * np.eye(dim)
-    b = rng.standard_normal(dim)
-    return _quadratic_instance(H, b, partition, l1)

@@ -21,8 +21,13 @@ from .errors import ConfigurationError
 
 
 def _alpha_root(gamma_k: float, mu: float, n: int) -> float:
-    """:func:`solve_alpha` without input checks, for a schedule whose
-    constructor checked them and whose recursion keeps gamma_k in [mu, gamma0]."""
+    """Root in (0, 1/n] of ``n^2 a^2 = (1 - a) gamma_k + a mu``.
+
+    Uses the rationalized closed form ``2 gamma / (b + sqrt(b^2 + 4 n^2 gamma))``
+    with ``b = gamma_k - mu`` when ``b >= 0`` to avoid cancellation.  Its
+    inputs are unchecked: :class:`ApcgSchedule` checks them once, and its
+    recursion keeps gamma_k in [mu, gamma0].
+    """
     b = gamma_k - mu
     disc = math.sqrt(b * b + 4.0 * n * n * gamma_k)
     if b >= 0.0:
@@ -41,22 +46,6 @@ def _alpha_root(gamma_k: float, mu: float, n: int) -> float:
     return alpha
 
 
-def solve_alpha(gamma_k: float, mu: float, n: int) -> float:
-    """Root in (0, 1/n] of ``n^2 a^2 = (1 - a) gamma_k + a mu``.
-
-    Uses the rationalized closed form ``2 gamma / (b + sqrt(b^2 + 4 n^2 gamma))``
-    with ``b = gamma_k - mu`` when ``b >= 0`` to avoid cancellation.
-    """
-    if not (0.0 < gamma_k <= 1.0):
-        raise ConfigurationError(f"gamma_k must lie in (0, 1], got {gamma_k}")
-    if not (0.0 <= mu <= 1.0):
-        raise ConfigurationError(f"mu must lie in [0, 1], got {mu}")
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError(f"block count must be >= 1, got {n}")
-    return _alpha_root(gamma_k, mu, n)
-
-
 class ApcgSchedule:
     """Steps the (alpha_k, gamma_k, beta_k, lambda_k) recursion in O(1) memory:
     it holds ``k``, ``gamma`` (gamma_k) and ``lam`` (lambda_k) and serves one
@@ -67,9 +56,9 @@ class ApcgSchedule:
     ``gamma_k = mu`` and ``alpha_k = beta_k = sqrt(mu)/n`` for all k.
     """
 
-    __slots__ = ("n", "mu", "gamma0", "k", "gamma", "lam", "_root")
+    __slots__ = ("n", "mu", "gamma0", "k", "gamma", "lam")
 
-    def __init__(self, n: int, mu: float, gamma0: float, _alpha_solver=None):
+    def __init__(self, n: int, mu: float, gamma0: float):
         n = int(n)
         if not (n >= 1 and 0.0 <= mu <= gamma0 <= 1.0 and gamma0 > 0.0):
             raise ConfigurationError("need n >= 1 and 0 <= mu <= gamma0 <= 1 with gamma0 > 0; "
@@ -80,12 +69,11 @@ class ApcgSchedule:
         self.k = 0
         self.gamma = self.gamma0
         self.lam = 1.0
-        self._root = _alpha_solver if _alpha_solver is not None else _alpha_root
 
     def step(self) -> tuple[float, float, float]:
         """Advance one iteration; returns (alpha_k, gamma_{k+1}, beta_k)."""
         gamma_k = self.gamma
-        alpha = self._root(gamma_k, self.mu, self.n)
+        alpha = _alpha_root(gamma_k, self.mu, self.n)
         gamma_next = (1.0 - alpha) * gamma_k + alpha * self.mu
         beta = alpha * self.mu / gamma_next
         self.k += 1
@@ -96,7 +84,7 @@ class ApcgSchedule:
     def history(self, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(alphas, gammas, betas, lambdas)`` of a fresh copy of this schedule
         for k < steps (gammas and lambdas also at k = steps); it does not move."""
-        fresh = ApcgSchedule(self.n, self.mu, self.gamma0, self._root)
+        fresh = ApcgSchedule(self.n, self.mu, self.gamma0)
         alphas, betas = [0.0] * steps, [0.0] * steps
         gammas, lams = [fresh.gamma] * (steps + 1), [fresh.lam] * (steps + 1)
         for k in range(steps):

@@ -4,14 +4,16 @@ One explicit stepper, :func:`apcg_step_general`, runs every coefficient
 schedule: pick a block uniformly at random, solve a prox subproblem on that
 block with weight ``n * alpha_k * L_i``, and combine the three iterate
 vectors (x, y, z) with momentum coefficients from an :class:`ApcgSchedule`.
-The paper's special forms are schedule presets of it:
+The paper's special forms are two of its schedules:
 
-* ``general`` -- ``ApcgSchedule(n, mu, gamma0)`` for any ``gamma0 in [mu, 1]``;
-* ``strongly_convex`` -- ``ApcgSchedule(n, mu, mu)``, whose coefficients are
-  the constants ``alpha_k = beta_k = sqrt(mu)/n`` (needs ``mu > 0``);
-* ``non_strongly_convex`` -- ``ApcgSchedule(n, 0, gamma0)``, where
-  ``beta_k = 0`` and ``gamma_{k+1} = (n alpha_k)^2`` give the ``mu = 0``
-  recursion ``alpha_k^2 = (1 - alpha_k) alpha_{k-1}^2``.
+* ``ApcgSchedule(n, mu, gamma0)`` for any ``gamma0 in [mu, 1]`` is the
+  general method;
+* ``ApcgSchedule(n, mu, mu)`` is the strongly convex form, whose
+  coefficients are the constants ``alpha_k = beta_k = sqrt(mu)/n`` (needs
+  ``mu > 0``);
+* ``ApcgSchedule(n, 0, gamma0)`` is the ``mu = 0`` form, where
+  ``beta_k = 0`` and ``gamma_{k+1} = (n alpha_k)^2`` give the recursion
+  ``alpha_k^2 = (1 - alpha_k) alpha_{k-1}^2``.
 
 :func:`apcg_step_efficient` is the change-of-variables form for ``mu > 0``
 that touches one block of the pair (u, v) per iteration, with
@@ -35,7 +37,6 @@ from .core import CompositeProblem, block_prox
 from .errors import ConfigurationError
 from .schedule import ApcgSchedule
 
-VARIANTS = ("general", "strongly_convex", "non_strongly_convex", "efficient")
 SAMPLER_BATCH = 4096  # indices drawn per refill of BlockSampler's buffer
 
 
@@ -144,7 +145,7 @@ def change_of_variables_rates(mu: float, n: int) -> tuple[float, float]:
     if rho <= 0.0:
         raise ConfigurationError(
             "rho = (1-alpha)/(1+alpha) degenerates at mu = 1, n = 1 (a single "
-            "perfectly conditioned coordinate); use an explicit variant")
+            "perfectly conditioned coordinate); use the explicit stepper")
     return alpha, rho
 
 
@@ -162,24 +163,18 @@ class ApcgEfficientState:
 
     def __init__(self, x0: np.ndarray, problem: CompositeProblem, mu: float, seed: int):
         if not (mu > 0.0):
-            raise ConfigurationError("efficient variant requires mu > 0")
+            raise ConfigurationError("the change-of-variables form requires mu > 0")
         self.alpha, self.rho = change_of_variables_rates(mu, problem.n)
         self.ubar_base = np.zeros(problem.dim)
         self.scale = 1.0
         self.v = np.array(x0, dtype=float, copy=True)
         self.sampler = BlockSampler(problem.n, seed)
 
-    def ubar_full(self) -> np.ndarray:
-        return self.ubar_base * self.scale
-
     def x_full(self) -> np.ndarray:
-        return self.ubar_full() / self.rho + self.v
+        return self.ubar_base * self.scale / self.rho + self.v
 
     def y_full(self) -> np.ndarray:
-        return self.ubar_full() + self.v
-
-    def z_full(self) -> np.ndarray:
-        return -self.ubar_full() / self.rho + self.v
+        return self.ubar_base * self.scale + self.v
 
 
 def apcg_step_efficient(problem: CompositeProblem,
@@ -217,46 +212,25 @@ class SolveResult:
     trace: list[tuple[int, float]]
 
 
-def solve(problem: CompositeProblem, variant: str = "general",
-          gamma0: float | None = None, max_iters: int = 1000,
+def solve(problem: CompositeProblem, sched: ApcgSchedule, max_iters: int = 1000,
           seed: int = 0) -> SolveResult:
-    """Run the selected variant from x = 0 and trace the objective.
+    """Run :func:`apcg_step_general` on a fresh ``sched`` from x = 0 and
+    trace the objective.
 
-    ``gamma0`` (default 1) starts the ``general`` and ``non_strongly_convex``
-    schedules; ``strongly_convex`` always starts at ``gamma0 = mu`` and
-    ``efficient`` has no schedule.  The trace holds (iteration, F(x)) pairs
-    at iteration 0, after every n coordinate steps (one epoch) and at the
-    end; objective evaluations happen only at trace points and are not part
-    of the per-iteration cost.  Runs with the same seed produce identical
-    traces.
+    The trace holds (iteration, F(x)) pairs at iteration 0, after every n
+    coordinate steps (one epoch) and at the end; objective evaluations
+    happen only at trace points and are not part of the per-iteration cost.
+    Runs with the same schedule and seed produce identical traces.
     """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
     n = problem.n
-    mu = problem.smooth.mu
+    if sched.n != n or sched.k != 0:
+        raise ConfigurationError(f"need a fresh schedule over the problem's {n} blocks; "
+                                 f"got n={sched.n} at iteration {sched.k}")
     x0 = np.zeros(problem.dim)
-    if variant in ("strongly_convex", "efficient") and not mu > 0.0:
-        raise ConfigurationError(f"variant {variant!r} requires mu > 0, problem has mu={mu}")
-
-    if variant == "efficient":
-        eff = ApcgEfficientState(x0, problem, mu, seed)
-        step = lambda: apcg_step_efficient(problem, eff)
-        current_x = eff.x_full
-    else:
-        g0 = 1.0 if gamma0 is None else float(gamma0)
-        if variant == "strongly_convex":
-            sched = ApcgSchedule(n, mu, mu)
-        elif variant == "non_strongly_convex":
-            sched = ApcgSchedule(n, 0.0, g0)
-        else:
-            sched = ApcgSchedule(n, mu, g0)
-        state = ApcgExplicitState.start(x0, seed, n)
-        step = lambda: apcg_step_general(problem, state, sched)
-        current_x = lambda: state.x
-
+    state = ApcgExplicitState.start(x0, seed, n)
     trace: list[tuple[int, float]] = [(0, problem.objective(x0))]
     for k in range(1, max_iters + 1):
-        step()
+        apcg_step_general(problem, state, sched)
         if k % n == 0 or k == max_iters:
-            trace.append((k, problem.objective(current_x())))
-    return SolveResult(x=current_x().copy(), trace=trace)
+            trace.append((k, problem.objective(state.x)))
+    return SolveResult(x=state.x.copy(), trace=trace)

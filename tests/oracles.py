@@ -11,7 +11,9 @@ plain per-step forms that the package's merged or fused steppers replaced
 subgradient, the explicit step on recorded schedule lists, the per-step
 schedule check) are kept here as references too, and so are the ERM dual's
 relocated splitting as a generic composite problem and the paper's gap
-certificates through a full prox step.
+certificates through a full prox step.  So are the fixtures that only tests
+build: dense conversions of a ``SparseColMatrix``, the box indicator and
+quadratics over blocks of mixed sizes.
 """
 
 from __future__ import annotations
@@ -23,11 +25,73 @@ import scipy.optimize
 
 from apcg import schedule
 from apcg.cli import CheckResult
-from apcg.core import BlockPartition, CompositeProblem, SmoothOracle, block_prox
+from apcg.core import (BlockPartition, CompositeProblem, SeparableRegularizer,
+                       SmoothOracle, block_prox)
+from apcg.data import SparseColMatrix
 from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmProblem,
                       PrimalDualReport, SquareLoss, dual_objective, erm_constants)
 from apcg.errors import ConfigurationError
+from apcg.instances import QuadraticInstance, _quadratic_instance
 from apcg.solvers import BlockSampler
+
+
+def to_dense(A: SparseColMatrix) -> np.ndarray:
+    out = np.zeros((A.d, A.n))
+    out[A.indices, A.col_ids] = A.values
+    return out
+
+
+def from_dense(dense: np.ndarray) -> SparseColMatrix:
+    dense = np.asarray(dense, dtype=float)
+    d, n = dense.shape
+    indptr = [0]
+    indices, values = [], []
+    for j in range(n):
+        rows = np.flatnonzero(dense[:, j])
+        indices.append(rows)
+        values.append(dense[rows, j])
+        indptr.append(indptr[-1] + rows.size)
+    return SparseColMatrix(d=d, n=n, indptr=np.asarray(indptr, dtype=np.int64),
+                           indices=np.concatenate(indices) if n else np.empty(0, np.int64),
+                           values=np.concatenate(values) if n else np.empty(0, float))
+
+
+class BoxIndicator(SeparableRegularizer):
+    """Indicator of the box [lo, hi] per coordinate; prox is projection.
+
+    Membership is tested with absolute tolerance ``atol`` so that iterates
+    reconstructed through floating-point change-of-variables do not get
+    flagged infeasible by rounding in the last ulp.
+    """
+
+    def __init__(self, lo: float, hi: float, atol: float = 1e-9):
+        if not lo <= hi:
+            raise ValueError("need lo <= hi")
+        self.lo, self.hi, self.atol = float(lo), float(hi), float(atol)
+
+    def prox_block(self, i, center, weight):
+        return np.clip(center, self.lo, self.hi)
+
+    def eval_full(self, x):
+        if np.any(x < self.lo - self.atol) or np.any(x > self.hi + self.atol):
+            return math.inf
+        return 0.0
+
+
+def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
+                    l1: float = 0.0) -> QuadraticInstance:
+    """Random SPD quadratic over blocks of mixed sizes.
+
+    With a single block (``sizes = (dim,)``) the coordinate solvers lose all
+    randomness and reduce to deterministic accelerated gradient descent.
+    """
+    partition = BlockPartition(sizes)
+    dim = partition.total
+    rng = np.random.Generator(np.random.PCG64(seed))
+    M = rng.standard_normal((dim, dim))
+    H = M @ M.T / dim + 0.5 * np.eye(dim)
+    b = rng.standard_normal(dim)
+    return _quadratic_instance(H, b, partition, l1)
 
 
 def primal_from_dual(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
@@ -172,7 +236,7 @@ def ista_minimize(problem, lipschitz_full: float, iters: int) -> np.ndarray:
 
 
 def dense_spectral_norm(A) -> float:
-    return float(np.linalg.svd(A.to_dense(), compute_uv=False)[0])
+    return float(np.linalg.svd(to_dense(A), compute_uv=False)[0])
 
 
 def spectral_norm(A) -> float:
@@ -235,7 +299,7 @@ def hinge_dual_optimum(prob: ErmProblem, tol: float = 1e-12
     """
     n = prob.n
     lam, gamma = prob.lam, prob.gamma
-    G = prob.matrix.to_dense()
+    G = to_dense(prob.matrix)
     gram = G.T @ G
 
     def neg_d(x):
@@ -281,7 +345,7 @@ def hinge_dual_optimum(prob: ErmProblem, tol: float = 1e-12
 def ridge_dual_optimum(prob: ErmProblem) -> tuple[np.ndarray, float]:
     """Exact maximizer of the (unconstrained) square-loss dual."""
     n = prob.n
-    G = prob.matrix.to_dense()
+    G = to_dense(prob.matrix)
     gram = G.T @ G
     M = prob.gamma * np.eye(n) + gram / (prob.lam * n)
     x = np.linalg.solve(M, prob.anchors)
@@ -562,19 +626,15 @@ def apcg_step_general_reference(problem, state, history):
     return state
 
 
-def check_schedule_reference(corrupt_alpha_root: bool) -> CheckResult:
+def check_schedule_reference() -> CheckResult:
     """The per-step form of ``apcg.cli._check_schedule``: every step is
     checked as it is taken, and ``rate_bound`` is called once per k."""
-    solver = None
-    if corrupt_alpha_root:
-        def solver(gamma_k, mu, n):
-            return schedule._alpha_root(gamma_k, mu, n) * (1.0 + 1e-6)
     worst = 0.0
     steps = 10_000
     for n in (1, 2, 10, 1000):
         for mu in (0.0, 1e-6, 0.01, 1.0):
             for gamma0 in (max(mu, 0.1), 1.0):
-                sched = schedule.ApcgSchedule(n, mu, gamma0, _alpha_solver=solver)
+                sched = schedule.ApcgSchedule(n, mu, gamma0)
                 lo = math.sqrt(mu) / n
                 lambdas = [sched.lam]
                 for k in range(steps):

@@ -11,18 +11,18 @@ import numpy as np
 import pytest
 
 from apcg.cli import run_solver_trace
-from apcg.core import BoxIndicator, L1Regularizer, block_prox
+from apcg.core import L1Regularizer, block_prox
 from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       SmoothedHingeLoss, SquareLoss, apcg_erm_steps,
                       dual_objective, primal_objective, solve_erm)
-from apcg.instances import block_quadratic, diag_dominant_quadratic
+from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
                           apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
-from oracles import primal_from_dual
+from oracles import BoxIndicator, block_quadratic, primal_from_dual
 from conftest import report_pass
 
 
@@ -143,7 +143,7 @@ def test_rate_envelope_over_seeds(lasso20, lasso20_optimum):
     epochs = 30
     traces = []
     for seed in range(20):
-        res = solve(problem, variant="general", gamma0=gamma0,
+        res = solve(problem, ApcgSchedule(problem.n, problem.smooth.mu, gamma0),
                     max_iters=epochs * problem.n, seed=seed)
         traces.append([f for _, f in res.trace])
     mean_gap = np.mean(traces, axis=0) - fstar

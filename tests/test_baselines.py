@@ -9,11 +9,12 @@ from apcg.baselines import afg_start, afg_step, sdca_epoch
 from apcg.cli import run_solver_trace
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
-from apcg.data import SparseColMatrix, synth_binary
+from apcg.data import synth_binary
 from apcg.erm import (ErmProblem, PrimalDualReport, dual_composite,
                       dual_objective, solve_erm)
 from apcg.errors import StepSizeError
 from apcg.instances import diag_dominant_quadratic
+from apcg.schedule import ApcgSchedule
 from apcg.solvers import BlockSampler, solve
 
 import oracles
@@ -64,7 +65,8 @@ def test_rpcg_slower_than_apcg_on_ill_conditioned_dual():
     xstar, dstar = oracles.hinge_dual_optimum(prob)
     fstar = -dstar  # composite minimizes -D
 
-    res = solve(comp, variant="strongly_convex", max_iters=400 * comp.n, seed=0)
+    mu = comp.smooth.mu
+    res = solve(comp, ApcgSchedule(comp.n, mu, mu), max_iters=400 * comp.n, seed=0)
     apcg_epochs = next(k // comp.n for k, f in res.trace if f - fstar <= target)
     _, trace = oracles.rpcg_solve(comp, max_iters=400 * comp.n, seed=0)
     rpcg_epochs = next((k // comp.n for k, f in trace if f - fstar <= target),
@@ -158,10 +160,10 @@ def test_afg_on_dual_erm_reaches_optimum(hinge200, hinge200_optimum):
 
 
 def test_simple_splitting_bounds_an_empty_column_by_the_largest_constant():
-    A = SparseColMatrix.from_dense(np.array([[0.5, 0.0, 0.0], [1.0, 0.0, -0.3]]))
+    A = oracles.from_dense(np.array([[0.5, 0.0, 0.0], [1.0, 0.0, -0.3]]))
     L = dual_composite(ErmProblem.ridge(A, np.ones(3), lam=1e-2)).smooth.lipschitz
     assert L[1] == L[0] and L[0] > L[2] > 0.0
-    zero = SparseColMatrix.from_dense(np.zeros((2, 3)))
+    zero = oracles.from_dense(np.zeros((2, 3)))
     L = dual_composite(ErmProblem.ridge(zero, np.ones(3), lam=1e-2)).smooth.lipschitz
     assert np.array_equal(L, np.ones(3))
 

@@ -266,6 +266,31 @@ def test_example_without_features_solved_by_every_solver(loss, tmp_path):
     assert all(r.epochs_to_tol is not None for r in results)
 
 
+def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # the fork start method starts all max_workers processes at once; the
+    # stand-in pool starts none and maps serially
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
+    assert sizes == [2]
+    assert [r.seed for r in results] == [0, 1]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
     built, build = [], cli._build_problem
@@ -331,21 +356,37 @@ def test_check_invariants_passes(capsys):
     assert capsys.readouterr().out.count("[PASS] ") == len(checks)
 
 
-def test_check_invariants_negative_control(capsys):
-    checks = check_invariants(corrupt_alpha_root=True)
+def corrupt_alpha_root(monkeypatch):
+    """The negative control: while the schedule check runs, every alpha root
+    is off by a relative 1e-6; the other checks keep the true root."""
+    check, true_root = cli._check_schedule, schedule._alpha_root
+
+    def corrupted_check():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schedule, "_alpha_root",
+                          lambda gamma_k, mu, n: true_root(gamma_k, mu, n) * (1.0 + 1e-6))
+            return check()
+
+    monkeypatch.setattr(cli, "_check_schedule", corrupted_check)
+
+
+def test_check_invariants_negative_control(capsys, monkeypatch):
+    corrupt_alpha_root(monkeypatch)
+    checks = check_invariants()
     schedule_check = next(c for c in checks if c.name == "schedule")
     assert not schedule_check.passed
     assert capsys.readouterr().out.startswith("[FAIL] schedule: ")
 
 
-def test_main_check_exit_codes(capsys):
+def test_main_check_exit_codes(capsys, monkeypatch):
     # both schedule lines come from scalar IEEE arithmetic only, so they
     # are the same on every platform
     assert main(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "[PASS] schedule: worst |gamma-(n a)^2| rel err 8.88e-16"
     assert len(lines) == 6 and all(line.startswith("[PASS] ") for line in lines)
-    assert main(["check", "--corrupt-alpha-root"]) == 1
+    corrupt_alpha_root(monkeypatch)
+    assert main(["check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "[FAIL] schedule: gamma != (n alpha)^2 at n=1 mu=0.0 k=0: 2.37e-06"
     assert all(line.startswith("[PASS] ") for line in lines[1:])
@@ -372,28 +413,25 @@ def _scaled_root(factor):
     # residual at the same k: the alpha bound is reported first
     (_scaled_root(lambda g, mu, n: 0.5 if g < 1.1 * mu else 1.0),
      "alpha escaped bounds at n=1 mu=1e-06 k=3727"),
+    # the negative control of test_main_check_exit_codes
+    (_scaled_root(lambda g, mu, n: 1.0 + 1e-6),
+     "gamma != (n alpha)^2 at n=1 mu=0.0 k=0: 2.37e-06"),
 ])
 def test_array_schedule_check_matches_the_per_step_reference(monkeypatch, root, detail):
     if root is not None:
         monkeypatch.setattr(schedule, "_alpha_root", root)
-    got = cli._check_schedule(False)
-    assert got == oracles.check_schedule_reference(False)
+    got = cli._check_schedule()
+    assert got == oracles.check_schedule_reference()
     assert got.detail.startswith(detail)
     assert got.passed == (root is None)
-
-
-def test_array_schedule_check_matches_the_reference_on_the_cli_corruption():
-    got = cli._check_schedule(True)
-    assert got == oracles.check_schedule_reference(True)
-    assert not got.passed
 
 
 def test_array_schedule_check_matches_the_reference_on_a_broken_rate_bound(monkeypatch):
     true_bound = schedule.ApcgSchedule.rate_bound
     monkeypatch.setattr(schedule.ApcgSchedule, "rate_bound",
                         lambda self, k: true_bound(self, k) * (0.5 if self.mu == 0.01 else 1.0))
-    got = cli._check_schedule(False)
-    assert got == oracles.check_schedule_reference(False)
+    got = cli._check_schedule()
+    assert got == oracles.check_schedule_reference()
     assert got == cli.CheckResult("schedule", False,
                                   "lambda_k exceeded its bound at n=1 mu=0.01")
 

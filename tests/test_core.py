@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from apcg.core import (BlockPartition, BoxIndicator, CompositeProblem,
-                       L1Regularizer, SmoothOracle, ZeroRegularizer,
-                       block_prox, weighted_norm)
+from apcg.core import (BlockPartition, CompositeProblem, L1Regularizer,
+                       SmoothOracle, ZeroRegularizer, block_prox, weighted_norm)
 from apcg.erm import ConjugatePenalty
 
 import oracles
+from oracles import BoxIndicator
 
 
 def test_partition_offsets_and_sizes():
@@ -18,9 +18,16 @@ def test_partition_offsets_and_sizes():
     assert p.n == 3
     assert p.slice(1) == slice(2, 5)
     x = np.arange(6.0)
-    assert np.array_equal(p.block(x, 1), [2.0, 3.0, 4.0])
+    assert np.array_equal(x[p.slice(1)], [2.0, 3.0, 4.0])
     assert all(a < b for a, b in zip(p.offsets, p.offsets[1:]))
     assert sum(p.sizes) == p.total
+    # the scalar partition every AFG cell builds over n dual coordinates
+    q = BlockPartition.scalar(10**4)
+    assert q.sizes == (1,) * 10**4
+    assert q.offsets == tuple(range(10**4))
+    assert all(type(v) is int for v in q.sizes + q.offsets)
+    assert (q.n, q.total) == (10**4, 10**4)
+    assert q.slice(9_999) == slice(9_999, 10_000)
 
 
 def test_partition_rejects_bad_sizes():
@@ -198,7 +205,7 @@ def test_partial_gradient_matches_full_gradient_slices(lasso20):
         g = problem.smooth.full_gradient(x)
         for i in range(problem.n):
             gi = problem.smooth.partial_gradient(x, i)
-            assert np.allclose(gi, problem.partition.block(g, i), atol=1e-13)
+            assert np.allclose(gi, g[problem.partition.slice(i)], atol=1e-13)
 
 
 def test_block_lipschitz_inequality_sampled(lasso20):

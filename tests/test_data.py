@@ -20,7 +20,7 @@ import oracles
 def random_sparse(d, n, seed, density=0.4):
     rng = np.random.Generator(np.random.PCG64(seed))
     dense = rng.standard_normal((d, n)) * (rng.uniform(size=(d, n)) < density)
-    return SparseColMatrix.from_dense(dense)
+    return oracles.from_dense(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -29,14 +29,14 @@ def random_sparse(d, n, seed, density=0.4):
 
 def test_dense_round_trip_and_products():
     A = random_sparse(7, 5, seed=0)
-    dense = A.to_dense()
+    dense = oracles.to_dense(A)
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.standard_normal(5)
     w = rng.standard_normal(7)
     assert np.allclose(A.dot(x), dense @ x, atol=1e-13)
     assert np.allclose(A.tdot(w), dense.T @ w, atol=1e-13)
     assert np.allclose(A.col_norms_sq(), (dense ** 2).sum(axis=0), atol=1e-13)
-    again = SparseColMatrix.from_dense(dense)
+    again = oracles.from_dense(dense)
     assert np.array_equal(again.indices, A.indices)
     assert np.array_equal(again.values, A.values)
 
@@ -56,8 +56,8 @@ def product_cases():
     holes = random_sparse(6, 9, seed=3, density=0.3)  # empty rows and columns
     return [big, holes, random_sparse(1, 7, seed=5), random_sparse(7, 1, seed=6),
             random_sparse(1, 1, seed=7, density=1.0),
-            SparseColMatrix.from_dense(np.zeros((3, 4))),
-            SparseColMatrix.from_dense(np.zeros((3, 0))),
+            oracles.from_dense(np.zeros((3, 4))),
+            oracles.from_dense(np.zeros((3, 0))),
             SparseColMatrix(d=4, n=3, indptr=np.array([0, 0, 2, 2]),
                             indices=np.array([1, 3]), values=rng.standard_normal(2))]
 
@@ -126,7 +126,7 @@ def test_products_match_dense(kernels, case):
     if kernels == "c" and native.library() is None:
         pytest.skip(f"compiled kernels unavailable: {native.backend()}")
     dense, x, w = case
-    A = SparseColMatrix.from_dense(dense)
+    A = oracles.from_dense(dense)
     saved = native.library
     if kernels == "python":
         native.library = lambda: None
@@ -161,7 +161,7 @@ def test_matrix_rejects_invalid_structure():
 def test_scale_columns():
     A = random_sparse(4, 3, seed=2)
     B = A.scale_columns(np.array([1.0, -1.0, 2.0]))
-    assert np.allclose(B.to_dense(), A.to_dense() * np.array([1.0, -1.0, 2.0]))
+    assert np.allclose(oracles.to_dense(B), oracles.to_dense(A) * np.array([1.0, -1.0, 2.0]))
     with pytest.raises(ValueError):
         A.scale_columns(np.array([1.0, 0.0, 1.0]))
 
@@ -173,7 +173,7 @@ def test_scale_columns():
 def test_parse_simple_line():
     A, labels = parse_libsvm(io.StringIO("+1 1:2.0 3:-1.0\n"))
     assert A.d == 3 and A.n == 1
-    assert np.array_equal(A.to_dense()[:, 0], [2.0, 0.0, -1.0])
+    assert np.array_equal(oracles.to_dense(A)[:, 0], [2.0, 0.0, -1.0])
     assert labels.tolist() == [1.0]
 
 
@@ -187,7 +187,7 @@ def test_parse_multiple_lines_and_label_signs():
     A, labels = parse_libsvm(io.StringIO(text))
     assert A.d == 4 and A.n == 3
     assert labels.tolist() == [1.0, -1.0, 1.0]
-    dense = A.to_dense()
+    dense = oracles.to_dense(A)
     assert dense[1, 1] == 0.25 and dense[3, 1] == -3.0
 
 
@@ -245,7 +245,7 @@ def sparse_and_labels(draw):
     dense = draw(hnp.arrays(np.float64, (d, n), elements=st.one_of(st.just(0.0), nonzero)))
     dense[:, draw(hnp.arrays(np.bool_, n))] = 0.0
     labels = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([1.0, -1.0])))
-    return SparseColMatrix.from_dense(dense), labels
+    return oracles.from_dense(dense), labels
 
 
 @settings(max_examples=100, deadline=None)
@@ -587,14 +587,14 @@ def column_stats(A):
 
 
 def test_column_stats_identity():
-    A = SparseColMatrix.from_dense(np.eye(3))
+    A = oracles.from_dense(np.eye(3))
     R, sigma = column_stats(A)
     assert R == pytest.approx(1.0)
     assert sigma == pytest.approx(1.0, rel=1e-6)
 
 
 def test_column_stats_single_column():
-    A = SparseColMatrix.from_dense(np.array([[3.0], [4.0]]))
+    A = oracles.from_dense(np.array([[3.0], [4.0]]))
     R, sigma = column_stats(A)
     assert R == pytest.approx(5.0)
     assert sigma == pytest.approx(5.0, rel=1e-9)

@@ -20,7 +20,7 @@ from oracles import primal_from_dual
 
 
 def single_column_problem(col, lam=1.0, gamma=1.0):
-    A = SparseColMatrix.from_dense(np.asarray(col, dtype=float).reshape(-1, 1))
+    A = oracles.from_dense(np.asarray(col, dtype=float).reshape(-1, 1))
     return ErmProblem.smoothed_hinge(A, np.array([1.0]), lam=lam, gamma=gamma)
 
 
@@ -193,7 +193,7 @@ def test_primal_from_dual_attains_dual_value_at_optimum(hinge200, hinge200_optim
 
 def test_erm_constants_formulas():
     # uniform columns: mu = lam*gamma*n/(R^2 + lam*gamma*n) exactly
-    A = SparseColMatrix.from_dense(np.eye(4))
+    A = oracles.from_dense(np.eye(4))
     prob = ErmProblem.smoothed_hinge(A, np.ones(4), lam=0.1, gamma=2.0)
     L, mu = erm_constants(prob)
     n, R = 4, 1.0
@@ -206,7 +206,7 @@ def test_erm_constants_derived_value():
     # lam=1e-4, gamma=1, n=100, R=1, uniform unit columns
     cols = np.zeros((100, 100))
     np.fill_diagonal(cols, 1.0)
-    A = SparseColMatrix.from_dense(cols)
+    A = oracles.from_dense(cols)
     prob = ErmProblem.smoothed_hinge(A, np.ones(100), lam=1e-4, gamma=1.0)
     _, mu = erm_constants(prob)
     assert mu == pytest.approx(0.01 / 1.01, rel=1e-12)
@@ -214,7 +214,7 @@ def test_erm_constants_derived_value():
 
 
 def test_mu_caps_at_one_for_large_gamma():
-    A = SparseColMatrix.from_dense(np.eye(3))
+    A = oracles.from_dense(np.eye(3))
     prob = ErmProblem.smoothed_hinge(A, np.ones(3), lam=1.0, gamma=1e9)
     _, mu = erm_constants(prob)
     assert mu <= 1.0
@@ -225,7 +225,7 @@ def test_zero_columns_keep_constants_positive():
     dense = np.zeros((3, 3))
     dense[0, 0] = 1.0
     dense[1, 2] = -2.0
-    A = SparseColMatrix.from_dense(dense)  # column 1 empty
+    A = oracles.from_dense(dense)  # column 1 empty
     prob = ErmProblem.smoothed_hinge(A, np.array([1.0, -1.0, 1.0]), lam=0.5)
     L, mu = erm_constants(prob)
     assert np.all(L > 0)
@@ -438,7 +438,7 @@ def test_problem_rejects_coordinate_constants_out_of_range(col, lam, gamma):
     dense = np.zeros((2, 2))
     dense[:len(col), 0] = col
     dense[0, 1] = 1.0
-    A = SparseColMatrix.from_dense(dense)
+    A = oracles.from_dense(dense)
     labels = np.array([1.0, -1.0])
     for build in (ErmProblem.smoothed_hinge, ErmProblem.ridge):
         with pytest.raises(ConfigurationError, match="overflow"):
@@ -559,7 +559,7 @@ def test_full_prox_fixed_point_at_optimum(hinge200, hinge200_optimum):
 
 def test_full_prox_matches_grid_on_tiny_instance():
     dense = np.array([[1.0, -0.5], [0.3, 0.8]])
-    A = SparseColMatrix.from_dense(dense)
+    A = oracles.from_dense(dense)
     prob = ErmProblem.smoothed_hinge(A, np.array([1.0, -1.0]), lam=0.5, gamma=1.0)
     x = np.zeros(2)
     got = oracles.full_prox_step(prob, x)

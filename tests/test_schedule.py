@@ -4,27 +4,36 @@ import numpy as np
 import pytest
 
 from apcg.errors import ConfigurationError
-from apcg.schedule import ApcgSchedule, _alpha_root, solve_alpha, theta_coefficients
+from apcg.schedule import ApcgSchedule, theta_coefficients
 
 # the grid of `apcg-bench check`'s schedule line: (n, mu, gamma0)
 CHECK_GRID = [(n, mu, gamma0) for n in (1, 2, 10, 1000) for mu in (0.0, 1e-6, 0.01, 1.0)
               for gamma0 in (max(mu, 0.1), 1.0)]
 
 
+def first_alpha(gamma: float, mu: float, n: int) -> float:
+    """The root of n^2 a^2 = (1 - a) gamma + a mu, as a schedule started at
+    gamma0 = gamma takes its first step."""
+    return ApcgSchedule(n, mu, gamma).step()[0]
+
+
 def test_solve_alpha_constant_schedule_point():
     # gamma = mu makes the root exactly sqrt(mu)/n
-    assert solve_alpha(0.25, 0.25, 5) == pytest.approx(0.1, abs=1e-15)
+    assert first_alpha(0.25, 0.25, 5) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_solve_alpha_golden_ratio_case():
     # gamma=1, mu=0, n=1: alpha^2 + alpha - 1 = 0
     want = (math.sqrt(5.0) - 1.0) / 2.0
-    assert solve_alpha(1.0, 0.0, 1) == pytest.approx(want, abs=1e-15)
+    assert first_alpha(1.0, 0.0, 1) == pytest.approx(want, abs=1e-15)
 
 
 def test_solve_alpha_hits_cap():
     # gamma=1, mu=1, n=2: 4 a^2 = 1
-    assert solve_alpha(1.0, 1.0, 2) == pytest.approx(0.5, abs=1e-16)
+    assert first_alpha(1.0, 1.0, 2) == pytest.approx(0.5, abs=1e-16)
+    # alpha = 1/n at mu = gamma = 1, the top of (0, 1/n]
+    for n in (1, 2, 10, 1000):
+        assert first_alpha(1.0, 1.0, n) == 1.0 / n
 
 
 def test_solve_alpha_residual_small():
@@ -35,38 +44,20 @@ def test_solve_alpha_residual_small():
         if gamma == 0.0:
             continue
         n = int(rng.integers(1, 2000))
-        a = solve_alpha(gamma, mu, n)
+        a = first_alpha(gamma, mu, n)
         resid = abs(n * n * a * a - (1 - a) * gamma - a * mu)
         assert resid <= 1e-14
         assert 0.0 < a <= 1.0 / n
 
 
 def test_solve_alpha_input_validation():
-    with pytest.raises(ConfigurationError):
-        solve_alpha(0.0, 0.0, 3)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(1.1, 0.0, 3)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(0.5, -0.1, 3)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(0.5, 2.0, 3)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(0.5, 0.1, 0)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(math.nan, 0.1, 3)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(0.5, math.nan, 3)
-    with pytest.raises(ConfigurationError):
-        solve_alpha(0.5, 0.1, -2)
-
-
-def test_unchecked_root_is_solve_alpha_bitwise_on_the_check_grid():
-    for n, mu, gamma0 in CHECK_GRID:
-        alphas, gammas, _, _ = ApcgSchedule(n, mu, gamma0).history(2000)
-        for g in gammas.tolist():
-            assert _alpha_root(g, mu, n) == solve_alpha(g, mu, n)
-        # alpha = 1/n at mu = gamma = 1, the top of (0, 1/n]
-        assert _alpha_root(1.0, 1.0, n) == solve_alpha(1.0, 1.0, n) == 1.0 / n
+    # (gamma, mu, n) outside 0 <= mu <= gamma <= 1, gamma > 0, n >= 1: the
+    # schedule rejects them before any root is taken
+    for gamma, mu, n in ((0.0, 0.0, 3), (1.1, 0.0, 3), (0.5, -0.1, 3), (0.5, 2.0, 3),
+                         (0.5, 0.1, 0), (math.nan, 0.1, 3), (0.5, math.nan, 3),
+                         (0.5, 0.1, -2)):
+        with pytest.raises(ConfigurationError):
+            ApcgSchedule(n, mu, gamma)
 
 
 def test_history_is_the_step_sequence_and_leaves_the_schedule_alone():

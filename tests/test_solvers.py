@@ -7,12 +7,13 @@ import pytest
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.errors import ConfigurationError
-from apcg.instances import block_quadratic, diag_dominant_quadratic
+from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule, theta_coefficients
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                           apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
+from oracles import block_quadratic
 
 
 def shifted_quadratic(target):
@@ -268,7 +269,8 @@ def test_efficient_reconstructions_match_explicit(lasso20):
             apcg_step_general(problem, exp, sched)
             apcg_step_efficient(problem, eff)
             assert np.max(np.abs(eff.x_full() - exp.x)) <= 1e-8
-            assert np.max(np.abs(eff.z_full() - exp.z)) <= 1e-8
+            z_full = -eff.ubar_base * eff.scale / eff.rho + eff.v
+            assert np.max(np.abs(z_full - exp.z)) <= 1e-8
             y_next = (exp.x + alpha * exp.z) / (1 + alpha)
             assert np.max(np.abs(eff.y_full() - y_next)) <= 1e-8
 
@@ -390,44 +392,68 @@ def test_theta_combination_identity_and_psi_hat(lasso20):
 # driver
 # ---------------------------------------------------------------------------
 
+def general_schedule(problem):
+    return ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
+
+
+def constant_schedule(problem):
+    mu = problem.smooth.mu
+    return ApcgSchedule(problem.n, mu, mu)
+
+
+def efficient_trace(problem, max_iters, seed):
+    """The (iteration, F(x)) pairs that ``solve`` traces, for the
+    change-of-variables form."""
+    state = ApcgEfficientState(np.zeros(problem.dim), problem, problem.smooth.mu, seed)
+    trace = [(0, problem.objective(state.x_full()))]
+    for k in range(1, max_iters + 1):
+        apcg_step_efficient(problem, state)
+        if k % problem.n == 0 or k == max_iters:
+            trace.append((k, problem.objective(state.x_full())))
+    return trace
+
+
 def test_solve_zero_iterations_returns_x0(lasso20):
     x0 = np.zeros(lasso20.problem.dim)
-    res = solve(lasso20.problem, variant="general", max_iters=0, seed=0)
+    res = solve(lasso20.problem, general_schedule(lasso20.problem), max_iters=0, seed=0)
     assert np.array_equal(res.x, x0)
     assert len(res.trace) == 1 and res.trace[0][0] == 0
 
 
 def test_solve_same_seed_identical_traces(lasso20):
-    a = solve(lasso20.problem, variant="general", max_iters=200, seed=5)
-    b = solve(lasso20.problem, variant="general", max_iters=200, seed=5)
+    problem = lasso20.problem
+    a = solve(problem, general_schedule(problem), max_iters=200, seed=5)
+    b = solve(problem, general_schedule(problem), max_iters=200, seed=5)
     assert a.trace == b.trace
     assert np.array_equal(a.x, b.x)
-    c = solve(lasso20.problem, variant="general", max_iters=200, seed=6)
+    c = solve(problem, general_schedule(problem), max_iters=200, seed=6)
     assert c.trace != a.trace
 
 
 def test_solve_variants_agree_on_strongly_convex_problem(lasso20):
-    sc = solve(lasso20.problem, variant="strongly_convex", max_iters=300, seed=2)
-    eff = solve(lasso20.problem, variant="efficient", max_iters=300, seed=2)
-    gen = solve(lasso20.problem, variant="general",
-                gamma0=lasso20.problem.smooth.mu, max_iters=300, seed=2)
-    for (k1, f1), (k2, f2) in zip(sc.trace, eff.trace):
-        assert k1 == k2 and f1 == pytest.approx(f2, abs=1e-9)
-    for (k1, f1), (k2, f2) in zip(sc.trace, gen.trace):
+    sc = solve(lasso20.problem, constant_schedule(lasso20.problem), max_iters=300, seed=2)
+    eff = efficient_trace(lasso20.problem, max_iters=300, seed=2)
+    assert len(sc.trace) == len(eff)
+    for (k1, f1), (k2, f2) in zip(sc.trace, eff):
         assert k1 == k2 and f1 == pytest.approx(f2, abs=1e-9)
 
 
 def test_solve_objective_decreases_on_average(lasso20, lasso20_optimum):
     _, fstar = lasso20_optimum
-    res = solve(lasso20.problem, variant="strongly_convex", max_iters=3000, seed=0)
+    res = solve(lasso20.problem, constant_schedule(lasso20.problem), max_iters=3000, seed=0)
     assert res.trace[-1][1] - fstar <= 1e-6 * (res.trace[0][1] - fstar)
 
 
-def test_solve_validates_options(lasso20):
+def test_solve_validates_options():
     problem = shifted_quadratic(np.zeros(3))
+    # a schedule over another block count, or one already stepped
     with pytest.raises(ConfigurationError):
-        solve(lasso20.problem, variant="nope")
-    # mu = 0 problem cannot run the strongly convex variants
+        solve(problem, ApcgSchedule(4, 0.5, 1.0))
+    stepped = ApcgSchedule(3, 0.5, 1.0)
+    stepped.step()
+    with pytest.raises(ConfigurationError):
+        solve(problem, stepped)
+    # mu = 0 problem cannot run the strongly convex forms
     zero_mu = CompositeProblem(
         partition=problem.partition,
         smooth=SmoothOracle(value=problem.smooth.value,
@@ -436,27 +462,27 @@ def test_solve_validates_options(lasso20):
                             lipschitz=problem.smooth.lipschitz, mu=0.0),
         reg=problem.reg)
     with pytest.raises(ConfigurationError):
-        solve(zero_mu, variant="strongly_convex")
+        solve(zero_mu, constant_schedule(zero_mu))
     with pytest.raises(ConfigurationError):
-        solve(zero_mu, variant="efficient")
+        ApcgEfficientState(np.zeros(3), zero_mu, zero_mu.smooth.mu, seed=0)
 
 
 def test_nsc_variant_converges_on_lasso(lasso20, lasso20_optimum):
     _, fstar = lasso20_optimum
-    res = solve(lasso20.problem, variant="non_strongly_convex",
+    res = solve(lasso20.problem, ApcgSchedule(lasso20.problem.n, 0.0, 1.0),
                 max_iters=6000, seed=0)
     assert res.trace[-1][1] - fstar <= 1e-4 * (res.trace[0][1] - fstar)
 
 
 def test_nsc_variant_rejects_gamma0_above_one(lasso20):
     with pytest.raises(ConfigurationError):
-        solve(lasso20.problem, "non_strongly_convex", gamma0=1.2)
+        ApcgSchedule(lasso20.problem.n, 0.0, 1.2)
 
 
 def test_single_block_matches_deterministic_accelerated_gradient_quick():
     inst = block_quadratic((5,), seed=4)
     problem = inst.problem
-    res = solve(problem, variant="strongly_convex", max_iters=50, seed=0)
+    res = solve(problem, constant_schedule(problem), max_iters=50, seed=0)
     want = oracles.momentum_accelerated_gradient(inst.hessian, inst.linear,
                                                  np.zeros(5), 50)
     state = ApcgExplicitState.start(np.zeros(5), seed=0, n_blocks=1)
