@@ -413,9 +413,6 @@ def _scaled_root(factor):
     # residual at the same k: the alpha bound is reported first
     (_scaled_root(lambda g, mu, n: 0.5 if g < 1.1 * mu else 1.0),
      "alpha escaped bounds at n=1 mu=1e-06 k=3727"),
-    # the negative control of test_main_check_exit_codes
-    (_scaled_root(lambda g, mu, n: 1.0 + 1e-6),
-     "gamma != (n alpha)^2 at n=1 mu=0.0 k=0: 2.37e-06"),
 ])
 def test_array_schedule_check_matches_the_per_step_reference(monkeypatch, root, detail):
     if root is not None:
@@ -424,6 +421,16 @@ def test_array_schedule_check_matches_the_per_step_reference(monkeypatch, root, 
     assert got == oracles.check_schedule_reference()
     assert got.detail.startswith(detail)
     assert got.passed == (root is None)
+
+
+def test_array_schedule_check_matches_the_reference_on_the_cli_corruption(monkeypatch):
+    # the negative control of test_main_check_exit_codes: every root off by
+    # a relative 1e-6
+    monkeypatch.setattr(schedule, "_alpha_root", _scaled_root(lambda g, mu, n: 1.0 + 1e-6))
+    got = cli._check_schedule()
+    assert got == oracles.check_schedule_reference()
+    assert got == cli.CheckResult("schedule", False,
+                                  "gamma != (n alpha)^2 at n=1 mu=0.0 k=0: 2.37e-06")
 
 
 def test_array_schedule_check_matches_the_reference_on_a_broken_rate_bound(monkeypatch):
