@@ -14,6 +14,7 @@ import argparse
 import csv
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -202,8 +203,9 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
         from concurrent.futures import ProcessPoolExecutor
 
         # the fork start method starts every worker at once, so no more
-        # workers than cells
-        with ProcessPoolExecutor(max_workers=min(config.jobs, n_cells)) as pool:
+        # workers than cells or than the machine has processors
+        workers = min(config.jobs, n_cells, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(c) for c in cells]

@@ -25,10 +25,13 @@ class SparseColMatrix:
     """d x n matrix in CSC layout: column j holds values[indptr[j]:indptr[j+1]].
 
     Row indices are strictly increasing within each column; stored values
-    are finite and nonzero.  The three arrays are kept as contiguous
-    read-only views, validated here once, so the compiled kernels trust
-    them without re-checking every row index; ``addresses`` holds their
-    data pointers in that order, so a kernel call need not look them up.
+    are finite and nonzero.  The matrix holds exactly three arrays, indptr,
+    indices and values, each of its exact size and kept as a contiguous
+    read-only view, validated here once, so the compiled kernels trust them
+    without re-checking every row index.  A matrix from
+    :meth:`scale_columns` shares indptr and indices with its source.
+    ``addresses`` holds the three data pointers in that order, so a kernel
+    call need not look them up.
     """
 
     d: int
@@ -36,7 +39,6 @@ class SparseColMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    col_ids: np.ndarray = field(init=False, repr=False)
     addresses: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -49,21 +51,17 @@ class SparseColMatrix:
             raise ValueError("indptr must be non-decreasing")
         if indices.size != values.size:
             raise ValueError("indices and values length mismatch")
-        col_ids = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
         if indices.size:
             if indices.min() < 0 or indices.max() >= self.d:
                 raise ValueError("row index out of range")
-            if indices.size > 1:
-                same_col = col_ids[1:] == col_ids[:-1]
-                if np.any(same_col & (np.diff(indices) <= 0)):
-                    raise ValueError("row indices must be strictly increasing per column")
+            if not _rows_increasing(indptr, indices):
+                raise ValueError("row indices must be strictly increasing per column")
             if not np.all(np.isfinite(values)) or np.any(values == 0.0):
                 raise ValueError("stored values must be finite and nonzero")
         for name, arr in (("indptr", indptr), ("indices", indices), ("values", values)):
             arr = arr.view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "col_ids", col_ids)
         self._set_addresses()
 
     def __setstate__(self, state):
@@ -78,6 +76,10 @@ class SparseColMatrix:
         object.__setattr__(self, "addresses", (
             self.indptr.ctypes.data, self.indices.ctypes.data, self.values.ctypes.data))
 
+    def _col_ids(self) -> np.ndarray:
+        """The column of every stored entry, for the Python kernels only."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
     @property
     def nnz(self) -> int:
         return int(self.values.size)
@@ -88,9 +90,15 @@ class SparseColMatrix:
         return self.indices[lo:hi], self.values[lo:hi]
 
     def col_norms_sq(self) -> np.ndarray:
+        """Squared Euclidean norm of each column; compiled when the kernels
+        load, bitwise equal to the np.add.at form."""
         out = np.zeros(self.n)
-        if self.nnz:
-            np.add.at(out, self.col_ids, self.values ** 2)
+        lib = native.library()
+        if lib is not None:
+            indptr, _, values = self.addresses
+            lib.csc_col_norms_sq(self.n, indptr, values, out.ctypes.data)
+        else:
+            np.add.at(out, self._col_ids(), self.values ** 2)
         return out
 
     def _product(self, kernel, vec, size: int, out_size: int) -> np.ndarray:
@@ -111,7 +119,7 @@ class SparseColMatrix:
             return self._product(lib.csc_dot, x, self.n, self.d)
         if self.nnz == 0:
             return np.zeros(self.d)
-        return np.bincount(self.indices, weights=self.values * x[self.col_ids],
+        return np.bincount(self.indices, weights=self.values * x[self._col_ids()],
                            minlength=self.d)
 
     def tdot(self, w: np.ndarray) -> np.ndarray:
@@ -124,19 +132,42 @@ class SparseColMatrix:
             return self._product(lib.csc_tdot, w, self.d, self.n)
         if self.nnz == 0:
             return np.zeros(self.n)
-        return np.bincount(self.col_ids, weights=self.values * w[self.indices],
+        return np.bincount(self._col_ids(), weights=self.values * w[self.indices],
                            minlength=self.n)
 
     def scale_columns(self, factors: np.ndarray) -> "SparseColMatrix":
-        """New matrix with column j multiplied by factors[j] (all nonzero)."""
+        """New matrix with column j multiplied by factors[j] (all nonzero).
+
+        It shares indptr and indices with this matrix; only its values are
+        new.  Compiled when the kernels load, bitwise equal to the gather form.
+        """
         factors = np.asarray(factors, dtype=float)
         if factors.shape != (self.n,):
             raise ValueError("need one factor per column")
         if np.any(factors == 0.0) or not np.all(np.isfinite(factors)):
             raise ValueError("column factors must be finite and nonzero")
-        return SparseColMatrix(d=self.d, n=self.n, indptr=self.indptr.copy(),
-                               indices=self.indices.copy(),
-                               values=self.values * factors[self.col_ids])
+        lib = native.library()
+        if lib is not None:
+            factors = np.ascontiguousarray(factors)
+            values = np.empty(self.nnz)
+            indptr, _, source = self.addresses
+            lib.csc_scale_columns(self.n, indptr, source, factors.ctypes.data,
+                                  values.ctypes.data)
+        else:
+            values = self.values * factors[self._col_ids()]
+        return SparseColMatrix(d=self.d, n=self.n, indptr=self.indptr,
+                               indices=self.indices, values=values)
+
+
+def _rows_increasing(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether rows strictly increase within every column of CSC arrays
+    whose indptr and row range are already checked."""
+    lib = native.library()
+    if lib is not None:
+        return bool(lib.csc_rows_increasing(indptr.size - 1, indptr.ctypes.data,
+                                            indices.ctypes.data))
+    # a row that does not exceed the one before it must start a column
+    return bool(np.isin(np.flatnonzero(np.diff(indices) <= 0) + 1, indptr).all())
 
 
 @dataclass(frozen=True)
@@ -212,10 +243,11 @@ def _parse_compiled(lib, data: bytes):
                         indptr.ctypes.data, indices.ctypes.data, values.ctypes.data):
         return None
     n, kept, max_index = shape.tolist()
-    if kept < features:  # explicit zeros were left out
-        indices, values = indices[:kept].copy(), values[:kept].copy()
-    A = SparseColMatrix(d=max_index, n=n, indptr=indptr[:n + 1], indices=indices, values=values)
-    return A, labels[:n]
+    # shrink the buffers to their exact sizes in place: nothing views them yet
+    for arr, size in ((labels, n), (indptr, n + 1), (indices, kept), (values, kept)):
+        arr.resize(size, refcheck=False)
+    A = SparseColMatrix(d=max_index, n=n, indptr=indptr, indices=indices, values=values)
+    return A, labels
 
 
 def _parse_python(source) -> tuple[SparseColMatrix, np.ndarray]:
@@ -382,7 +414,9 @@ def _synth_columns_compiled(rng, n, d, sparsity, min_k):
                   indptr.ctypes.data, indices.ctypes.data, values.ctypes.data, capacity):
             return None
     nnz = int(indptr[-1])
-    indices, values = indices[:nnz], values[:nnz]
+    # shrink the buffers to their exact size in place: nothing views them yet
+    indices.resize(nnz, refcheck=False)
+    values.resize(nnz, refcheck=False)
     # np.linalg.norm is sqrt(v.dot(v)) and division is elementwise, so this
     # is bitwise vals / np.linalg.norm(vals); an empty column's 0 is repeated 0 times
     bounds = indptr.tolist()

@@ -35,9 +35,14 @@ from apcg.instances import QuadraticInstance, _quadratic_instance
 from apcg.solvers import BlockSampler
 
 
+def col_ids(A: SparseColMatrix) -> np.ndarray:
+    """The column of every stored entry of ``A``."""
+    return np.repeat(np.arange(A.n, dtype=np.int64), np.diff(A.indptr))
+
+
 def to_dense(A: SparseColMatrix) -> np.ndarray:
     out = np.zeros((A.d, A.n))
-    out[A.indices, A.col_ids] = A.values
+    out[A.indices, col_ids(A)] = A.values
     return out
 
 

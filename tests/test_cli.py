@@ -286,9 +286,17 @@ def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
     assert sizes == [2]
     assert [r.seed for r in results] == [0, 1]
+    # nor more than the machine has processors, or one when it cannot tell
+    results = run_experiment(small_config(tmp_path, seeds=[0, 1, 2, 3], jobs=100_000))
+    assert sizes == [2, 3]
+    assert [r.seed for r in results] == [0, 1, 2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
+    assert sizes == [2, 3, 1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -43,11 +43,11 @@ def test_dense_round_trip_and_products():
 
 def bincount_dot(A, x):
     """SparseColMatrix.dot's Python form, which the compiled one must equal."""
-    return np.bincount(A.indices, weights=A.values * x[A.col_ids], minlength=A.d)
+    return np.bincount(A.indices, weights=A.values * x[oracles.col_ids(A)], minlength=A.d)
 
 
 def bincount_tdot(A, w):
-    return np.bincount(A.col_ids, weights=A.values * w[A.indices], minlength=A.n)
+    return np.bincount(oracles.col_ids(A), weights=A.values * w[A.indices], minlength=A.n)
 
 
 def product_cases():
@@ -94,7 +94,8 @@ def test_matrix_arrays_are_read_only():
         for arr in (B.indptr, B.indices, B.values):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-    assert np.array_equal(B.values, A.values) and np.array_equal(B.col_ids, A.col_ids)
+    for name in ("indptr", "indices", "values"):
+        assert np.array_equal(getattr(B, name), getattr(A, name))
 
 
 def test_unpickled_matrix_products_are_bitwise_equal(c_kernels):
@@ -164,6 +165,129 @@ def test_scale_columns():
     assert np.allclose(oracles.to_dense(B), oracles.to_dense(A) * np.array([1.0, -1.0, 2.0]))
     with pytest.raises(ValueError):
         A.scale_columns(np.array([1.0, 0.0, 1.0]))
+
+
+KERNELS = ["c_kernels", "python_kernels"]
+
+
+def column_pass_cases():
+    """product_cases plus an empty middle column."""
+    middle = SparseColMatrix(d=4, n=3, indptr=np.array([0, 2, 2, 3]),
+                             indices=np.array([0, 3, 1]), values=np.array([0.5, -2.0, 3.0]))
+    return [*product_cases(), middle]
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_column_norms_equal_add_at_bitwise(kernels, request):
+    request.getfixturevalue(kernels)
+    for A in column_pass_cases():
+        want = np.zeros(A.n)
+        np.add.at(want, oracles.col_ids(A), A.values ** 2)
+        assert A.col_norms_sq().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_scaled_columns_share_the_structure(kernels, request):
+    request.getfixturevalue(kernels)
+    rng = np.random.Generator(np.random.PCG64(9))
+    for A in column_pass_cases():
+        factors = np.where(rng.uniform(size=A.n) < 0.5, -1.0, 1.0) * rng.uniform(0.1, 10.0, A.n)
+        B = A.scale_columns(np.repeat(factors, 2)[::2])  # a strided operand
+        assert B.values.tobytes() == (A.values * factors[oracles.col_ids(A)]).tobytes()
+        assert np.shares_memory(B.indptr, A.indptr)
+        assert np.shares_memory(B.indices, A.indices) or A.nnz == 0
+        assert not np.shares_memory(B.values, A.values)
+        assert (B.d, B.n) == (A.d, A.n)
+    big = SparseColMatrix(d=2, n=2, indptr=np.array([0, 1, 2]), indices=np.array([0, 1]),
+                          values=np.array([1.0, 1e300]))
+    with pytest.raises(ValueError, match="^stored values must be finite and nonzero$"), \
+            np.errstate(over="ignore"):
+        big.scale_columns(np.array([1.0, 1e10]))  # the product overflows
+
+
+ROW_ORDER = "row indices must be strictly increasing per column"
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_row_order_check_is_the_same_on_both_backends(kernels, request):
+    request.getfixturevalue(kernels)
+
+    def matrix(indptr, indices, d=4):
+        return SparseColMatrix(d=d, n=len(indptr) - 1, indptr=np.array(indptr, dtype=np.int64),
+                               indices=np.array(indices, dtype=np.int64),
+                               values=np.ones(len(indices)))
+
+    rejected = [([0, 1, 3], [2, 1, 1]),  # a duplicate row in the second column
+                ([0, 2], [1, 1]),  # a duplicate row, n == 1
+                ([0, 3, 4], [0, 2, 1, 3]),  # a decrease inside the first column
+                ([0, 1, 1, 3], [0, 2, 2]),  # a duplicate after an empty column
+                ([0, 2, 3], [1, 0, 2])]  # a decrease at the last entry of a column
+    for indptr, indices in rejected:
+        with pytest.raises(ValueError, match=f"^{ROW_ORDER}$"):
+            matrix(indptr, indices)
+    with pytest.raises(ValueError, match="^row index out of range$"):  # checked first
+        matrix([0, 2], [5, 1])
+    accepted = [([0, 2, 4], [1, 3, 0, 2]),  # a decrease across a column boundary
+                ([0, 1, 2, 3], [3, 2, 1]),  # a decrease at every boundary
+                ([0, 0, 2, 3], [0, 3, 1]),  # an empty first column
+                ([0, 2, 2, 3], [0, 3, 1]),  # an empty middle column
+                ([0, 2, 3, 3], [0, 3, 1]),  # an empty last column
+                ([0, 0, 0], []),  # nnz == 0
+                ([0, 0], []),  # n == 1, nnz == 0
+                ([0, 3], [0, 1, 3])]  # n == 1
+    for indptr, indices in accepted:
+        assert matrix(indptr, indices).indices.tolist() == indices
+
+
+# ---------------------------------------------------------------------------
+# memory: the matrix is its three exact-size arrays
+# ---------------------------------------------------------------------------
+
+def assert_exact_size(A):
+    """indices and values hold 8 bytes per stored entry, in buffers of
+    exactly that size."""
+    for arr in (A.indices, A.values):
+        assert arr.nbytes == 8 * A.nnz
+        owner = arr if arr.base is None else arr.base
+        assert owner.nbytes == 8 * A.nnz
+
+
+@pytest.fixture(scope="module")
+def hinge_shape():
+    """The hinge-synth benchmark's shape: 10000 x 1000 at 2%."""
+    return synth_binary(10000, 1000, 0.02, seed=1003, min_nnz=1)
+
+
+def test_generated_arrays_are_exact_size(hinge_shape):
+    assert_exact_size(hinge_shape[0])
+
+
+def test_hinge_problem_build_allocates_under_two_copies_of_the_values(hinge_shape, c_kernels):
+    import tracemalloc
+
+    from apcg.erm import ErmProblem
+
+    A, labels = hinge_shape
+    tracemalloc.start()
+    try:
+        prob = ErmProblem.smoothed_hinge(A, labels, lam=2e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * A.nnz
+    assert np.shares_memory(prob.matrix.indices, A.indices)
+    assert np.shares_memory(prob.matrix.indptr, A.indptr)
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_parsed_arrays_are_exact_size_with_explicit_zeros(kernels, request, tmp_path):
+    request.getfixturevalue(kernels)
+    path = tmp_path / "zeros.txt"
+    path.write_text("+1 1:0 2:1.5 3:0\n-1 1:2 4:0\n+1 2:0\n")
+    A, labels = parse_libsvm(path)
+    assert (A.nnz, A.d, A.n) == (2, 4, 3)
+    assert_exact_size(A)
+    assert labels.tolist() == [1.0, -1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

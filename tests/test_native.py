@@ -16,6 +16,8 @@ from apcg.cli import main
 from apcg.data import synth_binary
 from apcg.erm import ErmDualState, ErmProblem
 
+import oracles
+
 SRC = str(Path(apcg.__file__).parent.parent)
 
 
@@ -82,7 +84,8 @@ def test_without_numpys_random_archive_only_synth_columns_is_left_out(
         assert getattr(A, name).tobytes() == getattr(want[0], name).tobytes()
     assert labels.tobytes() == want[1].tobytes()
     x = np.linspace(-1, 1, A.n)
-    want_ax = np.bincount(A.indices, weights=A.values * x[A.col_ids], minlength=A.d)
+    want_ax = np.bincount(A.indices, weights=A.values * x[oracles.col_ids(A)],
+                          minlength=A.d)
     assert A.dot(x).tobytes() == want_ax.tobytes()  # through the new library's csc_dot
 
 
@@ -98,7 +101,8 @@ def test_two_processes_building_into_one_empty_cache(tmp_path, c_kernels):
         "from apcg.data import synth_binary\n"
         "A, _ = synth_binary(300, 40, 0.2, seed=1)\n"
         "x = np.linspace(-1, 1, A.n)\n"
-        "want = np.bincount(A.indices, weights=A.values * x[A.col_ids], minlength=A.d)\n"
+        "cols = np.repeat(np.arange(A.n), np.diff(A.indptr))\n"
+        "want = np.bincount(A.indices, weights=A.values * x[cols], minlength=A.d)\n"
         "assert np.array_equal(A.dot(x), want)\n"
         "print(native.backend())\n")
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
