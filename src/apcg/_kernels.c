@@ -7,9 +7,7 @@
 
      csc_dot              SparseColMatrix.dot   (np.bincount form, same order)
      csc_tdot             SparseColMatrix.tdot  (np.bincount form, same order)
-     csc_rows_increasing  the row-order check of SparseColMatrix
      csc_col_norms_sq     SparseColMatrix.col_norms_sq (np.add.at, same order)
-     csc_scale_columns    SparseColMatrix.scale_columns (elementwise product)
      apcg_erm_epoch       erm.apcg_erm_steps
      sdca_epoch           the Python body of baselines.sdca_epoch
      libsvm_parse         data._parse_python, on a strict subset of its input
@@ -19,12 +17,12 @@
 
    The products and the column norms add the same rounded terms in the
    same order as np.bincount and np.add.at, so they are bitwise equal to
-   them, and so is the column scaling, one rounded product per entry.  The
-   three column passes read no temporary of nnz entries.  The epochs sum each column dot product
-   left to right, where numpy's dot may use another order, so they agree
-   with the references to rounding only.  apcg.native builds this file with
-   -O2 -ffp-contract=off -falign-loops=64: no fused multiply-add, no
-   fast-math, and every loop starting a cache line.  The tokenizer reads
+   them; the column norms read no temporary of nnz entries.  The epochs
+   sum each column dot product left to right, where numpy's dot may use
+   another order, so they agree with the references to rounding only.
+   apcg.native builds this file with -O2 -ffp-contract=off
+   -falign-loops=64: no fused multiply-add, no fast-math, and every loop
+   starting a cache line.  The tokenizer reads
    values with strtod, which rounds correctly like Python's float(), so
    what it accepts parses to the same bits.  synth_columns makes the same
    calls into numpy's own distributions, on the caller's Generator, in the
@@ -64,17 +62,6 @@ void csc_tdot(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
 }
 
-/* 1 when the rows strictly increase within every column, else 0; indptr
-   and the row range are checked by the caller first. */
-int csc_rows_increasing(int64_t n, const int64_t *indptr, const int64_t *indices)
-{
-    for (int64_t j = 0; j < n; j++)
-        for (int64_t k = indptr[j] + 1; k < indptr[j + 1]; k++)
-            if (indices[k] <= indices[k - 1])
-                return 0;
-    return 1;
-}
-
 /* out (length n) = the squared column norms, each summed left to right */
 void csc_col_norms_sq(int64_t n, const int64_t *indptr, const double *values,
                       double *out)
@@ -84,17 +71,6 @@ void csc_col_norms_sq(int64_t n, const int64_t *indptr, const double *values,
         for (int64_t k = indptr[j]; k < indptr[j + 1]; k++)
             s += values[k] * values[k];
         out[j] = s;
-    }
-}
-
-/* out (length nnz) = values with column j multiplied by factors[j] */
-void csc_scale_columns(int64_t n, const int64_t *indptr, const double *values,
-                       const double *factors, double *out)
-{
-    for (int64_t j = 0; j < n; j++) {
-        const double f = factors[j];
-        for (int64_t k = indptr[j]; k < indptr[j + 1]; k++)
-            out[k] = values[k] * f;
     }
 }
 

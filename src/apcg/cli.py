@@ -188,6 +188,14 @@ def _run_cell(args):
     return (dataset, loss_name, lam, solver, seed, result)
 
 
+def _usable_processors() -> int:
+    """The processors this process may run on (its affinity mask where the
+    platform has one), or 1 when that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     """Run every (lambda, solver, seed) cell and write trace + summary CSVs."""
     config.validate()
@@ -198,13 +206,13 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
 
     cells = _cells(config, dataset, A, labels)
     n_cells = len(config.lambdas) * len(config.solvers) * len(config.seeds)
-    if config.jobs > 1 and n_cells > 1:
+    # the fork start method starts every worker at once, so no more workers
+    # than cells or than the processors this process may run on
+    workers = min(config.jobs, n_cells, _usable_processors())
+    if workers > 1:
         # imported here: it pulls in multiprocessing, which --jobs 1 never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        # the fork start method starts every worker at once, so no more
-        # workers than cells or than the machine has processors
-        workers = min(config.jobs, n_cells, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:

@@ -54,7 +54,10 @@ class SparseColMatrix:
         if indices.size:
             if indices.min() < 0 or indices.max() >= self.d:
                 raise ValueError("row index out of range")
-            if not _rows_increasing(indptr, indices):
+            # a row that does not exceed the one before it must start a
+            # column: be found in the (sorted) indptr
+            starts = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+            if not np.array_equal(indptr[np.searchsorted(indptr, starts)], starts):
                 raise ValueError("row indices must be strictly increasing per column")
             if not np.all(np.isfinite(values)) or np.any(values == 0.0):
                 raise ValueError("stored values must be finite and nonzero")
@@ -119,8 +122,8 @@ class SparseColMatrix:
             return self._product(lib.csc_dot, x, self.n, self.d)
         if self.nnz == 0:
             return np.zeros(self.d)
-        return np.bincount(self.indices, weights=self.values * x[self._col_ids()],
-                           minlength=self.d)
+        weights = self.values * np.repeat(x, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=weights, minlength=self.d)
 
     def tdot(self, w: np.ndarray) -> np.ndarray:
         """A.T @ w for a length-d vector w; returns the n column dots.
@@ -139,35 +142,17 @@ class SparseColMatrix:
         """New matrix with column j multiplied by factors[j] (all nonzero).
 
         It shares indptr and indices with this matrix; only its values are
-        new.  Compiled when the kernels load, bitwise equal to the gather form.
+        new: one rounded product values[k] * factors[j] per entry.
         """
         factors = np.asarray(factors, dtype=float)
         if factors.shape != (self.n,):
             raise ValueError("need one factor per column")
         if np.any(factors == 0.0) or not np.all(np.isfinite(factors)):
             raise ValueError("column factors must be finite and nonzero")
-        lib = native.library()
-        if lib is not None:
-            factors = np.ascontiguousarray(factors)
-            values = np.empty(self.nnz)
-            indptr, _, source = self.addresses
-            lib.csc_scale_columns(self.n, indptr, source, factors.ctypes.data,
-                                  values.ctypes.data)
-        else:
-            values = self.values * factors[self._col_ids()]
+        values = np.repeat(factors, np.diff(self.indptr))
+        values *= self.values
         return SparseColMatrix(d=self.d, n=self.n, indptr=self.indptr,
                                indices=self.indices, values=values)
-
-
-def _rows_increasing(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Whether rows strictly increase within every column of CSC arrays
-    whose indptr and row range are already checked."""
-    lib = native.library()
-    if lib is not None:
-        return bool(lib.csc_rows_increasing(indptr.size - 1, indptr.ctypes.data,
-                                            indices.ctypes.data))
-    # a row that does not exceed the one before it must start a column
-    return bool(np.isin(np.flatnonzero(np.diff(indices) <= 0) + 1, indptr).all())
 
 
 @dataclass(frozen=True)

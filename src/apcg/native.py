@@ -42,16 +42,14 @@ _P, _I, _D, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_in
 SIGNATURES = {
     "csc_dot": (_I, _P, _P, _P, _P, _P),
     "csc_tdot": (_I, _P, _P, _P, _P, _P),
-    "csc_rows_increasing": (_I, _P, _P),
     "csc_col_norms_sq": (_I, _P, _P, _P),
-    "csc_scale_columns": (_I, _P, _P, _P, _P),
     "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P,
                        _D, _D, _D, _D, _D, _INT, _D),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
     "libsvm_parse": (_P, _I, _P, _P, _P, _P, _P),
     "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _I),
 }
-RESTYPES = {"csc_rows_increasing": _INT, "apcg_erm_epoch": _D, "libsvm_parse": _INT,
+RESTYPES = {"apcg_erm_epoch": _D, "libsvm_parse": _INT,
             "synth_columns": _INT}  # the others return nothing
 RANDOM_KERNELS = ("synth_columns",)  # built only with RANDOM_ARCHIVE
 

@@ -286,17 +286,24 @@ def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
     assert sizes == [2]
     assert [r.seed for r in results] == [0, 1]
-    # nor more than the machine has processors, or one when it cannot tell
+    # nor more than the processors this process may use
     results = run_experiment(small_config(tmp_path, seeds=[0, 1, 2, 3], jobs=100_000))
     assert sizes == [2, 3]
     assert [r.seed for r in results] == [0, 1, 2, 3]
+    # where there is no affinity mask, than the machine has
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_experiment(small_config(tmp_path, seeds=[0, 1, 2, 3], jobs=100_000))
+    assert sizes == [2, 3, 3]
+    # and one process, with no pool, when it cannot tell
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
-    assert sizes == [2, 3, 1]
+    results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
+    assert sizes == [2, 3, 3]
+    assert [r.seed for r in results] == [0, 1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
