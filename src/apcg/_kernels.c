@@ -8,6 +8,8 @@
      csc_dot              SparseColMatrix.dot   (np.bincount form, same order)
      csc_tdot             SparseColMatrix.tdot  (np.bincount form, same order)
      csc_col_norms_sq     SparseColMatrix.col_norms_sq (np.add.at, same order)
+     erm_report           the numpy per-example terms of a gap report
+                          (erm._report_terms), each in the same order
      apcg_erm_epoch       erm.apcg_erm_steps
      sdca_epoch           the Python body of baselines.sdca_epoch
      libsvm_parse         data._parse_python, on a strict subset of its input
@@ -17,9 +19,13 @@
 
    The products and the column norms add the same rounded terms in the
    same order as np.bincount and np.add.at, so they are bitwise equal to
-   them; the column norms read no temporary of nnz entries.  The epochs
-   sum each column dot product left to right, where numpy's dot may use
-   another order, so they agree with the references to rounding only.
+   them; the column norms read no temporary of nnz entries.  erm_report
+   writes the report's n-length terms, not their sums: numpy sums pairwise
+   and a dot product sums in BLAS's order, which a sequential loop would
+   match only to rounding, so the report's sums stay in numpy and every
+   report is bitwise the numpy one.  The epochs sum each column dot
+   product left to right, where numpy's dot may use another order, so
+   they agree with the references to rounding only.
    apcg.native builds this file with -O2 -ffp-contract=off
    -falign-loops=64: no fused multiply-add, no fast-math, and every loop
    starting a cache line.  The tokenizer reads
@@ -71,6 +77,43 @@ void csc_col_norms_sq(int64_t n, const int64_t *indptr, const double *values,
         for (int64_t k = indptr[j]; k < indptr[j + 1]; k++)
             s += values[k] * values[k];
         out[j] = s;
+    }
+}
+
+/* The per-column terms of a gap report at a feasible dual point x (length
+   n), given w = A x / (lam n) (length d); see erm.PrimalDualReport.evaluate.
+   For each column j the margin m_j = A_j' w is summed as in csc_tdot, and
+   phi[j] = phi_j(m_j), conj[j] = phi*_j(-x_j) and resid[j] = m_j - a_j,
+   where a_j = anchors[j] - gamma x_j is projected onto the half-line
+   subdifferential at a box edge (x_j == 0 or 1).  hinge selects the
+   smoothed hinge (anchors all 1, dual box [0, 1]), else the square loss
+   (anchors the targets, no box).  Each term is the numpy form's
+   expression in the same order, so all three are bitwise equal to it. */
+void erm_report(int64_t n, const int64_t *indptr, const int64_t *indices,
+                const double *values, const double *w, const double *x,
+                const double *anchors, double gamma, int hinge,
+                double *phi, double *conj, double *resid)
+{
+    const double half_gamma = 0.5 * gamma, two_gamma = 2.0 * gamma;
+    for (int64_t j = 0; j < n; j++) {
+        double m = 0.0;
+        for (int64_t k = indptr[j]; k < indptr[j + 1]; k++)
+            m += values[k] * w[indices[k]];
+        const double x_j = x[j];
+        double a = anchors[j] - gamma * x_j;
+        if (hinge) {
+            phi[j] = m >= 1.0 ? 0.0
+                   : (m <= 1.0 - gamma ? 1.0 - m - gamma / 2.0
+                                       : (1.0 - m) * (1.0 - m) / two_gamma);
+            if (x_j == 0.0 && a < m)
+                a = m;
+            else if (x_j == 1.0 && m < a)
+                a = m;
+        } else {
+            phi[j] = (m - anchors[j]) * (m - anchors[j]) / two_gamma;
+        }
+        conj[j] = -anchors[j] * x_j + half_gamma * x_j * x_j;
+        resid[j] = m - a;
     }
 }
 

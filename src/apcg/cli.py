@@ -16,6 +16,7 @@ import itertools
 import math
 import os
 import sys
+import weakref
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -110,6 +111,14 @@ def _build_problem(config: ExperimentConfig, A, labels, lam: float) -> erm.ErmPr
     return erm.ErmProblem.ridge(A, labels, lam=lam, gamma=config.gamma)
 
 
+# The problems that run_experiment built, each with the runs its cells have
+# made so far, keyed by (computation, epochs, seed, tol).  A problem leaves
+# once its lambda's cells are done; one built elsewhere is never here, so a
+# direct call of run_solver_trace always runs.
+_SHARED_RUNS: "weakref.WeakKeyDictionary[erm.ErmProblem, dict]" = \
+    weakref.WeakKeyDictionary()
+
+
 def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
                      tol: float | None) -> erm.ErmRunResult:
     """Per-epoch primal/dual/gap trace for one solver on one instance.
@@ -123,17 +132,27 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
     x_i + (a_i/n - grad_i)/L_i = (a_i - A_i'w + x_i q_i)/(gamma + q_i).
     Each solver hands the reports the A x it maintains anyway: APCG's
     aggregates, SDCA's lam n w, AFG's carried image of its iterate.
+
+    On a problem that :func:`run_experiment` built, ``sdca`` and ``rpcg``
+    cells with the same (epochs, seed, tol) get one run, made by whichever
+    comes first: the second call returns the same result, wall times
+    included.
     """
-    if solver == "apcg":
+    computation = "sdca" if solver == "rpcg" else solver
+    runs = _SHARED_RUNS.get(prob, {})  # a throwaway memo for any other problem
+    key = (computation, epochs, seed, tol)
+    if key in runs:
+        return runs[key]
+    if computation == "apcg":
         state = erm.ErmDualState(prob, seed=seed)
         epoch, current, ax = state.epoch, state.x, state.ax
-    elif solver in ("sdca", "rpcg"):
+    elif computation == "sdca":
         x, w_agg = np.zeros(prob.n), np.zeros(prob.d)
         sampler = BlockSampler(prob.n, seed)
         epoch = lambda: baselines.sdca_epoch(prob, x, w_agg, sampler)
         current = lambda: x
         ax = lambda: (prob.lam * prob.n) * w_agg
-    elif solver == "afg":
+    elif computation == "afg":
         composite = erm.dual_composite(prob)
         afg = baselines.afg_start(composite)
         epoch = lambda: baselines.afg_step(composite, afg)
@@ -141,7 +160,8 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
         ax = lambda: afg.ax
     else:
         raise ConfigurationError(f"unknown solver {solver!r}")
-    return erm.run_epochs(prob, epoch, current, epochs, tol, ax=ax)
+    runs[key] = result = erm.run_epochs(prob, epoch, current, epochs, tol, ax=ax)
+    return result
 
 
 @dataclass(frozen=True)
@@ -173,9 +193,10 @@ def _write_trace(path: Path, reports) -> None:
 def _cells(config: ExperimentConfig, dataset: str, A, labels):
     """Every (lambda, solver, seed) cell, in output order.  Each lambda's
     problem is built once, when its first cell is reached, and shared by
-    its cells."""
+    its cells, which share their runs too (see run_solver_trace)."""
     for lam in config.lambdas:
         prob = _build_problem(config, A, labels, lam)
+        _SHARED_RUNS[prob] = {}
         for solver in config.solvers:
             for seed in config.seeds:
                 yield (dataset, config.loss, lam, solver, seed, config, prob)

@@ -206,29 +206,27 @@ def _dual_feasible(box, x) -> np.ndarray | None:
     return _clip(box, x)
 
 
-def _dual_value(prob: ErmProblem, xc: np.ndarray, ax: np.ndarray) -> float:
-    """D at a feasible (clipped) xc, given ax = A xc."""
+def _dual_value(prob: ErmProblem, conj: np.ndarray, ax: np.ndarray) -> float:
+    """D at a feasible point x, given conj = phi*_i(-x_i) and ax = A x."""
     n = prob.n
-    return (-float(np.sum(prob.loss.conj_neg(xc))) / n
-            - float(ax @ ax) / (2.0 * prob.lam * n * n))
+    return -float(np.sum(conj)) / n - float(ax @ ax) / (2.0 * prob.lam * n * n)
 
 
-def _primal_value(prob: ErmProblem, w: np.ndarray, margins: np.ndarray) -> float:
-    """P(w), given margins = A' w."""
-    return (float(np.sum(prob.loss.phi(margins))) / prob.n
-            + 0.5 * prob.lam * float(np.dot(w, w)))
+def _primal_value(prob: ErmProblem, w: np.ndarray, phi: np.ndarray) -> float:
+    """P(w), given phi = phi_i(A_i' w)."""
+    return float(np.sum(phi)) / prob.n + 0.5 * prob.lam * float(np.dot(w, w))
 
 
-def _subgradient_norm_sq(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
-                         ) -> float:
-    """||D'(xc)||^2 for a feasible xc, given margins = A' w(xc).
+def _subgradient_residual(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
+                          ) -> np.ndarray:
+    """A_i' w - a_i at a feasible xc, given margins = A' w(xc); the squared
+    norm of D'(xc) is the residual's squared norm over n^2.
 
     The selection a_i from the conjugate subdifferential at -x_i is
     anchor_i - gamma x_i in the interior of the domain (anchor 1 for the
     hinge, b_i for square loss).  Exactly on a box edge the subdifferential
     is a half-line, and the margin is projected onto it, which makes the
-    selection vanish at constrained optima.  The squared norm is
-    (1/n^2) sum_i (A_i' w - a_i)^2.
+    selection vanish at constrained optima.
     """
     a = prob.anchors - prob.gamma * xc
     box = prob.loss.dual_box
@@ -236,8 +234,30 @@ def _subgradient_norm_sq(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
         # at x_i = lo the set is [a_i, inf); at x_i = hi it is (-inf, a_i]
         a = np.where(xc == box[0], np.maximum(a, margins), a)
         a = np.where(xc == box[1], np.minimum(a, margins), a)
-    diffs = margins - a
-    return float(diffs @ diffs) / (prob.n * prob.n)
+    return margins - a
+
+
+def _report_terms(prob: ErmProblem, xc: np.ndarray, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_i(A_i' w), phi*_i(-x_i) and the subgradient residual, per example.
+
+    The compiled ``erm_report`` computes all three in one pass over the
+    columns when the kernels load, bitwise equal to the numpy form.
+    """
+    lib = native.library()
+    if lib is None:
+        margins = prob.matrix.tdot(w)
+        return (prob.loss.phi(margins), prob.loss.conj_neg(xc),
+                _subgradient_residual(prob, xc, margins))
+    n, addr = prob.n, native.address
+    xc = np.ascontiguousarray(xc)  # held here: the kernel reads its buffer
+    terms = np.empty(n), np.empty(n), np.empty(n)
+    lib.erm_report(n, *prob.matrix.addresses, addr(w, np.float64, prob.d, "w"),
+                   addr(xc, np.float64, n, "x"),
+                   addr(prob.anchors, np.float64, n, "anchors"), prob.gamma,
+                   isinstance(prob.loss, SmoothedHingeLoss),
+                   *(t.ctypes.data for t in terms))
+    return terms
 
 
 def _feasible_or_raise(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
@@ -252,12 +272,12 @@ def dual_objective(prob: ErmProblem, x: np.ndarray) -> float:
     xc = _dual_feasible(prob.loss.dual_box, x)
     if xc is None:
         return -math.inf
-    return _dual_value(prob, xc, prob.matrix.dot(xc))
+    return _dual_value(prob, prob.loss.conj_neg(xc), prob.matrix.dot(xc))
 
 
 def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
-    return _primal_value(prob, w, prob.matrix.tdot(w))
+    return _primal_value(prob, w, prob.loss.phi(prob.matrix.tdot(w)))
 
 
 @dataclass(frozen=True)
@@ -279,19 +299,22 @@ class PrimalDualReport:
         """Primal, dual and subgradient at x from one A x and one A' w.
 
         The primal and dual equal primal_objective(A x / (lam n)) and
-        dual_objective(x) evaluated separately.  A solver that maintains
-        ``ax = A x`` passes it, and the report then costs only the A' w; such
-        a report is exact up to the aggregate's drift, so it is not a
-        weak-duality certificate (see :func:`run_epochs`).
+        dual_objective(x) evaluated separately, bitwise.  A solver that
+        maintains ``ax = A x`` passes it, and the report then costs only the
+        A' w; such a report is exact up to the aggregate's drift, so it is
+        not a weak-duality certificate (see :func:`run_epochs`).  The A' w
+        and every per-example term run as one compiled pass over the columns
+        when the kernels load (:func:`_report_terms`); the sums, w'w and
+        (A x)'(A x) stay in numpy.
         """
         xc = _feasible_or_raise(prob, x)
         if ax is None:
             ax = prob.matrix.dot(xc)
         w = ax / (prob.lam * prob.n)
-        margins = prob.matrix.tdot(w)
-        norm_sq = _subgradient_norm_sq(prob, xc, margins)
-        primal = _primal_value(prob, w, margins)
-        dual = _dual_value(prob, xc, ax)
+        phi, conj, resid = _report_terms(prob, xc, w)
+        norm_sq = float(resid @ resid) / (prob.n * prob.n)
+        primal = _primal_value(prob, w, phi)
+        dual = _dual_value(prob, conj, ax)
         return cls(epoch=epoch, primal=primal, dual=dual, gap=primal - dual,
                    dual_subgrad_norm_sq=norm_sq,
                    subgradient_gap_bound=prob.n / (2.0 * prob.gamma) * norm_sq,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import apcg
-from apcg import cli, schedule
+from apcg import baselines, cli, schedule
 from apcg.cli import (CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig, _config_from_args,
                       build_parser, check_invariants, main, run_experiment)
 from apcg.errors import ConfigurationError
@@ -266,9 +266,10 @@ def test_example_without_features_solved_by_every_solver(loss, tmp_path):
     assert all(r.epochs_to_tol is not None for r in results)
 
 
-def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
-    # the fork start method starts all max_workers processes at once; the
-    # stand-in pool starts none and maps serially
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor with a pool that starts no process
+    and maps serially; returns the list of each pool's max_workers."""
     import concurrent.futures
     sizes = []
 
@@ -286,6 +287,12 @@ def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, serial_pool):
+    # the fork start method starts all max_workers processes at once
+    sizes = serial_pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
     assert sizes == [2]
@@ -322,6 +329,41 @@ def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
     assert [(r.lam, r.solver, r.seed) for r in results] == [
         (lam, solver, seed) for lam in (1e-2, 1e-3) for solver in ("apcg", "sdca")
         for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sdca_and_rpcg_cells_share_one_run(tmp_path, monkeypatch, serial_pool, jobs):
+    """rpcg and sdca are one computation: within a run, each (lambda, seed)
+    runs the SDCA epochs once and both cells write its trace, wall times
+    included.  run_solver_trace is still called once per cell, and with
+    --jobs 2 (on the serial stand-in pool) every row is still written."""
+    calls, epochs = [], []
+    run_solver_trace, sdca_epoch = cli.run_solver_trace, baselines.sdca_epoch
+
+    def spy_trace(prob, solver, **kwargs):
+        calls.append(solver)
+        return run_solver_trace(prob, solver, **kwargs)
+
+    def spy_epoch(*args):
+        epochs.append(args[0].lam)
+        return sdca_epoch(*args)
+
+    monkeypatch.setattr(cli, "run_solver_trace", spy_trace)
+    monkeypatch.setattr(baselines, "sdca_epoch", spy_epoch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = small_config(tmp_path, lambdas=[1e-2, 1e-3], solvers=["sdca", "rpcg"],
+                          seeds=[0, 1], epochs=7, jobs=jobs)
+    results = run_experiment(config)
+    assert serial_pool == ([2] if jobs == 2 else [])
+    assert calls == ["sdca", "sdca", "rpcg", "rpcg"] * 2
+    assert epochs == [1e-2] * 14 + [1e-3] * 14  # 7 epochs per (lambda, seed)
+    traces = {(r.lam, r.solver, r.seed): read_rows(r.csv_path) for r in results}
+    for lam in config.lambdas:
+        for seed in config.seeds:
+            sdca = traces[(lam, "sdca", seed)]
+            assert len(sdca) == 1 + 8 and sdca[0] == CSV_HEADER
+            assert traces[(lam, "rpcg", seed)] == sdca
+    assert len(read_rows(Path(config.out) / "summary.csv")) == 1 + 8
 
 
 # ExperimentConfig field's flag -> (field, flags, value from the flags)

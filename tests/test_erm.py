@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcg import native
+from apcg import erm, native
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
@@ -548,6 +548,70 @@ def test_report_evaluate_rejects_outside_domain(hinge200):
         PrimalDualReport.evaluate(hinge200, x, epoch=0)
 
 
+def report_edge_cases():
+    """(problem, x) pairs on both losses that reach every branch of a
+    report's per-example terms: the three hinge pieces, both box edges with
+    the subgradient projection active and inactive, an empty column, n == 1."""
+    rng = np.random.default_rng(2)
+    dense = rng.standard_normal((6, 16)) * (rng.uniform(size=(6, 16)) < 0.6)
+    dense[:, 4] = 0.0  # an empty column
+    A = oracles.from_dense(dense)
+    labels = np.where(rng.uniform(size=16) < 0.5, -1.0, 1.0)
+    hinge = ErmProblem.smoothed_hinge(A, labels, lam=0.3, gamma=0.5)
+    x = rng.uniform(size=16)
+    x[::3], x[1::3] = 0.0, 1.0
+    _, w, _ = oracles.dual_subgradient(hinge, x)
+    m = hinge.matrix.tdot(w)
+    assert np.any(m >= 1.0) and np.any(m <= 0.5) and np.any((0.5 < m) & (m < 1.0))
+    zero, one = x == 0.0, x == 1.0
+    assert np.any(zero & (m > 1.0)) and np.any(zero & (m <= 1.0))  # a_i = 1 there
+    assert np.any(one & (m < 0.5)) and np.any(one & (m >= 0.5))  # a_i = 1 - gamma
+    single = oracles.from_dense(np.array([[2.0], [-1.0]]))
+    return [(hinge, x),
+            (ErmProblem.ridge(A, labels, lam=0.3, gamma=2.0), rng.standard_normal(16)),
+            (ErmProblem.smoothed_hinge(single, np.array([-1.0]), lam=1.0), np.array([0.5])),
+            (ErmProblem.smoothed_hinge(single, np.array([1.0]), lam=0.1), np.array([1.0])),
+            (ErmProblem.ridge(single, np.array([0.5]), lam=0.3), np.array([-1.5]))]
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_report_terms_match_the_numpy_reference(kernels, request):
+    """The per-example terms of a report (the compiled ``erm_report`` pass
+    when the kernels load) and the report built on them equal the numpy
+    reference, oracles.dual_subgradient plus the loss sums, bitwise: the
+    kernel evaluates each term's numpy expression in the same order, and
+    the sums stay in numpy."""
+    request.getfixturevalue(kernels)
+    for prob, x in report_edge_cases():
+        a, w, norm_sq = oracles.dual_subgradient(prob, x)
+        margins = prob.matrix.tdot(w)
+        phi, conj, resid = erm._report_terms(prob, x, w)
+        assert np.array_equal(phi, prob.loss.phi(margins))
+        assert np.array_equal(conj, prob.loss.conj_neg(x))
+        assert np.array_equal(resid, margins - a)
+        rep = PrimalDualReport.evaluate(prob, x, epoch=0)
+        assert rep.primal == primal_objective(prob, w)
+        assert rep.dual == dual_objective(prob, x)
+        assert rep.dual_subgrad_norm_sq == norm_sq
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_report_reads_strided_and_integer_duals_on_square_loss(ridge150, kernels,
+                                                               request):
+    """Square loss has no box, so the dual point reaches the report as given:
+    a strided or integer x reports as its contiguous float copy does, and
+    one of the wrong length is refused."""
+    request.getfixturevalue(kernels)
+    n = ridge150.n
+    strided = np.random.default_rng(3).standard_normal(2 * n)[::2]
+    for x in (strided, np.arange(n) % 5 - 2):
+        want = PrimalDualReport.evaluate(ridge150, np.array(x, dtype=float), epoch=1)
+        assert PrimalDualReport.evaluate(ridge150, x, epoch=1) == want
+    with pytest.raises(ValueError):
+        PrimalDualReport.evaluate(ridge150, np.zeros(n + 1), epoch=1,
+                                  ax=np.zeros(ridge150.d))
+
+
 # ---------------------------------------------------------------------------
 # full prox step and certification bounds
 # ---------------------------------------------------------------------------
@@ -676,6 +740,7 @@ def test_solve_erm_deterministic(hinge200):
     for solver in KNOWN_SOLVERS:
         a, b = (run_solver_trace(hinge200, solver, epochs=5, seed=11, tol=None)
                 for _ in range(2))
+        assert a is not b  # a direct call never takes another call's run
         assert np.array_equal(a.x, b.x)
         assert untimed(a) == untimed(b)
         runs[solver] = a
@@ -802,7 +867,8 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
     """Sparse products per cell: one A' w per report and no A x for the
     coordinate solvers; AFG adds one A' w per gradient and one A x per
     line-search trial.  On top: the start (APCG's q = A x0, AFG's image of
-    x0) and the last row's fresh A x and A' w."""
+    x0) and the last row's fresh A x and A' w.  A compiled report's
+    ``erm_report`` pass counts as its A' w."""
     counts = {"dot": 0, "tdot": 0, "trials": 0}
 
     def counting(name, fn):
@@ -813,6 +879,9 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
 
     monkeypatch.setattr(SparseColMatrix, "dot", counting("dot", SparseColMatrix.dot))
     monkeypatch.setattr(SparseColMatrix, "tdot", counting("tdot", SparseColMatrix.tdot))
+    lib = native.library()
+    if lib is not None:
+        monkeypatch.setattr(lib, "erm_report", counting("tdot", lib.erm_report))
     monkeypatch.setattr(ConjugatePenalty, "prox_full",
                         counting("trials", ConjugatePenalty.prox_full))
     epochs = 12
