@@ -11,10 +11,9 @@ from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       solve)
 from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
                   SmoothedHingeLoss, SquareLoss, complexity_estimate,
-                  dual_composite, dual_objective, erm_constants,
-                  primal_objective, run_epochs, solve_erm)
+                  dual_objective, erm_constants, primal_objective,
+                  run_epochs, solve_erm)
 from .baselines import AfgState, afg_step, sdca_epoch
-from .data import (DatasetMeta, SparseColMatrix, parse_libsvm, synth_binary,
-                   write_libsvm)
+from .data import SparseColMatrix, parse_libsvm, synth_binary, write_libsvm
 
 __version__ = "0.1.0"

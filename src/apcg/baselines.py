@@ -6,9 +6,9 @@ proximal coordinate gradient (RPCG) and the accelerated dual coordinate
 solver all do n coordinate steps per epoch; one AFG iteration touches the
 full vector and is charged one epoch.  On the ERM dual's relocated
 splitting, RPCG's prox step with weight L_i is SDCA's exact coordinate
-maximizer, so :func:`sdca_epoch` serves both there.  AFG runs on any
-composite problem; on the ERM dual it runs the simple splitting,
-``erm.dual_composite``.
+maximizer, so :func:`sdca_epoch` serves both there.  AFG runs the simple
+splitting, which keeps the conjugates whole in the separable part.  Both
+take the :class:`~apcg.erm.ErmProblem` directly.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .core import CompositeProblem
-from .erm import ErmProblem
-from .errors import StepSizeError
+from .erm import ConjugatePenalty, ErmProblem
+from .errors import ConfigurationError, StepSizeError
 from .solvers import BlockSampler
 
 # AFG line search: shrink a rejected step by BACKTRACK, at most MAX_BACKTRACKS
@@ -86,8 +85,7 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
 
 @dataclass
 class AfgState:
-    """AFG iterates x and y, with their images ax = A x and ay = A y under
-    the smooth part's linear lift (x and y themselves when it has none)."""
+    """AFG iterates x and y, with their images ax = A x and ay = A y."""
 
     x: np.ndarray
     y: np.ndarray
@@ -99,52 +97,57 @@ class AfgState:
     backtracks: int = 0
 
 
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _lift(problem: CompositeProblem):
-    """(apply, value_of, gradient_of) of the smooth part; the identity lift,
-    with f and grad f themselves, when it declares none."""
-    smooth = problem.smooth
-    return smooth.lift or (_identity, smooth.value, smooth.full_gradient)
-
-
-def afg_start(problem: CompositeProblem) -> AfgState:
+def afg_start(prob: ErmProblem) -> AfgState:
     """AFG at x = 0, with the inverse of a crude global Lipschitz estimate,
-    the sum of the block constants, as its first step."""
-    x0 = np.zeros(problem.dim)
-    apply, _, _ = _lift(problem)
-    ax0 = apply(x0)
+    the sum of the coordinate constants ||A_i||^2 / (lam n^2), as its first
+    step.  f does not depend on the coordinate of an empty column, so any
+    positive constant bounds it there: the largest nonzero one, or 1 when
+    A = 0.  Raises ConfigurationError when the sum overflows."""
+    n = prob.n
+    L = prob.col_norms_sq * (1.0 / (prob.lam * n * n))
+    top = float(L.max())
+    L = np.where(L > 0.0, L, top if top > 0.0 else 1.0)
+    with np.errstate(over="ignore"):  # reported below
+        total = float(np.sum(L))
+    if not math.isfinite(total):
+        raise ConfigurationError(
+            "the sum of the coordinate constants ||A_i||^2/(lam n^2) overflows, so "
+            "AFG has no first step at this lambda; rescale the data or change lambda")
+    x0 = np.zeros(n)
+    ax0 = prob.matrix.dot(x0)
     return AfgState(x=x0, y=x0.copy(), ax=ax0, ay=ax0.copy(), t=1.0,
-                    step=1.0 / float(np.sum(problem.smooth.lipschitz)), k=0)
+                    step=1.0 / total, k=0)
 
 
-def afg_step(problem: CompositeProblem, state: AfgState) -> AfgState:
-    """One accelerated proximal gradient iteration with line search.
+def afg_step(prob: ErmProblem, state: AfgState) -> AfgState:
+    """One accelerated proximal gradient iteration with line search on the
+    simple splitting of -D: f(x) = ||A x||^2 / (2 lam n^2), and Psi keeps
+    the conjugates whole (``erm.ConjugatePenalty`` with the loss's gamma).
 
     Backtracks on the smooth-part upper bound
     f(x+) <= f(y) + <grad f(y), x+ - y> + ||x+ - y||^2 / (2 step)
     shrinking the step by BACKTRACK on failure; the accepted step is
     expanded by EXPAND for the next iteration.
 
-    f and grad f are read from the carried image ay = A y, so an iteration
-    applies A once per trial (to the trial point) and the lift's gradient
-    once.  The accepted trial's fresh A x+ gives the next image,
+    f and grad f = A' A y / (lam n^2) are read from the carried image
+    ay = A y, so an iteration applies A once per trial (to the trial point)
+    and A' once.  The accepted trial's fresh A x+ gives the next image,
     A y+ = A x+ + momentum (A x+ - A x), so no error accumulates.
     """
-    apply, value_of, gradient_of = _lift(problem)
+    n, A = prob.n, prob.matrix
+    scale = 1.0 / (prob.lam * n * n)
+    reg = ConjugatePenalty(prob.anchors, prob.gamma, n, prob.loss.dual_box)
     y = state.y
-    fy = float(value_of(state.ay))
-    gy = gradient_of(state.ay)
+    fy = 0.5 * scale * float(state.ay @ state.ay)
+    gy = A.tdot(state.ay) * scale
     step = state.step
     for _ in range(MAX_BACKTRACKS):
-        x_new = problem.reg.prox_full(y - step * gy, 1.0 / step)
+        x_new = reg.prox_full(y - step * gy, 1.0 / step)
         diff = x_new - y
         with np.errstate(over="ignore"):  # oversized trial steps may overflow
             quad = fy + float(gy @ diff) + float(diff @ diff) / (2.0 * step)
-            ax_new = apply(x_new)
-            f_new = float(value_of(ax_new))
+            ax_new = A.dot(x_new)
+            f_new = 0.5 * scale * float(ax_new @ ax_new)
         if math.isfinite(f_new) and math.isfinite(quad) \
                 and f_new <= quad + 1e-12 * max(1.0, abs(quad)):
             break

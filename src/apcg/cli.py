@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, erm, native
-from .data import DatasetMeta, parse_libsvm, synth_binary
+from .data import parse_libsvm, synth_binary
 from .errors import ConfigurationError, ParseError
 from .instances import diag_dominant_quadratic
 from .schedule import ApcgSchedule, theta_coefficients
@@ -126,7 +126,7 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
     Every solver is charged by the shared accounting: n coordinate steps or
     one full-gradient iteration per epoch.  ``apcg`` runs the relocated dual
     splitting in specialized form (``erm.ErmDualState``), and ``afg`` the
-    simple splitting (``erm.dual_composite``).  ``rpcg`` runs the SDCA
+    simple splitting (``baselines.afg_step``).  ``rpcg`` runs the SDCA
     kernel: on the relocated splitting the coordinate subproblem is an exact
     1-d quadratic, so the prox step with weight L_i is SDCA's exact maximizer,
     x_i + (a_i/n - grad_i)/L_i = (a_i - A_i'w + x_i q_i)/(gamma + q_i).
@@ -153,9 +153,8 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
         current = lambda: x
         ax = lambda: (prob.lam * prob.n) * w_agg
     elif computation == "afg":
-        composite = erm.dual_composite(prob)
-        afg = baselines.afg_start(composite)
-        epoch = lambda: baselines.afg_step(composite, afg)
+        afg = baselines.afg_start(prob)
+        epoch = lambda: baselines.afg_step(prob, afg)
         current = lambda: afg.x
         ax = lambda: afg.ax
     else:
@@ -221,7 +220,9 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     """Run every (lambda, solver, seed) cell and write trace + summary CSVs."""
     config.validate()
     dataset, A, labels = _load_dataset(config)
-    meta = DatasetMeta.from_matrix(dataset, A)
+    entries = A.n * A.d
+    description = (f"name={dataset} n={A.n} d={A.d} "
+                   f"sparsity={A.nnz / entries if entries else 0.0:.6g}\n")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -257,7 +258,7 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
                              "" if r.epochs_to_tol is None else r.epochs_to_tol,
                              repr(r.final_gap)])
     with open(out_dir / "dataset.txt", "w") as fh:
-        fh.write(f"name={meta.name} n={meta.n} d={meta.d} sparsity={meta.sparsity:.6g}\n")
+        fh.write(description)
     return results
 
 

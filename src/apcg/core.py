@@ -88,12 +88,6 @@ class SmoothOracle:
     variation ``||grad_i f(x + U_i h) - grad_i f(x)|| <= L_i ||h||``; ``mu``
     is the convexity parameter of f in the L-weighted norm (``mu <= 1``
     always holds for consistent constants).
-
-    ``lift``, when given, is a triple ``(apply, value_of, gradient_of)`` for
-    an f that depends on x only through a linear image: ``apply(x)`` is
-    ``A x``, and ``value(x) == value_of(apply(x))``,
-    ``full_gradient(x) == gradient_of(apply(x))``.  A full-gradient method
-    can then carry ``A x`` along its iterates instead of recomputing it.
     """
 
     value: Callable[[np.ndarray], float]
@@ -101,8 +95,6 @@ class SmoothOracle:
     partial_gradient: Callable[[np.ndarray, int], np.ndarray]
     lipschitz: np.ndarray
     mu: float
-    lift: tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], float],
-                Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __post_init__(self):
         lip = np.asarray(self.lipschitz, dtype=float)

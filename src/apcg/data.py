@@ -155,22 +155,6 @@ class SparseColMatrix:
                                indices=self.indices, values=values)
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
-    """Descriptive statistics of a loaded dataset."""
-
-    name: str
-    n: int
-    d: int
-    sparsity: float
-
-    @classmethod
-    def from_matrix(cls, name: str, A: SparseColMatrix) -> "DatasetMeta":
-        cells = A.n * A.d
-        sparsity = A.nnz / cells if cells else 0.0
-        return cls(name=name, n=A.n, d=A.d, sparsity=sparsity)
-
-
 # the largest feature index on disk: the most the compiled tokenizer reads
 # (18 digits), and within int64
 MAX_INDEX = 10**18 - 1
@@ -185,14 +169,14 @@ def _gunzip(path: Path) -> bytes:
         raise OSError(f"{path}: {exc}") from None
 
 
-def parse_libsvm(source) -> tuple[SparseColMatrix, np.ndarray]:
-    """Parse LIBSVM text: one example per line, ``label idx:val idx:val ...``.
+def parse_libsvm(path) -> tuple[SparseColMatrix, np.ndarray]:
+    """Parse a LIBSVM file: one example per line, ``label idx:val idx:val ...``.
 
     Feature indices are 1-based on disk, at most MAX_INDEX and strictly
     increasing within a line (duplicates rejected); labels must be +1 or
     -1.  Examples become the columns of the returned matrix, whose row
-    count d is the largest index seen.  Explicitly stored zero values are dropped, but still count
-    for d.  ``source`` is a path (``.gz`` accepted) or a text stream.
+    count d is the largest index seen.  Explicitly stored zero values are
+    dropped, but still count for d.  A ``.gz`` path is decompressed first.
 
     The compiled tokenizer (``libsvm_parse`` in ``_kernels.c``) parses the
     common plain form of the format and declines anything else: other
@@ -202,18 +186,13 @@ def parse_libsvm(source) -> tuple[SparseColMatrix, np.ndarray]:
     parser, which accepts it or raises a line-numbered ParseError.  Both
     give bitwise-equal results on what the tokenizer accepts.
     """
+    path = Path(path)
     lib = native.library()
     if lib is None:
-        return _parse_python(source)
-    if hasattr(source, "read"):
-        text = source.read()
-        source = io.StringIO(text)  # for the Python parser, if it is needed
-        data = text.encode("ascii") if text.isascii() else None
-    else:
-        path = Path(source)
-        data = _gunzip(path) if path.suffix == ".gz" else path.read_bytes()
-    parsed = None if data is None else _parse_compiled(lib, data)
-    return parsed if parsed is not None else _parse_python(source)
+        return _parse_python(path)
+    data = _gunzip(path) if path.suffix == ".gz" else path.read_bytes()
+    parsed = _parse_compiled(lib, data)
+    return parsed if parsed is not None else _parse_python(path)
 
 
 def _parse_compiled(lib, data: bytes):
@@ -235,26 +214,20 @@ def _parse_compiled(lib, data: bytes):
     return A, labels
 
 
-def _parse_python(source) -> tuple[SparseColMatrix, np.ndarray]:
+def _parse_python(path: Path) -> tuple[SparseColMatrix, np.ndarray]:
     """parse_libsvm in Python: the reference for every input, and the parser
     of whatever the compiled tokenizer declines."""
-    if hasattr(source, "read"):
-        stream, owned = source, False
-    else:
-        # ASCII files; a byte above 0x7f decodes to a lone surrogate, which
-        # is reported below with its line number
-        path = Path(source)
-        binary = io.BytesIO(_gunzip(path)) if path.suffix == ".gz" else open(path, "rb")
-        stream = io.TextIOWrapper(binary, encoding="ascii", errors="surrogateescape")
-        owned = True
+    # ASCII files; a byte above 0x7f decodes to a lone surrogate, which is
+    # reported below with its line number
+    binary = io.BytesIO(_gunzip(path)) if path.suffix == ".gz" else open(path, "rb")
     labels: list[float] = []
     indptr = [0]
     indices: list[int] = []
     values: list[float] = []
     max_index = 0
-    try:
+    with io.TextIOWrapper(binary, encoding="ascii", errors="surrogateescape") as stream:
         for line_no, raw in enumerate(stream, start=1):
-            if owned and not raw.isascii():
+            if not raw.isascii():
                 raise ParseError(line_no, "non-ASCII byte")
             line = raw.strip()
             if not line:
@@ -291,9 +264,6 @@ def _parse_python(source) -> tuple[SparseColMatrix, np.ndarray]:
                     values.append(val)
                 max_index = max(max_index, idx)
             indptr.append(len(indices))
-    finally:
-        if owned:
-            stream.close()
 
     A = SparseColMatrix(d=max_index, n=len(labels),
                         indptr=np.asarray(indptr, dtype=np.int64),
@@ -302,21 +272,16 @@ def _parse_python(source) -> tuple[SparseColMatrix, np.ndarray]:
     return A, np.asarray(labels, dtype=float)
 
 
-def write_libsvm(A: SparseColMatrix, labels: np.ndarray, target) -> None:
+def write_libsvm(A: SparseColMatrix, labels: np.ndarray, path) -> None:
     """Inverse of :func:`parse_libsvm`; values written with round-trip repr."""
     if len(labels) != A.n:
         raise ValueError("one label per column required")
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="ascii"), True)
-    try:
+    with open(path, "w", encoding="ascii") as stream:
         for j in range(A.n):
             rows, vals = A.col(j)
             parts = ["+1" if labels[j] > 0 else "-1"]
             parts.extend(f"{int(r) + 1}:{float(v)!r}" for r, v in zip(rows, vals))
             stream.write(" ".join(parts) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def synth_binary(n: int, d: int, sparsity: float, *, seed: int = 0,

@@ -19,8 +19,9 @@ so that f is strongly convex and the accelerated coordinate solver attains
 its linear rate.  The coordinate-wise constants are
 ``L_i = ||A_i||^2/(lam n^2) + gamma/n`` and
 ``mu = (gamma/n) / max_i L_i >= lam gamma n / (R^2 + lam gamma n)``.
-:func:`dual_composite` is the simple splitting instead, which keeps the
-conjugates whole in the separable part; the full-gradient baseline runs it.
+The full-gradient baseline (``baselines.afg_step``) runs the simple
+splitting instead, which keeps the conjugates whole in the separable part,
+:class:`ConjugatePenalty`.
 
 :class:`ErmDualState` and :func:`apcg_erm_steps` implement the relocated
 iteration in specialized form: they maintain p = A u and q = A v alongside
@@ -43,8 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import native
-from .core import (BlockPartition, CompositeProblem, SeparableRegularizer,
-                   SmoothOracle)
+from .core import SeparableRegularizer
 from .data import SparseColMatrix
 from .errors import ConfigurationError
 from .solvers import BlockSampler, change_of_variables_rates
@@ -61,7 +61,6 @@ class SmoothedHingeLoss:
     variables are confined to the box [0, 1].
     """
 
-    name = "smoothed_hinge"
     dual_box = (0.0, 1.0)
 
     def __init__(self, gamma: float = 1.0):
@@ -92,7 +91,6 @@ class SquareLoss:
     the dual is unconstrained.  This is ridge regression when gamma = 1.
     """
 
-    name = "square"
     dual_box = None
 
     def __init__(self, targets: np.ndarray, gamma: float = 1.0):
@@ -130,7 +128,6 @@ class ErmProblem:
     lam: float
     col_norms_sq: np.ndarray = field(init=False, repr=False)
     anchors: np.ndarray = field(init=False, repr=False)
-    R: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
@@ -139,7 +136,6 @@ class ErmProblem:
         # norm inf; the constants below then overflow and are reported
         with np.errstate(over="ignore"):
             self.col_norms_sq = self.matrix.col_norms_sq()
-        self.R = math.sqrt(float(self.col_norms_sq.max())) if self.n else 0.0
         self.anchors = np.ascontiguousarray(self.loss.anchors(self.n), dtype=float)
         if self.n:
             with np.errstate(over="ignore", under="ignore"):
@@ -322,16 +318,16 @@ class PrimalDualReport:
 
 
 # ---------------------------------------------------------------------------
-# Dual problem as a generic composite instance (the simple splitting)
+# The conjugate penalty (the simple splitting's separable part)
 # ---------------------------------------------------------------------------
 
 class ConjugatePenalty(SeparableRegularizer):
     """Psi_i(s) = (1/n)(-a_i s + (gamma/2) s^2) on the domain, +inf off it.
 
-    With the loss's gamma this is (1/n) phi*_i(-s), the penalty of
-    :func:`dual_composite`; with gamma = 0 it is the relocated splitting's
-    linear penalty, (1/n) phi*_i(-s) less the loss's (gamma/2n) s^2, which
-    :func:`apcg_erm_steps` solves inline.  The prox solves the 1-d quadratic
+    With the loss's gamma this is (1/n) phi*_i(-s), the penalty of the
+    simple splitting that ``baselines.afg_step`` runs; with gamma = 0 it is
+    the relocated splitting's linear penalty, (1/n) phi*_i(-s) less the
+    loss's (gamma/2n) s^2, which :func:`apcg_erm_steps` solves inline.  The prox solves the 1-d quadratic
     and projects onto the box if there is one; the anchors are read at ``i``.
     """
 
@@ -350,40 +346,6 @@ class ConjugatePenalty(SeparableRegularizer):
         if xc is None:
             return math.inf
         return float(-self.anchors @ xc + 0.5 * self.gamma * (xc @ xc)) / self.n
-
-
-def dual_composite(prob: ErmProblem) -> CompositeProblem:
-    """The dual of the ERM problem as a generic composite minimization under
-    the simple splitting, which the full-gradient baseline runs: f is the
-    quadratic coupling ||A x||^2 / (2 lam n^2) alone (mu = 0), a function of
-    A x declared as the smooth part's lift, and Psi keeps the conjugates.
-    """
-    n = prob.n
-    A = prob.matrix
-    scale = 1.0 / (prob.lam * n * n)
-
-    def value_of(ax):
-        return 0.5 * scale * float(ax @ ax)
-
-    def gradient_of(ax):
-        return A.tdot(ax) * scale
-
-    def partial_gradient(x, i):
-        idx, val = A.col(i)
-        return np.array([float(val @ A.dot(x)[idx]) * scale])
-
-    # f does not depend on the coordinate of an empty column, so any positive
-    # constant bounds it there: the largest nonzero one, or 1 when A = 0
-    L = prob.col_norms_sq * scale
-    top = float(L.max())
-    L = np.where(L > 0.0, L, top if top > 0.0 else 1.0)
-    smooth = SmoothOracle(value=lambda x: value_of(A.dot(x)),
-                          full_gradient=lambda x: gradient_of(A.dot(x)),
-                          partial_gradient=partial_gradient, lipschitz=L, mu=0.0,
-                          lift=(A.dot, value_of, gradient_of))
-    reg = ConjugatePenalty(prob.anchors, prob.gamma, n, prob.loss.dual_box)
-    return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
-                            reg=reg)
 
 
 # ---------------------------------------------------------------------------

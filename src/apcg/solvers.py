@@ -53,7 +53,6 @@ class BlockSampler:
         if n < 1:
             raise ValueError("sampler needs n >= 1")
         self.n = int(n)
-        self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0

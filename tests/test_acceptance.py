@@ -238,7 +238,8 @@ def test_dual_gap_epochs_within_complexity_bound(hinge200):
         C = (dstar - dual_objective(prob, np.zeros(n))
              + prob.gamma / (2 * n) * float(xstar @ xstar))
         eps = 1e-6 * C
-        budget = 2.0 * (1.0 + math.sqrt(prob.R ** 2 / (lam * prob.gamma * n))) \
+        R_sq = float(prob.col_norms_sq.max())
+        budget = 2.0 * (1.0 + math.sqrt(R_sq / (lam * prob.gamma * n))) \
             * math.log(C / eps)
         state = ErmDualState(prob, seed=0)
         epochs = 0

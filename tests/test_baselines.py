@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,10 +10,8 @@ from apcg.cli import run_solver_trace
 from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.data import synth_binary
-from apcg.erm import (ErmProblem, PrimalDualReport, dual_composite,
-                      dual_objective, solve_erm)
+from apcg.erm import ErmProblem, dual_objective, solve_erm
 from apcg.errors import StepSizeError
-from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import BlockSampler, solve
 
@@ -30,12 +28,12 @@ def scalar_quadratic(lipschitz):
                             reg=ZeroRegularizer())
 
 
-def afg_run(problem, iters):
-    """``iters`` AFG iterations from zero; returns (x, F(x))."""
-    state = afg_start(problem)
+def afg_run(prob, iters):
+    """``iters`` AFG iterations from zero; returns the state."""
+    state = afg_start(prob)
     for _ in range(iters):
-        afg_step(problem, state)
-    return state.x, problem.objective(state.x)
+        afg_step(prob, state)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -125,83 +123,96 @@ def test_sdca_coordinate_update_matches_grid(hinge200):
 # AFG
 # ---------------------------------------------------------------------------
 
-def test_afg_converges_on_smooth_quadratic():
-    inst = diag_dominant_quadratic(10, seed=2, l1=0.0)
-    problem = inst.problem
-    xstar = np.linalg.solve(inst.hessian, inst.linear)
-    fstar = problem.objective(xstar)
-    _, final = afg_run(problem, 200)
-    assert final - fstar < 1e-10
+def test_afg_converges_on_smooth_quadratic(ridge150):
+    # the square-loss dual is unconstrained: -D(x) = x'Hx/2 - b'x/n with
+    # H = A'A/(lam n^2) + (gamma/n) I
+    prob = ridge150
+    n = prob.n
+    dense = oracles.to_dense(prob.matrix)
+    H = dense.T @ dense / (prob.lam * n * n) + (prob.gamma / n) * np.eye(n)
+    dstar = dual_objective(prob, np.linalg.solve(H, prob.anchors / n))
+    state = afg_run(prob, 300)
+    assert dstar - dual_objective(prob, state.x) < 1e-10
+
+
+def line_search_problems():
+    """Both losses on one instance."""
+    A, labels = synth_binary(150, 40, 0.2, seed=3)
+    return (ErmProblem.smoothed_hinge(A, labels, lam=1e-3),
+            ErmProblem.ridge(A, labels, lam=1e-3))
 
 
 def test_afg_line_search_shrinks_oversized_steps():
-    inst = diag_dominant_quadratic(6, seed=3, l1=0.1)
-    state = afg_start(inst.problem)
-    state.step = 1e6
-    afg_step(inst.problem, state)
-    assert state.backtracks > 0
-    assert state.step < 1e6 * 2
+    for prob in line_search_problems():
+        state = afg_start(prob)
+        afg_step(prob, state)
+        before = state.backtracks
+        state.step = 1e6
+        afg_step(prob, state)
+        shrunk = state.backtracks - before
+        assert shrunk > 0
+        assert state.step == 1e6 * baselines.BACKTRACK ** shrunk * baselines.EXPAND
+        # the carried image is the accepted trial's fresh product
+        assert np.array_equal(state.ax, prob.matrix.dot(state.x))
 
 
 def test_afg_raises_when_backtracking_cannot_recover():
-    inst = diag_dominant_quadratic(6, seed=3, l1=0.1)
-    state = afg_start(inst.problem)
-    state.step = 1e200
-    # 100 halvings leave 1e200 * 2^-100 ~ 8e169, whose trial point still overflows
-    with pytest.raises(StepSizeError):
-        afg_step(inst.problem, state)
+    for prob in line_search_problems():
+        state = afg_start(prob)
+        afg_step(prob, state)
+        state.step = 1e200
+        # 100 halvings leave 1e200 * 2^-100 ~ 8e169: no trial passes the bound
+        with pytest.raises(StepSizeError):
+            afg_step(prob, state)
 
 
 def test_afg_on_dual_erm_reaches_optimum(hinge200, hinge200_optimum):
     _, dstar = hinge200_optimum
-    comp = dual_composite(hinge200)
-    _, final = afg_run(comp, 400)
-    assert -final == pytest.approx(dstar, abs=1e-8)
+    state = afg_run(hinge200, 400)
+    assert dual_objective(hinge200, state.x) == pytest.approx(dstar, abs=1e-8)
 
 
 def test_simple_splitting_bounds_an_empty_column_by_the_largest_constant():
+    """AFG's first step is 1 / sum L_i, L_i = ||A_i||^2/(lam n^2), where an
+    empty column takes the largest constant, or 1 when A = 0."""
     A = oracles.from_dense(np.array([[0.5, 0.0, 0.0], [1.0, 0.0, -0.3]]))
-    L = dual_composite(ErmProblem.ridge(A, np.ones(3), lam=1e-2)).smooth.lipschitz
-    assert L[1] == L[0] and L[0] > L[2] > 0.0
+    prob = ErmProblem.ridge(A, np.ones(3), lam=1e-2)
+    L = prob.col_norms_sq / (prob.lam * 9)
+    assert L[1] == 0.0 and L[0] > L[2] > 0.0
+    assert afg_start(prob).step == pytest.approx(1.0 / (2.0 * L[0] + L[2]), rel=1e-14)
     zero = oracles.from_dense(np.zeros((2, 3)))
-    L = dual_composite(ErmProblem.ridge(zero, np.ones(3), lam=1e-2)).smooth.lipschitz
-    assert np.array_equal(L, np.ones(3))
+    assert afg_start(ErmProblem.ridge(zero, np.ones(3), lam=1e-2)).step == 1.0 / 3.0
 
 
-@pytest.fixture(params=["hinge200", "ridge150"])
-def erm_prob(request):
-    return request.getfixturevalue(request.param)
+# (first step, backtracks made by each of 60 iterations, sha256 of the final
+# x); the same on both backends, since AFG makes full-vector products only
+AFG_TRAJECTORIES = {
+    "hinge200": (0.19999999999999996,
+                 "000000003020201201120030120030030120030120030030120120030030",
+                 "8ebddcb2a68afd5e597b38a6b87606af85cbf56b31c4dac9e1c1d69352f243a1"),
+    "ridge150": (0.15000000000000002,
+                 "000000004020201202100220030030120031100040120030120120022002",
+                 "9cdb79063e5acee737be225c3d4b427825c64aff19053ed75595975b0785d669"),
+}
 
 
-def test_simple_splitting_lift_reproduces_value_and_gradient(erm_prob):
-    smooth = dual_composite(erm_prob).smooth
-    apply, value_of, gradient_of = smooth.lift
-    rng = np.random.default_rng(8)
-    for x in (np.zeros(erm_prob.n), rng.uniform(0, 1, erm_prob.n),
-              rng.standard_normal(erm_prob.n)):
-        assert smooth.value(x) == value_of(apply(x))
-        assert np.array_equal(smooth.full_gradient(x), gradient_of(apply(x)))
-    assert oracles.relocated_dual_composite(erm_prob).smooth.lift is None
-
-
-def test_afg_under_the_lift_takes_the_same_steps(erm_prob):
-    """Carrying A y through the momentum step changes f and grad f by
-    rounding only: the same accepted steps and backtracks over 200
-    iterations, and P and D within 1e-12 of AFG without the lift."""
-    lifted = dual_composite(erm_prob)
-    plain = CompositeProblem(partition=lifted.partition, reg=lifted.reg,
-                             smooth=dataclasses.replace(lifted.smooth, lift=None))
-    a, b = afg_start(lifted), afg_start(plain)
-    for _ in range(200):
-        afg_step(lifted, a)
-        afg_step(plain, b)
-        assert (a.step, a.backtracks) == (b.step, b.backtracks)
-        ra = PrimalDualReport.evaluate(erm_prob, a.x, a.k)
-        rb = PrimalDualReport.evaluate(erm_prob, b.x, b.k)
-        assert abs(ra.primal - rb.primal) <= 1e-12 * abs(rb.primal)
-        assert abs(ra.dual - rb.dual) <= 1e-12 * abs(rb.dual)
-    assert np.array_equal(a.ax, erm_prob.matrix.dot(a.x))  # a fresh product, not carried
-    assert b.ax is b.x  # without a lift the image is the iterate itself
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+@pytest.mark.parametrize("name", AFG_TRAJECTORIES)
+def test_afg_trajectory_is_pinned(name, kernels, request):
+    """Each iteration's backtracks and the step after it (the first step
+    times 2 per iteration and 1/2 per backtrack), and the final iterate."""
+    request.getfixturevalue(kernels)
+    prob = request.getfixturevalue(name)
+    first, backtracks, digest = AFG_TRAJECTORIES[name]
+    state = afg_start(prob)
+    assert state.step == first
+    made = 0
+    for k, expected in enumerate(backtracks, start=1):
+        afg_step(prob, state)
+        made += int(expected)
+        assert state.backtracks == made
+        assert state.step == first * 2.0 ** (k - made)
+    assert hashlib.sha256(state.x.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +234,7 @@ def test_all_solvers_agree_on_dual_optimum(hinge200, hinge200_optimum):
     x2 = run_solver_trace(hinge200, "rpcg", epochs=400, seed=0, tol=None).x
     assert dual_objective(hinge200, x2) == pytest.approx(dstar, abs=1e-6)
 
-    comp = dual_composite(hinge200)
-    x3, _ = afg_run(comp, 400)
+    x3 = afg_run(hinge200, 400).x
     assert dual_objective(hinge200, x3) == pytest.approx(dstar, abs=1e-6)
 
 
@@ -242,6 +252,11 @@ def test_rpcg_erm_epoch_maintains_aggregate(hinge200, monkeypatch):
     assert x is run.x
     ax = w_agg * (hinge200.lam * hinge200.n)
     assert np.allclose(ax, hinge200.matrix.dot(x), atol=1e-10)
+
+
+@pytest.fixture(params=["hinge200", "ridge150"])
+def erm_prob(request):
+    return request.getfixturevalue(request.param)
 
 
 def sdca_against_coordinate_updates(prob):

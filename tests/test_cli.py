@@ -3,6 +3,7 @@ import gzip
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -135,6 +136,52 @@ def test_libsvm_input_path(tmp_path):
     results = run_experiment(config)
     assert results[0].dataset == "toy"
     assert Path(results[0].csv_path).exists()
+
+
+# input file -> its dataset.txt
+DATASET_LINES = {
+    "sparse": ("+1 1:1.0 2:0.5\n-1 1:-0.5 4:1.5\n+1 2:2.0 3:1.0 4:-1.0\n",
+               "name=toy n=3 d=4 sparsity=0.583333\n"),  # 7 of 12 entries stored
+    "no-features": ("+1\n-1\n", "name=toy n=2 d=0 sparsity=0\n"),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_LINES)
+def test_dataset_txt_records_name_shape_and_sparsity(case, tmp_path):
+    text, line = DATASET_LINES[case]
+    data = tmp_path / "toy.txt"
+    data.write_text(text)
+    config = small_config(tmp_path, epochs=1)
+    config.synthetic = None
+    config.data = str(data)
+    run_experiment(config)
+    assert (tmp_path / "out" / "dataset.txt").read_text() == line
+
+
+# 100 one-feature examples of norm 3e153: at lambda 1e-4 each AFG constant
+# ||A_i||^2/(lam n^2) is 9e306, so their sum overflows; at 1e-3 it does not
+OVERFLOW_DATA = "".join(f"{'+1' if i % 2 == 0 else '-1'} 1:3e153\n" for i in range(100))
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+@pytest.mark.parametrize("loss", ["smoothed_hinge", "square"])
+def test_afg_refuses_an_overflowing_first_step(loss, kernels, tmp_path, capsys, request):
+    request.getfixturevalue(kernels)
+    data = tmp_path / "big.txt"
+    data.write_text(OVERFLOW_DATA)
+    argv = ["run", "--data", str(data), "--loss", loss, "--solver", "afg", "--epochs", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--lambda", "1e-4", "--out", str(tmp_path / "over")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+    assert main([*argv, "--lambda", "1e-3", "--out", str(tmp_path / "ok")]) == 0
+    rows = read_rows(tmp_path / "ok" / f"big_{loss}_lam0.001_afg_s0.csv")
+    assert [row[:5] for row in rows[1:]] == [
+        ["0", "0.5", "-0.0", "0.5", "0.01"],
+        ["1", "0.5", "1.1111111111111e-310", "0.5", "0.01"],
+        ["2", "0.5", "3.33333333333336e-310", "0.5", "0.01"],
+        ["3", "0.5", "8.40389672250073e-310", "0.5", "0.01"]]
 
 
 def test_main_run_and_exit_codes(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import gzip
-import io
 import math
 import pickle
 
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from apcg import data, native
-from apcg.data import (MAX_INDEX, DatasetMeta, SparseColMatrix, _parse_compiled,
-                       _parse_python, parse_libsvm, synth_binary, write_libsvm)
+from apcg.data import (MAX_INDEX, SparseColMatrix, _parse_compiled, _parse_python,
+                       parse_libsvm, synth_binary, write_libsvm)
 from apcg.errors import LabelError, ParseError
 
 import oracles
@@ -294,29 +293,36 @@ def test_parsed_arrays_are_exact_size_with_explicit_zeros(kernels, request, tmp_
 # parser
 # ---------------------------------------------------------------------------
 
-def test_parse_simple_line():
-    A, labels = parse_libsvm(io.StringIO("+1 1:2.0 3:-1.0\n"))
+def parse_text(tmp_path, text):
+    """parse_libsvm of a file holding ``text``."""
+    path = tmp_path / "in.libsvm"
+    path.write_text(text, encoding="ascii")
+    return parse_libsvm(path)
+
+
+def test_parse_simple_line(tmp_path):
+    A, labels = parse_text(tmp_path, "+1 1:2.0 3:-1.0\n")
     assert A.d == 3 and A.n == 1
     assert np.array_equal(oracles.to_dense(A)[:, 0], [2.0, 0.0, -1.0])
     assert labels.tolist() == [1.0]
 
 
-def test_parse_empty_stream():
-    A, labels = parse_libsvm(io.StringIO(""))
+def test_parse_empty_stream(tmp_path):
+    A, labels = parse_text(tmp_path, "")
     assert A.d == 0 and A.n == 0 and labels.size == 0
 
 
-def test_parse_multiple_lines_and_label_signs():
+def test_parse_multiple_lines_and_label_signs(tmp_path):
     text = "+1 1:1.5\n-1 2:0.25 4:-3.0\n+1 1:1.0 2:2.0 3:3.0\n"
-    A, labels = parse_libsvm(io.StringIO(text))
+    A, labels = parse_text(tmp_path, text)
     assert A.d == 4 and A.n == 3
     assert labels.tolist() == [1.0, -1.0, 1.0]
     dense = oracles.to_dense(A)
     assert dense[1, 1] == 0.25 and dense[3, 1] == -3.0
 
 
-def test_parse_drops_explicit_zeros():
-    A, _ = parse_libsvm(io.StringIO("+1 1:0.0 2:5.0\n"))
+def test_parse_drops_explicit_zeros(tmp_path):
+    A, _ = parse_text(tmp_path, "+1 1:0.0 2:5.0\n")
     assert A.nnz == 1
     assert A.d == 2  # the zero still advances the inferred dimension
 
@@ -334,15 +340,15 @@ def test_parse_drops_explicit_zeros():
     ("+1 1:inf\n", 1),                  # non-finite value
     ("+1 1:1.0\n\n+1 1:1.0\n", 2),      # blank line mid-file
 ])
-def test_parse_rejects_malformed_lines_with_line_numbers(line, line_no):
+def test_parse_rejects_malformed_lines_with_line_numbers(line, line_no, tmp_path):
     with pytest.raises(ParseError) as err:
-        parse_libsvm(io.StringIO(line))
+        parse_text(tmp_path, line)
     assert err.value.line_no == line_no
 
 
-def test_parse_label_error_is_specific():
+def test_parse_label_error_is_specific(tmp_path):
     with pytest.raises(LabelError):
-        parse_libsvm(io.StringIO("3 1:1.0\n"))
+        parse_text(tmp_path, "3 1:1.0\n")
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -374,12 +380,11 @@ def sparse_and_labels(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=sparse_and_labels())
-def test_round_trip_property_bit_exact(case):
+def test_round_trip_property_bit_exact(case, tmp_path_factory):
     A, labels = case
-    buf = io.StringIO()
-    write_libsvm(A, labels, buf)
-    buf.seek(0)
-    B, lab2 = parse_libsvm(buf)
+    path = tmp_path_factory.getbasetemp() / "round_trip.libsvm"
+    write_libsvm(A, labels, path)
+    B, lab2 = parse_libsvm(path)
     assert np.array_equal(B.indptr, A.indptr)
     assert np.array_equal(B.indices, A.indices)
     assert np.array_equal(B.values.view(np.int64), A.values.view(np.int64))
@@ -389,11 +394,10 @@ def test_round_trip_property_bit_exact(case):
 def test_round_trip_gzip(tmp_path):
     A = random_sparse(6, 4, seed=9, density=0.5)
     labels = np.array([1.0, -1.0, 1.0, 1.0])
-    buf = io.StringIO()
-    write_libsvm(A, labels, buf)
+    plain = tmp_path / "data.txt"
+    write_libsvm(A, labels, plain)
     path = tmp_path / "data.txt.gz"
-    with gzip.open(path, "wt", encoding="ascii") as fh:
-        fh.write(buf.getvalue())
+    path.write_bytes(gzip.compress(plain.read_bytes()))
     B, lab2 = parse_libsvm(path)
     assert np.array_equal(B.values, A.values)
     assert np.array_equal(lab2, labels)
@@ -510,21 +514,20 @@ def libsvm_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=libsvm_files())
 def test_compiled_and_python_parsers_agree(text, tmp_path_factory):
-    """On files and on text streams: the same arrays, bit for bit, or the
-    same error class at the same line."""
+    """The same arrays, bit for bit, or the same error class at the same
+    line."""
     if native.library() is None:
         pytest.skip(f"compiled kernels unavailable: {native.backend()}")
     path = tmp_path_factory.getbasetemp() / "differential.libsvm"
     path.write_bytes(text.encode("utf-8"))
-    for source in (lambda: path, lambda: io.StringIO(text)):
-        got = parsed(parse_libsvm, source())
-        saved = native.library
-        native.library = lambda: None
-        try:
-            want = parsed(parse_libsvm, source())
-        finally:
-            native.library = saved
-        assert got == want
+    got = parsed(parse_libsvm, path)
+    saved = native.library
+    native.library = lambda: None
+    try:
+        want = parsed(parse_libsvm, path)
+    finally:
+        native.library = saved
+    assert got == want
 
 
 @pytest.fixture(params=["python", "c"])
@@ -542,9 +545,11 @@ def test_non_ascii_byte_is_a_parse_error_at_its_line(kernels, tmp_path):
     with pytest.raises(ParseError) as err:
         parse_libsvm(path)
     assert err.value.line_no == 2
-    # a text stream may hold any str; float() decides, as it always has
-    A, _ = parse_libsvm(io.StringIO("+1 1:\u0661.5\n"))
-    assert A.values.tolist() == [1.5]
+    # a digit float() would read is refused too: the format is ASCII
+    path.write_text("+1 1:\u0661.5\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(path)
+    assert err.value.line_no == 1
 
 
 @pytest.mark.parametrize("index", [MAX_INDEX, MAX_INDEX + 1, 10**20])
@@ -739,11 +744,3 @@ def test_norm_chain_inequality():
         frob = math.sqrt(float(np.sum(A.values ** 2)))
         assert sigma <= frob * (1 + 1e-9)
         assert frob <= math.sqrt(A.n) * R * (1 + 1e-12)
-
-
-def test_dataset_meta():
-    A = random_sparse(10, 4, seed=5, density=0.5)
-    meta = DatasetMeta.from_matrix("toy", A)
-    assert meta.n == 4 and meta.d == 10
-    assert meta.sparsity == pytest.approx(A.nnz / 40.0)
-    assert 0.0 < meta.sparsity <= 1.0
