@@ -1,9 +1,11 @@
 /* Compiled forms of apcg's per-epoch coordinate kernels, CSC products and
-   column passes, LIBSVM tokenizer and synthetic column generator.
+   column passes, momentum schedule replay, LIBSVM tokenizer and synthetic
+   column generator.
 
-   Each function is a plain loop over (for the tokenizer, into) the arrays
-   of a SparseColMatrix (d x n, column j holds values[indptr[j]:indptr[j+1]]
-   at rows indices[...]) that mirrors a Python reference:
+   Each function is a plain loop that mirrors a Python reference; all but
+   schedule_history run over (for the tokenizer, into) the arrays of a
+   SparseColMatrix (d x n, column j holds values[indptr[j]:indptr[j+1]] at
+   rows indices[...]):
 
      csc_dot              SparseColMatrix.dot   (np.bincount form, same order)
      csc_tdot             SparseColMatrix.tdot  (np.bincount form, same order)
@@ -12,6 +14,7 @@
                           (erm._report_terms), each in the same order
      apcg_erm_epoch       erm.apcg_erm_steps
      sdca_epoch           the Python body of baselines.sdca_epoch
+     schedule_history     ApcgSchedule.history (same operations, same order)
      libsvm_parse         data._parse_python, on a strict subset of its input
      synth_columns        the column loop of data._synth_columns_python, less
                           the normalisation (built only with numpy's random
@@ -25,7 +28,9 @@
    match only to rounding, so the report's sums stay in numpy and every
    report is bitwise the numpy one.  The epochs sum each column dot
    product left to right, where numpy's dot may use another order, so
-   they agree with the references to rounding only.
+   they agree with the references to rounding only.  schedule_history
+   uses only + - * / and sqrt, each correctly rounded, so its arrays are
+   bitwise those of the Python recursion.
    apcg.native builds this file with -O2 -ffp-contract=off
    -falign-loops=64: no fused multiply-add, no fast-math, and every loop
    starting a cache line.  The tokenizer reads
@@ -194,6 +199,58 @@ void sdca_epoch(const int64_t *indptr, const int64_t *indices,
                 w_agg[indices[j]] += c * values[j];
         }
     }
+}
+
+/* schedule._alpha_root: the root in (0, 1/n] of
+   n^2 a^2 = (1 - a) gamma_k + a mu, with the same operations in the same
+   order.  n is a double because Python's float arithmetic converts it to
+   one.  Returns 0 where the Python root raises RuntimeError (the root
+   escaped the cap or collapsed to zero). */
+static double alpha_root(double gamma_k, double mu, double n)
+{
+    const double b = gamma_k - mu;
+    const double disc = sqrt(b * b + 4.0 * n * n * gamma_k);
+    double alpha;
+    if (b >= 0.0)
+        alpha = 2.0 * gamma_k / (b + disc);
+    else
+        alpha = (-b + disc) / (2.0 * n * n);
+    const double cap = 1.0 / n;
+    if (alpha > cap) {
+        if (alpha <= cap * (1.0 + 1e-12))
+            alpha = cap;
+        else
+            return 0.0;
+    }
+    if (alpha <= 0.0)
+        return 0.0;
+    return alpha;
+}
+
+/* ApcgSchedule.history: steps iterations of ApcgSchedule.step from
+   gamma_0 = gamma0, lambda_0 = 1, written to alphas and betas (steps
+   entries) and gammas and lams (steps + 1).  Returns -1, or the first k
+   whose root the Python recursion would raise on; the arrays are then
+   incomplete. */
+int64_t schedule_history(double n, double mu, double gamma0, int64_t steps,
+                         double *alphas, double *gammas, double *betas, double *lams)
+{
+    double gamma = gamma0, lam = 1.0;
+    gammas[0] = gamma;
+    lams[0] = lam;
+    for (int64_t k = 0; k < steps; k++) {
+        const double alpha = alpha_root(gamma, mu, n);
+        if (alpha == 0.0)
+            return k;
+        const double gamma_next = (1.0 - alpha) * gamma + alpha * mu;
+        alphas[k] = alpha;
+        betas[k] = alpha * mu / gamma_next;
+        gamma = gamma_next;
+        lam *= 1.0 - alpha;
+        gammas[k + 1] = gamma;
+        lams[k + 1] = lam;
+    }
+    return -1;
 }
 
 /* LIBSVM text to CSC arrays, for the strict subset of the format that

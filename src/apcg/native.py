@@ -47,10 +47,11 @@ SIGNATURES = {
     "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P,
                        _D, _D, _D, _D, _D, _INT, _D),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
+    "schedule_history": (_D, _D, _D, _I, _P, _P, _P, _P),
     "libsvm_parse": (_P, _I, _P, _P, _P, _P, _P),
     "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _I),
 }
-RESTYPES = {"apcg_erm_epoch": _D, "libsvm_parse": _INT,
+RESTYPES = {"apcg_erm_epoch": _D, "schedule_history": _I, "libsvm_parse": _INT,
             "synth_columns": _INT}  # the others return nothing
 RANDOM_KERNELS = ("synth_columns",)  # built only with RANDOM_ARCHIVE
 

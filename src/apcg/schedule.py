@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import native
 from .errors import ConfigurationError
 
 
@@ -83,7 +84,21 @@ class ApcgSchedule:
 
     def history(self, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(alphas, gammas, betas, lambdas)`` of a fresh copy of this schedule
-        for k < steps (gammas and lambdas also at k = steps); it does not move."""
+        for k < steps (gammas and lambdas also at k = steps); it does not move.
+
+        The compiled ``schedule_history`` replays :meth:`step` with the same
+        operations in the same order, so both backends give the same bits;
+        where it stops at a failing root, the Python replay raises the error.
+        """
+        if steps < 0:
+            raise ValueError("cannot replay a negative number of steps")
+        lib = native.library()
+        if lib is not None:
+            alphas, betas = np.empty(steps), np.empty(steps)
+            gammas, lams = np.empty(steps + 1), np.empty(steps + 1)
+            if lib.schedule_history(float(self.n), self.mu, self.gamma0, steps,
+                                    *(h.ctypes.data for h in (alphas, gammas, betas, lams))) < 0:
+                return alphas, gammas, betas, lams
         fresh = ApcgSchedule(self.n, self.mu, self.gamma0)
         alphas, betas = [0.0] * steps, [0.0] * steps
         gammas, lams = [fresh.gamma] * (steps + 1), [fresh.lam] * (steps + 1)

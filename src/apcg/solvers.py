@@ -117,22 +117,29 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
     mu = sched.mu
 
     x, z = state.x, state.z
-    y = (alpha * gamma_k * z + gamma_next * x) / (alpha * gamma_k + gamma_next)
+    # y and center are built in place, with the same operations in the same
+    # order as (alpha gamma_k z + gamma_next x) / (...) and (1-beta) z + beta y
+    y = alpha * gamma_k * z
+    y += gamma_next * x
+    y /= alpha * gamma_k + gamma_next
     i = state.sampler.draw()
-    center = (1.0 - beta) * z + beta * y if beta != 0.0 else z.copy()
+    if beta != 0.0:
+        center = (1.0 - beta) * z
+        center += beta * y
+    else:
+        center = z.copy()
     weight = n * alpha * float(problem.smooth.lipschitz[i])
     # block-i minimizer of weight/2 ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)
     sl = problem.partition.slice(i)
     grad_i = problem.smooth.partial_gradient(y, i)
     s = block_prox(problem.reg, i, center[sl] - grad_i / weight, weight)
 
-    z_i_old = z[sl].copy()
-    z_new = center
-    z_new[sl] = s
+    z_i_old = z[sl]  # a view: z is never written, center is a new array
     x_new = y.copy()
     x_new[sl] = y[sl] + n * alpha * (s - z_i_old) + (mu / n) * (z_i_old - y[sl])
+    center[sl] = s
 
-    state.x, state.z, state.y, state.k = x_new, z_new, y, k + 1
+    state.x, state.z, state.y, state.k = x_new, center, y, k + 1
     return state
 
 

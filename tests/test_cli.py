@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import apcg
-from apcg import baselines, cli, schedule
+from apcg import baselines, cli, native, schedule
 from apcg.cli import (CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig, _config_from_args,
                       build_parser, check_invariants, main, run_experiment)
 from apcg.errors import ConfigurationError
@@ -462,13 +462,16 @@ def test_check_invariants_passes(capsys):
 
 def corrupt_alpha_root(monkeypatch):
     """The negative control: while the schedule check runs, every alpha root
-    is off by a relative 1e-6; the other checks keep the true root."""
+    is off by a relative 1e-6; the other checks keep the true root.  The
+    compiled replay does not call _alpha_root, so the check runs on the
+    Python replay."""
     check, true_root = cli._check_schedule, schedule._alpha_root
 
     def corrupted_check():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(schedule, "_alpha_root",
                           lambda gamma_k, mu, n: true_root(gamma_k, mu, n) * (1.0 + 1e-6))
+            patch.setattr(native, "library", lambda: None)
             return check()
 
     monkeypatch.setattr(cli, "_check_schedule", corrupted_check)
@@ -519,8 +522,9 @@ def _scaled_root(factor):
      "alpha escaped bounds at n=1 mu=1e-06 k=3727"),
 ])
 def test_array_schedule_check_matches_the_per_step_reference(monkeypatch, root, detail):
-    if root is not None:
+    if root is not None:  # a corrupted root reaches only the Python replay
         monkeypatch.setattr(schedule, "_alpha_root", root)
+        monkeypatch.setattr(native, "library", lambda: None)
     got = cli._check_schedule()
     assert got == oracles.check_schedule_reference()
     assert got.detail.startswith(detail)
@@ -531,10 +535,28 @@ def test_array_schedule_check_matches_the_reference_on_the_cli_corruption(monkey
     # the negative control of test_main_check_exit_codes: every root off by
     # a relative 1e-6
     monkeypatch.setattr(schedule, "_alpha_root", _scaled_root(lambda g, mu, n: 1.0 + 1e-6))
+    monkeypatch.setattr(native, "library", lambda: None)
     got = cli._check_schedule()
     assert got == oracles.check_schedule_reference()
     assert got == cli.CheckResult("schedule", False,
                                   "gamma != (n alpha)^2 at n=1 mu=0.0 k=0: 2.37e-06")
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_schedule_check_rejects_perturbed_history_alphas(request, monkeypatch, kernels):
+    # the control on the arrays themselves, whichever backend made them:
+    # every alpha of ApcgSchedule.history off by a relative 1e-6
+    request.getfixturevalue(kernels)
+    true_history = schedule.ApcgSchedule.history
+
+    def perturbed(self, steps):
+        alphas, gammas, betas, lams = true_history(self, steps)
+        return alphas * (1.0 + 1e-6), gammas, betas, lams
+
+    monkeypatch.setattr(schedule.ApcgSchedule, "history", perturbed)
+    got = cli._check_schedule()
+    assert not got.passed
+    assert got.detail.startswith("gamma != (n alpha)^2 at n=1 mu=0.0 k=0: ")
 
 
 def test_array_schedule_check_matches_the_reference_on_a_broken_rate_bound(monkeypatch):

@@ -181,3 +181,6 @@ def test_signatures_match_the_c_definitions():
         assert list(argtypes) == want, name
         assert native.RESTYPES.get(name) is result[restype], name
     assert set(native.RESTYPES) <= set(native.SIGNATURES)
+    # every kernel the file exports (each non-static definition) is declared
+    exported = re.findall(r"^\w+\s+(\w+)\s*\([^)]*\)\s*\{", source, flags=re.M)
+    assert sorted(exported) == sorted(native.SIGNATURES)

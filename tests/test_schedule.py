@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from apcg import native
 from apcg.errors import ConfigurationError
 from apcg.schedule import ApcgSchedule, theta_coefficients
 
@@ -73,6 +76,81 @@ def test_history_is_the_step_sequence_and_leaves_the_schedule_alone():
             assert fresh.step() == (alphas[k], gammas[k + 1], betas[k])
             assert fresh.lam == lambdas[k + 1]
     assert [h.size for h in ApcgSchedule(3, 0.0, 1.0).history(0)] == [0, 1, 0, 1]
+
+
+def replay(kernels, n, mu, gamma0, steps):
+    """``history(steps)`` on the named backend, or the error it raised."""
+    saved = native.library
+    if kernels == "python":
+        native.library = lambda: None
+    try:
+        return ApcgSchedule(n, mu, gamma0).history(steps)
+    except RuntimeError as exc:
+        return repr(exc)
+    finally:
+        native.library = saved
+
+
+def same_bits(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_history_is_bitwise_the_same_on_both_backends_on_the_check_grid(c_kernels):
+    for n, mu, gamma0 in CHECK_GRID:
+        got = replay("c", n, mu, gamma0, 10_000)
+        assert not isinstance(got, str), got
+        assert same_bits(got, replay("python", n, mu, gamma0, 10_000)), (n, mu, gamma0)
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(1, 5000))
+    mu = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    gamma0 = draw(st.one_of(st.just(mu), st.just(1.0), st.floats(mu, 1.0)))
+    if gamma0 == 0.0:
+        gamma0 = 1.0
+    return n, mu, gamma0, draw(st.integers(0, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+@example((1, 0.0, 1.0, 0))
+@example((1, 0.0, 1.0, 1))
+@example((1, 0.36, 0.36, 50))     # gamma0 = mu: the constant schedule
+@example((7, 0.36, 0.36, 1))
+@example((1, 1.0, 1.0, 30))       # alpha = 1/n = 1 from the first step
+@example((1000, 1.0, 1.0, 0))
+@example((3, 1.0 - 3 * 2**-53, 1.0 - 2**-53, 5))  # the root rounds above 1/n: snapped
+@example((10**200, 0.0, 1.0, 3))  # 4 n^2 overflows: the root collapses at k = 0
+@example((2**70 + 1, 1e-300, 1e-300, 2))  # beta_k underflows to zero
+def test_history_backends_agree(case):
+    if native.library() is None:
+        pytest.skip(f"compiled kernels unavailable: {native.backend()}")
+    n, mu, gamma0, steps = case
+    got = replay("c", n, mu, gamma0, steps)
+    assert same_bits(got, replay("python", n, mu, gamma0, steps))
+    if not isinstance(got, str):
+        assert [h.size for h in got] == [steps, steps + 1, steps, steps + 1]
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_history_failures_raise_the_python_error(request, kernels):
+    request.getfixturevalue(kernels)
+    # at n = 10^200, 4 n^2 overflows and the first root is 2 / inf = 0
+    with pytest.raises(RuntimeError, match="^alpha root collapsed to zero$"):
+        ApcgSchedule(10**200, 0.0, 1.0).history(3)
+    assert [h.size for h in ApcgSchedule(10**200, 0.0, 1.0).history(0)] == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_history_rejects_negative_steps(request, kernels):
+    request.getfixturevalue(kernels)
+    with pytest.raises(ValueError):
+        ApcgSchedule(3, 0.0, 1.0).history(-2)
+    with pytest.raises(ValueError):
+        ApcgSchedule(3, 0.0, 1.0).history(-1)
 
 
 def test_rate_bound_array_form_drifts_at_most_one_ulp():
