@@ -5,7 +5,7 @@ and a benchmark CLI."""
 from .core import (BlockPartition, CompositeProblem, L1Regularizer,
                    SeparableRegularizer, SmoothOracle, ZeroRegularizer,
                    block_prox, weighted_norm)
-from .schedule import ApcgSchedule, theta_coefficients
+from .schedule import ApcgSchedule, theta_rows
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       SolveResult, apcg_step_efficient, apcg_step_general,
                       solve)

@@ -26,7 +26,7 @@ from . import baselines, erm, native
 from .data import parse_libsvm, synth_binary
 from .errors import ConfigurationError, ParseError
 from .instances import diag_dominant_quadratic
-from .schedule import ApcgSchedule, theta_coefficients
+from .schedule import ApcgSchedule, theta_rows
 from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                       apcg_step_efficient, apcg_step_general, solve)
 
@@ -304,9 +304,9 @@ def _check_theta() -> CheckResult:
     worst_sum = 0.0
     for n in (1, 3, 17):
         for mu, gamma0 in ((0.0, 1.0), (0.04, 0.5), (0.3, 0.3)):
-            sched = ApcgSchedule(n, mu, gamma0)
-            for k in (1, 5, 40, 200):
-                theta = theta_coefficients(sched, k)
+            for k, theta in enumerate(theta_rows(ApcgSchedule(n, mu, gamma0), 200)):
+                if k not in (1, 5, 40, 200):
+                    continue
                 if theta.min() < -1e-12:
                     return CheckResult("theta", False,
                                        f"negative coefficient at n={n} mu={mu} k={k}")
@@ -323,15 +323,18 @@ def _check_combination_and_psihat() -> CheckResult:
     sched = ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
     state = ApcgExplicitState.start(np.zeros(problem.dim), seed=11, n_blocks=problem.n)
     zs = [state.z.copy()]
+    psis = [problem.reg.eval_full(zs[0])]  # Psi(z^(l)), once per iterate
     worst_comb = 0.0
     worst_psi = -math.inf
-    for k in range(1, 121):
+    rows = theta_rows(sched, 120)
+    next(rows)  # theta^(0) = (1,): x^(0) = z^(0)
+    for theta in rows:
         apcg_step_general(problem, state, sched)
         zs.append(state.z.copy())
-        theta = theta_coefficients(sched, k)
+        psis.append(problem.reg.eval_full(zs[-1]))
         combo = sum(t * z for t, z in zip(theta, zs))
         worst_comb = max(worst_comb, float(np.max(np.abs(combo - state.x))))
-        psi_hat = sum(t * problem.reg.eval_full(z) for t, z in zip(theta, zs))
+        psi_hat = sum(t * psi for t, psi in zip(theta, psis))
         worst_psi = max(worst_psi, problem.reg.eval_full(state.x) - psi_hat)
     if worst_comb > 1e-8:
         return CheckResult("combination", False, f"x != sum theta z by {worst_comb:.2e}")

@@ -14,6 +14,7 @@ of the method and is bounded by :meth:`ApcgSchedule.rate_bound`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -114,10 +115,13 @@ class ApcgSchedule:
         return np.minimum(linear, sub)
 
 
-def theta_coefficients(sched: ApcgSchedule, k: int) -> np.ndarray:
-    """Coefficients expressing x^{(k)} as a convex combination of z^{(0..k)}.
+def theta_rows(sched: ApcgSchedule, steps: int) -> Iterator[np.ndarray]:
+    """Yield theta^{(0)}, ..., theta^{(steps)}, the coefficients expressing
+    x^{(k)} as a convex combination of z^{(0..k)}, from one replay of the
+    schedule.
 
-    The recursion starts from theta^{(1)} = (1 - n a_0, n a_0) and appends
+    The recursion starts from theta^{(0)} = (1,) and theta^{(1)} =
+    (1 - n a_0, n a_0) and appends
 
         theta^{(k+1)}_{k+1} = n a_k,
         theta^{(k+1)}_k     = (1 - mu/n) (a_k g_k + n a_{k-1} g_{k+1}) /
@@ -125,25 +129,28 @@ def theta_coefficients(sched: ApcgSchedule, k: int) -> np.ndarray:
         theta^{(k+1)}_l     = (1 - mu/n) g_{k+1} / (a_k g_k + g_{k+1}) *
                               theta^{(k)}_l              for l < k,
 
-    writing a for alpha and g for gamma.  The coefficients are nonnegative
-    and sum to one; they are diagnostic only and never used by the solvers.
+    writing a for alpha and g for gamma.  Each row is a new array.  The
+    coefficients are nonnegative and sum to one; they are diagnostic only and
+    never used by the solvers.  A negative ``steps`` raises ``ValueError``
+    when the generator is first advanced.
     """
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    alphas, gammas, _, _ = (h.tolist() for h in sched.history(k))
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    alphas, gammas, _, _ = (h.tolist() for h in sched.history(steps))
     n, mu = sched.n, sched.mu
     theta = np.array([1.0])
-    for j in range(k):
+    yield theta
+    for j in range(steps):
         a_j = alphas[j]
         if j == 0:
             theta = np.array([1.0 - n * a_j, n * a_j])
-            continue
-        a_prev = alphas[j - 1]
-        g_j = gammas[j]
-        g_next = gammas[j + 1]
-        denom = a_j * g_j + g_next
-        scale = (1.0 - mu / n) * g_next / denom
-        mid = ((1.0 - mu / n) * (a_j * g_j + n * a_prev * g_next) / denom
-               - (1.0 - a_j) * g_j / (n * a_j))
-        theta = np.concatenate([scale * theta[:-1], [mid, n * a_j]])
-    return theta
+        else:
+            a_prev = alphas[j - 1]
+            g_j = gammas[j]
+            g_next = gammas[j + 1]
+            denom = a_j * g_j + g_next
+            scale = (1.0 - mu / n) * g_next / denom
+            mid = ((1.0 - mu / n) * (a_j * g_j + n * a_prev * g_next) / denom
+                   - (1.0 - a_j) * g_j / (n * a_j))
+            theta = np.concatenate([scale * theta[:-1], [mid, n * a_j]])
+        yield theta

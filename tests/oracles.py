@@ -9,7 +9,8 @@ gradient recursion.  The
 plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
-schedule check) are kept here as references too, and so are the ERM dual's
+schedule check, the per-k theta recursion and the combination check built
+on it) are kept here as references too, and so are the ERM dual's
 relocated splitting as a generic composite problem and the paper's gap
 certificates through a full prox step.  So are the fixtures that only tests
 build: dense conversions of a ``SparseColMatrix``, the box indicator and
@@ -31,8 +32,9 @@ from apcg.data import SparseColMatrix
 from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmProblem,
                       PrimalDualReport, SquareLoss, dual_objective, erm_constants)
 from apcg.errors import ConfigurationError
-from apcg.instances import QuadraticInstance, _quadratic_instance
-from apcg.solvers import BlockSampler
+from apcg.instances import (QuadraticInstance, _quadratic_instance,
+                            diag_dominant_quadratic)
+from apcg.solvers import ApcgExplicitState, BlockSampler, apcg_step_general
 
 
 def col_ids(A: SparseColMatrix) -> np.ndarray:
@@ -659,6 +661,56 @@ def check_schedule_reference() -> CheckResult:
                     return CheckResult("schedule", False,
                                        f"lambda_k exceeded its bound at n={n} mu={mu}")
     return CheckResult("schedule", True, f"worst |gamma-(n a)^2| rel err {worst:.2e}")
+
+
+def theta_coefficients_reference(sched, k: int) -> np.ndarray:
+    """theta^{(k)} from its own replay of ``history(k)`` and its own k-step
+    recursion: ``apcg.schedule.theta_rows`` computed one row at a time."""
+    if k < 0:
+        raise ValueError("iteration index must be nonnegative")
+    alphas, gammas, _, _ = (h.tolist() for h in sched.history(k))
+    n, mu = sched.n, sched.mu
+    theta = np.array([1.0])
+    for j in range(k):
+        a_j = alphas[j]
+        if j == 0:
+            theta = np.array([1.0 - n * a_j, n * a_j])
+            continue
+        a_prev = alphas[j - 1]
+        g_j = gammas[j]
+        g_next = gammas[j + 1]
+        denom = a_j * g_j + g_next
+        scale = (1.0 - mu / n) * g_next / denom
+        mid = ((1.0 - mu / n) * (a_j * g_j + n * a_prev * g_next) / denom
+               - (1.0 - a_j) * g_j / (n * a_j))
+        theta = np.concatenate([scale * theta[:-1], [mid, n * a_j]])
+    return theta
+
+
+def check_combination_reference() -> CheckResult:
+    """The quadratic form of ``apcg.cli._check_combination_and_psihat``:
+    every step recomputes theta^{(k)} and Psi of every earlier iterate."""
+    inst = diag_dominant_quadratic(8, seed=3, l1=0.05)
+    problem = inst.problem
+    sched = schedule.ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
+    state = ApcgExplicitState.start(np.zeros(problem.dim), seed=11, n_blocks=problem.n)
+    zs = [state.z.copy()]
+    worst_comb = 0.0
+    worst_psi = -math.inf
+    for k in range(1, 121):
+        apcg_step_general(problem, state, sched)
+        zs.append(state.z.copy())
+        theta = theta_coefficients_reference(sched, k)
+        combo = sum(t * z for t, z in zip(theta, zs))
+        worst_comb = max(worst_comb, float(np.max(np.abs(combo - state.x))))
+        psi_hat = sum(t * problem.reg.eval_full(z) for t, z in zip(theta, zs))
+        worst_psi = max(worst_psi, problem.reg.eval_full(state.x) - psi_hat)
+    if worst_comb > 1e-8:
+        return CheckResult("combination", False, f"x != sum theta z by {worst_comb:.2e}")
+    if worst_psi > 1e-10:
+        return CheckResult("combination", False, f"Psi(x) exceeded Psi-hat by {worst_psi:.2e}")
+    return CheckResult("combination", True,
+                       f"max combo err {worst_comb:.2e}, max Psi slack {worst_psi:.2e}")
 
 
 # Agreement of the compiled kernels with the Python reference kernels: the

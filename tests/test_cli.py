@@ -499,6 +499,29 @@ def test_main_check_exit_codes(capsys, monkeypatch):
     assert all(line.startswith("[PASS] ") for line in lines[1:])
 
 
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_combination_check_matches_the_quadratic_reference(request, kernels):
+    request.getfixturevalue(kernels)
+    got = cli._check_combination_and_psihat()
+    assert got.passed
+    assert got == oracles.check_combination_reference()
+
+
+def test_combination_check_rejects_a_perturbed_theta_row(capsys, monkeypatch):
+    # the negative control: row k = 60 of theta off by a relative 1e-6
+    true_rows = cli.theta_rows
+
+    def perturbed(sched, steps):
+        for k, theta in enumerate(true_rows(sched, steps)):
+            yield theta * (1.0 + 1e-6) if k == 60 else theta
+
+    monkeypatch.setattr(cli, "theta_rows", perturbed)
+    checks = check_invariants()
+    assert [c.name for c in checks if not c.passed] == ["combination"]
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("[FAIL] combination: x != sum theta z by "), line
+
+
 def _scaled_root(factor):
     """A corrupted alpha root: the true root times ``factor(gamma, mu, n)``."""
     true_root = schedule._alpha_root

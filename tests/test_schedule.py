@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from apcg import native
 from apcg.errors import ConfigurationError
-from apcg.schedule import ApcgSchedule, theta_coefficients
+from apcg.instances import diag_dominant_quadratic
+from apcg.schedule import ApcgSchedule, theta_rows
+
+import oracles
 
 # the grid of `apcg-bench check`'s schedule line: (n, mu, gamma0)
 CHECK_GRID = [(n, mu, gamma0) for n in (1, 2, 10, 1000) for mu in (0.0, 1e-6, 0.01, 1.0)
@@ -232,25 +235,52 @@ def test_schedule_sequence_properties(n, mu):
 
 def test_theta_k1_is_two_point_combination():
     sched = ApcgSchedule(3, 0.2, 1.0)
-    theta = theta_coefficients(sched, 1)
+    theta = list(theta_rows(sched, 1))[1]
     a0 = sched.history(1)[0][0]
     assert theta == pytest.approx([1 - 3 * a0, 3 * a0], abs=1e-15)
 
 
 def test_theta_zeroth_is_one():
     sched = ApcgSchedule(3, 0.0, 1.0)
-    assert theta_coefficients(sched, 0) == pytest.approx([1.0])
+    (theta,) = theta_rows(sched, 0)
+    assert theta == pytest.approx([1.0])
 
 
-@pytest.mark.parametrize("n,mu,gamma0", [(1, 0.0, 1.0), (2, 0.3, 1.0),
-                                         (7, 0.0, 0.5), (11, 0.05, 0.1),
-                                         (40, 1e-4, 1.0)])
+THETA_GRID = [(1, 0.0, 1.0), (2, 0.3, 1.0), (7, 0.0, 0.5), (11, 0.05, 0.1),
+              (40, 1e-4, 1.0)]
+
+
+@pytest.mark.parametrize("n,mu,gamma0", THETA_GRID)
 def test_theta_nonnegative_and_sums_to_one(n, mu, gamma0):
     if gamma0 < mu:
         gamma0 = mu
     sched = ApcgSchedule(n, mu, gamma0)
-    for k in (1, 2, 5, 20, 100, 200):
-        theta = theta_coefficients(sched, k)
+    for k, theta in enumerate(theta_rows(sched, 200)):
+        if k not in (1, 2, 5, 20, 100, 200):
+            continue
         assert theta.shape == (k + 1,)
         assert theta.min() >= -1e-12
         assert abs(theta.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_theta_rows_are_bitwise_the_per_k_reference(request, kernels):
+    request.getfixturevalue(kernels)
+    # the grid of `apcg-bench check`'s theta line, its combination line's
+    # schedule and THETA_GRID: n = 1, mu = 0 and gamma0 = mu are all in it
+    grid = [(n, mu, gamma0) for n in (1, 3, 17)
+            for mu, gamma0 in ((0.0, 1.0), (0.04, 0.5), (0.3, 0.3))]
+    grid.append((8, diag_dominant_quadratic(8, seed=3, l1=0.05).problem.smooth.mu, 1.0))
+    grid += [(n, mu, max(gamma0, mu)) for n, mu, gamma0 in THETA_GRID]
+    for n, mu, gamma0 in grid:
+        sched = ApcgSchedule(n, mu, gamma0)
+        rows = list(theta_rows(sched, 200))
+        assert len(rows) == 201
+        for k, theta in enumerate(rows):
+            want = oracles.theta_coefficients_reference(sched, k)
+            assert theta.dtype == want.dtype and theta.tobytes() == want.tobytes(), (n, mu, k)
+
+
+def test_theta_rows_reject_negative_steps():
+    with pytest.raises(ValueError):
+        next(theta_rows(ApcgSchedule(3, 0.0, 1.0), -1))

@@ -8,7 +8,7 @@ from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
                        ZeroRegularizer)
 from apcg.errors import ConfigurationError
 from apcg.instances import diag_dominant_quadratic
-from apcg.schedule import ApcgSchedule, theta_coefficients
+from apcg.schedule import ApcgSchedule, theta_rows
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                           apcg_step_efficient, apcg_step_general, solve)
 
@@ -367,23 +367,25 @@ def test_z_update_matches_full_argmin_small():
         assert abs(s[0] - zt[i]) <= 1e-4
 
 
-def test_theta_combination_identity_and_psi_hat(lasso20):
+def test_theta_combination_identity_and_psi_hat():
     inst = diag_dominant_quadratic(8, seed=3, l1=0.05)
     problem = inst.problem
     sched = ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
     state = ApcgExplicitState.start(np.zeros(problem.dim), seed=11,
                                     n_blocks=problem.n)
     zs = [state.z.copy()]
-    for k in range(1, 151):
+    psis = [problem.reg.eval_full(zs[0])]
+    rows = theta_rows(sched, 150)
+    next(rows)
+    for theta in rows:
         apcg_step_general(problem, state, sched)
         zs.append(state.z.copy())
-        theta = theta_coefficients(sched, k)
+        psis.append(problem.reg.eval_full(zs[-1]))
         combo = np.zeros(problem.dim)
         for t, z in zip(theta, zs):
             combo += t * z
         assert np.max(np.abs(combo - state.x)) <= 1e-8
-        psi_hat = sum(t * problem.reg.eval_full(z)
-                      for t, z in zip(theta, zs))
+        psi_hat = sum(t * psi for t, psi in zip(theta, psis))
         psi_x = problem.reg.eval_full(state.x)
         assert psi_x <= psi_hat + 1e-10
 
