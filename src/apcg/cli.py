@@ -14,7 +14,6 @@ import argparse
 import csv
 import itertools
 import math
-import os
 import sys
 import weakref
 from dataclasses import dataclass, field, fields
@@ -48,7 +47,6 @@ class ExperimentConfig:
     epochs: int = 100
     tol: float | None = None
     out: str = "results"
-    jobs: int = 1
 
     def validate(self) -> None:
         if (self.data is None) == (self.synthetic is None):
@@ -78,8 +76,6 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be >= 0")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
         # each cell writes its own trace file, whose name has lambda to 6 digits
         seen = {}
         for lam, solver, seed in itertools.product(self.lambdas, self.solvers, self.seeds):
@@ -189,35 +185,11 @@ def _write_trace(path: Path, reports) -> None:
                              repr(r.dual_subgrad_norm_sq), f"{r.wall_time_s:.6f}"])
 
 
-def _cells(config: ExperimentConfig, dataset: str, A, labels):
-    """Every (lambda, solver, seed) cell, in output order.  Each lambda's
-    problem is built once, when its first cell is reached, and shared by
-    its cells, which share their runs too (see run_solver_trace)."""
-    for lam in config.lambdas:
-        prob = _build_problem(config, A, labels, lam)
-        _SHARED_RUNS[prob] = {}
-        for solver in config.solvers:
-            for seed in config.seeds:
-                yield (dataset, config.loss, lam, solver, seed, config, prob)
-
-
-def _run_cell(args):
-    (dataset, loss_name, lam, solver, seed, config, prob) = args
-    result = run_solver_trace(prob, solver, epochs=config.epochs, seed=seed,
-                              tol=config.tol)
-    return (dataset, loss_name, lam, solver, seed, result)
-
-
-def _usable_processors() -> int:
-    """The processors this process may run on (its affinity mask where the
-    platform has one), or 1 when that is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(config: ExperimentConfig) -> list[CellResult]:
-    """Run every (lambda, solver, seed) cell and write trace + summary CSVs."""
+    """Run every (lambda, solver, seed) cell in order and write its trace as
+    it ends, then the summary and dataset files.  Each lambda's problem is
+    built once, before its first cell, and shared by its cells, which share
+    their runs too (see run_solver_trace)."""
     config.validate()
     dataset, A, labels = _load_dataset(config)
     entries = A.n * A.d
@@ -226,28 +198,20 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = _cells(config, dataset, A, labels)
-    n_cells = len(config.lambdas) * len(config.solvers) * len(config.seeds)
-    # the fork start method starts every worker at once, so no more workers
-    # than cells or than the processors this process may run on
-    workers = min(config.jobs, n_cells, _usable_processors())
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which --jobs 1 never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    else:
-        outcomes = [_run_cell(c) for c in cells]
-
     results: list[CellResult] = []
-    for dataset, loss_name, lam, solver, seed, run in outcomes:
-        fname = _cell_filename(dataset, loss_name, lam, solver, seed)
-        _write_trace(out_dir / fname, run.reports)
-        results.append(CellResult(
-            dataset=dataset, loss=loss_name, lam=lam, solver=solver, seed=seed,
-            epochs_run=run.epochs_run, epochs_to_tol=run.epochs_to_tol,
-            final_gap=run.reports[-1].gap, csv_path=str(out_dir / fname)))
+    for lam in config.lambdas:
+        prob = _build_problem(config, A, labels, lam)
+        _SHARED_RUNS[prob] = {}
+        for solver in config.solvers:
+            for seed in config.seeds:
+                run = run_solver_trace(prob, solver, epochs=config.epochs, seed=seed,
+                                       tol=config.tol)
+                path = out_dir / _cell_filename(dataset, config.loss, lam, solver, seed)
+                _write_trace(path, run.reports)
+                results.append(CellResult(
+                    dataset=dataset, loss=config.loss, lam=lam, solver=solver, seed=seed,
+                    epochs_run=run.epochs_run, epochs_to_tol=run.epochs_to_tol,
+                    final_gap=run.reports[-1].gap, csv_path=str(path)))
 
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -471,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epochs", type=int)
     run.add_argument("--tol", type=float, help="stop a run once gap <= tol")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--jobs", type=int, help="parallel cells (default 1)")
+    # accepted only as 1, which every benchmark run passes; cells run in order
+    run.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
 
     sub.add_parser("check", help="run the diagnostic invariant suite")
     return parser

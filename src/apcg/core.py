@@ -136,16 +136,6 @@ def block_prox(reg: SeparableRegularizer, i: int, center: np.ndarray,
     return reg.prox_block(i, center, weight)
 
 
-class ZeroRegularizer(SeparableRegularizer):
-    """Psi identically zero; prox is the identity."""
-
-    def prox_block(self, i, center, weight):
-        return np.array(center, dtype=float, copy=True)
-
-    def eval_full(self, x):
-        return 0.0
-
-
 class L1Regularizer(SeparableRegularizer):
     """Psi(x) = strength * ||x||_1; prox is soft thresholding."""
 

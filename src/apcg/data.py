@@ -31,7 +31,8 @@ class SparseColMatrix:
     without re-checking every row index.  A matrix from
     :meth:`scale_columns` shares indptr and indices with its source.
     ``addresses`` holds the three data pointers in that order, so a kernel
-    call need not look them up.
+    call need not look them up.  A copy made elsewhere would carry dead
+    pointers, so a matrix cannot be pickled or copied (``TypeError``).
     """
 
     d: int
@@ -65,19 +66,12 @@ class SparseColMatrix:
             arr = arr.view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        self._set_addresses()
-
-    def __setstate__(self, state):
-        """Unpickling (as in ``--jobs`` workers) returns writable arrays at
-        new addresses."""
-        for name in ("indptr", "indices", "values"):
-            state[name].flags.writeable = False
-        self.__dict__.update(state)
-        self._set_addresses()
-
-    def _set_addresses(self) -> None:
         object.__setattr__(self, "addresses", (
-            self.indptr.ctypes.data, self.indices.ctypes.data, self.values.ctypes.data))
+            indptr.ctypes.data, indices.ctypes.data, values.ctypes.data))
+
+    def __reduce__(self):
+        raise TypeError("a SparseColMatrix holds raw data pointers for the compiled "
+                        "kernels and cannot be pickled or copied")
 
     def _col_ids(self) -> np.ndarray:
         """The column of every stored entry, for the Python kernels only."""

@@ -263,19 +263,6 @@ def _feasible_or_raise(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
     return xc
 
 
-def dual_objective(prob: ErmProblem, x: np.ndarray) -> float:
-    """D(x); returns -inf when x leaves the conjugate domain."""
-    xc = _dual_feasible(prob.loss.dual_box, x)
-    if xc is None:
-        return -math.inf
-    return _dual_value(prob, prob.loss.conj_neg(xc), prob.matrix.dot(xc))
-
-
-def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
-    w = np.asarray(w, dtype=float)
-    return _primal_value(prob, w, prob.loss.phi(prob.matrix.tdot(w)))
-
-
 @dataclass(frozen=True)
 class PrimalDualReport:
     """One row of trace output, evaluated at an epoch boundary."""
@@ -294,8 +281,8 @@ class PrimalDualReport:
                  ) -> "PrimalDualReport":
         """Primal, dual and subgradient at x from one A x and one A' w.
 
-        The primal and dual equal primal_objective(A x / (lam n)) and
-        dual_objective(x) evaluated separately, bitwise.  A solver that
+        The primal and dual equal P(A x / (lam n)) and D(x) evaluated
+        separately, each from its own product, bitwise.  A solver that
         maintains ``ax = A x`` passes it, and the report then costs only the
         A' w; such a report is exact up to the aggregate's drift, so it is
         not a weak-duality certificate (see :func:`run_epochs`).  The A' w
@@ -327,8 +314,10 @@ class ConjugatePenalty(SeparableRegularizer):
     With the loss's gamma this is (1/n) phi*_i(-s), the penalty of the
     simple splitting that ``baselines.afg_step`` runs; with gamma = 0 it is
     the relocated splitting's linear penalty, (1/n) phi*_i(-s) less the
-    loss's (gamma/2n) s^2, which :func:`apcg_erm_steps` solves inline.  The prox solves the 1-d quadratic
-    and projects onto the box if there is one; the anchors are read at ``i``.
+    loss's (gamma/2n) s^2, which :func:`apcg_erm_steps` solves inline.  The
+    prox solves the 1-d quadratic and projects onto the box if there is one;
+    the anchors are read at ``i``.  Only the prox is defined: AFG, its one
+    caller, never evaluates Psi.
     """
 
     def __init__(self, anchors: np.ndarray, gamma: float, n: int, box):
@@ -340,12 +329,6 @@ class ConjugatePenalty(SeparableRegularizer):
     def prox_block(self, i, center, weight):
         s = (weight * center + self.anchors[i] / self.n) / (weight + self.gamma / self.n)
         return np.atleast_1d(_clip(self.box, s))
-
-    def eval_full(self, x):
-        xc = _dual_feasible(self.box, x)
-        if xc is None:
-            return math.inf
-        return float(-self.anchors @ xc + 0.5 * self.gamma * (xc @ xc)) / self.n
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +405,12 @@ class ErmDualState:
         """A x() from the maintained aggregates, without a product."""
         return self.pbar_base * (self.scale / self.rho) + self.q
 
-    def aggregates(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.pbar_base * self.scale, self.q.copy()
-
-    def recomputed_aggregates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A ubar, A v) from scratch, for drift checks against aggregates()."""
-        return (self.prob.matrix.dot(self.ubar_base * self.scale),
-                self.prob.matrix.dot(self.v))
-
     def check_consistency(self, tol: float = 1e-8) -> None:
-        pbar, q = self.aggregates()
-        p_ref, q_ref = self.recomputed_aggregates()
+        """Raise RuntimeError when the maintained aggregates pbar = A ubar and
+        q = A v drift from fresh products by more than ``tol`` relative."""
+        pbar, q = self.pbar_base * self.scale, self.q
+        p_ref = self.prob.matrix.dot(self.ubar_base * self.scale)
+        q_ref = self.prob.matrix.dot(self.v)
         p_err = np.linalg.norm(pbar - p_ref) / max(1.0, np.linalg.norm(p_ref))
         q_err = np.linalg.norm(q - q_ref) / max(1.0, np.linalg.norm(q_ref))
         if p_err > tol or q_err > tol:

@@ -1,7 +1,7 @@
 """Synthetic composite instances used by the diagnostics and tests.
 
 These are desk-scale problems with exactly known structure: a strongly
-convex quadratic smooth part with a random Hessian, an optional l1 term,
+convex quadratic smooth part with a random Hessian, an l1 term,
 and block Lipschitz constants read off the Hessian's diagonal blocks.  The
 convexity parameter in the L-weighted norm is computed exactly as the
 smallest eigenvalue of D^{-1/2} H D^{-1/2} with D = diag(L) (each L_i
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BlockPartition, CompositeProblem, L1Regularizer,
-                   SmoothOracle, ZeroRegularizer)
+from .core import BlockPartition, CompositeProblem, L1Regularizer, SmoothOracle
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +50,7 @@ def _quadratic_instance(H: np.ndarray, b: np.ndarray, partition: BlockPartition,
     smooth = SmoothOracle(value=value, full_gradient=full_gradient,
                           partial_gradient=partial_gradient,
                           lipschitz=lipschitz, mu=mu)
-    reg = L1Regularizer(l1) if l1 > 0 else ZeroRegularizer()
-    problem = CompositeProblem(partition=partition, smooth=smooth, reg=reg)
+    problem = CompositeProblem(partition=partition, smooth=smooth, reg=L1Regularizer(l1))
     return QuadraticInstance(problem=problem, hessian=H, linear=b,
                              lipschitz_full=float(np.linalg.eigvalsh(H)[-1]))
 

@@ -13,12 +13,15 @@ schedule check, the per-k theta recursion and the combination check built
 on it) are kept here as references too, and so are the ERM dual's
 relocated splitting as a generic composite problem and the paper's gap
 certificates through a full prox step.  So are the fixtures that only tests
-build: dense conversions of a ``SparseColMatrix``, the box indicator and
-quadratics over blocks of mixed sizes.
+build: dense conversions of a ``SparseColMatrix``, the zero regularizer and
+the box indicator, quadratics over blocks of mixed sizes, the separate
+primal and dual objectives the fused report is checked against, the
+conjugate penalty's value, and the aggregate pair of a drift check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,8 +32,9 @@ from apcg.cli import CheckResult
 from apcg.core import (BlockPartition, CompositeProblem, SeparableRegularizer,
                        SmoothOracle, block_prox)
 from apcg.data import SparseColMatrix
-from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmProblem,
-                      PrimalDualReport, SquareLoss, dual_objective, erm_constants)
+from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmDualState, ErmProblem,
+                      PrimalDualReport, SquareLoss, _dual_feasible, _dual_value,
+                      _primal_value, erm_constants)
 from apcg.errors import ConfigurationError
 from apcg.instances import (QuadraticInstance, _quadratic_instance,
                             diag_dominant_quadratic)
@@ -63,6 +67,17 @@ def from_dense(dense: np.ndarray) -> SparseColMatrix:
                            values=np.concatenate(values) if n else np.empty(0, float))
 
 
+class ZeroRegularizer(SeparableRegularizer):
+    """Psi identically zero; prox is the identity (bitwise: signed zeros
+    stay, which ``L1Regularizer(0.0)`` turns into +0.0)."""
+
+    def prox_block(self, i, center, weight):
+        return np.array(center, dtype=float, copy=True)
+
+    def eval_full(self, x):
+        return 0.0
+
+
 class BoxIndicator(SeparableRegularizer):
     """Indicator of the box [lo, hi] per coordinate; prox is projection.
 
@@ -91,6 +106,7 @@ def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
 
     With a single block (``sizes = (dim,)``) the coordinate solvers lose all
     randomness and reduce to deterministic accelerated gradient descent.
+    Without an l1 term the regularizer is :class:`ZeroRegularizer`.
     """
     partition = BlockPartition(sizes)
     dim = partition.total
@@ -98,7 +114,33 @@ def block_quadratic(sizes: tuple[int, ...], seed: int = 0,
     M = rng.standard_normal((dim, dim))
     H = M @ M.T / dim + 0.5 * np.eye(dim)
     b = rng.standard_normal(dim)
-    return _quadratic_instance(H, b, partition, l1)
+    inst = _quadratic_instance(H, b, partition, l1)
+    if l1 == 0.0:
+        problem = dataclasses.replace(inst.problem, reg=ZeroRegularizer())
+        inst = dataclasses.replace(inst, problem=problem)
+    return inst
+
+
+def dual_objective(prob: ErmProblem, x: np.ndarray) -> float:
+    """D(x); returns -inf when x leaves the conjugate domain."""
+    xc = _dual_feasible(prob.loss.dual_box, x)
+    if xc is None:
+        return -math.inf
+    return _dual_value(prob, prob.loss.conj_neg(xc), prob.matrix.dot(xc))
+
+
+def primal_objective(prob: ErmProblem, w: np.ndarray) -> float:
+    """P(w) from its own A' w."""
+    w = np.asarray(w, dtype=float)
+    return _primal_value(prob, w, prob.loss.phi(prob.matrix.tdot(w)))
+
+
+def erm_aggregates(state: ErmDualState):
+    """((A ubar, A v) as ``state`` maintains them, the same pair recomputed
+    from scratch), for drift checks."""
+    m = state.prob.matrix
+    return ((state.pbar_base * state.scale, state.q.copy()),
+            (m.dot(state.ubar_base * state.scale), m.dot(state.v)))
 
 
 def primal_from_dual(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
@@ -359,10 +401,21 @@ def ridge_dual_optimum(prob: ErmProblem) -> tuple[np.ndarray, float]:
     return x, dual_objective(prob, x)
 
 
+class ValuedConjugatePenalty(ConjugatePenalty):
+    """``apcg.erm.ConjugatePenalty`` with its value, which a generic
+    composite problem's objective needs: +inf off the box."""
+
+    def eval_full(self, x):
+        xc = _dual_feasible(self.box, x)
+        if xc is None:
+            return math.inf
+        return float(-self.anchors @ xc + 0.5 * self.gamma * (xc @ xc)) / self.n
+
+
 def relocated_dual_composite(prob: ErmProblem) -> CompositeProblem:
     """The ERM dual under the relocated splitting as a generic composite
     problem: f(x) = ||A x||^2 / (2 lam n^2) + (gamma/2n) ||x||^2 (mu > 0) and
-    the linear penalty ``ConjugatePenalty(anchors, 0, n, box)``.
+    the linear penalty ``ValuedConjugatePenalty(anchors, 0, n, box)``.
     ``apcg.erm.ErmDualState`` runs this splitting in specialized form and
     ``apcg.baselines.sdca_epoch`` solves its coordinate prox steps exactly."""
     lam, n, gamma = prob.lam, prob.n, prob.gamma
@@ -384,7 +437,8 @@ def relocated_dual_composite(prob: ErmProblem) -> CompositeProblem:
     smooth = SmoothOracle(value=value, full_gradient=full_gradient,
                           partial_gradient=partial_gradient, lipschitz=L, mu=mu)
     return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
-                            reg=ConjugatePenalty(prob.anchors, 0.0, n, prob.loss.dual_box))
+                            reg=ValuedConjugatePenalty(prob.anchors, 0.0, n,
+                                                       prob.loss.dual_box))
 
 
 def full_prox_step(prob: ErmProblem, x: np.ndarray) -> np.ndarray:

@@ -14,15 +14,15 @@ from apcg.cli import run_solver_trace
 from apcg.core import L1Regularizer, block_prox
 from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
-                      SmoothedHingeLoss, SquareLoss, apcg_erm_steps,
-                      dual_objective, primal_objective, solve_erm)
+                      SmoothedHingeLoss, SquareLoss, apcg_erm_steps, solve_erm)
 from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
                           apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
-from oracles import BoxIndicator, block_quadratic, primal_from_dual
+from oracles import (BoxIndicator, block_quadratic, dual_objective, primal_from_dual,
+                     primal_objective)
 from conftest import report_pass
 
 
@@ -114,8 +114,7 @@ def test_erm_solver_equals_generic_uv_solver(hinge200):
             apcg_erm_steps(hinge200, st5, st5.sampler.take(1))
             apcg_step_efficient(comp, st4)
             worst = max(worst, float(np.max(np.abs(st5.x() - st4.x_full()))))
-        pbar, q = st5.aggregates()
-        p_ref, q_ref = st5.recomputed_aggregates()
+        (pbar, q), (p_ref, q_ref) = oracles.erm_aggregates(st5)
         worst_drift = max(
             worst_drift,
             float(np.linalg.norm(pbar - p_ref)) / max(1.0, float(np.linalg.norm(p_ref))),

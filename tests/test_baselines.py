@@ -7,16 +7,15 @@ import pytest
 from apcg import baselines
 from apcg.baselines import afg_start, afg_step, sdca_epoch
 from apcg.cli import run_solver_trace
-from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
-                       ZeroRegularizer)
+from apcg.core import BlockPartition, CompositeProblem, SmoothOracle
 from apcg.data import synth_binary
-from apcg.erm import ErmProblem, dual_objective, solve_erm
+from apcg.erm import ErmProblem, solve_erm
 from apcg.errors import StepSizeError
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import BlockSampler, solve
 
 import oracles
-from oracles import primal_from_dual
+from oracles import ZeroRegularizer, dual_objective, primal_from_dual
 
 
 def scalar_quadratic(lipschitz):

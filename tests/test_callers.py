@@ -14,8 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # Kept without a caller in the program, each for the ROADMAP item that will
 # give it one.
 ALLOWED = {
-    "dual_objective",                  # item 7: the fused report's reference
-    "primal_objective",                # item 7: the fused report's reference
     "complexity_estimate",             # item 3: apcg-bench rates
     "ErmDualState.check_consistency",  # item 9: --check-drift
 }

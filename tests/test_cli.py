@@ -97,18 +97,6 @@ def test_multiple_lambdas_and_seeds_produce_all_cells(tmp_path):
         assert Path(r.csv_path).exists()
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    serial = run_experiment(small_config(tmp_path, out=str(tmp_path / "s"),
-                                         seeds=[0, 1], jobs=1))
-    parallel = run_experiment(small_config(tmp_path, out=str(tmp_path / "p"),
-                                           seeds=[0, 1], jobs=2))
-    for c1, c2 in zip(serial, parallel):
-        rows1 = read_rows(c1.csv_path)
-        rows2 = read_rows(c2.csv_path)
-        for a, b in zip(rows1, rows2):
-            assert a[:-1] == b[:-1]
-
-
 def test_square_loss_runs_all_solvers(tmp_path):
     results = run_experiment(small_config(
         tmp_path, loss="square", epochs=8,
@@ -313,55 +301,7 @@ def test_example_without_features_solved_by_every_solver(loss, tmp_path):
     assert all(r.epochs_to_tol is not None for r in results)
 
 
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Stand in for ProcessPoolExecutor with a pool that starts no process
-    and maps serially; returns the list of each pool's max_workers."""
-    import concurrent.futures
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
-
-
-def test_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, serial_pool):
-    # the fork start method starts all max_workers processes at once
-    sizes = serial_pool
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
-    assert sizes == [2]
-    assert [r.seed for r in results] == [0, 1]
-    # nor more than the processors this process may use
-    results = run_experiment(small_config(tmp_path, seeds=[0, 1, 2, 3], jobs=100_000))
-    assert sizes == [2, 3]
-    assert [r.seed for r in results] == [0, 1, 2, 3]
-    # where there is no affinity mask, than the machine has
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    run_experiment(small_config(tmp_path, seeds=[0, 1, 2, 3], jobs=100_000))
-    assert sizes == [2, 3, 3]
-    # and one process, with no pool, when it cannot tell
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    results = run_experiment(small_config(tmp_path, seeds=[0, 1], jobs=100_000))
-    assert sizes == [2, 3, 3]
-    assert [r.seed for r in results] == [0, 1]
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
+def test_problem_built_once_per_lambda(tmp_path, monkeypatch):
     built, build = [], cli._build_problem
 
     def counting_build(config, A, labels, lam):
@@ -370,7 +310,7 @@ def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
 
     monkeypatch.setattr(cli, "_build_problem", counting_build)
     config = small_config(tmp_path, lambdas=[1e-2, 1e-3], seeds=[0, 1],
-                          solvers=["apcg", "sdca"], jobs=jobs)
+                          solvers=["apcg", "sdca"])
     results = run_experiment(config)
     assert built == [1e-2, 1e-3]
     assert [(r.lam, r.solver, r.seed) for r in results] == [
@@ -378,12 +318,10 @@ def test_problem_built_once_per_lambda(tmp_path, monkeypatch, jobs):
         for seed in (0, 1)]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sdca_and_rpcg_cells_share_one_run(tmp_path, monkeypatch, serial_pool, jobs):
+def test_sdca_and_rpcg_cells_share_one_run(tmp_path, monkeypatch):
     """rpcg and sdca are one computation: within a run, each (lambda, seed)
     runs the SDCA epochs once and both cells write its trace, wall times
-    included.  run_solver_trace is still called once per cell, and with
-    --jobs 2 (on the serial stand-in pool) every row is still written."""
+    included.  run_solver_trace is still called once per cell."""
     calls, epochs = [], []
     run_solver_trace, sdca_epoch = cli.run_solver_trace, baselines.sdca_epoch
 
@@ -397,11 +335,9 @@ def test_sdca_and_rpcg_cells_share_one_run(tmp_path, monkeypatch, serial_pool, j
 
     monkeypatch.setattr(cli, "run_solver_trace", spy_trace)
     monkeypatch.setattr(baselines, "sdca_epoch", spy_epoch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = small_config(tmp_path, lambdas=[1e-2, 1e-3], solvers=["sdca", "rpcg"],
-                          seeds=[0, 1], epochs=7, jobs=jobs)
+                          seeds=[0, 1], epochs=7)
     results = run_experiment(config)
-    assert serial_pool == ([2] if jobs == 2 else [])
     assert calls == ["sdca", "sdca", "rpcg", "rpcg"] * 2
     assert epochs == [1e-2] * 14 + [1e-3] * 14  # 7 epochs per (lambda, seed)
     traces = {(r.lam, r.solver, r.seed): read_rows(r.csv_path) for r in results}
@@ -411,6 +347,56 @@ def test_sdca_and_rpcg_cells_share_one_run(tmp_path, monkeypatch, serial_pool, j
             assert len(sdca) == 1 + 8 and sdca[0] == CSV_HEADER
             assert traces[(lam, "rpcg", seed)] == sdca
     assert len(read_rows(Path(config.out) / "summary.csv")) == 1 + 8
+
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote, with the wall_time_s column of each trace cut."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_bytes()
+        if path.name not in ("summary.csv", "dataset.txt"):
+            text = b"\n".join(line.rsplit(b",", 1)[0] for line in text.split(b"\n"))
+        files[path.name] = text
+    return files
+
+
+def test_jobs_is_accepted_only_as_one(tmp_path, capsys):
+    """Cells run in order in one process; --jobs stays for the benchmark,
+    which passes --jobs 1, and changes nothing."""
+    flags = ["run", "--synthetic", "40,10,0.5", "--solver", "apcg", "--solver", "sdca",
+             "--seed", "0", "--seed", "1", "--epochs", "3"]
+    assert main(flags + ["--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    assert main(flags + ["--jobs", "1", "--out", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().out == plain.replace(str(tmp_path / "plain"),
+                                                    str(tmp_path / "one"))
+    assert output_bytes(tmp_path / "one") == output_bytes(tmp_path / "plain")
+    with pytest.raises(SystemExit) as stop:
+        main(flags + ["--jobs", "2", "--out", str(tmp_path / "two")])
+    assert stop.value.code == 2
+    assert "--jobs: invalid choice: 2" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
+
+
+def test_a_lambda_that_fails_to_build_leaves_the_earlier_traces(tmp_path, capsys):
+    """Each cell's trace is written as the cell ends.  A subnormal lambda
+    overflows the coordinate constants when its problem is built, after
+    the first lambda's cells have run: the run exits 2 with one error line,
+    leaving those traces whole and no summary."""
+    out = tmp_path / "out"
+    assert main(["run", "--synthetic", "40,10,0.5", "--solver", "apcg", "--solver", "afg",
+                 "--lambda", "1e-2", "--lambda", "1e-320", "--epochs", "4",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: coordinate constants ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "synth40x10_smoothed_hinge_lam0.01_afg_s0.csv",
+        "synth40x10_smoothed_hinge_lam0.01_apcg_s0.csv"]
+    for path in out.iterdir():
+        rows = read_rows(path)
+        assert rows[0] == CSV_HEADER and [r[0] for r in rows[1:]] == list("01234")
 
 
 # ExperimentConfig field's flag -> (field, flags, value from the flags)
@@ -425,7 +411,6 @@ CONFIG_CASES = {
     "epochs": ("epochs", ["--epochs", "0"], 0),
     "tol": ("tol", ["--tol", "1e-9"], 1e-9),
     "out": ("out", ["--out", "o2"], "o2"),
-    "jobs": ("jobs", ["--jobs", "2"], 2),
 }
 
 
@@ -593,8 +578,8 @@ def test_array_schedule_check_matches_the_reference_on_a_broken_rate_bound(monke
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # --jobs 1 starts no worker, so it should not pay for importing
-    # multiprocessing through concurrent.futures
+    # every cell runs in the calling process, so the CLI should not pay for
+    # importing multiprocessing through concurrent.futures
     env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from apcg.core import (BlockPartition, CompositeProblem, L1Regularizer,
-                       SmoothOracle, ZeroRegularizer, block_prox, weighted_norm)
+                       SmoothOracle, block_prox, weighted_norm)
 from apcg.erm import ConjugatePenalty
 
 import oracles
-from oracles import BoxIndicator
+from oracles import BoxIndicator, ZeroRegularizer
 
 
 def test_partition_offsets_and_sizes():

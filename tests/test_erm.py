@@ -10,13 +10,13 @@ from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
-                      apcg_erm_steps, complexity_estimate, dual_objective,
-                      erm_constants, primal_objective, run_epochs, solve_erm)
+                      apcg_erm_steps, complexity_estimate, erm_constants,
+                      run_epochs, solve_erm)
 from apcg.errors import ConfigurationError
 from apcg.solvers import ApcgEfficientState, apcg_step_efficient
 
 import oracles
-from oracles import primal_from_dual
+from oracles import dual_objective, primal_from_dual, primal_objective
 
 
 def single_column_problem(col, lam=1.0, gamma=1.0):
@@ -310,8 +310,7 @@ def test_erm_aggregate_consistency_over_many_steps(hinge200):
     state = ErmDualState(hinge200, seed=7)
     for chunk in range(10):
         apcg_erm_steps(hinge200, state, state.sampler.take(1000))
-        pbar, q = state.aggregates()
-        p_ref, q_ref = state.recomputed_aggregates()
+        (pbar, q), (p_ref, q_ref) = oracles.erm_aggregates(state)
         assert np.linalg.norm(pbar - p_ref) <= 1e-8 * max(1.0, np.linalg.norm(p_ref))
         assert np.linalg.norm(q - q_ref) <= 1e-8 * max(1.0, np.linalg.norm(q_ref))
     state.check_consistency(1e-8)

@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apcg.core import (BlockPartition, CompositeProblem, SmoothOracle,
-                       ZeroRegularizer)
+from apcg.core import BlockPartition, CompositeProblem, SmoothOracle
 from apcg.errors import ConfigurationError
 from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule, theta_rows
@@ -13,7 +12,7 @@ from apcg.solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
                           apcg_step_efficient, apcg_step_general, solve)
 
 import oracles
-from oracles import block_quadratic
+from oracles import ZeroRegularizer, block_quadratic
 
 
 def shifted_quadratic(target):
