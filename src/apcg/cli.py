@@ -360,11 +360,9 @@ def _check_envelope() -> CheckResult:
     f0 = problem.objective(np.zeros(problem.dim))
     budget = f0 - fstar + 0.5 * gamma0 * r0 * r0
     epochs = 30
-    traces = []
-    for seed in range(20):
-        res = solve(problem, ApcgSchedule(problem.n, problem.smooth.mu, gamma0),
-                    max_iters=epochs * problem.n, seed=seed)
-        traces.append([f for _, f in res.trace])
+    runs = solve(problem, ApcgSchedule(problem.n, problem.smooth.mu, gamma0),
+                 max_iters=epochs * problem.n, seed=range(20))
+    traces = [[f for _, f in run.trace] for run in runs]
     mean_gap = np.mean(traces, axis=0) - fstar
     sched = ApcgSchedule(problem.n, problem.smooth.mu, gamma0)
     # skip epochs whose theoretical bound is below what doubles can resolve

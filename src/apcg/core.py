@@ -110,7 +110,8 @@ class SeparableRegularizer:
 
     Subclasses implement ``prox_block``, the minimizer of
     ``weight/2 * ||h - center||^2 + Psi_i(h)`` over block vectors ``h``,
-    where ``i`` is a block index or ``slice(None)`` for every block at once,
+    where ``i`` is a block index, ``slice(None)`` for every block at once, or
+    an array of scalar blocks (``weight`` then a scalar or one per entry),
     and ``eval_full`` (``math.inf`` off the domain of indicator-type terms).
     """
 
@@ -125,13 +126,17 @@ class SeparableRegularizer:
         return self.prox_block(slice(None), center, weight)
 
 
-def block_prox(reg: SeparableRegularizer, i: int, center: np.ndarray,
-               weight: float) -> np.ndarray:
-    """Prox of Psi_i: argmin_h { weight/2 * ||h - center||^2 + Psi_i(h) }."""
+def block_prox(reg: SeparableRegularizer, i, center: np.ndarray, weight) -> np.ndarray:
+    """Prox of Psi_i: argmin_h { weight/2 * ||h - center||^2 + Psi_i(h) },
+    ``i`` and ``weight`` as in :class:`SeparableRegularizer`."""
     center = np.asarray(center, dtype=float)
     if not np.isfinite(center).all():
         raise ValueError("prox center must be finite")
-    if not (weight > 0 and math.isfinite(weight)):
+    if isinstance(weight, np.ndarray):
+        weight_ok = ((weight > 0) & (weight < math.inf)).all()
+    else:
+        weight_ok = weight > 0 and math.isfinite(weight)
+    if not weight_ok:
         raise ValueError(f"prox weight must be positive and finite, got {weight}")
     return reg.prox_block(i, center, weight)
 

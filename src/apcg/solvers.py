@@ -84,14 +84,42 @@ class BlockSampler:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+class StackedSampler:
+    """Block draws of several seeded runs that step together: the k-th
+    :meth:`draw` is the array of each seed's k-th ``BlockSampler(n, seed)``
+    draw.
+
+    The ``steps`` draws are taken up front, one seed after another (one
+    sampler buffer alive at a time), in the smallest unsigned type that
+    holds ``n - 1``; a draw past them raises IndexError.
+    """
+
+    def __init__(self, n: int, seeds, steps: int):
+        seeds = list(seeds)
+        self.n = int(n)
+        self._blocks = np.empty((steps, len(seeds)), dtype=np.min_scalar_type(self.n - 1))
+        for r, seed in enumerate(seeds):
+            self._blocks[:, r] = BlockSampler(n, seed).take(steps)
+        self._k = 0
+
+    def draw(self) -> np.ndarray:
+        i = self._blocks[self._k]
+        self._k += 1
+        return i
+
+
 @dataclass
 class ApcgExplicitState:
-    """Full-vector iterate state (x, y, z) plus the iteration counter."""
+    """Full-vector iterate state (x, y, z) plus the iteration counter.
+
+    A stacked state holds several runs that share one schedule: x, y and z
+    have one row per run, and the sampler is a :class:`StackedSampler`.
+    """
 
     x: np.ndarray
     z: np.ndarray
     k: int
-    sampler: BlockSampler
+    sampler: BlockSampler | StackedSampler
     y: np.ndarray | None = None
 
     @classmethod
@@ -106,14 +134,21 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
 
     y is formed from (x, z), the selected block of z is replaced by the prox
     solution while the other blocks move to ``(1-beta) z + beta y``, and x
-    changes only on the selected block.  ``sched`` serves this run alone.
+    changes only on the selected block.  ``sched`` serves this run alone, or
+    the rows of a stacked state together: each row then takes these steps
+    on its own block, with the same operations as a run of its own.
     """
     k = state.k
+    n = problem.n
+    if sched.n != n or state.sampler.n != n:
+        raise ConfigurationError(f"schedule over {sched.n} blocks and sampler over "
+                                 f"{state.sampler.n}, problem has {n}")
     if sched.k != k:
         raise ConfigurationError(f"schedule at iteration {sched.k}, state at {k}: one per run")
+    if state.x.ndim == 2 and problem.dim != n:
+        raise ConfigurationError("a stacked state needs blocks of one coordinate")
     gamma_k = sched.gamma
     alpha, gamma_next, beta = sched.step()
-    n = problem.n
     mu = sched.mu
 
     x, z = state.x, state.z
@@ -128,13 +163,18 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
         center += beta * y
     else:
         center = z.copy()
-    weight = n * alpha * float(problem.smooth.lipschitz[i])
+    weight = n * alpha * problem.smooth.lipschitz[i]
+    if x.ndim == 1:
+        sl = problem.partition.slice(i)
+        grad_i = problem.smooth.partial_gradient(y, i)
+    else:  # stacked: row r's block is its coordinate i[r]
+        sl = (np.arange(len(i)), i)
+        grad_i = np.concatenate([problem.smooth.partial_gradient(row, j)
+                                 for row, j in zip(y, i.tolist())])
     # block-i minimizer of weight/2 ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)
-    sl = problem.partition.slice(i)
-    grad_i = problem.smooth.partial_gradient(y, i)
     s = block_prox(problem.reg, i, center[sl] - grad_i / weight, weight)
 
-    z_i_old = z[sl]  # a view: z is never written, center is a new array
+    z_i_old = z[sl]  # z is never written, center is a new array
     x_new = y.copy()
     x_new[sl] = y[sl] + n * alpha * (s - z_i_old) + (mu / n) * (z_i_old - y[sl])
     center[sl] = s
@@ -219,7 +259,7 @@ class SolveResult:
 
 
 def solve(problem: CompositeProblem, sched: ApcgSchedule, max_iters: int = 1000,
-          seed: int = 0) -> SolveResult:
+          seed=0) -> SolveResult | list[SolveResult]:
     """Run :func:`apcg_step_general` on a fresh ``sched`` from x = 0 and
     trace the objective.
 
@@ -227,16 +267,29 @@ def solve(problem: CompositeProblem, sched: ApcgSchedule, max_iters: int = 1000,
     coordinate steps (one epoch) and at the end; objective evaluations
     happen only at trace points and are not part of the per-iteration cost.
     Runs with the same schedule and seed produce identical traces.
+
+    Given a sequence of seeds instead of one, the runs step together as one
+    stacked state (blocks of one coordinate only) and a list of one result
+    per seed is returned, each bitwise the result of its own call.
     """
     n = problem.n
     if sched.n != n or sched.k != 0:
         raise ConfigurationError(f"need a fresh schedule over the problem's {n} blocks; "
                                  f"got n={sched.n} at iteration {sched.k}")
-    x0 = np.zeros(problem.dim)
-    state = ApcgExplicitState.start(x0, seed, n)
-    trace: list[tuple[int, float]] = [(0, problem.objective(x0))]
+    if max_iters < 0:
+        raise ValueError("cannot run a negative number of iterations")
+    if np.ndim(seed) == 0:
+        state = ApcgExplicitState.start(np.zeros(problem.dim), seed, n)
+    else:
+        x0 = np.zeros((len(seed), problem.dim))
+        state = ApcgExplicitState(x=x0, z=x0.copy(), k=0,
+                                  sampler=StackedSampler(n, seed, max_iters))
+    traces = [[(0, problem.objective(row))] for row in np.atleast_2d(state.x)]
     for k in range(1, max_iters + 1):
         apcg_step_general(problem, state, sched)
         if k % n == 0 or k == max_iters:
-            trace.append((k, problem.objective(state.x)))
-    return SolveResult(x=state.x.copy(), trace=trace)
+            for trace, row in zip(traces, np.atleast_2d(state.x)):
+                trace.append((k, problem.objective(row)))
+    results = [SolveResult(x=row.copy(), trace=trace)
+               for row, trace in zip(np.atleast_2d(state.x), traces)]
+    return results if state.x.ndim == 2 else results[0]

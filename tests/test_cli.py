@@ -587,3 +587,16 @@ def test_import_leaves_the_process_pool_unloaded():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_check_output_and_exit_code_survive_python_O():
+    # -O strips assert statements, so a check written as one would vanish
+    env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "apcg.cli", "check"],
+                       capture_output=True, env=env, timeout=300)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout.count(b"[PASS] ") == 6

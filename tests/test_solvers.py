@@ -29,9 +29,11 @@ def shifted_quadratic(target):
 
 
 class FixedBlock:
-    """A stand-in for a state's sampler that always draws block ``i``."""
+    """A stand-in for a state's sampler over ``n`` blocks that always draws
+    block ``i``."""
 
-    def __init__(self, i: int):
+    def __init__(self, n: int, i: int):
+        self.n = n
         self.i = i
 
     def draw(self) -> int:
@@ -90,7 +92,7 @@ def test_y_equals_x_when_z_equals_x():
     problem = shifted_quadratic(np.array([0.3, -0.7]))
     sched = ApcgSchedule(2, 1.0, 1.0)
     state = ApcgExplicitState.start(np.array([1.0, 2.0]), seed=0, n_blocks=2)
-    state.sampler = FixedBlock(0)
+    state.sampler = FixedBlock(2, 0)
     apcg_step_general(problem, state, sched)
     assert np.allclose(state.y, [1.0, 2.0], atol=1e-15)
 
@@ -104,13 +106,13 @@ def test_stationary_point_is_fixed_for_all_steppers(block):
     for sched in (ApcgSchedule(3, 1.0, 1.0), ApcgSchedule(3, 0.25, 0.5),
                   ApcgSchedule(3, 0.0, 1.0)):
         st = ApcgExplicitState.start(target, seed=0, n_blocks=3)
-        st.sampler = FixedBlock(block)
+        st.sampler = FixedBlock(3, block)
         apcg_step_general(problem, st, sched)
         assert np.allclose(st.x, target, atol=1e-14)
         assert np.allclose(st.z, target, atol=1e-14)
 
     eff = ApcgEfficientState(target, problem, 1.0, seed=0)
-    eff.sampler = FixedBlock(block)
+    eff.sampler = FixedBlock(3, block)
     apcg_step_efficient(problem, eff)
     assert np.allclose(eff.x_full(), target, atol=1e-14)
 
@@ -121,7 +123,7 @@ def test_general_step_two_block_golden():
     problem = shifted_quadratic(np.zeros(2))
     sched = ApcgSchedule(2, 1.0, 1.0)
     state = ApcgExplicitState.start(np.array([1.0, 1.0]), seed=0, n_blocks=2)
-    state.sampler = FixedBlock(0)
+    state.sampler = FixedBlock(2, 0)
     apcg_step_general(problem, state, sched)
     assert sched.history(1)[0][0] == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(state.y, [1.0, 1.0], atol=1e-15)
@@ -135,7 +137,7 @@ def test_efficient_step_matches_z_increment_golden():
     problem = shifted_quadratic(np.zeros(2))
     eff = ApcgEfficientState(np.array([1.0, 1.0]), problem, 1.0, seed=0)
     assert np.allclose(eff.y_full(), [1.0, 1.0], atol=1e-15)  # u=0, v=x0
-    eff.sampler = FixedBlock(0)
+    eff.sampler = FixedBlock(2, 0)
     apcg_step_efficient(problem, eff)
     # h = -1: v_0 moves by (1 + n alpha)/2 h, which is h at n alpha = 1
     assert eff.v == pytest.approx(np.array([0.0, 1.0]), abs=1e-14)
@@ -197,6 +199,19 @@ def test_schedule_serves_exactly_one_run():
     with pytest.raises(ConfigurationError):
         apcg_step_general(problem, first, sched)
     assert (first.k, second.k, sched.k) == (1, 0, 2)
+
+
+def test_step_rejects_a_schedule_or_sampler_over_another_block_count(lasso20):
+    problem = lasso20.problem  # 20 blocks
+    state = ApcgExplicitState.start(np.zeros(problem.dim), seed=0, n_blocks=problem.n)
+    with pytest.raises(ConfigurationError):
+        apcg_step_general(problem, state, ApcgSchedule(3, 0.0, 1.0))
+    # a sampler over 7 blocks would only ever draw blocks 0-6
+    short = ApcgExplicitState.start(np.zeros(problem.dim), seed=0, n_blocks=7)
+    sched = ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
+    with pytest.raises(ConfigurationError):
+        apcg_step_general(problem, short, sched)
+    assert (state.k, short.k, sched.k) == (0, 0, 0)
 
 
 def test_long_schedule_runs_in_bounded_memory(lasso20):
@@ -419,6 +434,58 @@ def test_solve_zero_iterations_returns_x0(lasso20):
     res = solve(lasso20.problem, general_schedule(lasso20.problem), max_iters=0, seed=0)
     assert np.array_equal(res.x, x0)
     assert len(res.trace) == 1 and res.trace[0][0] == 0
+
+
+def test_solve_rejects_negative_iterations(lasso20):
+    with pytest.raises(ValueError):
+        solve(lasso20.problem, general_schedule(lasso20.problem), max_iters=-5, seed=0)
+    with pytest.raises(ValueError):
+        solve(lasso20.problem, general_schedule(lasso20.problem), max_iters=-5,
+              seed=range(3))
+
+
+STACKED_SCHEDULES = {
+    "envelope": general_schedule,  # gamma0 = 1, mu > 0
+    "mu-zero": lambda p: ApcgSchedule(p.n, 0.0, 1.0),  # beta = 0: z.copy()
+    "constant": constant_schedule,  # gamma0 = mu
+}
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+@pytest.mark.parametrize("schedule", STACKED_SCHEDULES)
+def test_stacked_solve_is_bitwise_each_seeds_own_solve(request, kernels, schedule,
+                                                       lasso20):
+    request.getfixturevalue(kernels)
+    problem = lasso20.problem
+    make = STACKED_SCHEDULES[schedule]
+    max_iters = 30 * problem.n + 7  # ends between two epochs
+    runs = solve(problem, make(problem), max_iters=max_iters, seed=range(20))
+    assert len(runs) == 20
+    for seed, run in enumerate(runs):
+        one = solve(problem, make(problem), max_iters=max_iters, seed=seed)
+        assert run.x.tobytes() == one.x.tobytes()
+        assert [k for k, _ in run.trace] == [k for k, _ in one.trace]
+        assert np.array([f for _, f in run.trace]).tobytes() == \
+            np.array([f for _, f in one.trace]).tobytes()
+
+
+def test_stacked_solve_draws_each_seeds_own_stream():
+    # n = 300 keeps the draws in uint16; a repeated seed repeats its run
+    problem = diag_dominant_quadratic(300, seed=2, l1=0.1).problem
+    seeds = [4, 9, 4]
+    runs = solve(problem, general_schedule(problem), max_iters=40, seed=seeds)
+    for run, seed in zip(runs, seeds):
+        one = solve(problem, general_schedule(problem), max_iters=40, seed=seed)
+        assert run.x.tobytes() == one.x.tobytes() and run.trace == one.trace
+    assert runs[0].trace != runs[1].trace
+    zero = solve(problem, general_schedule(problem), max_iters=0, seed=seeds)
+    assert [run.trace for run in zero] == [[(0, problem.objective(np.zeros(300)))]] * 3
+
+
+def test_stacked_solve_needs_blocks_of_one_coordinate():
+    problem = block_quadratic((2, 1, 1), seed=0, l1=0.1).problem
+    with pytest.raises(ConfigurationError):
+        solve(problem, general_schedule(problem), max_iters=10, seed=range(3))
 
 
 def test_solve_same_seed_identical_traces(lasso20):
