@@ -41,7 +41,22 @@
    the draws that follow it, are bitwise the same; the unit-norm scaling of
    each column stays in numpy because np.linalg.norm sums with BLAS ddot,
    whose order a C loop would not match.  Callers validate dtypes, shapes
-   and index ranges before every call. */
+   and index ranges before every call.
+
+   The two epochs know every index of the epoch before its first step, and
+   each step starts by reading a column and a few per-coordinate entries
+   that the CPU cannot predict.  So each step first issues prefetch hints
+   (prefetch_ahead) for the entries ENTRY_AHEAD steps ahead and the column
+   COLUMN_AHEAD steps ahead.  A prefetch is a hint only: it changes no
+   arithmetic, no order and no write, so the epochs' results are bitwise
+   those without it.  The entries include the column's bounds in indptr,
+   which the column's hints must read, so they go out two steps earlier;
+   two steps of about 20 entries cover the wait for the column's lines.
+   Distances from (1, 2) to (4, 8) measured alike; the entries' hints alone
+   gave about two thirds of the gain, the column's about a quarter.  It
+   pays when A's indices and values do not fit in L2 (hinge-synth's 3.2 MB
+   against a 2 MB L2), where an APCG step went from about 175 to 105 ns; a
+   matrix that fits in L2 gains little. */
 
 #include <errno.h>
 #include <math.h>
@@ -122,6 +137,41 @@ void erm_report(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
 }
 
+/* Prefetch hints for the steps of an epoch over blocks that follow step b:
+   the indices and values of the column COLUMN_AHEAD steps ahead, one hint
+   per cache line, and the indptr entry and the entry of each of the
+   nentries per-coordinate arrays ENTRY_AHEAD steps ahead.  Reads blocks
+   only below nblocks and indptr only at indices the caller validated.
+   always_inline: gcc finds a function whose only effects are prefetches
+   pure, and drops a call to a pure function that returns nothing. */
+#define COLUMN_AHEAD 2
+#define ENTRY_AHEAD 4
+
+static inline __attribute__((always_inline)) void
+prefetch_ahead(const int64_t *indptr, const int64_t *indices, const double *values,
+               const int64_t *blocks, int64_t b, int64_t nblocks,
+               const double *const *entries, int nentries)
+{
+    if (b + ENTRY_AHEAD < nblocks) {
+        const int64_t i = blocks[b + ENTRY_AHEAD];
+        __builtin_prefetch(indptr + i);
+        for (int e = 0; e < nentries; e++)
+            __builtin_prefetch(entries[e] + i);
+    }
+    if (b + COLUMN_AHEAD < nblocks) {
+        const int64_t i = blocks[b + COLUMN_AHEAD], lo = indptr[i], hi = indptr[i + 1];
+        /* consecutive hints 64 bytes apart, then the last entry's line */
+        for (int64_t k = lo; k < hi; k += 8) {
+            __builtin_prefetch(indices + k);
+            __builtin_prefetch(values + k);
+        }
+        if (lo < hi) {
+            __builtin_prefetch(indices + hi - 1);
+            __builtin_prefetch(values + hi - 1);
+        }
+    }
+}
+
 /* One accelerated dual coordinate step per index in blocks; see
    erm.apcg_erm_steps for the update.  ubar = scale * ubar_base (length n)
    and pbar = scale * pbar_base (length d) share scale, which every step
@@ -135,7 +185,9 @@ double apcg_erm_epoch(const int64_t *indptr, const int64_t *indices,
                       double rho, double grad_scale, double gamma_over_n,
                       double half_minus, double half_plus, int is_box, double scale)
 {
+    const double *const entries[] = {ubar_base, v, quad_weight, anchor_over_n};
     for (int64_t b = 0; b < nblocks; b++) {
+        prefetch_ahead(indptr, indices, values, blocks, b, nblocks, entries, 4);
         const int64_t i = blocks[b], lo = indptr[i], hi = indptr[i + 1];
         double p_dot = 0.0, q_dot = 0.0;
         for (int64_t j = lo; j < hi; j++) {
@@ -181,7 +233,9 @@ void sdca_epoch(const int64_t *indptr, const int64_t *indices,
                 double *x, double *w_agg, const double *col_norms_sq,
                 const double *anchors, double lam_n, double gamma, int is_box)
 {
+    const double *const entries[] = {x, col_norms_sq, anchors};
     for (int64_t b = 0; b < nblocks; b++) {
+        prefetch_ahead(indptr, indices, values, blocks, b, nblocks, entries, 3);
         const int64_t i = blocks[b], lo = indptr[i], hi = indptr[i + 1];
         double margin = 0.0;
         for (int64_t j = lo; j < hi; j++)

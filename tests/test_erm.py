@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcg import erm, native
+from apcg.baselines import sdca_epoch
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
@@ -13,7 +15,7 @@ from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       apcg_erm_steps, complexity_estimate, erm_constants,
                       run_epochs, solve_erm)
 from apcg.errors import ConfigurationError
-from apcg.solvers import ApcgEfficientState, apcg_step_efficient
+from apcg.solvers import ApcgEfficientState, BlockSampler, apcg_step_efficient
 
 import oracles
 from oracles import dual_objective, primal_from_dual, primal_objective
@@ -316,22 +318,26 @@ def test_erm_aggregate_consistency_over_many_steps(hinge200):
     state.check_consistency(1e-8)
 
 
-def fused_against_reference(prob, seed, epochs, exact=True):
+def fused_against_reference(prob, seed, epochs, exact=True, blocks=None):
     """Run ErmDualState.epoch and the per-step oracle side by side.
 
     With ``exact`` (the Python kernel) the two states must agree bitwise;
     otherwise (the compiled kernel) to ``oracles.assert_backends_agree``,
-    with the same step count and scale.  Returns (clipped steps, scale
-    renormalizations) seen by the oracle.
+    with the same step count and scale.  ``blocks``, if given, replaces the
+    n indices of every epoch (forced through ``sampler.take``).  Returns
+    (clipped steps, scale renormalizations) seen by the oracle.
     """
     fused = ErmDualState(prob, seed=seed)
     ref = ErmDualState(prob, seed=seed)
+    if blocks is not None:
+        fused.sampler.take = lambda k: np.array(blocks)
     clipped = renorms = 0
     for _ in range(epochs):
         fused.epoch()
-        for _ in range(prob.n):
+        steps = [ref.sampler.draw() for _ in range(prob.n)] if blocks is None else blocks
+        for i in steps:
             scale = ref.scale
-            clipped += oracles.apcg_erm_step_reference(prob, ref, ref.sampler.draw())
+            clipped += oracles.apcg_erm_step_reference(prob, ref, int(i))
             renorms += ref.scale > scale  # the scale only grows at a renorm
     assert (fused.scale, fused.k) == (ref.scale, ref.k)
     if exact:
@@ -376,6 +382,105 @@ def test_compiled_kernel_matches_reference_across_renormalization(c_kernels):
     _, renorms = fused_against_reference(renormalizing_problem(), seed=1, epochs=300,
                                          exact=False)
     assert renorms >= 1
+
+
+# sha256 of ubar_base, v, pbar_base and q, and the scale, after 5 compiled
+# epochs of ErmDualState(prob, seed=4); then of x and w_agg after 5 compiled
+# sdca_epoch calls on BlockSampler(n, 4).  The Python references match the
+# compiled epochs only to rounding, so only these digests show that the
+# kernels' arithmetic did not move.
+COMPILED_EPOCHS = {
+    "hinge200": (
+        ("c38fb22954aeed5959aae940f05b73e2f9f2c8804171dbb47a250a9418f56495",
+         "32c268da445640a25f8783ff03aba743e28d4575663fb3ad7350396acd81ba92",
+         "4a312405019e27e81ff2cc9e97573f13f51a99656065d37cdb04a509a2382287",
+         "c2f743131ba35ec6ecd5357a377ca73ec4fd6ff12ffc4b10d0072eef8e398448"),
+        "0x1.1452caf615a53p-6",
+        ("5dcb4b3c34da4e275d34c32c0e60c182bc851461ce80beb17e99693156dfa863",
+         "f6c1f2b5c7de371d6c5cfb27746fe7c4afac13aef977cdfbb9be264d3d1efc7d")),
+    "ridge150": (
+        ("3eac2071749fd7dd780c75264fd2308f7b3c2e8d4437fd0203bc3cfcdca9be82",
+         "29e5111cab709a24c28e9ddd4af3cf670110f205778586ae985489c28a7ee24a",
+         "ef60fe5ab29073afe1b80b30718d7a890772d89279ee26468f824e7bc257c368",
+         "3f87c96a2f6bc9c3e6eba679e1c18ce54c4f25b36101854fffdc7f19ce5b6539"),
+        "0x1.ba843f460a5bap-6",
+        ("658cc34077ab2be01bae23408b35d3d8296a13260d078daa54b8ae7e1ffd5caf",
+         "e483de117781e755c01cfb78aad4b6b2d471e380d90862e045ce5907200bf9cf")),
+    "renormalizing": (
+        ("a216582697cd5f64e33326da94621070b0abf9aaaa537e3c17a2cdec6ce493ff",
+         "43937d62b0899394d84ff082712284adc8a82b1583a50b20b6847cb3e6942161",
+         "3c19c508e76bd1541520dcefa01ac41248e4b98955e5164663ef72dd2e8de230",
+         "662372cac56abce157d6281c25866405d6f8d7d9ea3e49029cf9d87fcda97e39"),
+        "0x1.7018b6d7b932ap-15",
+        ("efc456dd0f31520512be0436794f551bac252ba991c82e9fc31936cb99d5531d",
+         "bf50d4e9a4f541a981fba74e30fff38b7782158c5797fa71a51a7f1a12eb7403")),
+}
+
+
+@pytest.mark.parametrize("name", COMPILED_EPOCHS)
+def test_compiled_epochs_are_pinned(name, c_kernels, request):
+    prob = (renormalizing_problem() if name == "renormalizing"
+            else request.getfixturevalue(name))
+    apcg_digests, scale, sdca_digests = COMPILED_EPOCHS[name]
+    digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+    state = ErmDualState(prob, seed=4)
+    for _ in range(5):
+        state.epoch()
+    assert tuple(digest(getattr(state, attr))
+                 for attr in ("ubar_base", "v", "pbar_base", "q")) == apcg_digests
+    assert state.scale.hex() == scale
+    x, w = np.zeros(prob.n), np.zeros(prob.d)
+    sampler = BlockSampler(prob.n, 4)
+    for _ in range(5):
+        sdca_epoch(prob, x, w, sampler)
+    assert (digest(x), digest(w)) == sdca_digests
+
+
+def edge_problems():
+    """Both losses on n = 1, 2 and 3, fewer examples than the compiled
+    epochs look ahead, and on a matrix with empty columns."""
+    shapes = [(f"n{n}", synth_binary(n, 6, 0.5, seed=n, min_nnz=1)) for n in (1, 2, 3)]
+    A, labels = synth_binary(40, 12, 0.05, seed=3, min_nnz=0)
+    assert (np.diff(A.indptr) == 0).any() and A.nnz > 0
+    shapes.append(("empty_columns", (A, labels)))
+    for name, (A, labels) in shapes:
+        yield pytest.param(ErmProblem.smoothed_hinge(A, labels, lam=1e-2), id=f"hinge-{name}")
+        yield pytest.param(ErmProblem.ridge(A, labels, lam=1e-2), id=f"ridge-{name}")
+
+
+def sdca_backends_agree(prob, epochs, monkeypatch, blocks=None):
+    """``epochs`` sdca_epoch calls on the compiled kernel and on the Python
+    one, from one seed (or on ``blocks`` every epoch), agree to rounding."""
+    runs = []
+    for lib in (native.library(), None):
+        monkeypatch.setattr(native, "library", lambda lib=lib: lib)
+        x, w = np.zeros(prob.n), np.zeros(prob.d)
+        sampler = BlockSampler(prob.n, 2)
+        if blocks is not None:
+            sampler.take = lambda k: np.array(blocks)
+        for _ in range(epochs):
+            sdca_epoch(prob, x, w, sampler)
+        runs.append((x, w))
+    (x, w), (x_ref, w_ref) = runs
+    oracles.assert_backends_agree(prob, x, x_ref)
+    assert np.max(np.abs(w - w_ref)) <= oracles.BACKEND_RTOL * np.max(np.abs(w_ref))
+
+
+@pytest.mark.parametrize("prob", list(edge_problems()))
+def test_compiled_epochs_on_edge_shapes(prob, c_kernels, monkeypatch):
+    fused_against_reference(prob, seed=2, epochs=20, exact=False)
+    sdca_backends_agree(prob, 20, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["hinge200", "ridge150"])
+def test_compiled_epochs_on_a_column_repeated_back_to_back(name, c_kernels, monkeypatch,
+                                                           request):
+    """Runs of 5 equal indices, longer than either lookahead distance."""
+    prob = request.getfixturevalue(name)
+    blocks = np.repeat(BlockSampler(prob.n, 9).take(prob.n // 5), 5)
+    assert blocks.size == prob.n
+    fused_against_reference(prob, seed=4, epochs=4, exact=False, blocks=blocks)
+    sdca_backends_agree(prob, 4, monkeypatch, blocks=blocks)
 
 
 def test_out_of_range_forced_block_raises_before_any_step(hinge200, monkeypatch):

@@ -184,3 +184,31 @@ def test_signatures_match_the_c_definitions():
     # every kernel the file exports (each non-static definition) is declared
     exported = re.findall(r"^\w+\s+(\w+)\s*\([^)]*\)\s*\{", source, flags=re.M)
     assert sorted(exported) == sorted(native.SIGNATURES)
+
+
+def sanitizer_runtime(compiler: str, name: str):
+    """The path of a sanitizer's shared runtime, or None where it is missing."""
+    proc = subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True, text=True)
+    path = proc.stdout.strip()
+    return path if proc.returncode == 0 and os.path.isabs(path) and os.path.exists(path) else None
+
+
+def test_every_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    """tests/sanitized_kernels.py builds the kernels with ASan and UBSan and
+    drives each of them on edge shapes; the sanitizers end the process at the
+    first out-of-bounds access (a lookahead past the epoch's indices, say)
+    or undefined operation."""
+    try:
+        compiler = native._compiler()
+    except native.BuildError as exc:
+        pytest.skip(str(exc))
+    runtimes = [sanitizer_runtime(compiler, name) for name in ("libasan.so", "libubsan.so")]
+    if None in runtimes:
+        pytest.skip(f"{compiler} has no shared ASan or UBSan runtime")
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path),
+               LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("sanitized_kernels.py")),
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, proc.stderr
+    assert len(list((tmp_path / "apcg").glob("kernels-*.so"))) == 1
