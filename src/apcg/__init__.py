@@ -6,9 +6,8 @@ from .core import (BlockPartition, CompositeProblem, L1Regularizer,
                    SeparableRegularizer, SmoothOracle, block_prox,
                    weighted_norm)
 from .schedule import ApcgSchedule, theta_rows
-from .solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
-                      SolveResult, apcg_step_efficient, apcg_step_general,
-                      solve)
+from .solvers import (ApcgExplicitState, BlockSampler, SolveResult,
+                      apcg_step_general, solve)
 from .erm import (ErmDualState, ErmProblem, ErmRunResult, PrimalDualReport,
                   SmoothedHingeLoss, SquareLoss, complexity_estimate,
                   erm_constants, run_epochs, solve_erm)

@@ -19,18 +19,21 @@ so that f is strongly convex and the accelerated coordinate solver attains
 its linear rate.  The coordinate-wise constants are
 ``L_i = ||A_i||^2/(lam n^2) + gamma/n`` and
 ``mu = (gamma/n) / max_i L_i >= lam gamma n / (R^2 + lam gamma n)``.
-The full-gradient baseline (``baselines.afg_step``) runs the simple
-splitting instead, which keeps the conjugates whole in the separable part,
-:class:`ConjugatePenalty`.
+:func:`relocated_dual_composite` is this splitting as a generic composite
+problem.  The full-gradient baseline (``baselines.afg_step``) runs the
+simple splitting instead, which keeps the conjugates whole in the separable
+part, :class:`ConjugatePenalty`.
 
 :class:`ErmDualState` and :func:`apcg_erm_steps` implement the relocated
-iteration in specialized form: they maintain p = A u and q = A v alongside
-(u, v), so each step costs O(nnz(A_i)): one column is read twice for the
-gradient and updated twice for the aggregates.  Like the generic efficient
-solver, u and p are stored in the stabilized form ubar = rho^{k+1} u,
-pbar = rho^{k+1} p, as ubar = scale * ubar_base and pbar = scale * pbar_base
-under one shared scalar, which each step multiplies by rho and which is
-folded into both base vectors long before it can underflow.
+iteration in the paper's change-of-variables form, ``x = rho^k u + v``,
+``y = rho^{k+1} u + v``, ``z = -rho^k u + v``, which touches one coordinate
+of (u, v) per step.  They maintain p = A u and q = A v alongside (u, v), so
+each step costs O(nnz(A_i)): one column is read twice for the gradient and
+updated twice for the aggregates.  u and p grow like rho^{-k}, so they are
+stored in the stabilized form ubar = rho^{k+1} u, pbar = rho^{k+1} p, as
+ubar = scale * ubar_base and pbar = scale * pbar_base under one shared
+scalar, which each step multiplies by rho and which is folded into both
+base vectors long before it can underflow.
 :meth:`ErmDualState.epoch` runs the compiled form of the same loop
 (``_kernels.c``, loaded by :mod:`apcg.native`) when it is available.
 """
@@ -44,10 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import native
-from .core import SeparableRegularizer
+from .core import BlockPartition, CompositeProblem, SeparableRegularizer, SmoothOracle
 from .data import SparseColMatrix
 from .errors import ConfigurationError
-from .solvers import BlockSampler, change_of_variables_rates
+from .solvers import BlockSampler
 
 DUAL_DOMAIN_ATOL = 1e-9  # rounding slack when testing box membership
 
@@ -316,8 +319,9 @@ class ConjugatePenalty(SeparableRegularizer):
     the relocated splitting's linear penalty, (1/n) phi*_i(-s) less the
     loss's (gamma/2n) s^2, which :func:`apcg_erm_steps` solves inline.  The
     prox solves the 1-d quadratic and projects onto the box if there is one;
-    the anchors are read at ``i``.  Only the prox is defined: AFG, its one
-    caller, never evaluates Psi.
+    the anchors are read at ``i``.  Only the prox is defined: its callers,
+    AFG and the steppers that run on :func:`relocated_dual_composite`, never
+    evaluate Psi.
     """
 
     def __init__(self, anchors: np.ndarray, gamma: float, n: int, box):
@@ -331,9 +335,57 @@ class ConjugatePenalty(SeparableRegularizer):
         return np.atleast_1d(_clip(self.box, s))
 
 
+def relocated_dual_composite(prob: ErmProblem) -> CompositeProblem:
+    """The ERM dual under the relocated splitting as a generic composite
+    problem over scalar blocks: f(x) = ||A x||^2 / (2 lam n^2) +
+    (gamma/2n) ||x||^2, with ``mu > 0``, and the linear penalty
+    ``ConjugatePenalty(anchors, 0, n, box)``.  :class:`ErmDualState` runs
+    this splitting in specialized form, so the explicit stepper on it is the
+    reference that ``apcg-bench check`` holds the ERM kernel to.
+
+    ``f(x) - anchors . x / n`` is F(x) = -D(x), and on a box-free dual its
+    gradient is -D'(x)."""
+    lam, n, gamma = prob.lam, prob.n, prob.gamma
+    A = prob.matrix
+    scale = 1.0 / (lam * n * n)
+
+    def value(x):
+        ax = A.dot(x)
+        return 0.5 * scale * float(ax @ ax) + 0.5 * gamma / n * float(x @ x)
+
+    def full_gradient(x):
+        return A.tdot(A.dot(x)) * scale + (gamma / n) * x
+
+    def partial_gradient(x, i):
+        idx, val = A.col(i)
+        return np.array([float(val @ A.dot(x)[idx]) * scale + (gamma / n) * x[i]])
+
+    L, mu = erm_constants(prob)
+    smooth = SmoothOracle(value=value, full_gradient=full_gradient,
+                          partial_gradient=partial_gradient, lipschitz=L, mu=mu)
+    return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
+                            reg=ConjugatePenalty(prob.anchors, 0.0, n, prob.loss.dual_box))
+
+
 # ---------------------------------------------------------------------------
 # Specialized solver state (one column of work per iteration)
 # ---------------------------------------------------------------------------
+
+def change_of_variables_rates(mu: float, n: int) -> tuple[float, float]:
+    """``alpha = sqrt(mu)/n`` and ``rho = (1 - alpha)/(1 + alpha)`` of the
+    change-of-variables form; raises ConfigurationError when rho <= 0.
+
+    That happens only at n = 1 and mu = 1; on the ERM dual, for one example
+    whose features are all zero, or too small to register beside gamma."""
+    alpha = math.sqrt(mu) / n
+    rho = (1.0 - alpha) / (1.0 + alpha)
+    if rho <= 0.0:
+        raise ConfigurationError(
+            "apcg cannot run on a single example without features (or with "
+            "features negligible beside gamma): mu = 1 at n = 1 makes its rate "
+            "rho = (1-alpha)/(1+alpha) zero; add examples, or run sdca, rpcg or afg")
+    return alpha, rho
+
 
 class ErmDualState:
     """Iterate state of the structure-exploiting dual solver.

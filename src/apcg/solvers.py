@@ -14,21 +14,10 @@ The paper's special forms are two of its schedules:
 * ``ApcgSchedule(n, 0, gamma0)`` is the ``mu = 0`` form, where
   ``beta_k = 0`` and ``gamma_{k+1} = (n alpha_k)^2`` give the recursion
   ``alpha_k^2 = (1 - alpha_k) alpha_{k-1}^2``.
-
-:func:`apcg_step_efficient` is the change-of-variables form for ``mu > 0``
-that touches one block of the pair (u, v) per iteration, with
-``x = rho^k u + v``, ``y = rho^{k+1} u + v``, ``z = -rho^k u + v``.
-
-The efficient state stores the stabilized vector ``ubar = rho^{k+1} u``
-instead of u itself (u grows like rho^{-k}), as ``ubar = scale * ubar_base``:
-the rho-scaling that every block receives each iteration is one scalar
-multiply, folded into ``ubar_base`` before it can underflow, so each step
-costs O(N_i) outside the gradient oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,75 +169,6 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
     center[sl] = s
 
     state.x, state.z, state.y, state.k = x_new, center, y, k + 1
-    return state
-
-
-def change_of_variables_rates(mu: float, n: int) -> tuple[float, float]:
-    """``alpha = sqrt(mu)/n`` and ``rho = (1 - alpha)/(1 + alpha)`` of the
-    change-of-variables form; raises ConfigurationError when rho <= 0."""
-    alpha = math.sqrt(mu) / n
-    rho = (1.0 - alpha) / (1.0 + alpha)
-    if rho <= 0.0:
-        raise ConfigurationError(
-            "rho = (1-alpha)/(1+alpha) degenerates at mu = 1, n = 1 (a single "
-            "perfectly conditioned coordinate); use the explicit stepper")
-    return alpha, rho
-
-
-class ApcgEfficientState:
-    """State of the change-of-variables form for ``mu > 0``.
-
-    Stores ``v`` and the stabilized ``ubar^{(k)} = rho^{k+1} u^{(k)}`` as
-    ``scale * ubar_base``.  Every iteration multiplies ``scale`` by rho, which
-    scales all of ubar at once; a step writes only its block of
-    ``ubar_base``, and ``scale`` is folded into ``ubar_base`` when it falls
-    below 1e-120.  Reconstructions:
-
-        x = ubar / rho + v,   y = ubar + v,   z = -ubar / rho + v.
-    """
-
-    def __init__(self, x0: np.ndarray, problem: CompositeProblem, mu: float, seed: int):
-        if not (mu > 0.0):
-            raise ConfigurationError("the change-of-variables form requires mu > 0")
-        self.alpha, self.rho = change_of_variables_rates(mu, problem.n)
-        self.ubar_base = np.zeros(problem.dim)
-        self.scale = 1.0
-        self.v = np.array(x0, dtype=float, copy=True)
-        self.sampler = BlockSampler(problem.n, seed)
-
-    def x_full(self) -> np.ndarray:
-        return self.ubar_base * self.scale / self.rho + self.v
-
-    def y_full(self) -> np.ndarray:
-        return self.ubar_base * self.scale + self.v
-
-
-def apcg_step_efficient(problem: CompositeProblem,
-                        state: ApcgEfficientState) -> ApcgEfficientState:
-    """One iteration touching a single block of (ubar, v).
-
-    The prox argument is ``Psi_i(-ubar_i + v_i + h)``; afterwards
-    ``ubar_i <- rho (ubar_i - (1 - n a)/2 h)`` and
-    ``v_i <- v_i + (1 + n a)/2 h`` while every other block of ubar scales by
-    rho through the shared ``scale``.
-    """
-    n = problem.n
-    alpha, rho = state.alpha, state.rho
-    i = state.sampler.draw()
-    sl = problem.partition.slice(i)
-
-    t0 = -state.ubar_base[sl] * state.scale + state.v[sl]
-    grad_i = problem.smooth.partial_gradient(state.y_full(), i)
-    weight = n * alpha * float(problem.smooth.lipschitz[i])
-    s = block_prox(problem.reg, i, t0 - grad_i / weight, weight)
-    h = s - t0
-
-    state.ubar_base[sl] -= 0.5 * (1.0 - n * alpha) * h / state.scale
-    state.v[sl] += 0.5 * (1.0 + n * alpha) * h
-    state.scale *= rho
-    if state.scale < 1e-120:
-        state.ubar_base *= state.scale
-        state.scale = 1.0
     return state
 
 

@@ -10,13 +10,14 @@ plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
 schedule check, the per-k theta recursion and the combination check built
-on it) are kept here as references too, and so are the ERM dual's
-relocated splitting as a generic composite problem and the paper's gap
-certificates through a full prox step.  So are the fixtures that only tests
-build: dense conversions of a ``SparseColMatrix``, the zero regularizer and
-the box indicator, quadratics over blocks of mixed sizes, the separate
-primal and dual objectives the fused report is checked against, the
-conjugate penalty's value, and the aggregate pair of a drift check.
+on it) are kept here as references too, and so are the generic
+change-of-variables stepper, which the ERM kernel specializes, and the
+paper's gap certificates through a full prox step.  So are the fixtures
+that only tests build: dense conversions of a ``SparseColMatrix``, the zero
+regularizer and the box indicator, quadratics over blocks of mixed sizes,
+the separate primal and dual objectives the fused report is checked
+against, the relocated dual composite with its penalty's value, and the
+aggregate pair of a drift check.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import scipy.optimize
 from apcg import schedule
 from apcg.cli import CheckResult
 from apcg.core import (BlockPartition, CompositeProblem, SeparableRegularizer,
-                       SmoothOracle, block_prox)
+                       block_prox)
 from apcg.data import SparseColMatrix
 from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SquareLoss, _dual_feasible, _dual_value,
-                      _primal_value, erm_constants)
+                      _primal_value, change_of_variables_rates, erm_constants,
+                      relocated_dual_composite)
 from apcg.errors import ConfigurationError
 from apcg.instances import (QuadraticInstance, _quadratic_instance,
                             diag_dominant_quadratic)
@@ -412,33 +414,71 @@ class ValuedConjugatePenalty(ConjugatePenalty):
         return float(-self.anchors @ xc + 0.5 * self.gamma * (xc @ xc)) / self.n
 
 
-def relocated_dual_composite(prob: ErmProblem) -> CompositeProblem:
-    """The ERM dual under the relocated splitting as a generic composite
-    problem: f(x) = ||A x||^2 / (2 lam n^2) + (gamma/2n) ||x||^2 (mu > 0) and
-    the linear penalty ``ValuedConjugatePenalty(anchors, 0, n, box)``.
-    ``apcg.erm.ErmDualState`` runs this splitting in specialized form and
-    ``apcg.baselines.sdca_epoch`` solves its coordinate prox steps exactly."""
-    lam, n, gamma = prob.lam, prob.n, prob.gamma
-    A = prob.matrix
-    scale = 1.0 / (lam * n * n)
+def valued_dual_composite(prob: ErmProblem) -> CompositeProblem:
+    """``apcg.erm.relocated_dual_composite`` with the penalty's value, so
+    that ``solve`` can trace its objective -D."""
+    return dataclasses.replace(
+        relocated_dual_composite(prob),
+        reg=ValuedConjugatePenalty(prob.anchors, 0.0, prob.n, prob.loss.dual_box))
 
-    def value(x):
-        ax = A.dot(x)
-        return 0.5 * scale * float(ax @ ax) + 0.5 * gamma / n * float(x @ x)
 
-    def full_gradient(x):
-        return A.tdot(A.dot(x)) * scale + (gamma / n) * x
+class ApcgEfficientState:
+    """State of the generic change-of-variables form for ``mu > 0``, of
+    which ``apcg.erm.ErmDualState`` is the ERM specialization.
 
-    def partial_gradient(x, i):
-        idx, val = A.col(i)
-        return np.array([float(val @ A.dot(x)[idx]) * scale + (gamma / n) * x[i]])
+    Stores ``v`` and the stabilized ``ubar^{(k)} = rho^{k+1} u^{(k)}`` as
+    ``scale * ubar_base`` (u grows like rho^{-k}).  Every iteration
+    multiplies ``scale`` by rho, which scales all of ubar at once; a step
+    writes only its block of ``ubar_base``, and ``scale`` is folded into
+    ``ubar_base`` when it falls below 1e-120.  Reconstructions:
 
-    L, mu = erm_constants(prob)
-    smooth = SmoothOracle(value=value, full_gradient=full_gradient,
-                          partial_gradient=partial_gradient, lipschitz=L, mu=mu)
-    return CompositeProblem(partition=BlockPartition.scalar(n), smooth=smooth,
-                            reg=ValuedConjugatePenalty(prob.anchors, 0.0, n,
-                                                       prob.loss.dual_box))
+        x = ubar / rho + v,   y = ubar + v,   z = -ubar / rho + v.
+    """
+
+    def __init__(self, x0: np.ndarray, problem: CompositeProblem, mu: float, seed: int):
+        if not (mu > 0.0):
+            raise ConfigurationError("the change-of-variables form requires mu > 0")
+        self.alpha, self.rho = change_of_variables_rates(mu, problem.n)
+        self.ubar_base = np.zeros(problem.dim)
+        self.scale = 1.0
+        self.v = np.array(x0, dtype=float, copy=True)
+        self.sampler = BlockSampler(problem.n, seed)
+
+    def x_full(self) -> np.ndarray:
+        return self.ubar_base * self.scale / self.rho + self.v
+
+    def y_full(self) -> np.ndarray:
+        return self.ubar_base * self.scale + self.v
+
+
+def apcg_step_efficient(problem: CompositeProblem,
+                        state: ApcgEfficientState) -> ApcgEfficientState:
+    """One iteration touching a single block of (ubar, v), the form with
+    ``x = rho^k u + v``, ``y = rho^{k+1} u + v``, ``z = -rho^k u + v``.
+
+    The prox argument is ``Psi_i(-ubar_i + v_i + h)``; afterwards
+    ``ubar_i <- rho (ubar_i - (1 - n a)/2 h)`` and
+    ``v_i <- v_i + (1 + n a)/2 h`` while every other block of ubar scales by
+    rho through the shared ``scale``.
+    """
+    n = problem.n
+    alpha, rho = state.alpha, state.rho
+    i = state.sampler.draw()
+    sl = problem.partition.slice(i)
+
+    t0 = -state.ubar_base[sl] * state.scale + state.v[sl]
+    grad_i = problem.smooth.partial_gradient(state.y_full(), i)
+    weight = n * alpha * float(problem.smooth.lipschitz[i])
+    s = block_prox(problem.reg, i, t0 - grad_i / weight, weight)
+    h = s - t0
+
+    state.ubar_base[sl] -= 0.5 * (1.0 - n * alpha) * h / state.scale
+    state.v[sl] += 0.5 * (1.0 + n * alpha) * h
+    state.scale *= rho
+    if state.scale < 1e-120:
+        state.ubar_base *= state.scale
+        state.scale = 1.0
+    return state
 
 
 def full_prox_step(prob: ErmProblem, x: np.ndarray) -> np.ndarray:

@@ -14,15 +14,15 @@ from apcg.cli import run_solver_trace
 from apcg.core import L1Regularizer, block_prox
 from apcg.data import synth_binary
 from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
-                      SmoothedHingeLoss, SquareLoss, apcg_erm_steps, solve_erm)
+                      SmoothedHingeLoss, SquareLoss, apcg_erm_steps,
+                      relocated_dual_composite, solve_erm)
 from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule
-from apcg.solvers import (ApcgEfficientState, ApcgExplicitState,
-                          apcg_step_efficient, apcg_step_general, solve)
+from apcg.solvers import ApcgExplicitState, apcg_step_general, solve
 
 import oracles
-from oracles import (BoxIndicator, block_quadratic, dual_objective, primal_from_dual,
-                     primal_objective)
+from oracles import (ApcgEfficientState, BoxIndicator, apcg_step_efficient,
+                     block_quadratic, dual_objective, primal_from_dual, primal_objective)
 from conftest import report_pass
 
 
@@ -103,7 +103,7 @@ def test_erm_solver_equals_generic_uv_solver(hinge200):
     relocated splitting: 3 seeds, 500 iterations, 1e-8; aggregate
     recomputation drift also within 1e-8 relative."""
     start = time.perf_counter()
-    comp = oracles.relocated_dual_composite(hinge200)
+    comp = relocated_dual_composite(hinge200)
     worst = 0.0
     worst_drift = 0.0
     for seed in range(3):

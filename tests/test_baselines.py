@@ -57,7 +57,7 @@ def test_rpcg_scalar_quadratic_one_step_exact():
 def test_rpcg_slower_than_apcg_on_ill_conditioned_dual():
     A, labels = synth_binary(100, 25, 0.3, seed=6, min_nnz=1)
     prob = ErmProblem.smoothed_hinge(A, labels, lam=1e-5, gamma=1.0)
-    comp = oracles.relocated_dual_composite(prob)
+    comp = oracles.valued_dual_composite(prob)
     target = 1e-6
     xstar, dstar = oracles.hinge_dual_optimum(prob)
     fstar = -dstar  # composite minimizes -D

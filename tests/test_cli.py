@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gzip
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import apcg
-from apcg import baselines, cli, native, schedule
+from apcg import baselines, cli, erm, native, schedule
 from apcg.cli import (CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig, _config_from_args,
                       build_parser, check_invariants, main, run_experiment)
 from apcg.errors import ConfigurationError
@@ -196,6 +197,8 @@ BAD_INPUTS = {
     "bad-label": ("+1 1:1.0\n2 1:0.5\n", ["--data"]),
     "non-ascii-data": ("+1 1:0.5\n-1 2:\u00e9\n", ["--data"]),
     "empty-data": ("", ["--data"]),
+    # one example without features: mu = 1 at n = 1, where apcg's rho is 0
+    "featureless-single-example": ("+1\n", ["--data"]),
     # an index above int64, and one whose d = 10^18 - 1 cannot be allocated
     "index-above-int64": ("+1 100000000000000000000:1\n-1 1:0.5\n", ["--data"]),
     "index-beyond-memory": ("+1 999999999999999999:1\n-1 1:0.5\n", ["--data"]),
@@ -246,6 +249,19 @@ def test_non_ascii_data_names_its_line(tmp_path, capsys):
     assert main(["run", "--data", str(path), "--loss", "square", "--epochs", "2",
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_featureless_single_example_refusal_names_the_data(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("+1\n")
+    assert main(["run", "--data", str(path), "--epochs", "2",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: apcg cannot run on a single example without features")
+    assert err.count("\n") == 1
+    # the solvers the message offers do run on it
+    assert main(["run", "--data", str(path), "--epochs", "2", "--solver", "sdca",
+                 "--solver", "rpcg", "--solver", "afg", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_truncated_gzip_exits_with_io_error(tmp_path):
@@ -505,6 +521,39 @@ def test_combination_check_rejects_a_perturbed_theta_row(capsys, monkeypatch):
     assert [c.name for c in checks if not c.passed] == ["combination"]
     line = capsys.readouterr().out.splitlines()[2]
     assert line.startswith("[FAIL] combination: x != sum theta z by "), line
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_equivalence_check_runs_the_erm_kernel(request, capsys, monkeypatch, kernels):
+    # the negative control: every epoch of the kernel that run uses ends
+    # with v[0] nudged by 1e-6
+    request.getfixturevalue(kernels)
+    true_epoch = erm.ErmDualState.epoch
+
+    def nudged(self):
+        true_epoch(self)
+        self.v[0] += 1e-6
+
+    monkeypatch.setattr(erm.ErmDualState, "epoch", nudged)
+    assert main(["check"]) == 1
+    line = capsys.readouterr().out.splitlines()[3]
+    assert line.startswith("[FAIL] equivalence: max |x_erm - x_explicit| = "), line
+
+
+def test_equivalence_check_holds_the_composite_to_the_report(monkeypatch):
+    # the control of the value line: f off by a relative 1e-9
+    true_composite = erm.relocated_dual_composite
+
+    def skewed(prob):
+        comp = true_composite(prob)
+        value = comp.smooth.value
+        smooth = dataclasses.replace(comp.smooth, value=lambda x: value(x) * (1.0 + 1e-9))
+        return dataclasses.replace(comp, smooth=smooth)
+
+    monkeypatch.setattr(erm, "relocated_dual_composite", skewed)
+    got = cli._check_equivalence()
+    assert not got.passed
+    assert got.detail.startswith("composite f off the report's dual by "), got.detail
 
 
 def _scaled_root(factor):

@@ -15,10 +15,11 @@ from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
                       apcg_erm_steps, complexity_estimate, erm_constants,
                       run_epochs, solve_erm)
 from apcg.errors import ConfigurationError
-from apcg.solvers import ApcgEfficientState, BlockSampler, apcg_step_efficient
+from apcg.solvers import BlockSampler
 
 import oracles
-from oracles import dual_objective, primal_from_dual, primal_objective
+from oracles import (ApcgEfficientState, apcg_step_efficient, dual_objective,
+                     primal_from_dual, primal_objective)
 
 
 def single_column_problem(col, lam=1.0, gamma=1.0):
@@ -287,7 +288,7 @@ def test_conjugate_penalty_prox_matches_grid_oracle():
 # ---------------------------------------------------------------------------
 
 def test_erm_step_equals_generic_efficient_on_relocated_splitting(hinge200):
-    comp = oracles.relocated_dual_composite(hinge200)
+    comp = erm.relocated_dual_composite(hinge200)
     for seed in (0, 1, 2):
         st5 = ErmDualState(hinge200, seed=seed)
         st4 = ApcgEfficientState(np.zeros(hinge200.n), comp, comp.smooth.mu,

@@ -8,11 +8,11 @@ from apcg.core import BlockPartition, CompositeProblem, SmoothOracle
 from apcg.errors import ConfigurationError
 from apcg.instances import diag_dominant_quadratic
 from apcg.schedule import ApcgSchedule, theta_rows
-from apcg.solvers import (ApcgEfficientState, ApcgExplicitState, BlockSampler,
-                          apcg_step_efficient, apcg_step_general, solve)
+from apcg.solvers import ApcgExplicitState, BlockSampler, apcg_step_general, solve
 
 import oracles
-from oracles import ZeroRegularizer, block_quadratic
+from oracles import (ApcgEfficientState, ZeroRegularizer, apcg_step_efficient,
+                     block_quadratic)
 
 
 def shifted_quadratic(target):
