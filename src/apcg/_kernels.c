@@ -10,8 +10,9 @@
      csc_dot              SparseColMatrix.dot   (np.bincount form, same order)
      csc_tdot             SparseColMatrix.tdot  (np.bincount form, same order)
      csc_col_norms_sq     SparseColMatrix.col_norms_sq (np.add.at, same order)
-     erm_report           the numpy per-example terms of a gap report
-                          (erm._report_terms), each in the same order
+     erm_report           the numpy box check, clip, w and per-example terms
+                          of a gap report (erm._ReportPass), each in the same
+                          order
      apcg_erm_epoch       erm.apcg_erm_steps
      sdca_epoch           the Python body of baselines.sdca_epoch
      schedule_history     ApcgSchedule.history (same operations, same order)
@@ -100,26 +101,39 @@ void csc_col_norms_sq(int64_t n, const int64_t *indptr, const double *values,
     }
 }
 
-/* The per-column terms of a gap report at a feasible dual point x (length
-   n), given w = A x / (lam n) (length d); see erm.PrimalDualReport.evaluate.
-   For each column j the margin m_j = A_j' w is summed as in csc_tdot, and
-   phi[j] = phi_j(m_j), conj[j] = phi*_j(-x_j) and resid[j] = m_j - a_j,
-   where a_j = anchors[j] - gamma x_j is projected onto the half-line
-   subdifferential at a box edge (x_j == 0 or 1).  hinge selects the
-   smoothed hinge (anchors all 1, dual box [0, 1]), else the square loss
-   (anchors the targets, no box).  Each term is the numpy form's
-   expression in the same order, so all three are bitwise equal to it. */
-void erm_report(int64_t n, const int64_t *indptr, const int64_t *indices,
-                const double *values, const double *w, const double *x,
-                const double *anchors, double gamma, int hinge,
-                double *phi, double *conj, double *resid)
+/* The per-column terms of a gap report at the dual point x (length n),
+   given ax = A x (length d); see erm.PrimalDualReport.evaluate.  It first
+   writes w = ax / lam_n (length d).  For the smoothed hinge (hinge != 0:
+   anchors all 1, dual box [0, 1]) it returns 1, with the outputs
+   incomplete, as soon as some x_j lies more than atol outside the box, and
+   otherwise reads each x_j clipped to the box; the square loss (anchors the
+   targets) has no box and reads x as given.  For each column j the margin
+   m_j = A_j' w is summed as in csc_tdot, and phi[j] = phi_j(m_j),
+   conj[j] = phi*_j(-x_j) and resid[j] = m_j - a_j, where
+   a_j = anchors[j] - gamma x_j is projected onto the half-line
+   subdifferential at a box edge (x_j == 0 or 1).  Each term, the clip
+   (np.clip keeps -0.0 and NaN, as this does) and w are the numpy form's
+   expressions in the same order, so all are bitwise equal to it.  Returns
+   0 when every term is written. */
+int erm_report(int64_t n, const int64_t *indptr, const int64_t *indices,
+               const double *values, int64_t d, const double *ax, double lam_n,
+               const double *x, const double *anchors, double gamma, int hinge,
+               double atol, double *w, double *phi, double *conj, double *resid)
 {
     const double half_gamma = 0.5 * gamma, two_gamma = 2.0 * gamma;
+    const double lo = 0.0 - atol, hi = 1.0 + atol;
+    for (int64_t r = 0; r < d; r++)
+        w[r] = ax[r] / lam_n;
     for (int64_t j = 0; j < n; j++) {
         double m = 0.0;
         for (int64_t k = indptr[j]; k < indptr[j + 1]; k++)
             m += values[k] * w[indices[k]];
-        const double x_j = x[j];
+        double x_j = x[j];
+        if (hinge) {
+            if (x_j < lo || x_j > hi)
+                return 1;
+            x_j = x_j < 0.0 ? 0.0 : (x_j > 1.0 ? 1.0 : x_j);
+        }
         double a = anchors[j] - gamma * x_j;
         if (hinge) {
             phi[j] = m >= 1.0 ? 0.0
@@ -135,28 +149,34 @@ void erm_report(int64_t n, const int64_t *indptr, const int64_t *indices,
         conj[j] = -anchors[j] * x_j + half_gamma * x_j * x_j;
         resid[j] = m - a;
     }
+    return 0;
 }
 
 /* Prefetch hints for the steps of an epoch over blocks that follow step b:
    the indices and values of the column COLUMN_AHEAD steps ahead, one hint
-   per cache line, and the indptr entry and the entry of each of the
-   nentries per-coordinate arrays ENTRY_AHEAD steps ahead.  Reads blocks
-   only below nblocks and indptr only at indices the caller validated.
-   always_inline: gcc finds a function whose only effects are prefetches
-   pure, and drops a call to a pure function that returns nothing. */
+   per cache line, and the indptr entry and the entries of the
+   per-coordinate arrays e0 to e3 (e3 may be NULL) ENTRY_AHEAD steps ahead.
+   Reads blocks only below nblocks and indptr only at indices the caller
+   validated.  always_inline: gcc finds a function whose only effects are
+   prefetches pure, and drops a call to a pure function that returns
+   nothing.  The entry arrays are separate pointers, not a list, so each
+   inlined copy issues its hints without a loop over a stack array. */
 #define COLUMN_AHEAD 2
 #define ENTRY_AHEAD 4
 
 static inline __attribute__((always_inline)) void
 prefetch_ahead(const int64_t *indptr, const int64_t *indices, const double *values,
-               const int64_t *blocks, int64_t b, int64_t nblocks,
-               const double *const *entries, int nentries)
+               const int64_t *blocks, int64_t b, int64_t nblocks, const double *e0,
+               const double *e1, const double *e2, const double *e3)
 {
     if (b + ENTRY_AHEAD < nblocks) {
         const int64_t i = blocks[b + ENTRY_AHEAD];
         __builtin_prefetch(indptr + i);
-        for (int e = 0; e < nentries; e++)
-            __builtin_prefetch(entries[e] + i);
+        __builtin_prefetch(e0 + i);
+        __builtin_prefetch(e1 + i);
+        __builtin_prefetch(e2 + i);
+        if (e3 != NULL)
+            __builtin_prefetch(e3 + i);
     }
     if (b + COLUMN_AHEAD < nblocks) {
         const int64_t i = blocks[b + COLUMN_AHEAD], lo = indptr[i], hi = indptr[i + 1];
@@ -185,9 +205,9 @@ double apcg_erm_epoch(const int64_t *indptr, const int64_t *indices,
                       double rho, double grad_scale, double gamma_over_n,
                       double half_minus, double half_plus, int is_box, double scale)
 {
-    const double *const entries[] = {ubar_base, v, quad_weight, anchor_over_n};
     for (int64_t b = 0; b < nblocks; b++) {
-        prefetch_ahead(indptr, indices, values, blocks, b, nblocks, entries, 4);
+        prefetch_ahead(indptr, indices, values, blocks, b, nblocks, ubar_base, v,
+                       quad_weight, anchor_over_n);
         const int64_t i = blocks[b], lo = indptr[i], hi = indptr[i + 1];
         double p_dot = 0.0, q_dot = 0.0;
         for (int64_t j = lo; j < hi; j++) {
@@ -233,9 +253,9 @@ void sdca_epoch(const int64_t *indptr, const int64_t *indices,
                 double *x, double *w_agg, const double *col_norms_sq,
                 const double *anchors, double lam_n, double gamma, int is_box)
 {
-    const double *const entries[] = {x, col_norms_sq, anchors};
     for (int64_t b = 0; b < nblocks; b++) {
-        prefetch_ahead(indptr, indices, values, blocks, b, nblocks, entries, 3);
+        prefetch_ahead(indptr, indices, values, blocks, b, nblocks, x, col_norms_sq,
+                       anchors, NULL);
         const int64_t i = blocks[b], lo = indptr[i], hi = indptr[i + 1];
         double margin = 0.0;
         for (int64_t j = lo; j < hi; j++)

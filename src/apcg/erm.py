@@ -236,34 +236,64 @@ def _subgradient_residual(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
     return margins - a
 
 
-def _report_terms(prob: ErmProblem, xc: np.ndarray, w: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi_i(A_i' w), phi*_i(-x_i) and the subgradient residual, per example.
+class _ReportPass:
+    """The part of a report at the dual point x that reads every column,
+    given ``ax`` = A x: the box check, w = A x / (lam n) and, per example,
+    phi_i(A_i' w), phi*_i(-x_i) and the subgradient residual.
 
-    The compiled ``erm_report`` computes all three in one pass over the
-    columns when the kernels load, bitwise equal to the numpy form.
+    With the kernels loaded this is one compiled ``erm_report`` call, made
+    on the report worker thread when ``background`` is set
+    (``native.ReportJob``) and inline otherwise; it is bitwise equal to the
+    numpy form, which runs inline when they do not load.  :meth:`finish`
+    adds the sums.
     """
-    lib = native.library()
-    if lib is None:
-        margins = prob.matrix.tdot(w)
-        return (prob.loss.phi(margins), prob.loss.conj_neg(xc),
-                _subgradient_residual(prob, xc, margins))
-    n, addr = prob.n, native.address
-    xc = np.ascontiguousarray(xc)  # held here: the kernel reads its buffer
-    terms = np.empty(n), np.empty(n), np.empty(n)
-    lib.erm_report(n, *prob.matrix.addresses, addr(w, np.float64, prob.d, "w"),
-                   addr(xc, np.float64, n, "x"),
-                   addr(prob.anchors, np.float64, n, "anchors"), prob.gamma,
-                   isinstance(prob.loss, SmoothedHingeLoss),
-                   *(t.ctypes.data for t in terms))
-    return terms
 
+    def __init__(self, prob: ErmProblem, x, ax: np.ndarray, background: bool = False):
+        self.prob, self.job, self.outside = prob, None, 0
+        n, d, lam_n = prob.n, prob.d, prob.lam * prob.n
+        lib = native.library()
+        if lib is None:
+            xc = _dual_feasible(prob.loss.dual_box, x)
+            if xc is None:
+                raise ValueError("dual point outside the conjugate domain")
+            self.ax, self.w = ax, ax / lam_n
+            margins = prob.matrix.tdot(self.w)
+            self.terms = (prob.loss.phi(margins), prob.loss.conj_neg(xc),
+                          _subgradient_residual(prob, xc, margins))
+            return
+        m, addr = prob.matrix, native.address
+        x, ax = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(ax, dtype=float)
+        self.ax, self.w = ax, np.empty(d)
+        self.terms = np.empty(n), np.empty(n), np.empty(n)
+        args = (n, *m.addresses, d, addr(ax, np.float64, d, "ax"), lam_n,
+                addr(x, np.float64, n, "x"), addr(prob.anchors, np.float64, n, "anchors"),
+                prob.gamma, isinstance(prob.loss, SmoothedHingeLoss), DUAL_DOMAIN_ATOL,
+                self.w.ctypes.data, *(t.ctypes.data for t in self.terms))
+        if background:
+            self.job = native.ReportJob(lib, args, (m.indptr, m.indices, m.values, ax, x,
+                                                    prob.anchors, self.w, *self.terms))
+        else:
+            self.outside = lib.erm_report(*args)
 
-def _feasible_or_raise(prob: ErmProblem, x: np.ndarray) -> np.ndarray:
-    xc = _dual_feasible(prob.loss.dual_box, x)
-    if xc is None:
-        raise ValueError("dual point outside the conjugate domain")
-    return xc
+    def settle(self) -> None:
+        """Return once the pass has run."""
+        if self.job is not None:
+            self.outside = self.job.wait()
+
+    def finish(self, epoch: int, wall_time_s: float = 0.0) -> "PrimalDualReport":
+        """The report: the sums, w'w and (A x)'(A x), in numpy."""
+        self.settle()
+        if self.outside:
+            raise ValueError("dual point outside the conjugate domain")
+        prob = self.prob
+        phi, conj, resid = self.terms
+        norm_sq = float(resid @ resid) / (prob.n * prob.n)
+        primal = _primal_value(prob, self.w, phi)
+        dual = _dual_value(prob, conj, self.ax)
+        return PrimalDualReport(epoch=epoch, primal=primal, dual=dual, gap=primal - dual,
+                                dual_subgrad_norm_sq=norm_sq,
+                                subgradient_gap_bound=prob.n / (2.0 * prob.gamma) * norm_sq,
+                                wall_time_s=wall_time_s)
 
 
 @dataclass(frozen=True)
@@ -290,21 +320,13 @@ class PrimalDualReport:
         A' w; such a report is exact up to the aggregate's drift, so it is
         not a weak-duality certificate (see :func:`run_epochs`).  The A' w
         and every per-example term run as one compiled pass over the columns
-        when the kernels load (:func:`_report_terms`); the sums, w'w and
+        when the kernels load (:class:`_ReportPass`); the sums, w'w and
         (A x)'(A x) stay in numpy.
         """
-        xc = _feasible_or_raise(prob, x)
+        x = np.asarray(x, dtype=float)
         if ax is None:
-            ax = prob.matrix.dot(xc)
-        w = ax / (prob.lam * prob.n)
-        phi, conj, resid = _report_terms(prob, xc, w)
-        norm_sq = float(resid @ resid) / (prob.n * prob.n)
-        primal = _primal_value(prob, w, phi)
-        dual = _dual_value(prob, conj, ax)
-        return cls(epoch=epoch, primal=primal, dual=dual, gap=primal - dual,
-                   dual_subgrad_norm_sq=norm_sq,
-                   subgradient_gap_bound=prob.n / (2.0 * prob.gamma) * norm_sq,
-                   wall_time_s=wall_time_s)
+            ax = prob.matrix.dot(_clip(prob.loss.dual_box, x))
+        return _ReportPass(prob, x, ax).finish(epoch, wall_time_s)
 
 
 # ---------------------------------------------------------------------------
@@ -542,44 +564,77 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
     ``epoch()`` advances the solver by one epoch and ``x()`` returns its dual
     iterate.  The trace starts with the epoch-0 row at the initial point and
     stops after ``epochs`` epochs or once the primal-dual gap reaches ``tol``.
-    Wall time accumulates the ``epoch()`` calls only, not report evaluation.
+    Wall time accumulates the ``epoch()`` calls that are kept (see below),
+    not report evaluation.
 
     A solver that maintains A x passes ``ax()``, which returns it, and each
     report then costs one A' w.  A gap from a maintained aggregate is not a
     weak-duality certificate, so a row whose gap reaches ``tol`` and the last
     row are evaluated again from a fresh A x: the run stops only once that
-    exact gap is <= ``tol``, and the returned ``w`` is the last row's.
-    """
-    def row(done: int, elapsed: float):
-        """The report after ``done`` epochs, and its fresh A x (None when
-        the maintained one served)."""
-        point = x()
-        if ax is not None and done < epochs:
-            rep = PrimalDualReport.evaluate(prob, point, epoch=done,
-                                            wall_time_s=elapsed, ax=ax())
-            if tol is None or not rep.gap <= tol:
-                return rep, None
-        xc = _feasible_or_raise(prob, point)
-        fresh = prob.matrix.dot(xc)
-        return PrimalDualReport.evaluate(prob, xc, epoch=done, wall_time_s=elapsed,
-                                         ax=fresh), fresh
+    exact gap is <= ``tol``, and the returned ``x`` and ``w`` are the last
+    row's.
 
-    rep, fresh = row(0, 0.0)
-    reports = [rep]
-    elapsed = 0.0
-    done = 0
-    while done < epochs and not (tol is not None and rep.gap <= tol):
+    Each row is a snapshot: a copy of ``x()`` and of ``ax()``, so an epoch
+    may write those arrays in place.  With the kernels loaded, each row
+    before the last posts its report pass to the report worker thread
+    (``native.ReportJob``), steps the next epoch here meanwhile, and is then
+    finished here.  When such a row stops the run, that speculative epoch
+    is discarded with anything it raised, and the run returns the snapshot:
+    the caller's solver state is then one epoch, possibly a failed one, past
+    the returned ``x``.  Otherwise what the epoch raised is raised after the
+    row, and a row that raises (a point outside the conjugate domain)
+    raises first.  Without the kernels each report is made before the next
+    epoch runs, so none is speculative.  Either way every row, ``x``, ``w``
+    and count is bitwise what the serial loop (report, then epoch) gives.
+    """
+    box = prob.loss.dual_box
+
+    def fresh_product(point):
+        return prob.matrix.dot(_clip(box, point))
+
+    def stops(rep) -> bool:
+        return tol is not None and rep.gap <= tol
+
+    def timed_epoch() -> float:
         t0 = time.perf_counter()
         epoch()
-        elapsed += time.perf_counter() - t0
-        done += 1
-        rep, fresh = row(done, elapsed)
+        return time.perf_counter() - t0
+
+    reports = []
+    done, elapsed = 0, 0.0
+    point = np.array(x(), dtype=float)
+    while done < epochs:
+        product = fresh_product(point) if ax is None else np.array(ax(), dtype=float)
+        row = _ReportPass(prob, point, product, background=True)
+        speculative, failure, spent = row.job is not None, None, 0.0
+        try:
+            if speculative:  # the pass runs on the worker meanwhile
+                try:
+                    spent = timed_epoch()
+                except Exception as exc:
+                    failure = exc
+            rep = row.finish(done, elapsed)
+        finally:
+            row.settle()  # never leave with the pass still reading its arrays
+        if stops(rep) and ax is not None:  # certify on the exact gap
+            row = _ReportPass(prob, point, fresh_product(point))
+            rep = row.finish(done, elapsed)
         reports.append(rep)
-    # the last row is always a fresh one: either done == epochs, or its
-    # maintained gap reached tol and the exact gap confirmed it
-    reached = done if (tol is not None and rep.gap <= tol) else None
-    return ErmRunResult(x=x(), w=fresh / (prob.lam * prob.n), reports=reports,
-                        epochs_run=done, epochs_to_tol=reached)
+        if stops(rep):
+            return ErmRunResult(x=point, w=row.w, reports=reports, epochs_run=done,
+                                epochs_to_tol=done)
+        if failure is not None:
+            raise failure
+        if not speculative:
+            spent = timed_epoch()
+        elapsed += spent
+        done += 1
+        point = np.array(x(), dtype=float)
+    row = _ReportPass(prob, point, fresh_product(point))
+    rep = row.finish(done, elapsed)
+    reports.append(rep)
+    return ErmRunResult(x=point, w=row.w, reports=reports, epochs_run=done,
+                        epochs_to_tol=done if stops(rep) else None)
 
 
 def solve_erm(prob: ErmProblem, epochs: int, seed: int = 0,

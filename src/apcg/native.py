@@ -18,6 +18,10 @@ Nothing is loaded at import: :func:`library` loads on its first call.  When
 there is no compiler, the build fails or the cache cannot be written, it
 returns None, every caller runs its Python reference kernel instead, and
 :func:`backend` says why.
+
+A :class:`ReportJob` makes its ``erm_report`` call on the report worker, a
+daemon thread started by a process's first job.  ctypes releases the GIL for
+the call, so the pass overlaps whatever the posting thread does next.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import ctypes
 import os
 import platform
 import shutil
+import threading
 import zlib
 from pathlib import Path
 
@@ -43,7 +48,7 @@ SIGNATURES = {
     "csc_dot": (_I, _P, _P, _P, _P, _P),
     "csc_tdot": (_I, _P, _P, _P, _P, _P),
     "csc_col_norms_sq": (_I, _P, _P, _P),
-    "erm_report": (_I, _P, _P, _P, _P, _P, _P, _D, _INT, _P, _P, _P),
+    "erm_report": (_I, _P, _P, _P, _I, _P, _D, _P, _P, _D, _INT, _D, _P, _P, _P, _P),
     "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P,
                        _D, _D, _D, _D, _D, _INT, _D),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
@@ -52,7 +57,7 @@ SIGNATURES = {
     "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _I),
 }
 RESTYPES = {"apcg_erm_epoch": _D, "schedule_history": _I, "libsvm_parse": _INT,
-            "synth_columns": _INT}  # the others return nothing
+            "synth_columns": _INT, "erm_report": _INT}  # the others return nothing
 RANDOM_KERNELS = ("synth_columns",)  # built only with RANDOM_ARCHIVE
 
 _UNLOADED = object()
@@ -164,3 +169,61 @@ def block_indices(blocks, n: int) -> np.ndarray:
     if blocks.size and (int(blocks.min()) < 0 or int(blocks.max()) >= n):
         raise IndexError(f"block index out of range for {n} coordinates")
     return blocks
+
+
+_worker = None  # (thread, job queue) of the report worker, once started
+_starting = threading.Lock()  # held while a post checks for the worker
+
+
+class ReportJob:
+    """One ``erm_report`` call made on the report worker thread.  The job
+    holds every array whose address it passes, and the worker holds the job
+    until the call returns, so nothing the call reads is freed early even
+    when the poster drops the job unwaited.  :meth:`wait` returns the
+    call's result once it has returned."""
+
+    __slots__ = ("call", "args", "arrays", "done", "result", "error")
+
+    def __init__(self, lib, args: tuple, arrays: tuple):
+        self.call, self.args, self.arrays = lib.erm_report, args, arrays
+        self.result = self.error = None
+        self.done = threading.Lock()
+        self.done.acquire()  # released by the worker once the call returned
+        _jobs().put(self)
+
+    def run(self) -> None:
+        """Make the call; on the worker thread."""
+        try:
+            self.result = self.call(*self.args)
+        except BaseException as exc:  # raised again by wait()
+            self.error = exc
+        finally:
+            self.done.release()
+
+    def wait(self) -> int:
+        """The call's result, once it has returned."""
+        with self.done:
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def _jobs():
+    """The report worker's job queue, starting the worker unless it runs (a
+    forked child does not inherit it)."""
+    global _worker
+    with _starting:
+        if _worker is None or not _worker[0].is_alive():
+            import queue  # here, so importing apcg loads nothing for the worker
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(jobs,),
+                                      name="apcg-report-worker", daemon=True)
+            thread.start()
+            _worker = thread, jobs
+        return _worker[1]
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get().run()  # drops the job, and the arrays it holds, once run

@@ -10,7 +10,8 @@ plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
 schedule check, the per-k theta recursion and the combination check built
-on it) are kept here as references too, and so are the generic
+on it, and the serial epoch driver that ``run_epochs`` pipelines) are kept
+here as references too, and so are the generic
 change-of-variables stepper, which the ERM kernel specializes, and the
 paper's gap certificates through a full prox step.  So are the fixtures
 that only tests build: dense conversions of a ``SparseColMatrix``, the zero
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import scipy.optimize
@@ -34,8 +36,8 @@ from apcg.core import (BlockPartition, CompositeProblem, SeparableRegularizer,
                        block_prox)
 from apcg.data import SparseColMatrix
 from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmDualState, ErmProblem,
-                      PrimalDualReport, SquareLoss, _dual_feasible, _dual_value,
-                      _primal_value, change_of_variables_rates, erm_constants,
+                      ErmRunResult, PrimalDualReport, SquareLoss, _dual_feasible,
+                      _dual_value, _primal_value, change_of_variables_rates, erm_constants,
                       relocated_dual_composite)
 from apcg.errors import ConfigurationError
 from apcg.instances import (QuadraticInstance, _quadratic_instance,
@@ -609,6 +611,44 @@ def rpcg_solve(problem, max_iters: int, seed: int = 0):
         if k % problem.n == 0 or k == max_iters:
             trace.append((k, problem.objective(x)))
     return x, trace
+
+
+def serial_run_epochs(prob: ErmProblem, epoch, x, epochs: int,
+                      tol: float | None = None, ax=None) -> ErmRunResult:
+    """The serial form of ``erm.run_epochs``, its reference: each row is
+    reported before the next epoch runs, so no epoch runs past the row that
+    stops the run.  Every row, ``x``, ``w`` and count of ``run_epochs``
+    must equal this one's bitwise, wall times aside."""
+    def row(done: int, elapsed: float):
+        """The report after ``done`` epochs, and its fresh A x (None when
+        the maintained one served)."""
+        point = x()
+        if ax is not None and done < epochs:
+            rep = PrimalDualReport.evaluate(prob, point, epoch=done,
+                                            wall_time_s=elapsed, ax=ax())
+            if tol is None or not rep.gap <= tol:
+                return rep, None
+        xc = _dual_feasible(prob.loss.dual_box, point)
+        if xc is None:
+            raise ValueError("dual point outside the conjugate domain")
+        fresh = prob.matrix.dot(xc)
+        return PrimalDualReport.evaluate(prob, xc, epoch=done, wall_time_s=elapsed,
+                                         ax=fresh), fresh
+
+    rep, fresh = row(0, 0.0)
+    reports = [rep]
+    elapsed = 0.0
+    done = 0
+    while done < epochs and not (tol is not None and rep.gap <= tol):
+        t0 = time.perf_counter()
+        epoch()
+        elapsed += time.perf_counter() - t0
+        done += 1
+        rep, fresh = row(done, elapsed)
+        reports.append(rep)
+    reached = done if (tol is not None and rep.gap <= tol) else None
+    return ErmRunResult(x=x(), w=fresh / (prob.lam * prob.n), reports=reports,
+                        epochs_run=done, epochs_to_tol=reached)
 
 
 def dual_subgradient(prob: ErmProblem, x: np.ndarray

@@ -18,7 +18,7 @@ from apcg import native
 from apcg.baselines import sdca_epoch
 from apcg.cli import KNOWN_SOLVERS, check_invariants, run_solver_trace
 from apcg.data import parse_libsvm, synth_binary, write_libsvm
-from apcg.erm import ErmDualState, ErmProblem
+from apcg.erm import DUAL_DOMAIN_ATOL, ErmDualState, ErmProblem, _ReportPass
 from apcg.errors import ParseError
 from apcg.schedule import ApcgSchedule
 from apcg.solvers import BlockSampler
@@ -49,6 +49,33 @@ def solvers() -> None:
         for _ in range(3):
             state.epoch()
         state.check_consistency()
+
+
+def reports() -> None:
+    """The report pass on points within the box's rounding slack, where it
+    clips, and outside it, where it stops at the first or the last column;
+    inline and as a worker job, and as jobs dropped unwaited, whose arrays
+    the worker must keep alive until their calls return."""
+    for prob in problems():
+        for background in (False, True):
+            x = np.full(prob.n, 1.0 + DUAL_DOMAIN_ATOL / 2)
+            x[::2] = -DUAL_DOMAIN_ATOL / 2
+            row = _ReportPass(prob, x, prob.matrix.dot(np.clip(x, 0.0, 1.0)), background)
+            assert np.isfinite(row.finish(0).gap)
+            for _ in range(20):
+                _ReportPass(prob, x.copy(), prob.matrix.dot(np.clip(x, 0.0, 1.0)), True)
+            if prob.loss.dual_box is None:
+                continue
+            for j in (0, -1):
+                bad = x.copy()
+                bad[j] = 1.5
+                row = _ReportPass(prob, bad, prob.matrix.dot(np.clip(bad, 0.0, 1.0)),
+                                  background)
+                try:
+                    row.finish(0)
+                    raise AssertionError("a point outside the box was reported")
+                except ValueError:
+                    pass
 
 
 def repeated_column() -> None:
@@ -110,6 +137,7 @@ def main() -> None:
     native.CFLAGS = SANITIZE
     assert native.library() is not None, native.backend()
     solvers()
+    reports()
     repeated_column()
     libsvm(Path(sys.argv[1]))
     synthetic()

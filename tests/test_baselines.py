@@ -248,7 +248,8 @@ def test_rpcg_erm_epoch_maintains_aggregate(hinge200, monkeypatch):
     run = run_solver_trace(hinge200, "rpcg", epochs=10, seed=5, tol=None)
     assert len(seen) == 10
     x, w_agg = seen[-1]
-    assert x is run.x
+    # run.x is run_epochs' snapshot of the x the epochs write in place
+    assert np.array_equal(x, run.x)
     ax = w_agg * (hinge200.lam * hinge200.n)
     assert np.allclose(ax, hinge200.matrix.dot(x), atol=1e-10)
 

@@ -1,16 +1,22 @@
+import ctypes
+import dataclasses
+import gc
 import hashlib
 import math
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcg import erm, native
+from apcg import baselines, erm, native
 from apcg.baselines import sdca_epoch
 from apcg.cli import KNOWN_SOLVERS, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
-from apcg.erm import (ConjugatePenalty, ErmDualState, ErmProblem,
+from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
                       apcg_erm_steps, complexity_estimate, erm_constants,
                       run_epochs, solve_erm)
@@ -672,7 +678,9 @@ def report_edge_cases():
     assert np.any(zero & (m > 1.0)) and np.any(zero & (m <= 1.0))  # a_i = 1 there
     assert np.any(one & (m < 0.5)) and np.any(one & (m >= 0.5))  # a_i = 1 - gamma
     single = oracles.from_dense(np.array([[2.0], [-1.0]]))
-    return [(hinge, x),
+    slack = x.copy()  # within the rounding slack of the box, clipped to it
+    slack[:4] = (-0.0, -DUAL_DOMAIN_ATOL, 1.0 + DUAL_DOMAIN_ATOL, 1.0 + DUAL_DOMAIN_ATOL / 2)
+    return [(hinge, x), (hinge, slack),
             (ErmProblem.ridge(A, labels, lam=0.3, gamma=2.0), rng.standard_normal(16)),
             (ErmProblem.smoothed_hinge(single, np.array([-1.0]), lam=1.0), np.array([0.5])),
             (ErmProblem.smoothed_hinge(single, np.array([1.0]), lam=0.1), np.array([1.0])),
@@ -681,18 +689,23 @@ def report_edge_cases():
 
 @pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
 def test_report_terms_match_the_numpy_reference(kernels, request):
-    """The per-example terms of a report (the compiled ``erm_report`` pass
-    when the kernels load) and the report built on them equal the numpy
+    """The column pass of a report (the compiled ``erm_report`` pass when
+    the kernels load: box check, clip, w = A x / (lam n) and the
+    per-example terms) and the report built on it equal the numpy
     reference, oracles.dual_subgradient plus the loss sums, bitwise: the
-    kernel evaluates each term's numpy expression in the same order, and
-    the sums stay in numpy."""
+    kernel evaluates each numpy expression in the same order, and the sums
+    stay in numpy."""
     request.getfixturevalue(kernels)
     for prob, x in report_edge_cases():
         a, w, norm_sq = oracles.dual_subgradient(prob, x)
         margins = prob.matrix.tdot(w)
-        phi, conj, resid = erm._report_terms(prob, x, w)
+        box = prob.loss.dual_box
+        xc = x if box is None else np.clip(x, *box)
+        row = erm._ReportPass(prob, x, prob.matrix.dot(xc))
+        phi, conj, resid = row.terms
+        assert np.array_equal(row.w, w)
         assert np.array_equal(phi, prob.loss.phi(margins))
-        assert np.array_equal(conj, prob.loss.conj_neg(x))
+        assert np.array_equal(conj, prob.loss.conj_neg(xc))
         assert np.array_equal(resid, margins - a)
         rep = PrimalDualReport.evaluate(prob, x, epoch=0)
         assert rep.primal == primal_objective(prob, w)
@@ -934,6 +947,212 @@ def test_certification_ignores_a_maintained_gap_that_reads_tol_early(ridge150):
     assert np.array_equal(cut.w, primal_from_dual(ridge150, cut.x))
 
 
+def untimed_run(run):
+    """A run's reports, x, w and counts, wall times aside."""
+    return ([dataclasses.replace(r, wall_time_s=0.0) for r in run.reports],
+            run.x.tobytes(), run.w.tobytes(), run.epochs_run, run.epochs_to_tol)
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_pipelined_runs_equal_the_serial_reference(hinge200, ridge150, kernels, request,
+                                                   monkeypatch):
+    """Every cell run_epochs drives (the four solvers on both losses) gives
+    bitwise the serial loop's rows, x, w and counts, whether the run ends at
+    its budget without a tol, on tol mid-run, or at a budget that cuts it
+    before tol; at tol 0.5 (the gap at x = 0) the first row stops it."""
+    request.getfixturevalue(kernels)
+    # (tol, epochs) -> whether the run reaches tol at row 0, mid-run or not
+    ends = {(None, 8): "no", (1e-3, 100): "mid-run", (1e-6, 10): "no", (0.5, 10): "row 0"}
+    for prob in (hinge200, ridge150):
+        for solver in KNOWN_SOLVERS:
+            for (tol, epochs), end in ends.items():
+                got = run_solver_trace(prob, solver, epochs=epochs, seed=3, tol=tol)
+                with monkeypatch.context() as m:
+                    m.setattr(erm, "run_epochs", oracles.serial_run_epochs)
+                    want = run_solver_trace(prob, solver, epochs=epochs, seed=3, tol=tol)
+                assert untimed_run(got) == untimed_run(want), (solver, tol)
+                reached = got.epochs_to_tol
+                assert end == ("no" if reached is None else "row 0" if reached == 0
+                               else "mid-run"), (solver, tol)
+
+
+class EpochFails(Exception):
+    pass
+
+
+def failing_epochs(state, at):
+    """``state.epoch``, raising EpochFails on its call number ``at`` (from 1)
+    instead of stepping."""
+    calls = [0]
+
+    def epoch():
+        calls[0] += 1
+        if calls[0] == at:
+            raise EpochFails(f"epoch {at} failed")
+        state.epoch()
+    return epoch
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_speculative_epoch_errors_follow_the_serial_run(ridge150, kernels, request):
+    """An epoch that raises on its call after the row that stops the run
+    (the speculative one) is discarded with its error, and the run is the
+    serial one; an epoch that raises before that propagates as serially,
+    with its type and message."""
+    request.getfixturevalue(kernels)
+    tol = 1e-6
+    state = ErmDualState(ridge150, seed=4)
+    want = oracles.serial_run_epochs(ridge150, state.epoch, state.x, 500, tol, ax=state.ax)
+    stop = want.epochs_to_tol
+    assert stop is not None
+    state = ErmDualState(ridge150, seed=4)
+    got = run_epochs(ridge150, failing_epochs(state, stop + 1), state.x, 500, tol,
+                     ax=state.ax)
+    assert untimed_run(got) == untimed_run(want)
+    for drive in (run_epochs, oracles.serial_run_epochs):
+        state = ErmDualState(ridge150, seed=4)
+        with pytest.raises(EpochFails, match=f"^epoch {stop} failed$"):
+            drive(ridge150, failing_epochs(state, stop), state.x, 500, tol, ax=state.ax)
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_a_failing_report_takes_precedence_over_the_speculative_epoch(hinge200, kernels,
+                                                                      request):
+    """A row at a point outside the conjugate domain raises its ValueError
+    even though the epoch that followed it raised too, as the serial loop,
+    which never runs that epoch, does."""
+    request.getfixturevalue(kernels)
+    for drive in (run_epochs, oracles.serial_run_epochs):
+        state = ErmDualState(hinge200, seed=1)
+        rows = [0]
+
+        def x():
+            rows[0] += 1
+            point = state.x()
+            if rows[0] == 3:
+                point[0] = 1.5
+            return point
+
+        with pytest.raises(ValueError, match="outside the conjugate domain"):
+            drive(hinge200, failing_epochs(state, 3), x, 10, None, ax=state.ax)
+
+
+def test_a_report_job_holds_every_array_it_passes(hinge200, c_kernels, monkeypatch):
+    """Each pointer a report job passes to ``erm_report`` is the address of
+    an array the job holds, and the worker holds the job until the call
+    returns, so a job dropped unwaited keeps its arrays alive until then."""
+    prob, lib = hinge200, native.library()
+    called, release = [], threading.Event()
+    report = lib.erm_report
+
+    def held_back(*args):  # on the worker thread
+        called.append(args)
+        assert release.wait(timeout=30.0)
+        return report(*args)
+
+    monkeypatch.setattr(lib, "erm_report", held_back)
+    x = np.full(prob.n, 0.25)
+    x_ref = weakref.ref(x)
+    row = erm._ReportPass(prob, x, prob.matrix.dot(x), background=True)
+    held = {a.ctypes.data for a in row.job.arrays}
+    del x, row
+    gc.collect()
+    assert x_ref() is not None
+    release.set()
+    deadline = time.monotonic() + 30.0
+    while x_ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+        gc.collect()
+    assert x_ref() is None  # freed once the call returned
+    (args,) = called
+    pointers = [arg for arg, kind in zip(args, native.SIGNATURES["erm_report"])
+                if kind is ctypes.c_void_p]
+    assert len(pointers) == 10 and set(pointers) <= held
+
+
+def test_run_epochs_never_leaves_with_a_job_in_flight(hinge200, c_kernels, monkeypatch):
+    """KeyboardInterrupt from an epoch, and an epoch error after a row that
+    does not stop the run, leave run_epochs only after it has waited for
+    each report job it posted (a wait returns once the job has run)."""
+    posted, waited = [], []
+    job_wait = native.ReportJob.wait
+
+    class Job(native.ReportJob):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            posted.append(self)
+
+        def wait(self):
+            result = job_wait(self)
+            waited.append(self)
+            return result
+
+    monkeypatch.setattr(native, "ReportJob", Job)
+    for error in (KeyboardInterrupt, EpochFails):
+        state = ErmDualState(hinge200, seed=1)
+
+        def epoch():
+            if state.k:
+                raise error("stop")
+            state.epoch()
+
+        with pytest.raises(error):
+            run_epochs(hinge200, epoch, state.x, 10, None, ax=state.ax)
+        assert len(posted) == 2 and {id(j) for j in posted} <= {id(j) for j in waited}
+        posted.clear()
+        waited.clear()
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_only_a_pass_on_the_worker_makes_an_epoch_speculative(hinge200, kernels, request,
+                                                             monkeypatch):
+    """With the kernels a run that stops on tol steps one epoch past its
+    stopping row while the worker makes that row's pass.  Without them every
+    report is made, in numpy, before the next epoch, nothing goes to the
+    worker, and no epoch runs past the stopping row: the solver's state is
+    the returned x."""
+    request.getfixturevalue(kernels)
+    compiled = kernels == "c_kernels"
+    if not compiled:
+        monkeypatch.setattr(native, "ReportJob", None)
+    state = ErmDualState(hinge200, seed=0)
+    calls = [0]
+
+    def epoch():
+        calls[0] += 1
+        state.epoch()
+
+    run = run_epochs(hinge200, epoch, state.x, 100, 1e-3, ax=state.ax)
+    assert run.epochs_to_tol is not None
+    assert calls[0] == run.epochs_run + compiled
+    assert np.array_equal(state.x(), run.x) == (not compiled)
+
+
+def test_snapshots_may_alias_what_the_next_epoch_writes(hinge200, c_kernels):
+    """x() and ax() may return arrays that the epochs write in place (here
+    SDCA's x and an in-place A x): each row reads its own copies, so the
+    speculative epoch writing them while the worker makes the row's pass
+    changes no row, and the run is the serial one."""
+    prob = hinge200
+
+    def cell():
+        x, w_agg, ax = np.zeros(prob.n), np.zeros(prob.d), np.zeros(prob.d)
+        sampler = BlockSampler(prob.n, 3)
+
+        def epoch():
+            sdca_epoch(prob, x, w_agg, sampler)
+            np.multiply(w_agg, prob.lam * prob.n, out=ax)
+        return epoch, (lambda: x), (lambda: ax)
+
+    epoch, x, ax = cell()
+    want = oracles.serial_run_epochs(prob, epoch, x, 60, 1e-3, ax=ax)
+    assert want.epochs_to_tol is not None
+    epoch, x, ax = cell()
+    assert untimed_run(run_epochs(prob, epoch, x, 60, 1e-3, ax=ax)) == untimed_run(want)
+
+
 @pytest.mark.parametrize("solver, kernels", [
     ("apcg", "python_kernels"), ("apcg", "c_kernels"),
     ("sdca", "python_kernels"), ("sdca", "c_kernels"),
@@ -942,20 +1161,27 @@ def test_rows_from_maintained_products_agree_with_evaluate(hinge200, ridge150, s
                                                           kernels, request, monkeypatch):
     """Every report a cell makes, from a maintained A x or a fresh one, is
     within 1e-12 of PrimalDualReport.evaluate at the same x (hinge200 has
-    box edges active)."""
+    box edges active).  Each report is finished from one ``_ReportPass``,
+    which the spy records with a copy of its point."""
     if kernels is not None:
         request.getfixturevalue(kernels)
     evaluate = PrimalDualReport.evaluate
+    init, finish = erm._ReportPass.__init__, erm._ReportPass.finish
     for prob in (hinge200, ridge150):
         made = []
 
-        def spy(prob_, x, *args, **kwargs):
-            rep = evaluate(prob_, x, *args, **kwargs)
-            made.append((np.array(x, copy=True), rep))
+        def spy_init(self, prob_, x, *args, **kwargs):
+            init(self, prob_, x, *args, **kwargs)
+            self.spied_x = np.array(x, copy=True)
+
+        def spy_finish(self, *args, **kwargs):
+            rep = finish(self, *args, **kwargs)
+            made.append((self.spied_x, rep))
             return rep
 
         with monkeypatch.context() as m:
-            m.setattr(PrimalDualReport, "evaluate", staticmethod(spy))
+            m.setattr(erm._ReportPass, "__init__", spy_init)
+            m.setattr(erm._ReportPass, "finish", spy_finish)
             run = run_solver_trace(prob, solver, epochs=30, seed=2, tol=None)
         assert {id(r) for r in run.reports} <= {id(rep) for _, rep in made}
         for x, rep in made:
@@ -972,9 +1198,14 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
     """Sparse products per cell: one A' w per report and no A x for the
     coordinate solvers; AFG adds one A' w per gradient and one A x per
     line-search trial.  On top: the start (APCG's q = A x0, AFG's image of
-    x0) and the last row's fresh A x and A' w.  A compiled report's
-    ``erm_report`` pass counts as its A' w."""
-    counts = {"dot": 0, "tdot": 0, "trials": 0}
+    x0) and the last row's fresh A x and A' w.  A cell that stops on tol
+    (at 1e-3, within 40 epochs here) also re-evaluates its stopping row
+    from a fresh A x, and with the kernels AFG makes exactly one iteration
+    past that row: the speculative one that run_epochs discards.  A compiled report's
+    ``_ReportPass`` counts as its A' w (it is built on the main thread; its
+    kernel call may run on the worker).  Without the kernels no epoch is
+    speculative."""
+    counts = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -984,19 +1215,26 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
 
     monkeypatch.setattr(SparseColMatrix, "dot", counting("dot", SparseColMatrix.dot))
     monkeypatch.setattr(SparseColMatrix, "tdot", counting("tdot", SparseColMatrix.tdot))
-    lib = native.library()
-    if lib is not None:
-        monkeypatch.setattr(lib, "erm_report", counting("tdot", lib.erm_report))
+    if native.library() is not None:
+        monkeypatch.setattr(erm._ReportPass, "__init__",
+                            counting("tdot", erm._ReportPass.__init__))
     monkeypatch.setattr(ConjugatePenalty, "prox_full",
                         counting("trials", ConjugatePenalty.prox_full))
-    epochs = 12
-    run_solver_trace(hinge200, solver, epochs=epochs, seed=1, tol=None)
+    monkeypatch.setattr(baselines, "afg_step", counting("iterations", baselines.afg_step))
     start = {"apcg": 1, "sdca": 0, "rpcg": 0, "afg": 1}[solver]
-    if solver == "afg":
-        assert counts["trials"] >= epochs
-        assert counts["dot"] == start + counts["trials"] + 1
-        assert counts["tdot"] == 2 * epochs + 1
-    else:
-        assert counts["trials"] == 0
-        assert counts["dot"] == start + 1
-        assert counts["tdot"] == epochs + 1
+    compiled = native.library() is not None
+    for tol, epochs in ((None, 12), (1e-3, 40)):
+        counts.update(dot=0, tdot=0, trials=0, iterations=0)
+        run = run_solver_trace(hinge200, solver, epochs=epochs, seed=1, tol=tol)
+        stopped = run.epochs_to_tol is not None
+        assert stopped == (tol is not None)
+        reports = run.epochs_run + 1 + stopped
+        if solver == "afg":
+            assert counts["iterations"] == run.epochs_run + (stopped and compiled)
+            assert counts["trials"] >= counts["iterations"]
+            assert counts["dot"] == start + counts["trials"] + 1
+            assert counts["tdot"] == counts["iterations"] + reports
+        else:
+            assert counts["trials"] == counts["iterations"] == 0
+            assert counts["dot"] == start + 1
+            assert counts["tdot"] == reports

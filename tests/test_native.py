@@ -1,20 +1,23 @@
 """The compiled-kernel loader: build, cache, fallback and argument checks."""
 
 import ctypes
+import dataclasses
 import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import apcg
-from apcg import data, native
+from apcg import data, erm, native
 from apcg.cli import main
 from apcg.data import synth_binary
-from apcg.erm import ErmDualState, ErmProblem
+from apcg.erm import ErmDualState, ErmProblem, solve_erm
 
 import oracles
 
@@ -212,3 +215,76 @@ def test_every_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, proc.stderr
     assert len(list((tmp_path / "apcg").glob("kernels-*.so"))) == 1
+
+
+def untimed(run):
+    return ([dataclasses.replace(r, wall_time_s=0.0) for r in run.reports],
+            run.x.tobytes(), run.w.tobytes(), run.epochs_run, run.epochs_to_tol)
+
+
+def test_the_worker_thread_runs_posted_jobs(hinge200, c_kernels):
+    """A posted report pass runs on the worker thread without anyone waiting
+    for it, and gives the report made inline."""
+    x = np.full(hinge200.n, 0.25)
+    row = erm._ReportPass(hinge200, x, hinge200.matrix.dot(x), background=True)
+    assert row.job.done.acquire(timeout=30.0)  # released by the worker, not by a wait
+    row.job.done.release()
+    assert any(t.name == "apcg-report-worker" and t.daemon for t in threading.enumerate())
+    assert row.finish(0) == erm.PrimalDualReport.evaluate(hinge200, x, epoch=0)
+
+
+def test_a_pass_that_raises_on_the_worker_raises_on_the_waiting_thread(hinge200, c_kernels,
+                                                                       monkeypatch):
+    """An exception from a job's call reaches the thread that waits for it,
+    and the worker goes on to run the next job."""
+    x = np.full(hinge200.n, 0.25)
+
+    def broken(*args):
+        raise RuntimeError("pass failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(native.library(), "erm_report", broken)
+        row = erm._ReportPass(hinge200, x, hinge200.matrix.dot(x), background=True)
+        with pytest.raises(RuntimeError, match="pass failed"):
+            row.finish(0)
+    row = erm._ReportPass(hinge200, x, hinge200.matrix.dot(x), background=True)
+    assert row.finish(0) == erm.PrimalDualReport.evaluate(hinge200, x, epoch=0)
+
+
+def test_the_worker_serves_many_threads(hinge200, ridge150, c_kernels):
+    """Four threads, more than the cores, each post 200 report passes and run
+    pipelined solves under a 1 us switch interval: every pass and every
+    solve equals the one made alone, and none hangs (a lost wakeup would)."""
+    problems = (hinge200, ridge150)
+    points = [np.random.default_rng(k).uniform(size=p.n) for k, p in enumerate(problems)]
+    want_reports = [erm.PrimalDualReport.evaluate(p, x, epoch=0)
+                    for p, x in zip(problems, points)]
+    want_runs = [untimed(solve_erm(p, epochs=5, seed=0)) for p in problems]
+    failures = []
+
+    def poster(t):
+        try:
+            for k in range(200):
+                i = (t + k) % 2
+                prob, x = problems[i], points[i]
+                row = erm._ReportPass(prob, x, prob.matrix.dot(x), background=True)
+                if k % 7 == 0:
+                    time.sleep(0.0005)
+                assert row.finish(0) == want_reports[i]
+            for i, prob in enumerate(problems):
+                assert untimed(solve_erm(prob, epochs=5, seed=0)) == want_runs[i]
+        except BaseException as exc:
+            failures.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=poster, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -3,7 +3,9 @@
 ``tests/test_callers.py`` matches names, so a method that shares its name
 with a called one slips through it.  This guard runs the surface itself in
 a fresh interpreter under a ``sys.settrace`` function that records ``call``
-events only (it returns None, so no line is traced):
+events only (it returns None, so no line is traced).  It is installed
+with ``threading.settrace`` too, so Python code that runs only on a thread
+the program starts would count as well.  The surface is:
 
 * ``apcg-bench run`` with all four solvers, on synthetic, LIBSVM and ``.gz``
   input, on both losses, on the compiled kernels and on the Python ones
@@ -43,7 +45,7 @@ ALLOWED = {
 COLD_CACHE_ONLY = {"native._build"}  # may run too, when the cache is cold
 
 SURFACE = r"""
-import contextlib, gzip, io, json, os, sys
+import contextlib, gzip, io, json, os, sys, threading
 
 package = os.path.realpath(sys.argv[1]) + os.sep
 codes = set()
@@ -52,6 +54,7 @@ def record(frame, event, arg):
     codes.add(frame.f_code)  # returns None: no line events in this frame
 
 sys.settrace(record)
+threading.settrace(record)  # code on threads the program starts counts too
 
 from apcg import cli, native
 from apcg.data import synth_binary, write_libsvm
@@ -84,6 +87,7 @@ for backend in ("c", "python"):
         bad = main("run", "--data", "bad.txt", "--out", "out-bad")
         check = main("check")
 sys.settrace(None)
+threading.settrace(None)
 
 ran = sorted({(os.path.relpath(c.co_filename, package), c.co_firstlineno) for c in codes
               if os.path.realpath(c.co_filename).startswith(package)})
