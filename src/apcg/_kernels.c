@@ -39,10 +39,14 @@
    what it accepts parses to the same bits.  synth_columns makes the same
    calls into numpy's own distributions, on the caller's Generator, in the
    same order as the Python loop, so its indptr, indices and values, and
-   the draws that follow it, are bitwise the same; the unit-norm scaling of
-   each column stays in numpy because np.linalg.norm sums with BLAS ddot,
-   whose order a C loop would not match.  Callers validate dtypes, shapes
-   and index ranges before every call.
+   the draws that follow it, are bitwise the same.  One bitmap of
+   ceil(d / 64) words marks a column's rows: Floyd's algorithm tests
+   membership in it, and the rows come out sorted by a scan of its words
+   (an insertion sort of the rows where k * k is small against the word
+   count).  The unit-norm scaling of each column stays in numpy, one
+   stacked matmul per column length, because np.linalg.norm sums with BLAS
+   ddot, whose order a C loop would not match.  Callers validate dtypes,
+   shapes and index ranges before every call.
 
    The two epochs know every index of the epoch before its first step, and
    each step starts by reading a column and a few per-coordinate entries
@@ -473,27 +477,40 @@ uint64_t random_bounded_uint64(bitgen_t *bitgen, uint64_t off, uint64_t rng,
                                uint64_t mask, bool use_masked);
 void random_standard_normal_fill(bitgen_t *bitgen, intptr_t cnt, double *out);
 
-static int cmp_int64(const void *a, const void *b)
-{
-    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
+/* The rows come out of the bitmap by a scan of its words, whose cost
+   grows with the word count and with k, unless k * k < SORT_CROSSOVER
+   words, where an insertion sort of the k rows, whose cost grows with
+   k * k, is cheaper: at d = 1e5 (1563 words) up to k = 68.  The two
+   crossed between k * k = 2 and 6 words, timed alone for d = 1e3 to 3e5
+   and k = 4 to 128 on a 2-vCPU Xeon; at d = 1e5 the sort took 22% of the
+   scan's time at k = 16 and 67% at k = 48. */
+#define SORT_CROSSOVER 3
 
-/* rows[0..k) are distinct rows, each marked in mark: sort them and clear
-   their marks. */
-static void sort_marked(int64_t *rows, int64_t k, unsigned char *mark, int64_t d)
+/* rows[0..k) are distinct rows, each set in bits (ceil(d / 64) words, no
+   other bit set): write them in increasing order and clear their bits. */
+static void sorted_rows(int64_t *rows, int64_t k, uint64_t *bits, int64_t d)
 {
-    if (k < d / 40) {  /* sorting k rows beat a scan of d marks below about d / 40 */
-        qsort(rows, (size_t)k, sizeof *rows, cmp_int64);
+    const int64_t words = (d + 63) / 64;
+    if (k * k < SORT_CROSSOVER * words) {
+        for (int64_t i = 1; i < k; i++) {
+            const int64_t r = rows[i];
+            int64_t j = i;
+            for (; j > 0 && rows[j - 1] > r; j--)
+                rows[j] = rows[j - 1];
+            rows[j] = r;
+        }
         for (int64_t i = 0; i < k; i++)
-            mark[rows[i]] = 0;
+            bits[rows[i] >> 6] = 0;
         return;
     }
-    for (int64_t r = 0, i = 0; i < k; r++)
-        if (mark[r]) {
-            mark[r] = 0;
-            rows[i++] = r;
-        }
+    for (int64_t w = 0, i = 0; i < k; w++) {
+        uint64_t word = bits[w];
+        if (word == 0)
+            continue;
+        bits[w] = 0;
+        for (; word != 0; word &= word - 1)
+            rows[i++] = 64 * w + __builtin_ctzll(word);
+    }
 }
 
 /* Columns 0..n-1 of data.synth_binary before normalisation: for each,
@@ -506,12 +523,14 @@ static void sort_marked(int64_t *rows, int64_t k, unsigned char *mark, int64_t d
    d <= 10000 or k <= d / 50, and otherwise a partial Fisher-Yates
    shuffle of arange(d) whose last k entries are the picks.
 
-   mark (d bytes, zeroed) and pool (d entries) are scratch; indptr[0] = 0
-   and indices, values hold capacity entries.  Returns 0 when every column
-   is written, or 1 as soon as a column would not fit, after its binomial
-   draw: the Generator is then spent and the caller starts over. */
+   bits (ceil(d / 64) words, zeroed) marks the picks, both for Floyd's
+   membership test and for sorted_rows, and is zeroed again on return;
+   pool (d entries) is scratch; indptr[0] = 0 and indices, values hold
+   capacity entries.  Returns 0 when every column is written, or 1 as soon
+   as a column would not fit, after its binomial draw: the Generator is
+   then spent and the caller starts over. */
 int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_k,
-                  unsigned char *mark, int64_t *pool, int64_t *indptr,
+                  uint64_t *bits, int64_t *pool, int64_t *indptr,
                   int64_t *indices, double *values, int64_t capacity)
 {
     binomial_t binomial;
@@ -531,8 +550,8 @@ int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_
         if (d <= 10000 || k <= d / 50) {
             for (int64_t t = d - k, i = 0; t < d; t++, i++) {
                 const int64_t r = (int64_t)random_bounded_uint64(bitgen, 0, (uint64_t)t, 0, false);
-                rows[i] = mark[r] ? t : r;
-                mark[rows[i]] = 1;
+                rows[i] = (bits[r >> 6] >> (r & 63) & 1) ? t : r;
+                bits[rows[i] >> 6] |= (uint64_t)1 << (rows[i] & 63);
             }
             for (int64_t i = k - 1; i > 0; i--)
                 random_bounded_uint64(bitgen, 0, (uint64_t)i, 0, false);
@@ -547,10 +566,10 @@ int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_
             }
             for (int64_t i = 0; i < k; i++) {
                 rows[i] = pool[d - k + i];
-                mark[rows[i]] = 1;
+                bits[rows[i] >> 6] |= (uint64_t)1 << (rows[i] & 63);
             }
         }
-        sort_marked(rows, k, mark, d);
+        sorted_rows(rows, k, bits, d);
         random_standard_normal_fill(bitgen, (intptr_t)k, vals);
         for (int64_t i = 0; i < k; i++)
             if (vals[i] == 0.0)

@@ -283,9 +283,11 @@ def synth_binary(n: int, d: int, sparsity: float, *, seed: int = 0,
     """Reproducible sparse Gaussian columns with planted-hyperplane labels.
 
     Each column draws Binomial(d, sparsity) nonzero rows (at least
-    ``min_nnz``) with standard normal values.  Every nonzero column has
-    unit Euclidean norm, so the column-norm bound R is exactly 1.  Labels
-    are ``sign(column . w_true)`` for a hidden Gaussian w_true.
+    ``min_nnz``) with standard normal values, divided by their computed
+    Euclidean norm.  So every nonzero column has unit norm, and the
+    column-norm bound R is 1, to rounding only: within 1e-12, as the tests
+    check.  Labels are ``sign(column . w_true)`` for a hidden Gaussian
+    w_true.
 
     The columns come from the compiled ``synth_columns`` when it is built
     (see apcg.native), else from the Python loop; both draw the same
@@ -350,20 +352,24 @@ def _synth_columns_compiled(rng, n, d, sparsity, min_k):
     capacity = _synth_capacity(n, d, sparsity, min_k)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices, values = np.empty(capacity, dtype=np.int64), np.empty(capacity)
-    mark, pool = np.zeros(d, dtype=np.uint8), np.empty(d, dtype=np.int64)
+    bits, pool = np.zeros((d + 63) // 64, dtype=np.uint64), np.empty(d, dtype=np.int64)
     bitgen = rng.bit_generator
     with bitgen.lock:
         if kernel(bitgen.ctypes.bit_generator, n, d, sparsity, min_k,
-                  mark.ctypes.data, pool.ctypes.data,
+                  bits.ctypes.data, pool.ctypes.data,
                   indptr.ctypes.data, indices.ctypes.data, values.ctypes.data, capacity):
             return None
     nnz = int(indptr[-1])
     # shrink the buffers to their exact size in place: nothing views them yet
     indices.resize(nnz, refcheck=False)
     values.resize(nnz, refcheck=False)
-    # np.linalg.norm is sqrt(v.dot(v)) and division is elementwise, so this
-    # is bitwise vals / np.linalg.norm(vals); an empty column's 0 is repeated 0 times
-    bounds = indptr.tolist()
-    norms = [math.sqrt((v := values[lo:hi]).dot(v)) for lo, hi in zip(bounds, bounds[1:])]
-    values /= np.repeat(norms, np.diff(indptr))
+    # np.linalg.norm(vals) is sqrt(vals.dot(vals)), and a stacked matmul of
+    # vectors makes the same BLAS ddot call per column, so scaling the
+    # columns of each length at once is bitwise vals / np.linalg.norm(vals)
+    lengths = np.diff(indptr)
+    classes = np.flatnonzero(np.bincount(lengths))
+    for k in classes[classes > 0]:
+        at = indptr[:-1][lengths == k][:, None] + np.arange(k)  # (columns, k) positions
+        cols = values[at]
+        values[at] = cols / np.sqrt(np.matmul(cols[:, None, :], cols[:, :, None]))[:, 0]
     return indptr, indices, values

@@ -119,8 +119,13 @@ def libsvm(work_dir: Path) -> None:
 
 
 def synthetic() -> None:
+    """Edge shapes, the bitmap read at its word edges (d = 63, 64, 65 at
+    k = d) and the rows sorted instead (d = 20000, where 313 words sort up
+    to k = 30)."""
     for n, d, sparsity, min_nnz in ((0, 3, 0.5, 0), (1, 1, 1.0, 0), (3, 5, 0.01, 0),
-                                    (4, 5, 1.0, 5), (3, 20000, 0.1, 0), (3, 20000, 0.001, 1)):
+                                    (4, 5, 1.0, 5), (3, 20000, 0.1, 0), (3, 20000, 0.001, 1),
+                                    (2, 63, 1.0, 0), (2, 64, 1.0, 0), (2, 65, 1.0, 0),
+                                    (3, 20000, 1e-6, 30), (3, 20000, 1e-6, 31)):
         A, labels = synth_binary(n, d, sparsity, seed=7, min_nnz=min_nnz)
         assert A.indptr.size == n + 1 and labels.size == n
 

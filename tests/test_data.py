@@ -683,12 +683,55 @@ def test_synth_compiled_is_bitwise_the_python_loop(n, d, sparsity, seed, min_nnz
     ((60, 20, 0.01), dict()),  # mostly k = 0 columns
     ((30, 1, 0.5), dict()),
     ((0, 7, 0.5), dict()),
-    ((200, 2000, 0.004), dict()),  # k < d / 40: rows sorted by qsort
+    ((200, 2000, 0.004), dict()),  # k * k about 3 * 32 words: rows sorted or scanned
     ((500, 40, 0.3), dict()),
+    # rows sorted below k * k = 3 * ceil(d / 64) words, read off the bitmap
+    # at and above it: 1563 words at d = 1e5, 157 at d = 1e4
+    ((6, 100000, 1e-6), dict(min_nnz=68)),
+    ((6, 100000, 1e-6), dict(min_nnz=69)),
+    ((6, 10000, 1e-6), dict(min_nnz=21)),
+    ((6, 10000, 1e-6), dict(min_nnz=22)),
+    # the bitmap's word edges, at k = d (a full last word or one bit of it)
+    # and at k = 1
+    ((5, 63, 1.0), dict()),
+    ((5, 64, 1.0), dict()),
+    ((5, 65, 1.0), dict()),
+    ((5, 128, 1.0), dict()),
+    ((20, 63, 1e-6), dict(min_nnz=1)),
+    ((20, 64, 1e-6), dict(min_nnz=1)),
+    ((20, 65, 1e-6), dict(min_nnz=1)),
+    ((20, 128, 1e-6), dict(min_nnz=1)),
+    ((4, 70000, 0.05), dict()),  # the partial shuffle, read off 1094 words
+    ((3, 1000, 0.5), dict()),  # three columns, each alone in its length class
+    ((40, 100, 0.35), dict()),  # lengths from 32 up, past BLAS ddot's unrolled blocks
+    ((8, 5000, 0.6), dict()),  # lengths near 3000
+    ((50, 5, 0.05), dict(min_nnz=0)),  # empty columns among length classes
 ])
 def test_synth_compiled_matches_on_edge_shapes(args, kwargs):
     require_synth_kernel()
     assert_same_synth(*synth_on_both_backends(*args, seed=11, **kwargs))
+
+
+def test_synth_peak_allocation_is_no_higher_than_per_column_norms():
+    """The hinge shape's synth_binary allocates no more at its peak than
+    when each column was scaled by its own math.sqrt(v.dot(v)) in a Python
+    loop, as the columns of each length are gathered and scaled at once.
+    That loop peaked at 5,786,320 to 5,786,488 bytes, depending on the
+    tests run before it (5,786,368 in a bare interpreter): the tracemalloc
+    peak of this call after one identical call in the same process, which
+    pays the first-use allocations, with numpy 2.4.6 on x86-64 Linux.  The
+    bound is the highest of those readings."""
+    require_synth_kernel()
+    import tracemalloc
+
+    synth_binary(10000, 1000, 0.02, seed=1003, min_nnz=1)
+    tracemalloc.start()
+    try:
+        synth_binary(10000, 1000, 0.02, seed=1003, min_nnz=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_786_488
 
 
 def test_synth_restarts_in_python_when_capacity_is_short(monkeypatch):

@@ -189,6 +189,26 @@ def test_signatures_match_the_c_definitions():
     assert sorted(exported) == sorted(native.SIGNATURES)
 
 
+@pytest.mark.parametrize("random_library", [False, True], ids=["plain", "npyrandom"])
+def test_kernels_compile_clean_under_all_and_extra_warnings(tmp_path, random_library):
+    """The kernel file compiles with -Wall -Wextra -Werror, as apcg.native
+    builds it with and without numpy's random library, so a sign-compare
+    or shift-count slip fails here rather than passing silently."""
+    try:
+        compiler = native._compiler()
+    except native.BuildError as exc:
+        pytest.skip(str(exc))
+    inputs = [str(native.SOURCE)]
+    if random_library:
+        if not native.RANDOM_ARCHIVE.is_file():
+            pytest.skip(f"numpy ships no {native.RANDOM_ARCHIVE.name}")
+        inputs = ["-DAPCG_NPYRANDOM", *inputs, str(native.RANDOM_ARCHIVE)]
+    proc = subprocess.run([compiler, *native.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernels.so"), *inputs, "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def sanitizer_runtime(compiler: str, name: str):
     """The path of a sanitizer's shared runtime, or None where it is missing."""
     proc = subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True, text=True)
