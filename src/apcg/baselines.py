@@ -14,6 +14,7 @@ take the :class:`~apcg.erm.ErmProblem` directly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ MAX_BACKTRACKS = 100
 # SDCA on the dual ERM problem
 # ---------------------------------------------------------------------------
 
+# problem -> (arrays, arguments) of its last compiled sdca_epoch, see native.rebind
+_SDCA_BOUND: "weakref.WeakKeyDictionary[ErmProblem, tuple]" = weakref.WeakKeyDictionary()
+
+
 def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
                sampler: BlockSampler) -> tuple[np.ndarray, np.ndarray]:
     """n random coordinate steps of exact dual coordinate ascent, in place.
@@ -43,22 +48,28 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     objective never decreases.  The steps run in the compiled kernel when it
     loads; the Python loop below, inlined over locals like the accelerated
     kernel ``erm.apcg_erm_steps``, is its reference and agrees to rounding.
+    The compiled kernel's arrays are validated on a problem's first call
+    and again only when ``x``, ``w_agg``, ``col_norms_sq`` or ``anchors`` is
+    not the array it was (``native.rebind``); an invalid one raises
+    ValueError before the epoch draws its indices.
     """
-    n, d = prob.n, prob.d
-    blocks = native.block_indices(sampler.take(n), n)
+    n = prob.n
     m = prob.matrix
     lam_n = prob.lam * n
     gamma = prob.gamma
     is_box = prob.loss.dual_box is not None
     lib = native.library()
     if lib is not None:
-        addr = native.address
-        lib.sdca_epoch(*m.addresses, blocks.ctypes.data, blocks.size,
-                       addr(x, np.float64, n, "x", writable=True),
-                       addr(w_agg, np.float64, d, "w_agg", writable=True),
-                       addr(prob.col_norms_sq, np.float64, n, "col_norms_sq"),
-                       addr(prob.anchors, np.float64, n, "anchors"), lam_n, gamma, is_box)
+        bound = _SDCA_BOUND.get(prob)
+        rebound = native.rebind(bound, (x, w_agg, prob.col_norms_sq, prob.anchors),
+                                lambda *arrays: _sdca_arrays(prob, *arrays))
+        if rebound is not bound:
+            _SDCA_BOUND[prob] = rebound
+        blocks = native.block_indices(sampler.take(n), n)
+        lib.sdca_epoch(*m.addresses, blocks.ctypes.data, blocks.size, *rebound[1],
+                       lam_n, gamma, is_box)
         return x, w_agg
+    blocks = native.block_indices(sampler.take(n), n)
     indices, values, bound_at = m.indices, m.values, m.indptr.item
     col_norms_sq_at, anchor_at, x_at = prob.col_norms_sq.item, prob.anchors.item, x.item
     for i in blocks.tolist():
@@ -77,6 +88,15 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
             x[i] = s
             w_agg[idx] = w_idx + (delta / lam_n) * val
     return x, w_agg
+
+
+def _sdca_arrays(prob: ErmProblem, x, w_agg, col_norms_sq, anchors) -> tuple:
+    """The array arguments of the compiled ``sdca_epoch``, validated."""
+    n, d, addr = prob.n, prob.d, native.address
+    return (addr(x, np.float64, n, "x", writable=True),
+            addr(w_agg, np.float64, d, "w_agg", writable=True),
+            addr(col_norms_sq, np.float64, n, "col_norms_sq"),
+            addr(anchors, np.float64, n, "anchors"))
 
 
 # ---------------------------------------------------------------------------

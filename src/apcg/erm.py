@@ -36,6 +36,9 @@ scalar, which each step multiplies by rho and which is folded into both
 base vectors long before it can underflow.
 :meth:`ErmDualState.epoch` runs the compiled form of the same loop
 (``_kernels.c``, loaded by :mod:`apcg.native`) when it is available.
+:func:`run_epochs`, the epoch driver of every solver, makes a run's
+reports through one :class:`_ReportPass`, whose buffers and compiled call
+are made once per run.
 """
 
 from __future__ import annotations
@@ -236,49 +239,72 @@ def _subgradient_residual(prob: ErmProblem, xc: np.ndarray, margins: np.ndarray
     return margins - a
 
 
+def _copy_into(buffer: np.ndarray, a, name: str) -> None:
+    """Copy the vector ``a`` into ``buffer``, which has its length."""
+    a = np.asarray(a)
+    if a.shape != buffer.shape:
+        raise ValueError(f"{name} must be a vector of length {buffer.size}")
+    np.copyto(buffer, a)
+
+
 class _ReportPass:
     """The part of a report at the dual point x that reads every column,
     given ``ax`` = A x: the box check, w = A x / (lam n) and, per example,
     phi_i(A_i' w), phi*_i(-x_i) and the subgradient residual.
 
-    With the kernels loaded this is one compiled ``erm_report`` call, made
-    on the report worker thread when ``background`` is set
-    (``native.ReportJob``) and inline otherwise; it is bitwise equal to the
-    numpy form, which runs inline when they do not load.  :meth:`finish`
-    adds the sums.
+    A pass is bound to one problem and serves any number of rows.  It owns
+    the snapshot buffers ``x`` and ``ax`` and the outputs ``w`` and
+    ``terms`` (phi, conj, resid), and with the kernels loaded it builds the
+    compiled ``erm_report`` call on them once, so :meth:`post` costs two
+    copies and the call.  Each post overwrites the previous row's buffers,
+    after waiting for its call.  The call is made on the report worker
+    thread when ``background`` is set (``native.ReportJob``, which holds
+    every array it passes) and inline otherwise; it is bitwise equal to the
+    numpy form, which runs inline when the kernels do not load.
+    :meth:`finish` adds the sums.
     """
 
-    def __init__(self, prob: ErmProblem, x, ax: np.ndarray, background: bool = False):
+    def __init__(self, prob: ErmProblem):
+        n, d = prob.n, prob.d
         self.prob, self.job, self.outside = prob, None, 0
-        n, d, lam_n = prob.n, prob.d, prob.lam * prob.n
-        lib = native.library()
-        if lib is None:
-            xc = _dual_feasible(prob.loss.dual_box, x)
+        self.x, self.ax, self.w = np.empty(n), np.empty(d), np.empty(d)
+        self.terms = np.empty(n), np.empty(n), np.empty(n)
+        self.lib = native.library()
+        if self.lib is not None:
+            m, anchors = prob.matrix, prob.anchors
+            self.args = (n, *m.addresses, d, self.ax.ctypes.data, prob.lam * n,
+                         self.x.ctypes.data, native.address(anchors, np.float64, n, "anchors"),
+                         prob.gamma, isinstance(prob.loss, SmoothedHingeLoss),
+                         DUAL_DOMAIN_ATOL, self.w.ctypes.data,
+                         *(t.ctypes.data for t in self.terms))
+            self.arrays = (m.indptr, m.indices, m.values, self.ax, self.x, anchors, self.w,
+                           *self.terms)
+
+    def post(self, x, ax, background: bool = False) -> None:
+        """Start the pass at copies of ``x`` and of ``ax`` = A x; without the
+        kernels, raise ValueError for a point outside the conjugate domain."""
+        self.settle()  # the previous row's call may still read the buffers
+        _copy_into(self.x, x, "x")
+        _copy_into(self.ax, ax, "ax")
+        if self.lib is None:
+            prob = self.prob
+            xc = _dual_feasible(prob.loss.dual_box, self.x)
             if xc is None:
                 raise ValueError("dual point outside the conjugate domain")
-            self.ax, self.w = ax, ax / lam_n
+            np.divide(self.ax, prob.lam * prob.n, out=self.w)
             margins = prob.matrix.tdot(self.w)
             self.terms = (prob.loss.phi(margins), prob.loss.conj_neg(xc),
                           _subgradient_residual(prob, xc, margins))
-            return
-        m, addr = prob.matrix, native.address
-        x, ax = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(ax, dtype=float)
-        self.ax, self.w = ax, np.empty(d)
-        self.terms = np.empty(n), np.empty(n), np.empty(n)
-        args = (n, *m.addresses, d, addr(ax, np.float64, d, "ax"), lam_n,
-                addr(x, np.float64, n, "x"), addr(prob.anchors, np.float64, n, "anchors"),
-                prob.gamma, isinstance(prob.loss, SmoothedHingeLoss), DUAL_DOMAIN_ATOL,
-                self.w.ctypes.data, *(t.ctypes.data for t in self.terms))
-        if background:
-            self.job = native.ReportJob(lib, args, (m.indptr, m.indices, m.values, ax, x,
-                                                    prob.anchors, self.w, *self.terms))
+        elif background:
+            self.job = native.ReportJob(self.lib, self.args, self.arrays)
         else:
-            self.outside = lib.erm_report(*args)
+            self.outside = self.lib.erm_report(*self.args)
 
     def settle(self) -> None:
-        """Return once the pass has run."""
-        if self.job is not None:
-            self.outside = self.job.wait()
+        """Return once the posted call has run."""
+        job, self.job = self.job, None
+        if job is not None:
+            self.outside = job.wait()
 
     def finish(self, epoch: int, wall_time_s: float = 0.0) -> "PrimalDualReport":
         """The report: the sums, w'w and (A x)'(A x), in numpy."""
@@ -326,7 +352,9 @@ class PrimalDualReport:
         x = np.asarray(x, dtype=float)
         if ax is None:
             ax = prob.matrix.dot(_clip(prob.loss.dual_box, x))
-        return _ReportPass(prob, x, ax).finish(epoch, wall_time_s)
+        row = _ReportPass(prob)
+        row.post(x, ax)
+        return row.finish(epoch, wall_time_s)
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +474,42 @@ class ErmDualState:
         self.gamma_over_n = prob.gamma / n
         self.half_minus = 0.5 * (1.0 - n * self.alpha)
         self.half_plus = 0.5 * (1.0 + n * self.alpha)
+        self._bound = None  # (arrays, arguments) of the compiled epoch, see epoch()
 
     def epoch(self) -> None:
         """n coordinate steps on the sampler's next n indices.
 
         Runs the compiled kernel when it loads, else :func:`apcg_erm_steps`;
-        the two agree to rounding.
+        the two agree to rounding.  The kernel's six state arrays are
+        validated on the first call and again only after one of them has
+        been replaced (``native.rebind``): one that is not a contiguous
+        (writable, where the kernel writes it) float64 vector of its length
+        raises ValueError before the epoch draws its indices.
         """
-        n, d = self.prob.n, self.prob.d
-        blocks = native.block_indices(self.sampler.take(n), n)
+        n = self.prob.n
         lib = native.library()
         if lib is None:
-            apcg_erm_steps(self.prob, self, blocks)
+            apcg_erm_steps(self.prob, self, native.block_indices(self.sampler.take(n), n))
             return
-        m, addr = self.prob.matrix, native.address
+        self._bound = native.rebind(
+            self._bound, (self.ubar_base, self.v, self.pbar_base, self.q,
+                          self.quad_weight, self.anchor_over_n), self._kernel_arrays)
+        blocks = native.block_indices(self.sampler.take(n), n)
         self.scale = lib.apcg_erm_epoch(
-            *m.addresses, blocks.ctypes.data, blocks.size,
-            addr(self.ubar_base, np.float64, n, "ubar_base", writable=True),
-            addr(self.v, np.float64, n, "v", writable=True), n,
-            addr(self.pbar_base, np.float64, d, "pbar_base", writable=True),
-            addr(self.q, np.float64, d, "q", writable=True), d,
-            addr(self.quad_weight, np.float64, n, "quad_weight"),
-            addr(self.anchor_over_n, np.float64, n, "anchor_over_n"),
+            *self.prob.matrix.addresses, blocks.ctypes.data, blocks.size, *self._bound[1],
             self.rho, self.grad_scale, self.gamma_over_n, self.half_minus,
             self.half_plus, self.is_box, self.scale)
         self.k += blocks.size
+
+    def _kernel_arrays(self, ubar_base, v, pbar_base, q, quad_weight, anchor_over_n):
+        """The array arguments of ``apcg_erm_epoch``, validated."""
+        n, d, addr = self.prob.n, self.prob.d, native.address
+        return (addr(ubar_base, np.float64, n, "ubar_base", writable=True),
+                addr(v, np.float64, n, "v", writable=True), n,
+                addr(pbar_base, np.float64, d, "pbar_base", writable=True),
+                addr(q, np.float64, d, "q", writable=True), d,
+                addr(quad_weight, np.float64, n, "quad_weight"),
+                addr(anchor_over_n, np.float64, n, "anchor_over_n"))
 
     def x(self) -> np.ndarray:
         return self.ubar_base * (self.scale / self.rho) + self.v
@@ -575,17 +614,20 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
     row's.
 
     Each row is a snapshot: a copy of ``x()`` and of ``ax()``, so an epoch
-    may write those arrays in place.  With the kernels loaded, each row
-    before the last posts its report pass to the report worker thread
-    (``native.ReportJob``), steps the next epoch here meanwhile, and is then
-    finished here.  When such a row stops the run, that speculative epoch
-    is discarded with anything it raised, and the run returns the snapshot:
-    the caller's solver state is then one epoch, possibly a failed one, past
-    the returned ``x``.  Otherwise what the epoch raised is raised after the
+    may write those arrays in place; all rows copy into the buffers of one
+    :class:`_ReportPass`.  With the kernels loaded, each row before the
+    last posts its pass to the report worker thread (``native.ReportJob``),
+    steps the next epoch here meanwhile, and is then finished here.  When
+    such a row stops the run, that speculative epoch is discarded with
+    anything it raised, and the run returns the snapshot: the caller's
+    solver state is then one epoch, possibly a failed one, past the
+    returned ``x``.  Otherwise what the epoch raised is raised after the
     row, and a row that raises (a point outside the conjugate domain)
     raises first.  Without the kernels each report is made before the next
     epoch runs, so none is speculative.  Either way every row, ``x``, ``w``
     and count is bitwise what the serial loop (report, then epoch) gives.
+    The returned ``x`` and ``w`` are the pass's buffers, which no other run
+    shares.
     """
     box = prob.loss.dual_box
 
@@ -602,10 +644,10 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
 
     reports = []
     done, elapsed = 0, 0.0
-    point = np.array(x(), dtype=float)
+    row = _ReportPass(prob)
     while done < epochs:
-        product = fresh_product(point) if ax is None else np.array(ax(), dtype=float)
-        row = _ReportPass(prob, point, product, background=True)
+        point = x()
+        row.post(point, fresh_product(point) if ax is None else ax(), background=True)
         speculative, failure, spent = row.job is not None, None, 0.0
         try:
             if speculative:  # the pass runs on the worker meanwhile
@@ -615,13 +657,13 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
                     failure = exc
             rep = row.finish(done, elapsed)
         finally:
-            row.settle()  # never leave with the pass still reading its arrays
+            row.settle()  # never leave with the pass still reading its buffers
         if stops(rep) and ax is not None:  # certify on the exact gap
-            row = _ReportPass(prob, point, fresh_product(point))
+            row.post(row.x, fresh_product(row.x))
             rep = row.finish(done, elapsed)
         reports.append(rep)
         if stops(rep):
-            return ErmRunResult(x=point, w=row.w, reports=reports, epochs_run=done,
+            return ErmRunResult(x=row.x, w=row.w, reports=reports, epochs_run=done,
                                 epochs_to_tol=done)
         if failure is not None:
             raise failure
@@ -629,11 +671,11 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
             spent = timed_epoch()
         elapsed += spent
         done += 1
-        point = np.array(x(), dtype=float)
-    row = _ReportPass(prob, point, fresh_product(point))
+    point = x()
+    row.post(point, fresh_product(point))
     rep = row.finish(done, elapsed)
     reports.append(rep)
-    return ErmRunResult(x=point, w=row.w, reports=reports, epochs_run=done,
+    return ErmRunResult(x=row.x, w=row.w, reports=reports, epochs_run=done,
                         epochs_to_tol=done if stops(rep) else None)
 
 

@@ -19,6 +19,10 @@ there is no compiler, the build fails or the cache cannot be written, it
 returns None, every caller runs its Python reference kernel instead, and
 :func:`backend` says why.
 
+A caller that calls a kernel on the same arrays many times validates them
+once and keeps their addresses with :func:`rebind`, which builds the
+arguments again only when one of the arrays has been replaced.
+
 A :class:`ReportJob` makes its ``erm_report`` call on the report worker, a
 daemon thread started by a process's first job.  ctypes releases the GIL for
 the call, so the pass overlaps whatever the posting thread does next.
@@ -27,6 +31,7 @@ the call, so the pass overlaps whatever the posting thread does next.
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 import platform
 import shutil
@@ -159,6 +164,22 @@ def address(a: np.ndarray, dtype, size: int, name: str,
         raise ValueError(f"{name} must be a {'writable ' if writable else ''}contiguous "
                          f"{np.dtype(dtype)} vector of length {size}")
     return a.ctypes.data
+
+
+def rebind(bound, arrays: tuple, build):
+    """``bound`` if it is ``(arrays, args)`` for these very array objects,
+    else ``(arrays, build(*arrays))``.
+
+    ``build`` validates the arrays (with :func:`address`) and returns a
+    kernel's arguments, so a caller that keeps the pair validates its arrays
+    once and a replaced array is validated before any kernel sees its
+    address.  The pair holds the arrays, so none of them is freed, or has
+    its buffer reallocated by ``resize``, while its address is kept.  What
+    changes on an array object in place (a cleared writeable flag, say) is
+    not checked again.  Pass None to build."""
+    if bound is not None and all(map(operator.is_, arrays, bound[0])):
+        return bound
+    return arrays, build(*arrays)
 
 
 def block_indices(blocks, n: int) -> np.ndarray:

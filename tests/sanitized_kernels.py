@@ -41,41 +41,58 @@ def problems():
 
 
 def solvers() -> None:
+    """Every solver on every problem, and compiled epochs on state arrays
+    replaced (and the old ones freed) between epochs, which must be bound
+    again rather than written through their stale addresses."""
     for prob in problems():
         for solver in KNOWN_SOLVERS:
             run = run_solver_trace(prob, solver, epochs=300, seed=1, tol=None)
             assert np.isfinite(run.x).all(), solver
         state = ErmDualState(prob, seed=0)
+        x, w = np.zeros(prob.n), np.zeros(prob.d)
+        sampler = BlockSampler(prob.n, 0)
         for _ in range(3):
             state.epoch()
+            state.v, state.q = state.v.copy(), state.q.copy()
+            sdca_epoch(prob, x, w, sampler)
+            x, w = x.copy(), w.copy()
         state.check_consistency()
 
 
 def reports() -> None:
-    """The report pass on points within the box's rounding slack, where it
-    clips, and outside it, where it stops at the first or the last column;
-    inline and as a worker job, and as jobs dropped unwaited, whose arrays
-    the worker must keep alive until their calls return."""
+    """One report pass per problem across many rows, reusing its buffers: on
+    points within the box's rounding slack, where it clips, and outside it,
+    where it stops at the first or the last column, after which the pass
+    serves the next row; inline and as worker jobs.  Passes dropped with a
+    job in flight leave their buffers to the worker, which must keep them
+    alive until the calls return."""
     for prob in problems():
+        row = _ReportPass(prob)
         for background in (False, True):
             x = np.full(prob.n, 1.0 + DUAL_DOMAIN_ATOL / 2)
             x[::2] = -DUAL_DOMAIN_ATOL / 2
-            row = _ReportPass(prob, x, prob.matrix.dot(np.clip(x, 0.0, 1.0)), background)
-            assert np.isfinite(row.finish(0).gap)
+            ax = prob.matrix.dot(np.clip(x, 0.0, 1.0))
+            row.post(x, ax, background)
+            want = row.finish(0)
+            assert np.isfinite(want.gap)
             for _ in range(20):
-                _ReportPass(prob, x.copy(), prob.matrix.dot(np.clip(x, 0.0, 1.0)), True)
+                row.post(x.copy(), ax.copy(), True)  # waits for the row before
+            assert row.finish(0) == want
+            for _ in range(20):
+                _ReportPass(prob).post(x.copy(), ax, True)
             if prob.loss.dual_box is None:
                 continue
             for j in (0, -1):
                 bad = x.copy()
                 bad[j] = 1.5
-                row = _ReportPass(prob, bad, prob.matrix.dot(np.clip(bad, 0.0, 1.0)),
-                                  background)
+                row.post(bad, prob.matrix.dot(np.clip(bad, 0.0, 1.0)), background)
                 try:
                     row.finish(0)
                     raise AssertionError("a point outside the box was reported")
                 except ValueError:
                     pass
+                row.post(x, ax, background)
+                assert row.finish(0) == want
 
 
 def repeated_column() -> None:

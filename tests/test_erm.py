@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from apcg import baselines, erm, native
 from apcg.baselines import sdca_epoch
-from apcg.cli import KNOWN_SOLVERS, run_solver_trace
+from apcg.cli import KNOWN_SOLVERS, ExperimentConfig, run_experiment, run_solver_trace
 from apcg.data import SparseColMatrix, synth_binary
 from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmDualState, ErmProblem,
                       PrimalDualReport, SmoothedHingeLoss, SquareLoss,
@@ -701,7 +701,8 @@ def test_report_terms_match_the_numpy_reference(kernels, request):
         margins = prob.matrix.tdot(w)
         box = prob.loss.dual_box
         xc = x if box is None else np.clip(x, *box)
-        row = erm._ReportPass(prob, x, prob.matrix.dot(xc))
+        row = erm._ReportPass(prob)
+        row.post(x, prob.matrix.dot(xc))
         phi, conj, resid = row.terms
         assert np.array_equal(row.w, w)
         assert np.array_equal(phi, prob.loss.phi(margins))
@@ -1052,18 +1053,19 @@ def test_a_report_job_holds_every_array_it_passes(hinge200, c_kernels, monkeypat
 
     monkeypatch.setattr(lib, "erm_report", held_back)
     x = np.full(prob.n, 0.25)
-    x_ref = weakref.ref(x)
-    row = erm._ReportPass(prob, x, prob.matrix.dot(x), background=True)
+    row = erm._ReportPass(prob)
+    row.post(x, prob.matrix.dot(x), background=True)
+    snapshot_ref = weakref.ref(row.x)  # the pass's copy of x, which the call reads
     held = {a.ctypes.data for a in row.job.arrays}
-    del x, row
+    del row
     gc.collect()
-    assert x_ref() is not None
+    assert snapshot_ref() is not None
     release.set()
     deadline = time.monotonic() + 30.0
-    while x_ref() is not None and time.monotonic() < deadline:
+    while snapshot_ref() is not None and time.monotonic() < deadline:
         time.sleep(0.001)
         gc.collect()
-    assert x_ref() is None  # freed once the call returned
+    assert snapshot_ref() is None  # freed once the call returned
     (args,) = called
     pointers = [arg for arg, kind in zip(args, native.SIGNATURES["erm_report"])
                 if kind is ctypes.c_void_p]
@@ -1161,17 +1163,17 @@ def test_rows_from_maintained_products_agree_with_evaluate(hinge200, ridge150, s
                                                           kernels, request, monkeypatch):
     """Every report a cell makes, from a maintained A x or a fresh one, is
     within 1e-12 of PrimalDualReport.evaluate at the same x (hinge200 has
-    box edges active).  Each report is finished from one ``_ReportPass``,
-    which the spy records with a copy of its point."""
+    box edges active).  Each report is finished from a ``_ReportPass`` row,
+    which the spy on its per-row post records with a copy of its point."""
     if kernels is not None:
         request.getfixturevalue(kernels)
     evaluate = PrimalDualReport.evaluate
-    init, finish = erm._ReportPass.__init__, erm._ReportPass.finish
+    post, finish = erm._ReportPass.post, erm._ReportPass.finish
     for prob in (hinge200, ridge150):
         made = []
 
-        def spy_init(self, prob_, x, *args, **kwargs):
-            init(self, prob_, x, *args, **kwargs)
+        def spy_post(self, x, *args, **kwargs):
+            post(self, x, *args, **kwargs)
             self.spied_x = np.array(x, copy=True)
 
         def spy_finish(self, *args, **kwargs):
@@ -1180,7 +1182,7 @@ def test_rows_from_maintained_products_agree_with_evaluate(hinge200, ridge150, s
             return rep
 
         with monkeypatch.context() as m:
-            m.setattr(erm._ReportPass, "__init__", spy_init)
+            m.setattr(erm._ReportPass, "post", spy_post)
             m.setattr(erm._ReportPass, "finish", spy_finish)
             run = run_solver_trace(prob, solver, epochs=30, seed=2, tol=None)
         assert {id(r) for r in run.reports} <= {id(rep) for _, rep in made}
@@ -1202,8 +1204,8 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
     (at 1e-3, within 40 epochs here) also re-evaluates its stopping row
     from a fresh A x, and with the kernels AFG makes exactly one iteration
     past that row: the speculative one that run_epochs discards.  A compiled report's
-    ``_ReportPass`` counts as its A' w (it is built on the main thread; its
-    kernel call may run on the worker).  Without the kernels no epoch is
+    ``_ReportPass.post`` counts as its A' w (it is made on the main thread;
+    its kernel call may run on the worker).  Without the kernels no epoch is
     speculative."""
     counts = {}
 
@@ -1216,8 +1218,7 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
     monkeypatch.setattr(SparseColMatrix, "dot", counting("dot", SparseColMatrix.dot))
     monkeypatch.setattr(SparseColMatrix, "tdot", counting("tdot", SparseColMatrix.tdot))
     if native.library() is not None:
-        monkeypatch.setattr(erm._ReportPass, "__init__",
-                            counting("tdot", erm._ReportPass.__init__))
+        monkeypatch.setattr(erm._ReportPass, "post", counting("tdot", erm._ReportPass.post))
     monkeypatch.setattr(ConjugatePenalty, "prox_full",
                         counting("trials", ConjugatePenalty.prox_full))
     monkeypatch.setattr(baselines, "afg_step", counting("iterations", baselines.afg_step))
@@ -1238,3 +1239,39 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
             assert counts["trials"] == counts["iterations"] == 0
             assert counts["dot"] == start + 1
             assert counts["tdot"] == reports
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_later_runs_leave_earlier_results_unchanged(hinge200, kernels, request, monkeypatch,
+                                                    tmp_path):
+    """A run's report pass and its buffers are its own: the x, w and reports
+    a run returned stay bitwise as they were after the same problem runs
+    again and after every cell of a run_experiment, whose runs are checked
+    the same way once all of them are done."""
+    request.getfixturevalue(kernels)
+
+    def frozen(run):
+        return list(run.reports), run.x.tobytes(), run.w.tobytes()
+
+    first = solve_erm(hinge200, epochs=20, seed=0)
+    want = frozen(first)
+    again = solve_erm(hinge200, epochs=20, seed=0)
+    for solver in KNOWN_SOLVERS:
+        run_solver_trace(hinge200, solver, epochs=20, seed=1, tol=1e-3)
+    assert frozen(first) == want
+    assert untimed_run(again) == untimed_run(first)
+
+    made, drive = [], erm.run_epochs
+
+    def recorded(*args, **kwargs):
+        run = drive(*args, **kwargs)
+        made.append((run, frozen(run)))
+        return run
+
+    monkeypatch.setattr(erm, "run_epochs", recorded)
+    run_experiment(ExperimentConfig(synthetic=(60, 20, 0.3, 4), loss="square",
+                                    lambdas=[1e-2, 1e-3], solvers=list(KNOWN_SOLVERS),
+                                    seeds=[0, 1], epochs=15, tol=1e-4, out=str(tmp_path)))
+    assert len(made) == 2 * 3 * 2  # sdca and rpcg share their runs
+    for run, at_return in made:
+        assert frozen(run) == at_return

@@ -15,9 +15,11 @@ import pytest
 
 import apcg
 from apcg import data, erm, native
+from apcg.baselines import sdca_epoch
 from apcg.cli import main
 from apcg.data import synth_binary
 from apcg.erm import ErmDualState, ErmProblem, solve_erm
+from apcg.solvers import BlockSampler
 
 import oracles
 
@@ -151,6 +153,75 @@ def test_compiled_epoch_rejects_a_replaced_state_array(c_kernels):
         state.epoch()
 
 
+def check_arrays_replaced_after_binding() -> None:
+    """Replace each array a compiled epoch has bound (ErmDualState's six
+    kernel arrays, sdca_epoch's x and w_agg) by one of the wrong dtype or
+    length, which must raise ValueError and leave the state as it was, then
+    by a valid copy while the replaced array is overwritten with NaN: the
+    next epochs must read and write the copy, so the run stays bitwise the
+    one that never replaced anything.  It raises AssertionError without
+    ``assert`` statements, so it checks under ``python -O`` too."""
+    def require(ok, what):
+        if not ok:
+            raise AssertionError(what)
+
+    A, labels = synth_binary(30, 8, 0.4, seed=1, min_nnz=1)
+    prob = ErmProblem.ridge(A, labels, lam=1e-2)
+    names = ("ubar_base", "v", "pbar_base", "q", "quad_weight", "anchor_over_n")
+    for name in names:
+        state, ref = ErmDualState(prob, seed=0), ErmDualState(prob, seed=0)
+        state.epoch()
+        ref.epoch()
+        kept = getattr(state, name)
+        for bad in (kept.astype(np.float32), np.zeros(kept.size + 1)):
+            setattr(state, name, bad)
+            with pytest.raises(ValueError):
+                state.epoch()
+        copy = kept.copy()
+        setattr(state, name, copy)
+        kept.fill(np.nan)
+        for _ in range(2):
+            state.epoch()
+            ref.epoch()
+        require(getattr(state, name) is copy, name)
+        for other in names:
+            require(np.array_equal(getattr(state, other), getattr(ref, other)), f"{name}: {other}")
+        require(state.scale == ref.scale and state.k == ref.k, name)
+    for name in ("x", "w_agg"):
+        arrays = {"x": np.zeros(prob.n), "w_agg": np.zeros(prob.d)}
+        ref = {"x": np.zeros(prob.n), "w_agg": np.zeros(prob.d)}
+        sampler, ref_sampler = BlockSampler(prob.n, 3), BlockSampler(prob.n, 3)
+        sdca_epoch(prob, arrays["x"], arrays["w_agg"], sampler)
+        sdca_epoch(prob, ref["x"], ref["w_agg"], ref_sampler)
+        kept = arrays[name]
+        for bad in (kept.astype(np.float32), np.zeros(kept.size + 1)):
+            with pytest.raises(ValueError):
+                sdca_epoch(prob, **{**arrays, name: bad}, sampler=sampler)
+        arrays[name] = kept.copy()
+        kept.fill(np.nan)
+        for _ in range(2):
+            sdca_epoch(prob, arrays["x"], arrays["w_agg"], sampler)
+            sdca_epoch(prob, ref["x"], ref["w_agg"], ref_sampler)
+        for other in ("x", "w_agg"):
+            require(np.array_equal(arrays[other], ref[other]), f"{name}: {other}")
+
+
+def test_compiled_epochs_rebind_an_array_replaced_after_binding(c_kernels):
+    check_arrays_replaced_after_binding()
+
+
+def test_replaced_arrays_are_rejected_under_python_O(c_kernels):
+    # -O strips assert statements: the checks in the epochs must not be ones
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(Path(__file__).parent)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys, test_native; test_native.check_arrays_replaced_after_binding(); "
+         "print(sys.flags.optimize)"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "1"
+
+
 def test_address_checks():
     a = np.zeros(4)
     assert native.address(a, np.float64, 4, "a", writable=True) == a.ctypes.data
@@ -246,7 +317,8 @@ def test_the_worker_thread_runs_posted_jobs(hinge200, c_kernels):
     """A posted report pass runs on the worker thread without anyone waiting
     for it, and gives the report made inline."""
     x = np.full(hinge200.n, 0.25)
-    row = erm._ReportPass(hinge200, x, hinge200.matrix.dot(x), background=True)
+    row = erm._ReportPass(hinge200)
+    row.post(x, hinge200.matrix.dot(x), background=True)
     assert row.job.done.acquire(timeout=30.0)  # released by the worker, not by a wait
     row.job.done.release()
     assert any(t.name == "apcg-report-worker" and t.daemon for t in threading.enumerate())
@@ -264,17 +336,19 @@ def test_a_pass_that_raises_on_the_worker_raises_on_the_waiting_thread(hinge200,
 
     with monkeypatch.context() as m:
         m.setattr(native.library(), "erm_report", broken)
-        row = erm._ReportPass(hinge200, x, hinge200.matrix.dot(x), background=True)
+        row = erm._ReportPass(hinge200)
+        row.post(x, hinge200.matrix.dot(x), background=True)
         with pytest.raises(RuntimeError, match="pass failed"):
             row.finish(0)
-    row = erm._ReportPass(hinge200, x, hinge200.matrix.dot(x), background=True)
+    row.post(x, hinge200.matrix.dot(x), background=True)  # the pass is still usable
     assert row.finish(0) == erm.PrimalDualReport.evaluate(hinge200, x, epoch=0)
 
 
 def test_the_worker_serves_many_threads(hinge200, ridge150, c_kernels):
-    """Four threads, more than the cores, each post 200 report passes and run
-    pipelined solves under a 1 us switch interval: every pass and every
-    solve equals the one made alone, and none hangs (a lost wakeup would)."""
+    """Four threads, more than the cores, each post 200 rows on their own
+    passes and run pipelined solves under a 1 us switch interval: every row
+    and every solve equals the one made alone, and none hangs (a lost
+    wakeup would)."""
     problems = (hinge200, ridge150)
     points = [np.random.default_rng(k).uniform(size=p.n) for k, p in enumerate(problems)]
     want_reports = [erm.PrimalDualReport.evaluate(p, x, epoch=0)
@@ -284,10 +358,11 @@ def test_the_worker_serves_many_threads(hinge200, ridge150, c_kernels):
 
     def poster(t):
         try:
+            rows = [erm._ReportPass(prob) for prob in problems]
             for k in range(200):
                 i = (t + k) % 2
-                prob, x = problems[i], points[i]
-                row = erm._ReportPass(prob, x, prob.matrix.dot(x), background=True)
+                prob, x, row = problems[i], points[i], rows[i]
+                row.post(x, prob.matrix.dot(x), background=True)
                 if k % 7 == 0:
                     time.sleep(0.0005)
                 assert row.finish(0) == want_reports[i]
