@@ -14,7 +14,6 @@ take the :class:`~apcg.erm.ErmProblem` directly.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,6 @@ MAX_BACKTRACKS = 100
 # SDCA on the dual ERM problem
 # ---------------------------------------------------------------------------
 
-# problem -> (arrays, arguments) of its last compiled sdca_epoch, see native.rebind
-_SDCA_BOUND: "weakref.WeakKeyDictionary[ErmProblem, tuple]" = weakref.WeakKeyDictionary()
-
-
 def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
                sampler: BlockSampler) -> tuple[np.ndarray, np.ndarray]:
     """n random coordinate steps of exact dual coordinate ascent, in place.
@@ -48,10 +43,9 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     objective never decreases.  The steps run in the compiled kernel when it
     loads; the Python loop below, inlined over locals like the accelerated
     kernel ``erm.apcg_erm_steps``, is its reference and agrees to rounding.
-    The compiled kernel's arrays are validated on a problem's first call
-    and again only when ``x``, ``w_agg``, ``col_norms_sq`` or ``anchors`` is
-    not the array it was (``native.rebind``); an invalid one raises
-    ValueError before the epoch draws its indices.
+    The compiled kernel's arrays, ``x``, ``w_agg`` and the problem's
+    ``col_norms_sq`` and ``anchors``, are validated on every call; an
+    invalid one raises ValueError before the epoch draws its indices.
     """
     n = prob.n
     m = prob.matrix
@@ -60,13 +54,9 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     is_box = prob.loss.dual_box is not None
     lib = native.library()
     if lib is not None:
-        bound = _SDCA_BOUND.get(prob)
-        rebound = native.rebind(bound, (x, w_agg, prob.col_norms_sq, prob.anchors),
-                                lambda *arrays: _sdca_arrays(prob, *arrays))
-        if rebound is not bound:
-            _SDCA_BOUND[prob] = rebound
+        arrays = _sdca_arrays(prob, x, w_agg)
         blocks = native.block_indices(sampler.take(n), n)
-        lib.sdca_epoch(*m.addresses, blocks.ctypes.data, blocks.size, *rebound[1],
+        lib.sdca_epoch(*m.addresses, blocks.ctypes.data, blocks.size, *arrays,
                        lam_n, gamma, is_box)
         return x, w_agg
     blocks = native.block_indices(sampler.take(n), n)
@@ -90,13 +80,13 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     return x, w_agg
 
 
-def _sdca_arrays(prob: ErmProblem, x, w_agg, col_norms_sq, anchors) -> tuple:
+def _sdca_arrays(prob: ErmProblem, x, w_agg) -> tuple:
     """The array arguments of the compiled ``sdca_epoch``, validated."""
     n, d, addr = prob.n, prob.d, native.address
     return (addr(x, np.float64, n, "x", writable=True),
             addr(w_agg, np.float64, d, "w_agg", writable=True),
-            addr(col_norms_sq, np.float64, n, "col_norms_sq"),
-            addr(anchors, np.float64, n, "anchors"))
+            addr(prob.col_norms_sq, np.float64, n, "col_norms_sq"),
+            addr(prob.anchors, np.float64, n, "anchors"))
 
 
 # ---------------------------------------------------------------------------

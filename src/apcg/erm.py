@@ -44,6 +44,7 @@ are made once per run.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -254,31 +255,32 @@ class _ReportPass:
 
     A pass is bound to one problem and serves any number of rows.  It owns
     the snapshot buffers ``x`` and ``ax`` and the outputs ``w`` and
-    ``terms`` (phi, conj, resid), and with the kernels loaded it builds the
-    compiled ``erm_report`` call on them once, so :meth:`post` costs two
-    copies and the call.  Each post overwrites the previous row's buffers,
-    after waiting for its call.  The call is made on the report worker
-    thread when ``background`` is set (``native.ReportJob``, which holds
-    every array it passes) and inline otherwise; it is bitwise equal to the
-    numpy form, which runs inline when the kernels do not load.
+    ``terms`` (phi, conj, resid), holds the matrix and anchors, and with the
+    kernels loaded it builds the compiled ``erm_report`` call on them once,
+    so :meth:`post` costs two copies and the call.  Each post overwrites the
+    previous row's buffers, after waiting for its call.  The call is made
+    inline, or with ``background`` set by the pass itself as the report
+    worker's job (``native.submit``), which holds the pass, and so every
+    array the call reads, until the call returns.  It is bitwise equal to
+    the numpy form, which runs inline when the kernels do not load.
     :meth:`finish` adds the sums.
     """
 
     def __init__(self, prob: ErmProblem):
         n, d = prob.n, prob.d
-        self.prob, self.job, self.outside = prob, None, 0
+        self.prob, self.outside, self.error = prob, 0, None
+        m, anchors = prob.matrix, prob.anchors
+        self.matrix, self.anchors = m, anchors  # held: the call keeps their addresses
         self.x, self.ax, self.w = np.empty(n), np.empty(d), np.empty(d)
         self.terms = np.empty(n), np.empty(n), np.empty(n)
+        self.done = threading.Lock()  # held while the worker has the call
         self.lib = native.library()
         if self.lib is not None:
-            m, anchors = prob.matrix, prob.anchors
             self.args = (n, *m.addresses, d, self.ax.ctypes.data, prob.lam * n,
                          self.x.ctypes.data, native.address(anchors, np.float64, n, "anchors"),
                          prob.gamma, isinstance(prob.loss, SmoothedHingeLoss),
                          DUAL_DOMAIN_ATOL, self.w.ctypes.data,
                          *(t.ctypes.data for t in self.terms))
-            self.arrays = (m.indptr, m.indices, m.values, self.ax, self.x, anchors, self.w,
-                           *self.terms)
 
     def post(self, x, ax, background: bool = False) -> None:
         """Start the pass at copies of ``x`` and of ``ax`` = A x; without the
@@ -296,15 +298,31 @@ class _ReportPass:
             self.terms = (prob.loss.phi(margins), prob.loss.conj_neg(xc),
                           _subgradient_residual(prob, xc, margins))
         elif background:
-            self.job = native.ReportJob(self.lib, self.args, self.arrays)
+            self.done.acquire()  # released by run(), on the worker
+            try:
+                native.submit(self)
+            except BaseException:
+                self.done.release()
+                raise
         else:
             self.outside = self.lib.erm_report(*self.args)
 
+    def run(self) -> None:
+        """Make the posted call; on the report worker thread."""
+        try:
+            self.outside = self.lib.erm_report(*self.args)
+        except BaseException as exc:  # raised again by settle()
+            self.error = exc
+        finally:
+            self.done.release()
+
     def settle(self) -> None:
-        """Return once the posted call has run."""
-        job, self.job = self.job, None
-        if job is not None:
-            self.outside = job.wait()
+        """Return once the posted call has run, raising what it raised."""
+        with self.done:
+            pass
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
 
     def finish(self, epoch: int, wall_time_s: float = 0.0) -> "PrimalDualReport":
         """The report: the sums, w'w and (A x)'(A x), in numpy."""
@@ -597,26 +615,25 @@ class ErmRunResult:
 
 
 def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
-               tol: float | None = None, ax=None) -> ErmRunResult:
+               tol: float | None = None, *, ax) -> ErmRunResult:
     """Drive any dual solver epoch by epoch, reporting at every boundary.
 
-    ``epoch()`` advances the solver by one epoch and ``x()`` returns its dual
-    iterate.  The trace starts with the epoch-0 row at the initial point and
-    stops after ``epochs`` epochs or once the primal-dual gap reaches ``tol``.
-    Wall time accumulates the ``epoch()`` calls that are kept (see below),
-    not report evaluation.
+    ``epoch()`` advances the solver by one epoch, ``x()`` returns its dual
+    iterate and ``ax()`` the A x that it maintains.  The trace starts with
+    the epoch-0 row at the initial point and stops after ``epochs`` epochs
+    or once the primal-dual gap reaches ``tol``.  Wall time accumulates the
+    ``epoch()`` calls that are kept (see below), not report evaluation.
 
-    A solver that maintains A x passes ``ax()``, which returns it, and each
-    report then costs one A' w.  A gap from a maintained aggregate is not a
-    weak-duality certificate, so a row whose gap reaches ``tol`` and the last
-    row are evaluated again from a fresh A x: the run stops only once that
-    exact gap is <= ``tol``, and the returned ``x`` and ``w`` are the last
-    row's.
+    Each report costs one A' w.  A gap from a maintained aggregate is not a
+    weak-duality certificate, so a row whose gap reaches ``tol`` and the
+    last row are evaluated again from a fresh A x: the run stops only once
+    that exact gap is <= ``tol``, and the returned ``x`` and ``w`` are the
+    last row's.
 
     Each row is a snapshot: a copy of ``x()`` and of ``ax()``, so an epoch
     may write those arrays in place; all rows copy into the buffers of one
     :class:`_ReportPass`.  With the kernels loaded, each row before the
-    last posts its pass to the report worker thread (``native.ReportJob``),
+    last posts its pass to the report worker thread (``native.submit``),
     steps the next epoch here meanwhile, and is then finished here.  When
     such a row stops the run, that speculative epoch is discarded with
     anything it raised, and the run returns the snapshot: the caller's
@@ -647,8 +664,8 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
     row = _ReportPass(prob)
     while done < epochs:
         point = x()
-        row.post(point, fresh_product(point) if ax is None else ax(), background=True)
-        speculative, failure, spent = row.job is not None, None, 0.0
+        row.post(point, ax(), background=True)
+        speculative, failure, spent = row.lib is not None, None, 0.0
         try:
             if speculative:  # the pass runs on the worker meanwhile
                 try:
@@ -658,7 +675,7 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
             rep = row.finish(done, elapsed)
         finally:
             row.settle()  # never leave with the pass still reading its buffers
-        if stops(rep) and ax is not None:  # certify on the exact gap
+        if stops(rep):  # certify on the exact gap
             row.post(row.x, fresh_product(row.x))
             rep = row.finish(done, elapsed)
         reports.append(rep)

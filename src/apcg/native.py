@@ -23,9 +23,11 @@ A caller that calls a kernel on the same arrays many times validates them
 once and keeps their addresses with :func:`rebind`, which builds the
 arguments again only when one of the arrays has been replaced.
 
-A :class:`ReportJob` makes its ``erm_report`` call on the report worker, a
-daemon thread started by a process's first job.  ctypes releases the GIL for
-the call, so the pass overlaps whatever the posting thread does next.
+:func:`submit` hands a job to the report worker, a daemon thread started
+by a process's first job, which calls the job's ``run()``.  The one job is
+a run's report pass (``erm._ReportPass``), whose ``run`` makes its
+``erm_report`` call; ctypes releases the GIL for the call, so the pass
+overlaps whatever the posting thread does next.
 """
 
 from __future__ import annotations
@@ -193,46 +195,13 @@ def block_indices(blocks, n: int) -> np.ndarray:
 
 
 _worker = None  # (thread, job queue) of the report worker, once started
-_starting = threading.Lock()  # held while a post checks for the worker
+_starting = threading.Lock()  # held while a submit checks for the worker
 
 
-class ReportJob:
-    """One ``erm_report`` call made on the report worker thread.  The job
-    holds every array whose address it passes, and the worker holds the job
-    until the call returns, so nothing the call reads is freed early even
-    when the poster drops the job unwaited.  :meth:`wait` returns the
-    call's result once it has returned."""
-
-    __slots__ = ("call", "args", "arrays", "done", "result", "error")
-
-    def __init__(self, lib, args: tuple, arrays: tuple):
-        self.call, self.args, self.arrays = lib.erm_report, args, arrays
-        self.result = self.error = None
-        self.done = threading.Lock()
-        self.done.acquire()  # released by the worker once the call returned
-        _jobs().put(self)
-
-    def run(self) -> None:
-        """Make the call; on the worker thread."""
-        try:
-            self.result = self.call(*self.args)
-        except BaseException as exc:  # raised again by wait()
-            self.error = exc
-        finally:
-            self.done.release()
-
-    def wait(self) -> int:
-        """The call's result, once it has returned."""
-        with self.done:
-            pass
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
-def _jobs():
-    """The report worker's job queue, starting the worker unless it runs (a
-    forked child does not inherit it)."""
+def submit(job) -> None:
+    """Have the report worker call ``job.run()``, starting the worker unless
+    it runs (a forked child does not inherit it).  The worker holds the job
+    until ``run`` returns, so a job dropped meanwhile frees nothing it uses."""
     global _worker
     with _starting:
         if _worker is None or not _worker[0].is_alive():
@@ -242,7 +211,8 @@ def _jobs():
                                       name="apcg-report-worker", daemon=True)
             thread.start()
             _worker = thread, jobs
-        return _worker[1]
+        jobs = _worker[1]
+    jobs.put(job)
 
 
 def _serve(jobs) -> None:

@@ -614,7 +614,7 @@ def rpcg_solve(problem, max_iters: int, seed: int = 0):
 
 
 def serial_run_epochs(prob: ErmProblem, epoch, x, epochs: int,
-                      tol: float | None = None, ax=None) -> ErmRunResult:
+                      tol: float | None = None, *, ax) -> ErmRunResult:
     """The serial form of ``erm.run_epochs``, its reference: each row is
     reported before the next epoch runs, so no epoch runs past the row that
     stops the run.  Every row, ``x``, ``w`` and count of ``run_epochs``
@@ -623,7 +623,7 @@ def serial_run_epochs(prob: ErmProblem, epoch, x, epochs: int,
         """The report after ``done`` epochs, and its fresh A x (None when
         the maintained one served)."""
         point = x()
-        if ax is not None and done < epochs:
+        if done < epochs:
             rep = PrimalDualReport.evaluate(prob, point, epoch=done,
                                             wall_time_s=elapsed, ax=ax())
             if tol is None or not rep.gap <= tol:

@@ -63,8 +63,8 @@ def reports() -> None:
     """One report pass per problem across many rows, reusing its buffers: on
     points within the box's rounding slack, where it clips, and outside it,
     where it stops at the first or the last column, after which the pass
-    serves the next row; inline and as worker jobs.  Passes dropped with a
-    job in flight leave their buffers to the worker, which must keep them
+    serves the next row; inline and on the worker.  Passes dropped with a
+    call in flight leave their buffers to the worker, which must keep them
     alive until the calls return."""
     for prob in problems():
         row = _ReportPass(prob)

@@ -906,7 +906,8 @@ def test_certification_ignores_a_maintained_gap_that_reads_tol_early(ridge150):
     must be the exact reports."""
     tol = 1e-9
     exact_state = ErmDualState(ridge150, seed=4)
-    exact = run_epochs(ridge150, exact_state.epoch, exact_state.x, 500, tol)
+    exact = run_epochs(ridge150, exact_state.epoch, exact_state.x, 500, tol,
+                       ax=lambda: ridge150.matrix.dot(exact_state.x()))
     ax_star = ridge150.matrix.dot(exact.x)
     # d gap / d scale of the aggregate is about ||A x*||^2 / (lam n^2) near
     # the optimum, so this shrink lowers the reported gap by about 50 tol
@@ -1039,9 +1040,10 @@ def test_a_failing_report_takes_precedence_over_the_speculative_epoch(hinge200, 
 
 
 def test_a_report_job_holds_every_array_it_passes(hinge200, c_kernels, monkeypatch):
-    """Each pointer a report job passes to ``erm_report`` is the address of
-    an array the job holds, and the worker holds the job until the call
-    returns, so a job dropped unwaited keeps its arrays alive until then."""
+    """Each pointer a report pass passes to ``erm_report`` is the address
+    of an array the pass holds, and the worker holds the pass, its job,
+    until the call returns, so a pass dropped with its call in flight keeps
+    its arrays alive until then."""
     prob, lib = hinge200, native.library()
     called, release = [], threading.Event()
     report = lib.erm_report
@@ -1056,7 +1058,9 @@ def test_a_report_job_holds_every_array_it_passes(hinge200, c_kernels, monkeypat
     row = erm._ReportPass(prob)
     row.post(x, prob.matrix.dot(x), background=True)
     snapshot_ref = weakref.ref(row.x)  # the pass's copy of x, which the call reads
-    held = {a.ctypes.data for a in row.job.arrays}
+    m = row.matrix
+    held = {a.ctypes.data for a in (m.indptr, m.indices, m.values, row.anchors,
+                                    row.x, row.ax, row.w, *row.terms)}
     del row
     gc.collect()
     assert snapshot_ref() is not None
@@ -1075,23 +1079,21 @@ def test_a_report_job_holds_every_array_it_passes(hinge200, c_kernels, monkeypat
 def test_run_epochs_never_leaves_with_a_job_in_flight(hinge200, c_kernels, monkeypatch):
     """KeyboardInterrupt from an epoch, and an epoch error after a row that
     does not stop the run, leave run_epochs only after it has waited for
-    each report job it posted (a wait returns once the job has run)."""
-    posted, waited = [], []
-    job_wait = native.ReportJob.wait
+    each call it posted to the worker (a settle returns once the call has
+    run)."""
+    posted, waited = [], [0]
+    run, settle = erm._ReportPass.run, erm._ReportPass.settle
 
-    class Job(native.ReportJob):
-        __slots__ = ()
+    def spied_run(row):  # on the worker thread
+        posted.append(row)
+        run(row)
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            posted.append(self)
+    def spied_settle(row):
+        settle(row)
+        waited[0] = len(posted)  # every call posted so far has returned
 
-        def wait(self):
-            result = job_wait(self)
-            waited.append(self)
-            return result
-
-    monkeypatch.setattr(native, "ReportJob", Job)
+    monkeypatch.setattr(erm._ReportPass, "run", spied_run)
+    monkeypatch.setattr(erm._ReportPass, "settle", spied_settle)
     for error in (KeyboardInterrupt, EpochFails):
         state = ErmDualState(hinge200, seed=1)
 
@@ -1102,9 +1104,9 @@ def test_run_epochs_never_leaves_with_a_job_in_flight(hinge200, c_kernels, monke
 
         with pytest.raises(error):
             run_epochs(hinge200, epoch, state.x, 10, None, ax=state.ax)
-        assert len(posted) == 2 and {id(j) for j in posted} <= {id(j) for j in waited}
+        assert len(posted) == 2 and waited[0] == len(posted)
         posted.clear()
-        waited.clear()
+        waited[0] = 0
 
 
 @pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
@@ -1118,7 +1120,9 @@ def test_only_a_pass_on_the_worker_makes_an_epoch_speculative(hinge200, kernels,
     request.getfixturevalue(kernels)
     compiled = kernels == "c_kernels"
     if not compiled:
-        monkeypatch.setattr(native, "ReportJob", None)
+        def submit(job):
+            raise AssertionError("a pass went to the worker without the kernels")
+        monkeypatch.setattr(native, "submit", submit)
     state = ErmDualState(hinge200, seed=0)
     calls = [0]
 

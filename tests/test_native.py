@@ -154,9 +154,10 @@ def test_compiled_epoch_rejects_a_replaced_state_array(c_kernels):
 
 
 def check_arrays_replaced_after_binding() -> None:
-    """Replace each array a compiled epoch has bound (ErmDualState's six
-    kernel arrays, sdca_epoch's x and w_agg) by one of the wrong dtype or
-    length, which must raise ValueError and leave the state as it was, then
+    """Replace each array a compiled epoch reads (ErmDualState's six kernel
+    arrays; sdca_epoch's x and w_agg and its problem's col_norms_sq and
+    anchors) after an epoch by one of the wrong dtype or length, which must
+    raise ValueError and leave the state and the sampler as they were, then
     by a valid copy while the replaced array is overwritten with NaN: the
     next epochs must read and write the copy, so the run stays bitwise the
     one that never replaced anything.  It raises AssertionError without
@@ -187,21 +188,36 @@ def check_arrays_replaced_after_binding() -> None:
         for other in names:
             require(np.array_equal(getattr(state, other), getattr(ref, other)), f"{name}: {other}")
         require(state.scale == ref.scale and state.k == ref.k, name)
-    for name in ("x", "w_agg"):
+    for name in ("x", "w_agg", "col_norms_sq", "anchors"):
+        # prob's twin, whose arrays are replaced (its anchors are its targets)
+        own = ErmProblem.ridge(A, labels.copy(), lam=1e-2)
         arrays = {"x": np.zeros(prob.n), "w_agg": np.zeros(prob.d)}
         ref = {"x": np.zeros(prob.n), "w_agg": np.zeros(prob.d)}
         sampler, ref_sampler = BlockSampler(prob.n, 3), BlockSampler(prob.n, 3)
-        sdca_epoch(prob, arrays["x"], arrays["w_agg"], sampler)
+
+        def read():  # the array sdca_epoch reads as name
+            return arrays[name] if name in arrays else getattr(own, name)
+
+        def place(a):
+            if name in arrays:
+                arrays[name] = a
+            else:
+                setattr(own, name, a)
+
+        sdca_epoch(own, arrays["x"], arrays["w_agg"], sampler)
         sdca_epoch(prob, ref["x"], ref["w_agg"], ref_sampler)
-        kept = arrays[name]
+        kept = read()
         for bad in (kept.astype(np.float32), np.zeros(kept.size + 1)):
+            place(bad)
             with pytest.raises(ValueError):
-                sdca_epoch(prob, **{**arrays, name: bad}, sampler=sampler)
-        arrays[name] = kept.copy()
+                sdca_epoch(own, arrays["x"], arrays["w_agg"], sampler)
+        copy = kept.copy()
+        place(copy)
         kept.fill(np.nan)
         for _ in range(2):
-            sdca_epoch(prob, arrays["x"], arrays["w_agg"], sampler)
+            sdca_epoch(own, arrays["x"], arrays["w_agg"], sampler)
             sdca_epoch(prob, ref["x"], ref["w_agg"], ref_sampler)
+        require(read() is copy, name)
         for other in ("x", "w_agg"):
             require(np.array_equal(arrays[other], ref[other]), f"{name}: {other}")
 
@@ -319,8 +335,8 @@ def test_the_worker_thread_runs_posted_jobs(hinge200, c_kernels):
     x = np.full(hinge200.n, 0.25)
     row = erm._ReportPass(hinge200)
     row.post(x, hinge200.matrix.dot(x), background=True)
-    assert row.job.done.acquire(timeout=30.0)  # released by the worker, not by a wait
-    row.job.done.release()
+    assert row.done.acquire(timeout=30.0)  # released by the worker, not by a wait
+    row.done.release()
     assert any(t.name == "apcg-report-worker" and t.daemon for t in threading.enumerate())
     assert row.finish(0) == erm.PrimalDualReport.evaluate(hinge200, x, epoch=0)
 
@@ -383,3 +399,51 @@ def test_the_worker_serves_many_threads(hinge200, ridge150, c_kernels):
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+FORKED_SOLVE = """
+import dataclasses, os, sys, time
+from apcg import native
+from apcg.data import synth_binary
+from apcg.erm import ErmProblem, solve_erm
+
+A, labels = synth_binary(200, 40, 0.1, seed=2, min_nnz=1)
+prob = ErmProblem.smoothed_hinge(A, labels, lam=1e-3)
+
+def solve():
+    run = solve_erm(prob, epochs=6, seed=0)
+    return ([dataclasses.replace(r, wall_time_s=0.0) for r in run.reports],
+            run.x.tobytes(), run.epochs_run)
+
+want = solve()  # starts the report worker
+pid = os.fork()
+if pid == 0:
+    try:
+        inherited = native._worker[0].is_alive()
+        same = solve() == want
+        restarted = native._worker[0].is_alive()
+        os._exit(0 if same and restarted and not inherited else 3)
+    finally:
+        os._exit(4)
+deadline = time.monotonic() + 60.0
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        sys.exit("the forked child hung")
+    time.sleep(0.01)
+print("child exited", os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_the_worker_restarts_in_a_forked_child(c_kernels):
+    """A child forked after a pipelined solve has no worker thread (fork
+    copies only the forking thread); its first post starts a new one, and its
+    solve gives the parent's rows and x bitwise before a deadline."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", FORKED_SOLVE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "child exited 0"
