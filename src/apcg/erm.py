@@ -44,7 +44,6 @@ are made once per run.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -96,6 +95,8 @@ class SquareLoss:
 
     The conjugate phi*_i(u) = b_i u + (gamma/2) u^2 is finite everywhere, so
     the dual is unconstrained.  This is ridge regression when gamma = 1.
+    The loss keeps a read-only copy of the targets, so a later write to the
+    caller's array leaves the problem as it was built.
     """
 
     dual_box = None
@@ -104,7 +105,8 @@ class SquareLoss:
         if not 0.0 < gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
-        self.targets = np.asarray(targets, dtype=float)
+        self.targets = np.array(targets, dtype=float)
+        self.targets.flags.writeable = False
         if not np.all(np.isfinite(self.targets)):
             raise ValueError("targets must be finite")
 
@@ -179,8 +181,7 @@ class ErmProblem:
     @classmethod
     def ridge(cls, A: SparseColMatrix, targets: np.ndarray, lam: float,
               gamma: float = 1.0) -> "ErmProblem":
-        return cls(matrix=A, loss=SquareLoss(np.asarray(targets, float), gamma),
-                   lam=lam)
+        return cls(matrix=A, loss=SquareLoss(targets, gamma), lam=lam)
 
 
 def erm_constants(prob: ErmProblem) -> tuple[np.ndarray, float]:
@@ -257,23 +258,18 @@ class _ReportPass:
     the snapshot buffers ``x`` and ``ax`` and the outputs ``w`` and
     ``terms`` (phi, conj, resid), holds the matrix and anchors, and with the
     kernels loaded it builds the compiled ``erm_report`` call on them once,
-    so :meth:`post` costs two copies and the call.  Each post overwrites the
-    previous row's buffers, after waiting for its call.  The call is made
-    inline, or with ``background`` set by the pass itself as the report
-    worker's job (``native.submit``), which holds the pass, and so every
-    array the call reads, until the call returns.  It is bitwise equal to
-    the numpy form, which runs inline when the kernels do not load.
-    :meth:`finish` adds the sums.
+    so :meth:`post` costs two copies and the call, and overwrites the
+    previous row's buffers.  The call is bitwise equal to the numpy form,
+    which runs when the kernels do not load.  :meth:`finish` adds the sums.
     """
 
     def __init__(self, prob: ErmProblem):
         n, d = prob.n, prob.d
-        self.prob, self.outside, self.error = prob, 0, None
+        self.prob, self.outside = prob, 0
         m, anchors = prob.matrix, prob.anchors
         self.matrix, self.anchors = m, anchors  # held: the call keeps their addresses
         self.x, self.ax, self.w = np.empty(n), np.empty(d), np.empty(d)
         self.terms = np.empty(n), np.empty(n), np.empty(n)
-        self.done = threading.Lock()  # held while the worker has the call
         self.lib = native.library()
         if self.lib is not None:
             self.args = (n, *m.addresses, d, self.ax.ctypes.data, prob.lam * n,
@@ -282,10 +278,9 @@ class _ReportPass:
                          DUAL_DOMAIN_ATOL, self.w.ctypes.data,
                          *(t.ctypes.data for t in self.terms))
 
-    def post(self, x, ax, background: bool = False) -> None:
-        """Start the pass at copies of ``x`` and of ``ax`` = A x; without the
+    def post(self, x, ax) -> None:
+        """Make the pass at copies of ``x`` and of ``ax`` = A x; without the
         kernels, raise ValueError for a point outside the conjugate domain."""
-        self.settle()  # the previous row's call may still read the buffers
         _copy_into(self.x, x, "x")
         _copy_into(self.ax, ax, "ax")
         if self.lib is None:
@@ -297,36 +292,11 @@ class _ReportPass:
             margins = prob.matrix.tdot(self.w)
             self.terms = (prob.loss.phi(margins), prob.loss.conj_neg(xc),
                           _subgradient_residual(prob, xc, margins))
-        elif background:
-            self.done.acquire()  # released by run(), on the worker
-            try:
-                native.submit(self)
-            except BaseException:
-                self.done.release()
-                raise
         else:
             self.outside = self.lib.erm_report(*self.args)
 
-    def run(self) -> None:
-        """Make the posted call; on the report worker thread."""
-        try:
-            self.outside = self.lib.erm_report(*self.args)
-        except BaseException as exc:  # raised again by settle()
-            self.error = exc
-        finally:
-            self.done.release()
-
-    def settle(self) -> None:
-        """Return once the posted call has run, raising what it raised."""
-        with self.done:
-            pass
-        error, self.error = self.error, None
-        if error is not None:
-            raise error
-
     def finish(self, epoch: int, wall_time_s: float = 0.0) -> "PrimalDualReport":
         """The report: the sums, w'w and (A x)'(A x), in numpy."""
-        self.settle()
         if self.outside:
             raise ValueError("dual point outside the conjugate domain")
         prob = self.prob
@@ -621,30 +591,17 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
     ``epoch()`` advances the solver by one epoch, ``x()`` returns its dual
     iterate and ``ax()`` the A x that it maintains.  The trace starts with
     the epoch-0 row at the initial point and stops after ``epochs`` epochs
-    or once the primal-dual gap reaches ``tol``.  Wall time accumulates the
-    ``epoch()`` calls that are kept (see below), not report evaluation.
+    or once the primal-dual gap reaches ``tol``.  Each row is reported
+    before the next epoch runs, so no epoch runs past the row that stops
+    the run, and wall time accumulates the ``epoch()`` calls alone.
 
     Each report costs one A' w.  A gap from a maintained aggregate is not a
     weak-duality certificate, so a row whose gap reaches ``tol`` and the
     last row are evaluated again from a fresh A x: the run stops only once
-    that exact gap is <= ``tol``, and the returned ``x`` and ``w`` are the
-    last row's.
-
-    Each row is a snapshot: a copy of ``x()`` and of ``ax()``, so an epoch
-    may write those arrays in place; all rows copy into the buffers of one
-    :class:`_ReportPass`.  With the kernels loaded, each row before the
-    last posts its pass to the report worker thread (``native.submit``),
-    steps the next epoch here meanwhile, and is then finished here.  When
-    such a row stops the run, that speculative epoch is discarded with
-    anything it raised, and the run returns the snapshot: the caller's
-    solver state is then one epoch, possibly a failed one, past the
-    returned ``x``.  Otherwise what the epoch raised is raised after the
-    row, and a row that raises (a point outside the conjugate domain)
-    raises first.  Without the kernels each report is made before the next
-    epoch runs, so none is speculative.  Either way every row, ``x``, ``w``
-    and count is bitwise what the serial loop (report, then epoch) gives.
-    The returned ``x`` and ``w`` are the pass's buffers, which no other run
-    shares.
+    that exact gap is <= ``tol``.  Every row copies ``x()`` and ``ax()``
+    into the buffers of the run's one :class:`_ReportPass`, and the
+    returned ``x`` and ``w`` are the last row's: the pass's buffers, which
+    no other run shares.
     """
     box = prob.loss.dual_box
 
@@ -654,27 +611,12 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
     def stops(rep) -> bool:
         return tol is not None and rep.gap <= tol
 
-    def timed_epoch() -> float:
-        t0 = time.perf_counter()
-        epoch()
-        return time.perf_counter() - t0
-
     reports = []
     done, elapsed = 0, 0.0
     row = _ReportPass(prob)
     while done < epochs:
-        point = x()
-        row.post(point, ax(), background=True)
-        speculative, failure, spent = row.lib is not None, None, 0.0
-        try:
-            if speculative:  # the pass runs on the worker meanwhile
-                try:
-                    spent = timed_epoch()
-                except Exception as exc:
-                    failure = exc
-            rep = row.finish(done, elapsed)
-        finally:
-            row.settle()  # never leave with the pass still reading its buffers
+        row.post(x(), ax())
+        rep = row.finish(done, elapsed)
         if stops(rep):  # certify on the exact gap
             row.post(row.x, fresh_product(row.x))
             rep = row.finish(done, elapsed)
@@ -682,11 +624,9 @@ def run_epochs(prob: ErmProblem, epoch, x, epochs: int,
         if stops(rep):
             return ErmRunResult(x=row.x, w=row.w, reports=reports, epochs_run=done,
                                 epochs_to_tol=done)
-        if failure is not None:
-            raise failure
-        if not speculative:
-            spent = timed_epoch()
-        elapsed += spent
+        t0 = time.perf_counter()
+        epoch()
+        elapsed += time.perf_counter() - t0
         done += 1
     point = x()
     row.post(point, fresh_product(point))

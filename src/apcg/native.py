@@ -22,12 +22,6 @@ returns None, every caller runs its Python reference kernel instead, and
 A caller that calls a kernel on the same arrays many times validates them
 once and keeps their addresses with :func:`rebind`, which builds the
 arguments again only when one of the arrays has been replaced.
-
-:func:`submit` hands a job to the report worker, a daemon thread started
-by a process's first job, which calls the job's ``run()``.  The one job is
-a run's report pass (``erm._ReportPass``), whose ``run`` makes its
-``erm_report`` call; ctypes releases the GIL for the call, so the pass
-overlaps whatever the posting thread does next.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ import operator
 import os
 import platform
 import shutil
-import threading
 import zlib
 from pathlib import Path
 
@@ -193,28 +186,3 @@ def block_indices(blocks, n: int) -> np.ndarray:
         raise IndexError(f"block index out of range for {n} coordinates")
     return blocks
 
-
-_worker = None  # (thread, job queue) of the report worker, once started
-_starting = threading.Lock()  # held while a submit checks for the worker
-
-
-def submit(job) -> None:
-    """Have the report worker call ``job.run()``, starting the worker unless
-    it runs (a forked child does not inherit it).  The worker holds the job
-    until ``run`` returns, so a job dropped meanwhile frees nothing it uses."""
-    global _worker
-    with _starting:
-        if _worker is None or not _worker[0].is_alive():
-            import queue  # here, so importing apcg loads nothing for the worker
-            jobs = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(jobs,),
-                                      name="apcg-report-worker", daemon=True)
-            thread.start()
-            _worker = thread, jobs
-        jobs = _worker[1]
-    jobs.put(job)
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get().run()  # drops the job, and the arrays it holds, once run

@@ -10,7 +10,8 @@ plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
 schedule check, the per-k theta recursion and the combination check built
-on it, and the serial epoch driver that ``run_epochs`` pipelines) are kept
+on it, and an epoch driver that makes each row through
+``PrimalDualReport.evaluate``, which ``run_epochs`` is held to) are kept
 here as references too, and so are the generic
 change-of-variables stepper, which the ERM kernel specializes, and the
 paper's gap certificates through a full prox step.  So are the fixtures
@@ -615,10 +616,11 @@ def rpcg_solve(problem, max_iters: int, seed: int = 0):
 
 def serial_run_epochs(prob: ErmProblem, epoch, x, epochs: int,
                       tol: float | None = None, *, ax) -> ErmRunResult:
-    """The serial form of ``erm.run_epochs``, its reference: each row is
-    reported before the next epoch runs, so no epoch runs past the row that
-    stops the run.  Every row, ``x``, ``w`` and count of ``run_epochs``
-    must equal this one's bitwise, wall times aside."""
+    """The reference of ``erm.run_epochs``: each row is made by
+    ``PrimalDualReport.evaluate`` (the stopping and last rows at the clipped
+    point and its fresh A x) before the next epoch runs.  Every row, ``x``,
+    ``w`` and count of ``run_epochs`` must equal this one's bitwise, wall
+    times aside."""
     def row(done: int, elapsed: float):
         """The report after ``done`` epochs, and its fresh A x (None when
         the maintained one served)."""

@@ -63,36 +63,31 @@ def reports() -> None:
     """One report pass per problem across many rows, reusing its buffers: on
     points within the box's rounding slack, where it clips, and outside it,
     where it stops at the first or the last column, after which the pass
-    serves the next row; inline and on the worker.  Passes dropped with a
-    call in flight leave their buffers to the worker, which must keep them
-    alive until the calls return."""
+    serves the next row."""
     for prob in problems():
         row = _ReportPass(prob)
-        for background in (False, True):
-            x = np.full(prob.n, 1.0 + DUAL_DOMAIN_ATOL / 2)
-            x[::2] = -DUAL_DOMAIN_ATOL / 2
-            ax = prob.matrix.dot(np.clip(x, 0.0, 1.0))
-            row.post(x, ax, background)
-            want = row.finish(0)
-            assert np.isfinite(want.gap)
-            for _ in range(20):
-                row.post(x.copy(), ax.copy(), True)  # waits for the row before
+        x = np.full(prob.n, 1.0 + DUAL_DOMAIN_ATOL / 2)
+        x[::2] = -DUAL_DOMAIN_ATOL / 2
+        ax = prob.matrix.dot(np.clip(x, 0.0, 1.0))
+        row.post(x, ax)
+        want = row.finish(0)
+        assert np.isfinite(want.gap)
+        for _ in range(20):
+            row.post(x.copy(), ax.copy())
+        assert row.finish(0) == want
+        if prob.loss.dual_box is None:
+            continue
+        for j in (0, -1):
+            bad = x.copy()
+            bad[j] = 1.5
+            row.post(bad, prob.matrix.dot(np.clip(bad, 0.0, 1.0)))
+            try:
+                row.finish(0)
+                raise AssertionError("a point outside the box was reported")
+            except ValueError:
+                pass
+            row.post(x, ax)
             assert row.finish(0) == want
-            for _ in range(20):
-                _ReportPass(prob).post(x.copy(), ax, True)
-            if prob.loss.dual_box is None:
-                continue
-            for j in (0, -1):
-                bad = x.copy()
-                bad[j] = 1.5
-                row.post(bad, prob.matrix.dot(np.clip(bad, 0.0, 1.0)), background)
-                try:
-                    row.finish(0)
-                    raise AssertionError("a point outside the box was reported")
-                except ValueError:
-                    pass
-                row.post(x, ax, background)
-                assert row.finish(0) == want
 
 
 def repeated_column() -> None:

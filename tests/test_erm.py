@@ -1,11 +1,7 @@
 import ctypes
 import dataclasses
-import gc
 import hashlib
 import math
-import threading
-import time
-import weakref
 
 import numpy as np
 import pytest
@@ -540,6 +536,20 @@ def test_problem_rejects_non_positive_or_non_finite_parameters(bad):
             ErmProblem.ridge(A, np.where(labels > 0, bad, 1.0), lam=1e-2)
 
 
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+def test_a_ridge_problem_keeps_its_own_targets(kernels, request):
+    """ErmProblem.ridge copies the caller's targets: NaN written into the
+    caller's array after the build changes none of solve_erm's rows, and
+    the problem's copy is read-only."""
+    request.getfixturevalue(kernels)
+    A, targets = synth_binary(60, 20, 0.3, seed=5, min_nnz=1)
+    prob = ErmProblem.ridge(A, targets, lam=1e-2)
+    want = untimed_run(solve_erm(prob, epochs=10, seed=0, tol=1e-4))
+    targets.fill(np.nan)
+    assert untimed_run(solve_erm(prob, epochs=10, seed=0, tol=1e-4)) == want
+    assert not (prob.anchors.flags.writeable or prob.loss.targets.flags.writeable)
+
+
 @pytest.mark.parametrize("col, lam, gamma", [
     ([1e150, 1e150], 1e-10, 1.0),  # ||A_i||^2 / (lam n^2) overflows: L_i = inf
     ([1e100], 1e-10, 1e-300),      # L_i finite, but (gamma/n) / max L_i underflows
@@ -959,7 +969,8 @@ def untimed_run(run):
 def test_pipelined_runs_equal_the_serial_reference(hinge200, ridge150, kernels, request,
                                                    monkeypatch):
     """Every cell run_epochs drives (the four solvers on both losses) gives
-    bitwise the serial loop's rows, x, w and counts, whether the run ends at
+    bitwise the reference loop's rows, x, w and counts (each row made by
+    ``PrimalDualReport.evaluate``), whether the run ends at
     its budget without a tol, on tol mid-run, or at a budget that cuts it
     before tol; at tol 0.5 (the gap at x = 0) the first row stops it."""
     request.getfixturevalue(kernels)
@@ -996,11 +1007,10 @@ def failing_epochs(state, at):
 
 
 @pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
-def test_speculative_epoch_errors_follow_the_serial_run(ridge150, kernels, request):
-    """An epoch that raises on its call after the row that stops the run
-    (the speculative one) is discarded with its error, and the run is the
-    serial one; an epoch that raises before that propagates as serially,
-    with its type and message."""
+def test_epoch_errors_follow_the_serial_run(ridge150, kernels, request):
+    """An epoch that would raise on its call after the row that stops the
+    run is never called, and the run is the serial one; an epoch that
+    raises before that propagates with its type and message."""
     request.getfixturevalue(kernels)
     tol = 1e-6
     state = ErmDualState(ridge150, seed=4)
@@ -1018,11 +1028,9 @@ def test_speculative_epoch_errors_follow_the_serial_run(ridge150, kernels, reque
 
 
 @pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
-def test_a_failing_report_takes_precedence_over_the_speculative_epoch(hinge200, kernels,
-                                                                      request):
-    """A row at a point outside the conjugate domain raises its ValueError
-    even though the epoch that followed it raised too, as the serial loop,
-    which never runs that epoch, does."""
+def test_a_failing_report_raises_before_the_next_epoch(hinge200, kernels, request):
+    """A row at a point outside the conjugate domain raises its ValueError,
+    and the epoch after it, which would raise too, is never called."""
     request.getfixturevalue(kernels)
     for drive in (run_epochs, oracles.serial_run_epochs):
         state = ErmDualState(hinge200, seed=1)
@@ -1039,90 +1047,36 @@ def test_a_failing_report_takes_precedence_over_the_speculative_epoch(hinge200, 
             drive(hinge200, failing_epochs(state, 3), x, 10, None, ax=state.ax)
 
 
-def test_a_report_job_holds_every_array_it_passes(hinge200, c_kernels, monkeypatch):
+def test_a_report_pass_holds_every_array_it_passes(hinge200, c_kernels, monkeypatch):
     """Each pointer a report pass passes to ``erm_report`` is the address
-    of an array the pass holds, and the worker holds the pass, its job,
-    until the call returns, so a pass dropped with its call in flight keeps
-    its arrays alive until then."""
+    of an array the pass holds, so none is freed while the pass may make
+    its call again."""
     prob, lib = hinge200, native.library()
-    called, release = [], threading.Event()
-    report = lib.erm_report
+    called, report = [], lib.erm_report
 
-    def held_back(*args):  # on the worker thread
+    def spied(*args):
         called.append(args)
-        assert release.wait(timeout=30.0)
         return report(*args)
 
-    monkeypatch.setattr(lib, "erm_report", held_back)
+    monkeypatch.setattr(lib, "erm_report", spied)
     x = np.full(prob.n, 0.25)
     row = erm._ReportPass(prob)
-    row.post(x, prob.matrix.dot(x), background=True)
-    snapshot_ref = weakref.ref(row.x)  # the pass's copy of x, which the call reads
+    row.post(x, prob.matrix.dot(x))
     m = row.matrix
     held = {a.ctypes.data for a in (m.indptr, m.indices, m.values, row.anchors,
                                     row.x, row.ax, row.w, *row.terms)}
-    del row
-    gc.collect()
-    assert snapshot_ref() is not None
-    release.set()
-    deadline = time.monotonic() + 30.0
-    while snapshot_ref() is not None and time.monotonic() < deadline:
-        time.sleep(0.001)
-        gc.collect()
-    assert snapshot_ref() is None  # freed once the call returned
     (args,) = called
     pointers = [arg for arg, kind in zip(args, native.SIGNATURES["erm_report"])
                 if kind is ctypes.c_void_p]
     assert len(pointers) == 10 and set(pointers) <= held
 
 
-def test_run_epochs_never_leaves_with_a_job_in_flight(hinge200, c_kernels, monkeypatch):
-    """KeyboardInterrupt from an epoch, and an epoch error after a row that
-    does not stop the run, leave run_epochs only after it has waited for
-    each call it posted to the worker (a settle returns once the call has
-    run)."""
-    posted, waited = [], [0]
-    run, settle = erm._ReportPass.run, erm._ReportPass.settle
-
-    def spied_run(row):  # on the worker thread
-        posted.append(row)
-        run(row)
-
-    def spied_settle(row):
-        settle(row)
-        waited[0] = len(posted)  # every call posted so far has returned
-
-    monkeypatch.setattr(erm._ReportPass, "run", spied_run)
-    monkeypatch.setattr(erm._ReportPass, "settle", spied_settle)
-    for error in (KeyboardInterrupt, EpochFails):
-        state = ErmDualState(hinge200, seed=1)
-
-        def epoch():
-            if state.k:
-                raise error("stop")
-            state.epoch()
-
-        with pytest.raises(error):
-            run_epochs(hinge200, epoch, state.x, 10, None, ax=state.ax)
-        assert len(posted) == 2 and waited[0] == len(posted)
-        posted.clear()
-        waited[0] = 0
-
-
 @pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
-def test_only_a_pass_on_the_worker_makes_an_epoch_speculative(hinge200, kernels, request,
-                                                             monkeypatch):
-    """With the kernels a run that stops on tol steps one epoch past its
-    stopping row while the worker makes that row's pass.  Without them every
-    report is made, in numpy, before the next epoch, nothing goes to the
-    worker, and no epoch runs past the stopping row: the solver's state is
-    the returned x."""
+def test_no_epoch_runs_past_the_stopping_row(hinge200, kernels, request):
+    """Every report is made before the next epoch runs, so a run that stops
+    on tol calls ``epoch()`` once per epoch it counts and leaves the
+    solver's state at the returned x."""
     request.getfixturevalue(kernels)
-    compiled = kernels == "c_kernels"
-    if not compiled:
-        def submit(job):
-            raise AssertionError("a pass went to the worker without the kernels")
-        monkeypatch.setattr(native, "submit", submit)
     state = ErmDualState(hinge200, seed=0)
     calls = [0]
 
@@ -1132,15 +1086,14 @@ def test_only_a_pass_on_the_worker_makes_an_epoch_speculative(hinge200, kernels,
 
     run = run_epochs(hinge200, epoch, state.x, 100, 1e-3, ax=state.ax)
     assert run.epochs_to_tol is not None
-    assert calls[0] == run.epochs_run + compiled
-    assert np.array_equal(state.x(), run.x) == (not compiled)
+    assert calls[0] == run.epochs_run
+    assert state.x().tobytes() == run.x.tobytes()
 
 
 def test_snapshots_may_alias_what_the_next_epoch_writes(hinge200, c_kernels):
     """x() and ax() may return arrays that the epochs write in place (here
-    SDCA's x and an in-place A x): each row reads its own copies, so the
-    speculative epoch writing them while the worker makes the row's pass
-    changes no row, and the run is the serial one."""
+    SDCA's x and an in-place A x): each row reads its own copies, and the
+    run is the reference one."""
     prob = hinge200
 
     def cell():
@@ -1206,11 +1159,8 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
     line-search trial.  On top: the start (APCG's q = A x0, AFG's image of
     x0) and the last row's fresh A x and A' w.  A cell that stops on tol
     (at 1e-3, within 40 epochs here) also re-evaluates its stopping row
-    from a fresh A x, and with the kernels AFG makes exactly one iteration
-    past that row: the speculative one that run_epochs discards.  A compiled report's
-    ``_ReportPass.post`` counts as its A' w (it is made on the main thread;
-    its kernel call may run on the worker).  Without the kernels no epoch is
-    speculative."""
+    from a fresh A x, and AFG makes no iteration past that row.  A compiled
+    report's ``_ReportPass.post`` counts as its A' w."""
     counts = {}
 
     def counting(name, fn):
@@ -1227,7 +1177,6 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
                         counting("trials", ConjugatePenalty.prox_full))
     monkeypatch.setattr(baselines, "afg_step", counting("iterations", baselines.afg_step))
     start = {"apcg": 1, "sdca": 0, "rpcg": 0, "afg": 1}[solver]
-    compiled = native.library() is not None
     for tol, epochs in ((None, 12), (1e-3, 40)):
         counts.update(dot=0, tdot=0, trials=0, iterations=0)
         run = run_solver_trace(hinge200, solver, epochs=epochs, seed=1, tol=tol)
@@ -1235,7 +1184,7 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
         assert stopped == (tol is not None)
         reports = run.epochs_run + 1 + stopped
         if solver == "afg":
-            assert counts["iterations"] == run.epochs_run + (stopped and compiled)
+            assert counts["iterations"] == run.epochs_run
             assert counts["trials"] >= counts["iterations"]
             assert counts["dot"] == start + counts["trials"] + 1
             assert counts["tdot"] == counts["iterations"] + reports

@@ -1,24 +1,21 @@
 """The compiled-kernel loader: build, cache, fallback and argument checks."""
 
 import ctypes
-import dataclasses
 import os
 import re
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import apcg
-from apcg import data, erm, native
+from apcg import data, native
 from apcg.baselines import sdca_epoch
 from apcg.cli import main
 from apcg.data import synth_binary
-from apcg.erm import ErmDualState, ErmProblem, solve_erm
+from apcg.erm import ErmDualState, ErmProblem
 from apcg.solvers import BlockSampler
 
 import oracles
@@ -189,8 +186,7 @@ def check_arrays_replaced_after_binding() -> None:
             require(np.array_equal(getattr(state, other), getattr(ref, other)), f"{name}: {other}")
         require(state.scale == ref.scale and state.k == ref.k, name)
     for name in ("x", "w_agg", "col_norms_sq", "anchors"):
-        # prob's twin, whose arrays are replaced (its anchors are its targets)
-        own = ErmProblem.ridge(A, labels.copy(), lam=1e-2)
+        own = ErmProblem.ridge(A, labels, lam=1e-2)  # prob's twin, whose arrays are replaced
         arrays = {"x": np.zeros(prob.n), "w_agg": np.zeros(prob.d)}
         ref = {"x": np.zeros(prob.n), "w_agg": np.zeros(prob.d)}
         sampler, ref_sampler = BlockSampler(prob.n, 3), BlockSampler(prob.n, 3)
@@ -213,6 +209,7 @@ def check_arrays_replaced_after_binding() -> None:
                 sdca_epoch(own, arrays["x"], arrays["w_agg"], sampler)
         copy = kept.copy()
         place(copy)
+        kept.flags.writeable = True  # a ridge problem's anchors are its read-only targets
         kept.fill(np.nan)
         for _ in range(2):
             sdca_epoch(own, arrays["x"], arrays["w_agg"], sampler)
@@ -324,126 +321,28 @@ def test_every_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path
     assert len(list((tmp_path / "apcg").glob("kernels-*.so"))) == 1
 
 
-def untimed(run):
-    return ([dataclasses.replace(r, wall_time_s=0.0) for r in run.reports],
-            run.x.tobytes(), run.w.tobytes(), run.epochs_run, run.epochs_to_tol)
-
-
-def test_the_worker_thread_runs_posted_jobs(hinge200, c_kernels):
-    """A posted report pass runs on the worker thread without anyone waiting
-    for it, and gives the report made inline."""
-    x = np.full(hinge200.n, 0.25)
-    row = erm._ReportPass(hinge200)
-    row.post(x, hinge200.matrix.dot(x), background=True)
-    assert row.done.acquire(timeout=30.0)  # released by the worker, not by a wait
-    row.done.release()
-    assert any(t.name == "apcg-report-worker" and t.daemon for t in threading.enumerate())
-    assert row.finish(0) == erm.PrimalDualReport.evaluate(hinge200, x, epoch=0)
-
-
-def test_a_pass_that_raises_on_the_worker_raises_on_the_waiting_thread(hinge200, c_kernels,
-                                                                       monkeypatch):
-    """An exception from a job's call reaches the thread that waits for it,
-    and the worker goes on to run the next job."""
-    x = np.full(hinge200.n, 0.25)
-
-    def broken(*args):
-        raise RuntimeError("pass failed")
-
-    with monkeypatch.context() as m:
-        m.setattr(native.library(), "erm_report", broken)
-        row = erm._ReportPass(hinge200)
-        row.post(x, hinge200.matrix.dot(x), background=True)
-        with pytest.raises(RuntimeError, match="pass failed"):
-            row.finish(0)
-    row.post(x, hinge200.matrix.dot(x), background=True)  # the pass is still usable
-    assert row.finish(0) == erm.PrimalDualReport.evaluate(hinge200, x, epoch=0)
-
-
-def test_the_worker_serves_many_threads(hinge200, ridge150, c_kernels):
-    """Four threads, more than the cores, each post 200 rows on their own
-    passes and run pipelined solves under a 1 us switch interval: every row
-    and every solve equals the one made alone, and none hangs (a lost
-    wakeup would)."""
-    problems = (hinge200, ridge150)
-    points = [np.random.default_rng(k).uniform(size=p.n) for k, p in enumerate(problems)]
-    want_reports = [erm.PrimalDualReport.evaluate(p, x, epoch=0)
-                    for p, x in zip(problems, points)]
-    want_runs = [untimed(solve_erm(p, epochs=5, seed=0)) for p in problems]
-    failures = []
-
-    def poster(t):
-        try:
-            rows = [erm._ReportPass(prob) for prob in problems]
-            for k in range(200):
-                i = (t + k) % 2
-                prob, x, row = problems[i], points[i], rows[i]
-                row.post(x, prob.matrix.dot(x), background=True)
-                if k % 7 == 0:
-                    time.sleep(0.0005)
-                assert row.finish(0) == want_reports[i]
-            for i, prob in enumerate(problems):
-                assert untimed(solve_erm(prob, epochs=5, seed=0)) == want_runs[i]
-        except BaseException as exc:
-            failures.append(exc)
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=poster, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120.0)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-
-
-FORKED_SOLVE = """
-import dataclasses, os, sys, time
+NO_THREAD_RUN = """
+import sys, threading
 from apcg import native
-from apcg.data import synth_binary
-from apcg.erm import ErmProblem, solve_erm
+from apcg.cli import main
 
-A, labels = synth_binary(200, 40, 0.1, seed=2, min_nnz=1)
-prob = ErmProblem.smoothed_hinge(A, labels, lam=1e-3)
+def refuse(thread):
+    raise AssertionError(f"the run started the thread {thread.name}")
 
-def solve():
-    run = solve_erm(prob, epochs=6, seed=0)
-    return ([dataclasses.replace(r, wall_time_s=0.0) for r in run.reports],
-            run.x.tobytes(), run.epochs_run)
-
-want = solve()  # starts the report worker
-pid = os.fork()
-if pid == 0:
-    try:
-        inherited = native._worker[0].is_alive()
-        same = solve() == want
-        restarted = native._worker[0].is_alive()
-        os._exit(0 if same and restarted and not inherited else 3)
-    finally:
-        os._exit(4)
-deadline = time.monotonic() + 60.0
-while True:
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        break
-    if time.monotonic() > deadline:
-        os.kill(pid, 9)
-        sys.exit("the forked child hung")
-    time.sleep(0.01)
-print("child exited", os.waitstatus_to_exitcode(status))
+threading.Thread.start = refuse
+assert native.library() is not None, native.backend()
+sys.exit(main(["run", "--synthetic", "200,50,0.2", "--lambda", "1e-3", "--epochs", "30",
+               "--tol", "1e-3", "--out", sys.argv[1]]))
 """
 
 
-def test_the_worker_restarts_in_a_forked_child(c_kernels):
-    """A child forked after a pipelined solve has no worker thread (fork
-    copies only the forking thread); its first post starts a new one, and its
-    solve gives the parent's rows and x bitwise before a deadline."""
+def test_a_compiled_run_starts_no_thread(tmp_path, c_kernels):
+    """Every row of a compiled run is reported on the thread that runs it:
+    the four solvers on a small hinge problem, each run to its tol or its
+    budget, exit 0 with starting a thread made an error.  The run has a
+    fresh process, so no thread that an earlier test started can serve it."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", FORKED_SOLVE], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", NO_THREAD_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    assert proc.stdout.strip() == "child exited 0"
+    assert proc.stdout.splitlines()[-1] == "kernels: c"
