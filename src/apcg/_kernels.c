@@ -34,13 +34,14 @@
    bitwise those of the Python recursion.
    apcg.native builds this file with -O2 -ffp-contract=off
    -falign-loops=64: no fused multiply-add, no fast-math, and every loop
-   starting a cache line.  The tokenizer reads
-   values with strtod, which rounds correctly like Python's float(), so
-   what it accepts parses to the same bits.  synth_columns makes the same
-   calls into numpy's own distributions, on the caller's Generator, in the
-   same order as the Python loop, so its indptr, indices and values, and
-   the draws that follow it, are bitwise the same.  One bitmap of
-   ceil(d / 64) words marks a column's rows: Floyd's algorithm tests
+   starting a cache line.  The tokenizer rounds each value of at most 19
+   significant digits itself (Clinger's fast path, else Eisel-Lemire) and
+   hands every other value to strtod; both round correctly like Python's
+   float(), so what it accepts parses to the same bits.  synth_columns
+   makes the same calls into numpy's own distributions, on the caller's
+   Generator, in the same order as the Python loop, so its indptr, indices
+   and values, and the draws that follow it, are bitwise the same.  One
+   bitmap of ceil(d / 64) words marks a column's rows: Floyd's algorithm tests
    membership in it, and the rows come out sorted by a scan of its words
    (an insertion sort of the rows where k * k is small against the word
    count).  The unit-norm scaling of each column stays in numpy, one
@@ -336,58 +337,152 @@ int64_t schedule_history(double n, double mu, double gamma0, int64_t steps,
    no ending); fields are separated by spaces or tabs; the label is +1, -1
    or 1; each feature is idx:val with idx 1 to 18 ASCII digits (so it
    fits an int64_t), >= 1 and strictly increasing along the line; val matches
-   [+-]?digits[.digits][(e|E)[+-]?digits].  The value is read by strtod from
-   a NUL-terminated copy, which must consume all of it and give a finite
-   number without ERANGE.  Anything else (another byte, a blank line, a lone
-   \r, a longer token, a subnormal) returns 1, and the caller parses the
-   input with the Python parser instead.  Nothing is read past len.
+   [+-]?digits[.digits][(e|E)[+-]?digits] in at most VALUE_MAX bytes, and
+   read_value must read it to a finite number.  Anything else (another
+   byte, a blank line, a lone \r, a longer token, a subnormal) returns 1,
+   and the caller parses the input with the Python parser instead.
+   Nothing is read past len.
 
    On entry shape holds the capacity of labels (indptr has one more entry,
-   indptr[0] = 0) and of indices and values.  On success, labels, indptr,
-   indices (0-based) and values hold the examples, without zero values
-   (which still count for the order and the largest index), shape holds
-   (examples, values kept, largest index), and 0 is returned. */
+   indptr[0] = 0) and of indices and values, and pow5 holds the 128-bit
+   truncations of 5^q for q = -342 ... 308, each normalised to its top bit,
+   as (high, low) words (data._powers_of_five).  On success, labels,
+   indptr, indices (0-based) and values hold the examples, without zero
+   values (which still count for the order and the largest index), shape
+   holds (examples, values kept, largest index), and 0 is returned. */
 #define IS_SEP(c) ((c) == ' ' || (c) == '\t')
 #define IS_DIGIT(c) ((c) >= '0' && (c) <= '9')
 #define VALUE_MAX 63
 
-static const char *skip_digits(const char *p, const char *end)
+/* 10^0 ... 10^22, each exact as a double */
+static const double EXACT_POWERS_OF_TEN[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* w * 10^q rounded to nearest, ties to even, by Eisel-Lemire (Lemire,
+   "Number parsing at a gigabyte per second", SPE 2021; the second product
+   makes it exact without a fallback: Mushtak and Lemire, "Fast number
+   parsing without fallback", SPE 2023): the top bits of w times the
+   truncated 5^q.  For 0 < w and q in [-342, 308].  Returns 1, leaving the
+   value to strtod, when it is subnormal or overflows. */
+static int eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow5, double *out)
 {
-    while (p < end && IS_DIGIT(*p))
-        p++;
-    return p;
+    const int lz = __builtin_clzll(w);
+    w <<= lz;
+    const uint64_t *const power = pow5 + 2 * (q + 342);
+    unsigned __int128 product = (unsigned __int128)w * power[0];
+    /* where the 9 bits of the high word below the 55 used are all ones,
+       the rest of 5^q, truncated away, could carry into them */
+    if (((uint64_t)(product >> 64) & 0x1FF) == 0x1FF)
+        product += ((unsigned __int128)w * power[1]) >> 64;
+    const uint64_t high = (uint64_t)(product >> 64), low = (uint64_t)product;
+    const int upper = (int)(high >> 63), shift = upper + 9;
+    uint64_t mantissa = high >> shift;  /* 54 bits: 53 and a rounding bit */
+    /* biased; (217706 q) >> 16 is floor(q log2(10)) for these q (the
+       shift of a negative product is arithmetic) */
+    int64_t exponent = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if (exponent <= 0)
+        return 1;
+    /* a tie: only q in [-4, 23] can place w 10^q exactly halfway, and then
+       the product is exact; round down to the even neighbour */
+    if (low <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1
+        && mantissa << shift == high)
+        mantissa &= ~(uint64_t)1;
+    mantissa = (mantissa + (mantissa & 1)) >> 1;
+    if (mantissa >> 53) {  /* rounded up to the next power of two */
+        mantissa = (uint64_t)1 << 52;
+        exponent++;
+    }
+    if (exponent >= 0x7FF)
+        return 1;
+    const uint64_t bits = (mantissa & (((uint64_t)1 << 52) - 1)) | (uint64_t)exponent << 52;
+    memcpy(out, &bits, sizeof bits);
+    return 0;
 }
 
-/* End of the value token at p, or NULL if it is outside the grammar. */
-static const char *scan_value(const char *p, const char *end)
+/* Reads the value token at p: returns its end, with its value in *out,
+   or NULL when the tokenizer declines it (outside the grammar, longer than
+   VALUE_MAX, or a value strtod would not give as a finite number without
+   ERANGE).  The digits fold into w (wrapping past 19 digits, where w is
+   not used) and the token is w * 10^q.  With at most 19 significant
+   digits (leading zeros do not count) w is exact: Clinger's fast path
+   rounds it with one exact product or quotient where w and 10^|q| are
+   exact doubles, else eisel_lemire.  Both round correctly, so they give
+   strtod's double, and they take only tokens that strtod reads to a
+   finite, normal double without ERANGE.  Every other token (more digits,
+   q outside [-342, 308], a subnormal or overflowing result) is read by
+   strtod from a NUL-terminated copy, which must consume all of it and
+   give a finite value without ERANGE. */
+static const char *read_value(const char *p, const char *end, const uint64_t *pow5,
+                              double *out)
 {
+    const char *const token = p;
+    const bool negative = p < end && *p == '-';
     if (p < end && (*p == '+' || *p == '-'))
         p++;
-    const char *q = skip_digits(p, end);
-    if (q == p)
+    const char *const digits = p;
+    uint64_t w = 0;
+    for (; p < end && IS_DIGIT(*p); p++)
+        w = 10 * w + (uint64_t)(*p - '0');
+    if (p == digits)
         return NULL;
-    if (q < end && *q == '.') {
-        p = q + 1;
-        if ((q = skip_digits(p, end)) == p)
+    int64_t count = p - digits, q = 0;
+    if (p < end && *p == '.') {
+        const char *const fraction = ++p;
+        for (; p < end && IS_DIGIT(*p); p++)
+            w = 10 * w + (uint64_t)(*p - '0');
+        if (p == fraction)
             return NULL;
+        q = fraction - p;
+        count += p - fraction;
     }
-    if (q < end && (*q == 'e' || *q == 'E')) {
-        p = q + 1;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        const bool negative_exponent = ++p < end && *p == '-';
         if (p < end && (*p == '+' || *p == '-'))
             p++;
-        if ((q = skip_digits(p, end)) == p)
+        const char *const exponent = p;
+        int64_t e = 0;
+        for (; p < end && IS_DIGIT(*p); p++)
+            if (e < 100000)
+                e = 10 * e + (*p - '0');
+        if (p == exponent)
             return NULL;
+        q += negative_exponent ? -e : e;
     }
-    return q;
+    if (p - token > VALUE_MAX)
+        return NULL;
+    for (const char *z = digits; count > 19 && (*z == '0' || *z == '.'); z++)
+        count -= *z == '0';
+
+    double v;
+    if (count > 19 || (w != 0 && (q < -342 || q > 308)))
+        goto fallback;
+    if (w == 0)
+        v = 0.0;
+    else if (q >= -22 && q <= 22 && w <= (uint64_t)1 << 53)
+        v = q < 0 ? (double)w / EXACT_POWERS_OF_TEN[-q] : (double)w * EXACT_POWERS_OF_TEN[q];
+    else if (eisel_lemire(w, q, pow5, &v))
+        goto fallback;
+    *out = negative ? -v : v;
+    return p;
+
+fallback:;
+    char tmp[VALUE_MAX + 1];
+    const size_t size = (size_t)(p - token);
+    memcpy(tmp, token, size);
+    tmp[size] = '\0';
+    char *stop;
+    errno = 0;
+    *out = strtod(tmp, &stop);
+    return stop == tmp + size && errno != ERANGE && isfinite(*out) ? p : NULL;
 }
 
-int libsvm_parse(const char *buf, int64_t len, int64_t *shape, double *labels,
-                 int64_t *indptr, int64_t *indices, double *values)
+int libsvm_parse(const char *buf, int64_t len, const uint64_t *pow5, int64_t *shape,
+                 double *labels, int64_t *indptr, int64_t *indices, double *values)
 {
     const char *p = buf, *const end = buf + len;
     const int64_t max_lines = shape[0], max_values = shape[1];
     int64_t n = 0, kept = 0, max_index = 0;
-    char tmp[VALUE_MAX + 1];
 
     while (p < end) {
         if (n >= max_lines)
@@ -418,20 +513,10 @@ int libsvm_parse(const char *buf, int64_t len, int64_t *shape, double *labels,
             }
             if (p == digits || p == end || *p != ':' || idx <= prev)
                 return 1;  /* idx >= 1 follows from idx > prev >= 0 */
-            const char *val = ++p;
-            if ((p = scan_value(p, end)) == NULL)
+            double v;
+            if ((p = read_value(++p, end, pow5, &v)) == NULL)
                 return 1;
             if (p < end && !IS_SEP(*p) && *p != '\n' && *p != '\r')
-                return 1;
-            const size_t size = (size_t)(p - val);
-            if (size > VALUE_MAX)
-                return 1;
-            memcpy(tmp, val, size);
-            tmp[size] = '\0';
-            char *stop;
-            errno = 0;
-            const double v = strtod(tmp, &stop);
-            if (stop != tmp + size || errno == ERANGE || !isfinite(v))
                 return 1;
             if (v != 0.0) {
                 if (kept >= max_values)

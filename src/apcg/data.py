@@ -8,6 +8,7 @@ column's (indices, values) pair and nothing else.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import math
@@ -177,7 +178,10 @@ def parse_libsvm(path) -> tuple[SparseColMatrix, np.ndarray]:
     whitespace or line endings, other spellings of labels or numbers, a
     malformed line, a subnormal or out-of-range value.  Declined input,
     and all input when the kernels are unavailable, goes through the Python
-    parser, which accepts it or raises a line-numbered ParseError.  Both
+    parser, which accepts it or raises a line-numbered ParseError.  The
+    tokenizer rounds a value of at most 19 significant digits itself
+    (Clinger's exact fast path, else Eisel-Lemire) and reads any other with
+    ``strtod``; each rounds correctly, as ``float()`` does, so both parsers
     give bitwise-equal results on what the tokenizer accepts.
     """
     path = Path(path)
@@ -189,6 +193,27 @@ def parse_libsvm(path) -> tuple[SparseColMatrix, np.ndarray]:
     return parsed if parsed is not None else _parse_python(path)
 
 
+@functools.cache
+def _powers_of_five() -> np.ndarray:
+    """The table ``libsvm_parse`` rounds values with: for q = -342 ... 308,
+    5^q normalised to 128 bits (its top bit set) and truncated, as (high,
+    low) uint64 words; a negative power is the reciprocal's truncation plus
+    one, the form Eisel-Lemire needs (fast_float's generator, from exact
+    integers).  Built once, on the first compiled parse, and read-only."""
+    table = np.empty((651, 2), dtype=np.uint64)
+    for row, q in enumerate(range(-342, 309)):
+        if q < 0:
+            power = 5 ** -q
+            bits = power.bit_length()  # 5^-q is no power of two: 2^(bits-1) < it
+            c = (1 << (bits + 127 if q >= -27 else 2 * bits + 128)) // power + 1
+        else:
+            c = 5 ** q << 128  # shifted down to 128 bits below
+        c >>= c.bit_length() - 128
+        table[row] = c >> 64, c & (1 << 64) - 1
+    table.flags.writeable = False
+    return table.ravel()
+
+
 def _parse_compiled(lib, data: bytes):
     """parse_libsvm's result from the compiled tokenizer, or None when
     ``data`` lies outside the subset it accepts."""
@@ -197,8 +222,9 @@ def _parse_compiled(lib, data: bytes):
     shape = np.array([lines, features, 0], dtype=np.int64)
     labels, values = np.empty(lines), np.empty(features)
     indptr, indices = np.zeros(lines + 1, dtype=np.int64), np.empty(features, dtype=np.int64)
-    if lib.libsvm_parse(data, len(data), shape.ctypes.data, labels.ctypes.data,
-                        indptr.ctypes.data, indices.ctypes.data, values.ctypes.data):
+    if lib.libsvm_parse(data, len(data), _powers_of_five().ctypes.data, shape.ctypes.data,
+                        labels.ctypes.data, indptr.ctypes.data, indices.ctypes.data,
+                        values.ctypes.data):
         return None
     n, kept, max_index = shape.tolist()
     # shrink the buffers to their exact sizes in place: nothing views them yet

@@ -53,7 +53,7 @@ SIGNATURES = {
                        _D, _D, _D, _D, _D, _INT, _D),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),
     "schedule_history": (_D, _D, _D, _I, _P, _P, _P, _P),
-    "libsvm_parse": (_P, _I, _P, _P, _P, _P, _P),
+    "libsvm_parse": (_P, _I, _P, _P, _P, _P, _P, _P),
     "synth_columns": (_P, _I, _I, _D, _I, _P, _P, _P, _P, _P, _I),
 }
 RESTYPES = {"apcg_erm_epoch": _D, "schedule_history": _I, "libsvm_parse": _INT,

@@ -17,7 +17,7 @@ import numpy as np
 from apcg import native
 from apcg.baselines import sdca_epoch
 from apcg.cli import KNOWN_SOLVERS, check_invariants, run_solver_trace
-from apcg.data import parse_libsvm, synth_binary, write_libsvm
+from apcg.data import _parse_compiled, parse_libsvm, synth_binary, write_libsvm
 from apcg.erm import DUAL_DOMAIN_ATOL, ErmDualState, ErmProblem, _ReportPass
 from apcg.errors import ParseError
 from apcg.schedule import ApcgSchedule
@@ -107,8 +107,32 @@ def repeated_column() -> None:
         state.check_consistency()
 
 
+# (value token, whether the tokenizer takes it): Clinger's path, ties, 19-
+# and 20-digit mantissas, Eisel-Lemire's second product (1e126 and the two
+# 19-digit ones), both ends of the table of powers (1e308, 1e-342), and
+# each fallback to strtod: over 19 digits, an exponent below -342 or above
+# 308, a subnormal and an overflow after rounding
+VALUE_TOKENS = [(b"1.5", True), (b"-0.25e-3", True), (b"9007199254740992e-22", True),
+                (b"9007199254740993", True), (b"9007199254740991.5", True),
+                (b"1234567890123456789", True), (b"-9999999999999999999e-300", True),
+                (b"9.999999999999999999", True), (b"1e126", True),
+                (b"5686195766191664401e64", True), (b"7621798590907887004e-140", True),
+                (b"12345678901234567890", True), (b"0.000000000000000000000000001e1", True),
+                (b"1234567890123456789012e-300", True), (b"1e308", True), (b"1e-342", False),
+                (b"1e-343", False), (b"1e309", False),
+                (b"1e-310", False), (b"2.2250738585072013e-308", True),
+                (b"1.7976931348623157e308", True), (b"1.7976931348623159e308", False),
+                (b"0e999", True)]
+
+
 def libsvm(work_dir: Path) -> None:
-    """A round trip, input the tokenizer declines, and malformed input."""
+    """A round trip, input the tokenizer declines, malformed input, and
+    values down each path of the tokenizer's reading."""
+    for token, taken in VALUE_TOKENS:
+        got = _parse_compiled(native.library(), b"+1 1:" + token + b"\n")
+        assert (got is not None) == taken, token
+        if taken:
+            assert got[0].values.tolist() == [v for v in [float(token)] if v != 0.0], token
     A, labels = synth_binary(30, 9, 0.3, seed=5, min_nnz=0)
     path = work_dir / "round_trip.libsvm"
     write_libsvm(A, labels, path)

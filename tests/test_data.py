@@ -1,7 +1,10 @@
 import copy
+import ctypes
 import gzip
 import math
 import pickle
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -411,8 +414,9 @@ def parsed(parse, source):
 
 
 def test_compiled_parse_equals_python_on_written_files(tmp_path, c_kernels):
-    for seed in range(3):
-        A, labels = synth_binary(300, 200, 0.05, seed=seed, min_nnz=1)
+    # the last is the ridge-libsvm shape, 17-digit values from repr
+    for n, d, seed in ((300, 200, 0), (300, 200, 1), (300, 200, 2), (2000, 1000, 1000)):
+        A, labels = synth_binary(n, d, 0.05, seed=seed, min_nnz=1)
         path = tmp_path / f"w{seed}.libsvm"
         write_libsvm(A, labels, path)
         assert _parse_compiled(native.library(), path.read_bytes()) is not None
@@ -451,6 +455,31 @@ TOKENIZER_CASES = [
     (b"+1 1:" + b"1" * 64 + b"\n", False),               # token over 63 bytes
     (b"+1 1:1:2\n", False), (b"+1 1 :1\n", False), (b"+1 1:1x\n", False),
     (b"+11:1\n", False),
+    # values at the edges of the exact fast path, each taken or declined as
+    # when the tokenizer read every value with strtod: ties to even, 2^53 + 1
+    # and 2^53 + 3
+    (b"+1 1:9007199254740993\n", True), (b"+1 1:9007199254740995\n", True),
+    (b"+1 1:9007199254740991.5\n", True),              # a tie rounding up to 2^53
+    # 19 and 20 significant digits, and zeros beyond 19 digits
+    (b"+1 1:1234567890123456789\n", True), (b"+1 1:12345678901234567890\n", True),
+    (b"+1 1:-9999999999999999999\n", True), (b"+1 1:99999999999999999999\n", True),
+    (b"+1 1:9.999999999999999999\n", True),
+    (b"+1 1:0.00000000001234567890123456789\n", True),
+    (b"+1 1:0000000000000000000000001\n", True),
+    (b"+1 1:1234567890123456789000000\n", True),
+    (b"+1 1:1.0000000000000000000000\n", True),
+    # Clinger's edges: 10^22 is the last exact power of ten, 2^53 the last
+    # exact mantissa
+    (b"+1 1:1e22\n", True), (b"+1 1:1e23\n", True),
+    (b"+1 1:9007199254740992e-22\n", True), (b"+1 1:9007199254740993e-22\n", True),
+    # the smallest normal, 2^-1022 = 2.2250738585072014e-308, and below it
+    (b"+1 1:2.2250738585072011e-308\n", False), (b"+1 1:2.2250738585072012e-308\n", False),
+    (b"+1 1:2.2250738585072013e-308\n", True), (b"+1 1:2.2250738585072014e-308\n", True),
+    (b"+1 1:1e-310\n", False), (b"+1 1:1e-342\n", False), (b"+1 1:1e-343\n", False),
+    # the largest double, 1.7976931348623157e308, and past its rounding
+    (b"+1 1:1.7976931348623157e308\n", True), (b"+1 1:1.7976931348623158e308\n", True),
+    (b"+1 1:1.7976931348623159e308\n", False), (b"+1 1:1e308\n", True),
+    (b"+1 1:1e309\n", False), (b"+1 1:0e999\n", True), (b"+1 1:-0.0e-999\n", True),
 ]
 
 
@@ -460,6 +489,84 @@ def test_compiled_tokenizer_takes_exactly_its_subset(data, taken, tmp_path, c_ke
     path = tmp_path / "in.libsvm"
     path.write_bytes(data)
     assert parsed(parse_libsvm, path) == parsed(_parse_python, path)
+
+
+def exact_decimal(m: Fraction) -> str:
+    """The exact decimal of ``m``, whose denominator is a power of two, as
+    ``digits e-k``: all of its digits, however many."""
+    k = m.denominator.bit_length() - 1
+    return f"{m.numerator * 5 ** k}e-{k}"
+
+
+def midpoint_above(a: float) -> str:
+    """The exact decimal halfway between ``a`` and the next double up."""
+    return exact_decimal((Fraction(a) + Fraction(math.nextafter(a, math.inf))) / 2)
+
+
+def short_midpoint(odd: int, shift: int) -> str:
+    """``odd * 2^shift`` for an odd 54-bit ``odd``: exactly halfway between
+    two adjacent doubles, in 17 to 21 digits for shift in [-6, 12], so that
+    most reach the fast path's tie rule."""
+    return exact_decimal(Fraction(odd) * Fraction(2) ** shift)
+
+
+LIBC = ctypes.CDLL(None, use_errno=True)
+LIBC.strtod.argtypes = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_char_p))
+LIBC.strtod.restype = ctypes.c_double
+
+
+def strtod_takes(token: str) -> bool:
+    """Whether the tokenizer's rule takes a value token of its grammar: at
+    most 63 bytes, read whole by the C library's strtod to a finite value
+    without ERANGE."""
+    raw, stop = token.encode(), ctypes.c_char_p()
+    ctypes.set_errno(0)
+    value = LIBC.strtod(raw, ctypes.byref(stop))
+    return (len(raw) <= 63 and stop.value == b"" and ctypes.get_errno() == 0
+            and math.isfinite(value))
+
+
+def random_value_tokens(rng, count: int) -> list[str]:
+    """``count`` value tokens: the repr of random bit patterns, random
+    decimal strings (1 to 25 digits, the point anywhere or nowhere,
+    exponents -350 to 320) and exact midpoints between adjacent doubles,
+    short and at any magnitude."""
+    doubles = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64, endpoint=False).view(float)
+    tokens = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0 and math.isfinite(doubles[k]):
+            tokens.append(repr(float(doubles[k])))
+        elif kind == 1:
+            digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 26)))))
+            point = int(rng.integers(0, len(digits) + 1))
+            body = (digits[:point] or "0") + ("." + digits[point:] if point < len(digits) else "")
+            sign = ("", "+", "-")[k % 3]
+            tokens.append(f"{sign}{body}e{int(rng.integers(-350, 321))}")
+        elif kind == 2:
+            odd = int(rng.integers(2 ** 52, 2 ** 53)) * 2 + 1
+            tokens.append(("-" if k % 3 == 0 else "") + short_midpoint(odd, int(rng.integers(-6, 13))))
+        elif math.isfinite(doubles[k]) and abs(doubles[k]) < sys.float_info.max:
+            tokens.append(midpoint_above(float(doubles[k])))
+    return tokens
+
+
+def test_compiled_values_equal_float_bitwise(c_kernels):
+    """Every value token the tokenizer's rule takes reads to float()'s bits,
+    and it declines every other one: on over 10^5 tokens in one file, and
+    each declined token on its own line."""
+    taken, declined = [], []
+    for t in random_value_tokens(np.random.Generator(np.random.PCG64(32)), 140_000):
+        (taken if strtod_takes(t) else declined).append(t)
+    assert len(taken) >= 100_000 and len(declined) >= 1000
+    lines = (" ".join(f"{i + 1}:{t}" for i, t in enumerate(taken[j:j + 100]))
+             for j in range(0, len(taken), 100))
+    data = "".join(f"+1 {line}\n" for line in lines).encode()
+    A, _ = _parse_compiled(native.library(), data)
+    want = np.array([v for v in map(float, taken) if v != 0.0])
+    assert A.values.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+    for t in declined:
+        assert _parse_compiled(native.library(), f"+1 1:{t}\n".encode()) is None, t
 
 
 # (the tokenizer's grammar, what leaves it); a file draws from the first
@@ -476,7 +583,11 @@ def values(clean: bool):
     grammar = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False).map(repr),
         st.from_regex(r"\A[+-]?[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,2})?\Z"),
-        st.sampled_from(["0", "-0.0", "0e5", "1" * 63]))
+        st.sampled_from(["0", "-0.0", "0e5", "1" * 63]),
+        st.builds(short_midpoint, st.integers(2 ** 52, 2 ** 53 - 1).map(lambda k: 2 * k + 1),
+                  st.integers(-6, 12)),
+        st.floats(allow_nan=False, allow_infinity=False, max_value=sys.float_info.max,
+                  exclude_max=True).map(midpoint_above))
     return grammar if clean else st.one_of(grammar, st.sampled_from(ODD_VALUES))
 
 
