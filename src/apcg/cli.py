@@ -285,19 +285,23 @@ def _check_combination_and_psihat() -> CheckResult:
     problem = inst.problem
     sched = ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
     state = ApcgExplicitState.start(np.zeros(problem.dim), seed=11, n_blocks=problem.n)
-    zs = [state.z.copy()]
-    psis = [problem.reg.eval_full(zs[0])]  # Psi(z^(l)), once per iterate
+    steps = 120
+    zs = np.empty((steps + 1, problem.dim))  # z^(l) as row l
+    psis = np.empty(steps + 1)  # Psi(z^(l)), once per iterate
+    zs[0] = state.z
+    psis[0] = problem.reg.eval_full(state.z)
     worst_comb = 0.0
     worst_psi = -math.inf
-    rows = theta_rows(sched, 120)
+    rows = theta_rows(sched, steps)
     next(rows)  # theta^(0) = (1,): x^(0) = z^(0)
-    for theta in rows:
+    for k, theta in enumerate(rows, start=1):
         apcg_step_general(problem, state, sched)
-        zs.append(state.z.copy())
-        psis.append(problem.reg.eval_full(zs[-1]))
-        combo = sum(t * z for t, z in zip(theta, zs))
+        zs[k] = state.z
+        psis[k] = problem.reg.eval_full(state.z)
+        # both sums add the terms left to right, as a Python sum over l would
+        combo = np.add.reduce(theta[:, None] * zs[:k + 1], axis=0)
         worst_comb = max(worst_comb, float(np.max(np.abs(combo - state.x))))
-        psi_hat = sum(t * psi for t, psi in zip(theta, psis))
+        psi_hat = np.cumsum(theta * psis[:k + 1])[-1]
         worst_psi = max(worst_psi, problem.reg.eval_full(state.x) - psi_hat)
     if worst_comb > 1e-8:
         return CheckResult("combination", False, f"x != sum theta z by {worst_comb:.2e}")

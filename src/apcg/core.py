@@ -84,7 +84,12 @@ class SmoothOracle:
     """Oracle for the smooth part f.
 
     ``partial_gradient(x, i)`` must return the i-th block slice of
-    ``full_gradient(x)``; ``lipschitz[i]`` bounds the block-i gradient
+    ``full_gradient(x)``.  An oracle over scalar blocks may also take a
+    stack: for x of shape (r, N) and an integer array i of r block indices
+    it returns the r partial derivatives, entry r bitwise
+    ``partial_gradient(x[r], i[r])[0]``; a stacked ``solve`` needs this form
+    (the quadratics of :mod:`apcg.instances` have it).  ``lipschitz[i]``
+    bounds the block-i gradient
     variation ``||grad_i f(x + U_i h) - grad_i f(x)|| <= L_i ||h||``; ``mu``
     is the convexity parameter of f in the L-weighted norm (``mu <= 1``
     always holds for consistent constants).

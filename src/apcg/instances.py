@@ -44,6 +44,8 @@ def _quadratic_instance(H: np.ndarray, b: np.ndarray, partition: BlockPartition,
         return H @ x - b
 
     def partial_gradient(x, i):
+        if x.ndim == 2:  # row r's derivative at its scalar block i[r]
+            return np.matmul(H[i][:, None, :], x[:, :, None])[:, 0, 0] - b[i]
         sl = partition.slice(i)
         return H[sl] @ x - b[sl]
 

@@ -182,7 +182,7 @@ def block_indices(blocks, n: int) -> np.ndarray:
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     if blocks.ndim != 1:
         raise ValueError("block indices must form a vector")
-    if blocks.size and (int(blocks.min()) < 0 or int(blocks.max()) >= n):
+    if blocks.size and blocks.view(np.uint64).max() >= n:  # a negative index wraps above n
         raise IndexError(f"block index out of range for {n} coordinates")
     return blocks
 

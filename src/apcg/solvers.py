@@ -125,7 +125,8 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
     solution while the other blocks move to ``(1-beta) z + beta y``, and x
     changes only on the selected block.  ``sched`` serves this run alone, or
     the rows of a stacked state together: each row then takes these steps
-    on its own block, with the same operations as a run of its own.
+    on its own block, with the same operations as a run of its own, and
+    one stacked ``partial_gradient`` call serves every row.
     """
     k = state.k
     n = problem.n
@@ -153,13 +154,9 @@ def apcg_step_general(problem: CompositeProblem, state: ApcgExplicitState,
     else:
         center = z.copy()
     weight = n * alpha * problem.smooth.lipschitz[i]
-    if x.ndim == 1:
-        sl = problem.partition.slice(i)
-        grad_i = problem.smooth.partial_gradient(y, i)
-    else:  # stacked: row r's block is its coordinate i[r]
-        sl = (np.arange(len(i)), i)
-        grad_i = np.concatenate([problem.smooth.partial_gradient(row, j)
-                                 for row, j in zip(y, i.tolist())])
+    # stacked: row r's block is its coordinate i[r]
+    sl = problem.partition.slice(i) if x.ndim == 1 else (np.arange(len(i)), i)
+    grad_i = problem.smooth.partial_gradient(y, i)
     # block-i minimizer of weight/2 ||s - c_i||^2 + <grad_i f(y), s> + Psi_i(s)
     s = block_prox(problem.reg, i, center[sl] - grad_i / weight, weight)
 
@@ -189,8 +186,10 @@ def solve(problem: CompositeProblem, sched: ApcgSchedule, max_iters: int = 1000,
     Runs with the same schedule and seed produce identical traces.
 
     Given a sequence of seeds instead of one, the runs step together as one
-    stacked state (blocks of one coordinate only) and a list of one result
-    per seed is returned, each bitwise the result of its own call.
+    stacked state (blocks of one coordinate and an oracle that takes stacks,
+    see :class:`~apcg.core.SmoothOracle`) and a list of one result per seed
+    is returned, each bitwise the result of its own call; an empty sequence
+    returns an empty list.
     """
     n = problem.n
     if sched.n != n or sched.k != 0:

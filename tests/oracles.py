@@ -10,8 +10,9 @@ plain per-step forms that the package's merged or fused steppers replaced
 (the APCG-ERM and SDCA coordinate steps, generic RPCG, the dual
 subgradient, the explicit step on recorded schedule lists, the per-step
 schedule check, the per-k theta recursion and the combination check built
-on it, and an epoch driver that makes each row through
-``PrimalDualReport.evaluate``, which ``run_epochs`` is held to) are kept
+on it, the envelope check on one ``solve`` per seed, and an epoch driver
+that makes each row through ``PrimalDualReport.evaluate``, which
+``run_epochs`` is held to) are kept
 here as references too, and so are the generic
 change-of-variables stepper, which the ERM kernel specializes, and the
 paper's gap certificates through a full prox step.  So are the fixtures
@@ -43,7 +44,7 @@ from apcg.erm import (DUAL_DOMAIN_ATOL, ConjugatePenalty, ErmDualState, ErmProbl
 from apcg.errors import ConfigurationError
 from apcg.instances import (QuadraticInstance, _quadratic_instance,
                             diag_dominant_quadratic)
-from apcg.solvers import ApcgExplicitState, BlockSampler, apcg_step_general
+from apcg.solvers import ApcgExplicitState, BlockSampler, apcg_step_general, solve
 
 
 def col_ids(A: SparseColMatrix) -> np.ndarray:
@@ -847,6 +848,39 @@ def check_combination_reference() -> CheckResult:
         return CheckResult("combination", False, f"Psi(x) exceeded Psi-hat by {worst_psi:.2e}")
     return CheckResult("combination", True,
                        f"max combo err {worst_comb:.2e}, max Psi slack {worst_psi:.2e}")
+
+
+def check_envelope_reference() -> CheckResult:
+    """``apcg.cli._check_envelope`` with its 20 seeded runs as 20 separate
+    ``solve`` calls instead of one stacked solve."""
+    inst = diag_dominant_quadratic(20, seed=1, l1=0.1)
+    problem = inst.problem
+    x = prev = np.zeros(problem.dim)
+    step = 1.0 / inst.lipschitz_full
+    for _ in range(300_000):
+        x_new = problem.reg.prox_full(x - step * problem.smooth.full_gradient(x),
+                                      1.0 / step)
+        if np.array_equal(x_new, x) or np.array_equal(x_new, prev):
+            break
+        x, prev = x_new, x
+    fstar = problem.objective(x)
+    gamma0 = 1.0
+    r0 = problem.weighted_norm(-x)
+    f0 = problem.objective(np.zeros(problem.dim))
+    budget = f0 - fstar + 0.5 * gamma0 * r0 * r0
+    epochs = 30
+    traces = []
+    for seed in range(20):
+        run = solve(problem, schedule.ApcgSchedule(problem.n, problem.smooth.mu, gamma0),
+                    max_iters=epochs * problem.n, seed=seed)
+        traces.append([f for _, f in run.trace])
+    mean_gap = np.mean(traces, axis=0) - fstar
+    sched = schedule.ApcgSchedule(problem.n, problem.smooth.mu, gamma0)
+    floor = 1e-12 * max(1.0, abs(fstar))
+    bounds = sched.rate_bound(problem.n * np.arange(mean_gap.size)) * budget
+    resolved = bounds >= floor
+    ratio = float(np.max(mean_gap[resolved] / bounds[resolved], initial=0.0))
+    return CheckResult("envelope", ratio <= 1.2, f"max (F-F*)/bound = {ratio:.3f}")
 
 
 # Agreement of the compiled kernels with the Python reference kernels: the

@@ -508,6 +508,14 @@ def test_combination_check_matches_the_quadratic_reference(request, kernels):
     assert got == oracles.check_combination_reference()
 
 
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_envelope_check_matches_one_solve_per_seed(request, kernels):
+    request.getfixturevalue(kernels)
+    got = cli._check_envelope()
+    assert got.passed
+    assert got == oracles.check_envelope_reference()
+
+
 def test_combination_check_rejects_a_perturbed_theta_row(capsys, monkeypatch):
     # the negative control: row k = 60 of theta off by a relative 1e-6
     true_rows = cli.theta_rows

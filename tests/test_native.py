@@ -246,8 +246,34 @@ def test_address_checks():
     with pytest.raises(ValueError):
         native.address(a, np.float64, 4, "a", writable=True)
     assert native.block_indices([0, 3], 4).dtype == np.int64
-    with pytest.raises(IndexError):
-        native.block_indices([4], 4)
+    assert native.block_indices([], 4).size == 0
+    for bad in ([4], [-1], [0, 3, -2**63], [2**63 - 1]):
+        with pytest.raises(IndexError):
+            native.block_indices(bad, 4)
+    with pytest.raises(ValueError):
+        native.block_indices([[0]], 4)
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_both_epochs_check_their_block_indices(request, kernels):
+    """An index of -1 or n raises IndexError and a matrix of indices
+    ValueError, in the APCG and the SDCA epoch, before any step."""
+    request.getfixturevalue(kernels)
+    A, labels = synth_binary(30, 8, 0.4, seed=1, min_nnz=1)
+    prob = ErmProblem.ridge(A, labels, lam=1e-2)
+    for blocks, error in (([-1], IndexError), ([prob.n], IndexError),
+                          ([[0, 1]], ValueError)):
+        state = ErmDualState(prob, seed=0)
+        state.sampler.take = lambda k: np.array(blocks)
+        with pytest.raises(error):
+            state.epoch()
+        assert state.k == 0 and not state.v.any() and not state.q.any()
+        x, w = np.zeros(prob.n), np.zeros(prob.d)
+        sampler = BlockSampler(prob.n, 0)
+        sampler.take = lambda k: np.array(blocks)
+        with pytest.raises(error):
+            sdca_epoch(prob, x, w, sampler)
+        assert not x.any() and not w.any()
 
 
 def test_signatures_match_the_c_definitions():

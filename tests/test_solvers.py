@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -486,6 +487,47 @@ def test_stacked_solve_needs_blocks_of_one_coordinate():
     problem = block_quadratic((2, 1, 1), seed=0, l1=0.1).problem
     with pytest.raises(ConfigurationError):
         solve(problem, general_schedule(problem), max_iters=10, seed=range(3))
+
+
+@pytest.mark.parametrize("max_iters", [0, 45])
+def test_stacked_solve_on_no_seeds_returns_no_results(lasso20, max_iters):
+    problem = lasso20.problem
+    assert solve(problem, general_schedule(problem), max_iters=max_iters, seed=[]) == []
+
+
+@pytest.mark.parametrize("n", [20, 300])  # lasso20 with uint8 draws; uint16 draws
+def test_stacked_partial_gradient_is_each_rows_own_call(n):
+    smooth = diag_dominant_quadratic(n, seed=1, l1=0.1).problem.smooth
+    rng = np.random.default_rng(n)
+    dtype = np.min_scalar_type(n - 1)  # what StackedSampler draws
+    for rows in ([5], [0, n - 1], [3, 3, 7, 3], list(range(n)) + [1, 1]):
+        I = np.array(rows, dtype=dtype)
+        Y = rng.standard_normal((I.size, n))
+        got = smooth.partial_gradient(Y, I)
+        want = np.concatenate([smooth.partial_gradient(y, j) for y, j in zip(Y, rows)])
+        assert got.shape == (I.size,) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seeds", [[0], range(3)])
+def test_stacked_solve_needs_the_oracles_stacked_form(seeds):
+    # shifted_quadratic's partial_gradient slices one point only
+    problem = shifted_quadratic(np.arange(4.0))
+    with pytest.raises(TypeError):
+        solve(problem, general_schedule(problem), max_iters=10, seed=seeds)
+
+
+def test_stacked_solve_makes_one_oracle_call_per_step(lasso20):
+    calls = []
+
+    def counting(x, i):
+        calls.append(len(i))
+        return lasso20.problem.smooth.partial_gradient(x, i)
+
+    smooth = dataclasses.replace(lasso20.problem.smooth, partial_gradient=counting)
+    problem = dataclasses.replace(lasso20.problem, smooth=smooth)
+    max_iters = 3 * problem.n + 7
+    solve(problem, general_schedule(problem), max_iters=max_iters, seed=range(20))
+    assert calls == [20] * max_iters
 
 
 def test_solve_same_seed_identical_traces(lasso20):
