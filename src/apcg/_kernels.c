@@ -13,6 +13,9 @@
      erm_report           the numpy box check, clip, w and per-example terms
                           of a gap report (erm._ReportPass), each in the same
                           order
+     afg_trial            one line-search trial of baselines.afg_step: the
+                          gradient (first trial only), the prox and A x_new
+                          in one pass over the columns, each in numpy's order
      apcg_erm_epoch       erm.apcg_erm_steps
      sdca_epoch           the Python body of baselines.sdca_epoch
      schedule_history     ApcgSchedule.history (same operations, same order)
@@ -27,11 +30,14 @@
    writes the report's n-length terms, not their sums: numpy sums pairwise
    and a dot product sums in BLAS's order, which a sequential loop would
    match only to rounding, so the report's sums stay in numpy and every
-   report is bitwise the numpy one.  The epochs sum each column dot
-   product left to right, where numpy's dot may use another order, so
-   they agree with the references to rounding only.  schedule_history
-   uses only + - * / and sqrt, each correctly rounded, so its arrays are
-   bitwise those of the Python recursion.
+   report is bitwise the numpy one.  afg_trial likewise leaves a trial's
+   four sums, its acceptance test and the momentum step to numpy and
+   writes only gy, x_new and A x_new, so every AFG iterate is bitwise the
+   numpy one.  The epochs sum each column dot product left to right,
+   where numpy's dot may use another order, so they agree with the
+   references to rounding only.  schedule_history uses only + - * / and
+   sqrt, each correctly rounded, so its arrays are bitwise those of the
+   Python recursion.
    apcg.native builds this file with -O2 -ffp-contract=off
    -falign-loops=64: no fused multiply-add, no fast-math, and every loop
    starting a cache line.  The tokenizer rounds each value of at most 19
@@ -155,6 +161,40 @@ int erm_report(int64_t n, const int64_t *indptr, const int64_t *indices,
         resid[j] = m - a;
     }
     return 0;
+}
+
+/* One line-search trial of baselines.afg_step in one pass over the
+   columns.  For each column j, in order: when first != 0 (the first trial
+   of an iteration) gy[j] = (A_j' ay) * scale, summed as in csc_tdot, which
+   a backtrack (first == 0) reads back; then the prox of ConjugatePenalty
+   with weight w = 1/step at y_j - step * gy[j],
+   x_new[j] = (w (y_j - step gy_j) + anchors_j / n) / (w + gamma_over_n),
+   clipped to [0, 1] when is_box (keeping -0.0 and NaN, as np.clip does);
+   and ax_new (length d, zeroed by the caller) += x_new[j] A_j, as in
+   csc_dot.  Each expression is the numpy form's, in the same order, so gy,
+   x_new and ax_new are bitwise equal to it. */
+void afg_trial(int64_t n, const int64_t *indptr, const int64_t *indices,
+               const double *values, const double *ay, double scale, int first,
+               double *gy, const double *y, const double *anchors, double step,
+               double weight, double gamma_over_n, int is_box, double *x_new,
+               double *ax_new)
+{
+    const double n_real = (double)n, denominator = weight + gamma_over_n;
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t lo = indptr[j], hi = indptr[j + 1];
+        if (first) {
+            double s = 0.0;
+            for (int64_t k = lo; k < hi; k++)
+                s += values[k] * ay[indices[k]];
+            gy[j] = s * scale;
+        }
+        double x = (weight * (y[j] - step * gy[j]) + anchors[j] / n_real) / denominator;
+        if (is_box)
+            x = x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x);
+        x_new[j] = x;
+        for (int64_t k = lo; k < hi; k++)
+            ax_new[indices[k]] += values[k] * x;
+    }
 }
 
 /* Prefetch hints for the steps of an epoch over blocks that follow step b:

@@ -4,7 +4,10 @@ accelerated full gradient (AFG) with backtracking line search.
 Cost accounting convention used by the benchmark harness: SDCA, randomized
 proximal coordinate gradient (RPCG) and the accelerated dual coordinate
 solver all do n coordinate steps per epoch; one AFG iteration touches the
-full vector and is charged one epoch.  On the ERM dual's relocated
+full vector and is charged one epoch.  With the compiled kernels it costs
+one pass over A's columns per line-search trial (about two per
+iteration), the first of which also forms the gradient, and one for its
+report.  On the ERM dual's relocated
 splitting, RPCG's prox step with weight L_i is SDCA's exact coordinate
 maximizer, so :func:`sdca_epoch` serves both there.  AFG runs the simple
 splitting, which keeps the conjugates whole in the separable part.  Both
@@ -137,26 +140,50 @@ def afg_step(prob: ErmProblem, state: AfgState) -> AfgState:
     Backtracks on the smooth-part upper bound
     f(x+) <= f(y) + <grad f(y), x+ - y> + ||x+ - y||^2 / (2 step)
     shrinking the step by BACKTRACK on failure; the accepted step is
-    expanded by EXPAND for the next iteration.
+    expanded by EXPAND for the next iteration, unless that overflows (it
+    does where f vanishes on every trial, on featureless data say, which
+    accepts every step), when it is kept.
 
     f and grad f = A' A y / (lam n^2) are read from the carried image
-    ay = A y, so an iteration applies A once per trial (to the trial point)
-    and A' once.  The accepted trial's fresh A x+ gives the next image,
-    A y+ = A x+ + momentum (A x+ - A x), so no error accumulates.
+    ay = A y, so an iteration applies A' once (in its first trial) and A
+    once per trial, to the trial point.  When the kernels load, each trial
+    is one compiled pass over the columns (``afg_trial``): the gradient on
+    the first trial, the prox and A x+, bitwise the numpy lines below, which
+    run otherwise.  The four sums, the test and the momentum step stay in
+    numpy on both backends.  The accepted trial's fresh A x+ gives the next
+    image, A y+ = A x+ + momentum (A x+ - A x), so no error accumulates.
+    The compiled trial's arrays, ``y``, ``ay`` and the problem's
+    ``anchors``, are validated once per iteration; an invalid one raises
+    ValueError.
     """
     n, A = prob.n, prob.matrix
     scale = 1.0 / (prob.lam * n * n)
-    reg = ConjugatePenalty(prob.anchors, prob.gamma, n, prob.loss.dual_box)
     y = state.y
     fy = 0.5 * scale * float(state.ay @ state.ay)
-    gy = A.tdot(state.ay) * scale
+    lib = native.library()
+    if lib is None:
+        reg = ConjugatePenalty(prob.anchors, prob.gamma, n, prob.loss.dual_box)
+        gy = A.tdot(state.ay) * scale
+    else:
+        gy = np.empty(n)
+        trial_args = (*A.addresses, native.address(state.ay, np.float64, prob.d, "ay"),
+                      scale)
+        prox_args = (gy.ctypes.data, native.address(y, np.float64, n, "y"),
+                     native.address(prob.anchors, np.float64, n, "anchors"))
+        gamma_over_n, is_box = prob.gamma / n, prob.loss.dual_box is not None
     step = state.step
-    for _ in range(MAX_BACKTRACKS):
-        x_new = reg.prox_full(y - step * gy, 1.0 / step)
+    for trial in range(MAX_BACKTRACKS):
+        if lib is None:
+            x_new = reg.prox_full(y - step * gy, 1.0 / step)
+            with np.errstate(over="ignore"):  # oversized trial steps may overflow
+                ax_new = A.dot(x_new)
+        else:
+            x_new, ax_new = np.empty(n), np.zeros(prob.d)
+            lib.afg_trial(n, *trial_args, trial == 0, *prox_args, step, 1.0 / step,
+                          gamma_over_n, is_box, x_new.ctypes.data, ax_new.ctypes.data)
         diff = x_new - y
-        with np.errstate(over="ignore"):  # oversized trial steps may overflow
+        with np.errstate(over="ignore"):
             quad = fy + float(gy @ diff) + float(diff @ diff) / (2.0 * step)
-            ax_new = A.dot(x_new)
             f_new = 0.5 * scale * float(ax_new @ ax_new)
         if math.isfinite(f_new) and math.isfinite(quad) \
                 and f_new <= quad + 1e-12 * max(1.0, abs(quad)):
@@ -172,6 +199,7 @@ def afg_step(prob: ErmProblem, state: AfgState) -> AfgState:
     state.ay = ax_new + momentum * (ax_new - state.ax)
     state.x, state.ax = x_new, ax_new
     state.t = t_next
-    state.step = step * EXPAND
+    expanded = step * EXPAND
+    state.step = expanded if math.isfinite(expanded) else step
     state.k += 1
     return state

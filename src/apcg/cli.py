@@ -280,7 +280,9 @@ def _check_theta() -> CheckResult:
     return CheckResult("theta", True, f"worst |sum-1| = {worst_sum:.2e}")
 
 
-def _check_combination_and_psihat() -> CheckResult:
+def _combination_errors() -> tuple[list[float], list[float]]:
+    """The largest entry of |x - sum_l theta_l z^(l)|, and Psi(x) - Psi-hat,
+    at each of 120 explicit APCG steps, unrounded."""
     inst = diag_dominant_quadratic(8, seed=3, l1=0.05)
     problem = inst.problem
     sched = ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
@@ -290,8 +292,7 @@ def _check_combination_and_psihat() -> CheckResult:
     psis = np.empty(steps + 1)  # Psi(z^(l)), once per iterate
     zs[0] = state.z
     psis[0] = problem.reg.eval_full(state.z)
-    worst_comb = 0.0
-    worst_psi = -math.inf
+    comb_errs, psi_slacks = [], []
     rows = theta_rows(sched, steps)
     next(rows)  # theta^(0) = (1,): x^(0) = z^(0)
     for k, theta in enumerate(rows, start=1):
@@ -300,9 +301,15 @@ def _check_combination_and_psihat() -> CheckResult:
         psis[k] = problem.reg.eval_full(state.z)
         # both sums add the terms left to right, as a Python sum over l would
         combo = np.add.reduce(theta[:, None] * zs[:k + 1], axis=0)
-        worst_comb = max(worst_comb, float(np.max(np.abs(combo - state.x))))
+        comb_errs.append(float(np.max(np.abs(combo - state.x))))
         psi_hat = np.cumsum(theta * psis[:k + 1])[-1]
-        worst_psi = max(worst_psi, problem.reg.eval_full(state.x) - psi_hat)
+        psi_slacks.append(problem.reg.eval_full(state.x) - psi_hat)
+    return comb_errs, psi_slacks
+
+
+def _check_combination_and_psihat() -> CheckResult:
+    comb_errs, psi_slacks = _combination_errors()
+    worst_comb, worst_psi = max(0.0, *comb_errs), max(-math.inf, *psi_slacks)
     if worst_comb > 1e-8:
         return CheckResult("combination", False, f"x != sum theta z by {worst_comb:.2e}")
     if worst_psi > 1e-10:

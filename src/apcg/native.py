@@ -49,6 +49,7 @@ SIGNATURES = {
     "csc_tdot": (_I, _P, _P, _P, _P, _P),
     "csc_col_norms_sq": (_I, _P, _P, _P),
     "erm_report": (_I, _P, _P, _P, _I, _P, _D, _P, _P, _D, _INT, _D, _P, _P, _P, _P),
+    "afg_trial": (_I, _P, _P, _P, _P, _D, _INT, _P, _P, _P, _D, _D, _D, _INT, _P, _P),
     "apcg_erm_epoch": (_P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _I, _P, _P,
                        _D, _D, _D, _D, _D, _INT, _D),
     "sdca_epoch": (_P, _P, _P, _P, _I, _P, _P, _P, _P, _D, _D, _INT),

@@ -824,24 +824,31 @@ def theta_coefficients_reference(sched, k: int) -> np.ndarray:
     return theta
 
 
-def check_combination_reference() -> CheckResult:
-    """The quadratic form of ``apcg.cli._check_combination_and_psihat``:
-    every step recomputes theta^{(k)} and Psi of every earlier iterate."""
+def combination_errors_reference() -> tuple[list[float], list[float]]:
+    """The quadratic form of ``apcg.cli._combination_errors``: every step
+    recomputes theta^{(k)} and Psi of every earlier iterate."""
     inst = diag_dominant_quadratic(8, seed=3, l1=0.05)
     problem = inst.problem
     sched = schedule.ApcgSchedule(problem.n, problem.smooth.mu, 1.0)
     state = ApcgExplicitState.start(np.zeros(problem.dim), seed=11, n_blocks=problem.n)
     zs = [state.z.copy()]
-    worst_comb = 0.0
-    worst_psi = -math.inf
+    comb_errs, psi_slacks = [], []
     for k in range(1, 121):
         apcg_step_general(problem, state, sched)
         zs.append(state.z.copy())
         theta = theta_coefficients_reference(sched, k)
         combo = sum(t * z for t, z in zip(theta, zs))
-        worst_comb = max(worst_comb, float(np.max(np.abs(combo - state.x))))
+        comb_errs.append(float(np.max(np.abs(combo - state.x))))
         psi_hat = sum(t * problem.reg.eval_full(z) for t, z in zip(theta, zs))
-        worst_psi = max(worst_psi, problem.reg.eval_full(state.x) - psi_hat)
+        psi_slacks.append(problem.reg.eval_full(state.x) - psi_hat)
+    return comb_errs, psi_slacks
+
+
+def check_combination_reference() -> CheckResult:
+    """``apcg.cli._check_combination_and_psihat`` on
+    :func:`combination_errors_reference`."""
+    comb_errs, psi_slacks = combination_errors_reference()
+    worst_comb, worst_psi = max([0.0] + comb_errs), max([-math.inf] + psi_slacks)
     if worst_comb > 1e-8:
         return CheckResult("combination", False, f"x != sum theta z by {worst_comb:.2e}")
     if worst_psi > 1e-10:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from apcg import native
-from apcg.baselines import sdca_epoch
+from apcg.baselines import afg_start, afg_step, sdca_epoch
 from apcg.cli import KNOWN_SOLVERS, check_invariants, run_solver_trace
 from apcg.data import _parse_compiled, parse_libsvm, synth_binary, write_libsvm
 from apcg.erm import DUAL_DOMAIN_ATOL, ErmDualState, ErmProblem, _ReportPass
@@ -57,6 +57,31 @@ def solvers() -> None:
             sdca_epoch(prob, x, w, sampler)
             x, w = x.copy(), w.copy()
         state.check_consistency()
+
+
+def afg() -> None:
+    """Compiled AFG trials on every problem, bitwise against the numpy ones:
+    the first trial of each iteration, which computes the gradient, and,
+    from a step made a million times too long, backtracks, which reuse it."""
+    library = native.library
+    lib = library()
+    for prob in problems():
+        runs = []
+        for kernels in (lib, None):
+            native.library = lambda kernels=kernels: kernels
+            try:
+                state = afg_start(prob)
+                afg_step(prob, state)
+                state.step *= 1e6
+                for _ in range(4):
+                    afg_step(prob, state)
+            finally:
+                native.library = library
+            runs.append((state.x.tobytes(), state.ax.tobytes(), state.backtracks))
+        assert runs[0] == runs[1]
+        # on one example the first step lands on the optimum, where every
+        # later trial passes
+        assert runs[0][2] > 0 or prob.n == 1
 
 
 def reports() -> None:
@@ -178,6 +203,7 @@ def main() -> None:
     native.CFLAGS = SANITIZE
     assert native.library() is not None, native.backend()
     solvers()
+    afg()
     reports()
     repeated_column()
     libsvm(Path(sys.argv[1]))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gzip
+import math
 import os
 import subprocess
 import sys
@@ -264,6 +265,43 @@ def test_featureless_single_example_refusal_names_the_data(tmp_path, capsys):
                  "--solver", "rpcg", "--solver", "afg", "--out", str(tmp_path / "out")]) == 0
 
 
+# apcg.cli.main with the kernels loaded, or with native.library() made None
+BACKEND_RUN = """
+import sys
+from apcg import native
+if sys.argv[1] == "python":
+    native.library = lambda: None
+assert (native.library() is None) == (sys.argv[1] == "python"), native.backend()
+from apcg.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_afg_on_featureless_data_keeps_a_finite_step(backend, tmp_path):
+    """Where f vanishes every trial passes, and the step doubles each
+    iteration: past about 1000 iterations it would overflow to inf, and
+    inf * 0 = NaN would then fail every trial.  The step stays finite, so
+    the run ends normally with finite rows."""
+    if backend == "c" and native.library() is None:
+        pytest.skip(f"compiled kernels unavailable: {native.backend()}")
+    path = tmp_path / "featureless.txt"
+    path.write_text("+1\n-1\n+1\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(apcg.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", BACKEND_RUN, backend, "run", "--data", str(path),
+         "--solver", "afg", "--epochs", "1100", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (trace,) = out.glob("*_afg_s0.csv")
+    with open(trace, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == CSV_HEADER and len(rows) == 1 + 1101
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
 def test_truncated_gzip_exits_with_io_error(tmp_path):
     whole = gzip.compress(b"+1 1:0.5 2:1.5\n-1 1:-0.5\n" * 100)
     path = tmp_path / "cut.txt.gz"
@@ -506,6 +544,10 @@ def test_combination_check_matches_the_quadratic_reference(request, kernels):
     got = cli._check_combination_and_psihat()
     assert got.passed
     assert got == oracles.check_combination_reference()
+    # the printed detail has 3 digits of the worst step: each step's
+    # unrounded errors must match bitwise
+    assert [[e.hex() for e in errs] for errs in cli._combination_errors()] == \
+        [[e.hex() for e in errs] for errs in oracles.combination_errors_reference()]
 
 
 @pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])

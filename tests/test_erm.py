@@ -439,6 +439,36 @@ def test_compiled_epochs_are_pinned(name, c_kernels, request):
     assert (digest(x), digest(w)) == sdca_digests
 
 
+# sha256 of x and ax after 30 AFG iterations from afg_start, and the
+# backtracks they made; the same on both backends, where a compiled trial
+# must reproduce the numpy gradient, prox and product bit for bit.
+AFG_ITERATES = {
+    "hinge200": ("85394170c2f9d0afeda51a4372c5e244055e4c2b1add80ad3a3829671c434b42",
+                 "0523ffe0f485240e431475ce3470c6051faebfa196277b0eee002876aba93684", 23),
+    "ridge150": ("0d2b2427367c6fcd487e396bb9923320ce0837b3b3bad5ed48a5a196436a836e",
+                 "5cd2161f75479ac1bfd814603ef7e74fcf867fcbaff9228693c031fb360059f0", 24),
+    "renormalizing": ("23756fc3fb040b0d7b91697b8fd6e5dbfabc04b214730f353dbb9a5ca6bdbba5",
+                      "3585e3ec19f099926c1bb4f122c65fe4aaf6af3bc782f40e8b468bfa1ad44f5d", 2),
+}
+
+
+@pytest.mark.parametrize("kernels", ["python_kernels", "c_kernels"])
+@pytest.mark.parametrize("name", AFG_ITERATES)
+def test_afg_iterates_are_pinned(name, kernels, request):
+    request.getfixturevalue(kernels)
+    prob = (renormalizing_problem() if name == "renormalizing"
+            else request.getfixturevalue(name))
+    digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+    state = baselines.afg_start(prob)
+    for _ in range(30):
+        baselines.afg_step(prob, state)
+    assert (digest(state.x), digest(state.ax), state.backtracks) == AFG_ITERATES[name]
+
+
+def test_an_afg_pin_backtracks():
+    assert max(backtracks for _, _, backtracks in AFG_ITERATES.values()) > 0
+
+
 def edge_problems():
     """Both losses on n = 1, 2 and 3, fewer examples than the compiled
     epochs look ahead, and on a matrix with empty columns."""
@@ -1160,7 +1190,9 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
     x0) and the last row's fresh A x and A' w.  A cell that stops on tol
     (at 1e-3, within 40 epochs here) also re-evaluates its stopping row
     from a fresh A x, and AFG makes no iteration past that row.  A compiled
-    report's ``_ReportPass.post`` counts as its A' w."""
+    report's ``_ReportPass.post`` counts as its A' w, and a compiled AFG
+    trial (``afg_trial``) as its A x, the first of an iteration also as
+    that iteration's A' w."""
     counts = {}
 
     def counting(name, fn):
@@ -1171,10 +1203,21 @@ def test_cell_product_budget(hinge200, solver, monkeypatch):
 
     monkeypatch.setattr(SparseColMatrix, "dot", counting("dot", SparseColMatrix.dot))
     monkeypatch.setattr(SparseColMatrix, "tdot", counting("tdot", SparseColMatrix.tdot))
-    if native.library() is not None:
+    lib = native.library()
+    if lib is not None:
         monkeypatch.setattr(erm._ReportPass, "post", counting("tdot", erm._ReportPass.post))
-    monkeypatch.setattr(ConjugatePenalty, "prox_full",
-                        counting("trials", ConjugatePenalty.prox_full))
+        compiled_trial = lib.afg_trial
+
+        def trial(*args):  # its seventh argument, first, asks for A' ay too
+            counts["trials"] += 1
+            counts["dot"] += 1
+            counts["tdot"] += bool(args[6])
+            return compiled_trial(*args)
+
+        monkeypatch.setattr(lib, "afg_trial", trial)
+    else:
+        monkeypatch.setattr(ConjugatePenalty, "prox_full",
+                            counting("trials", ConjugatePenalty.prox_full))
     monkeypatch.setattr(baselines, "afg_step", counting("iterations", baselines.afg_step))
     start = {"apcg": 1, "sdca": 0, "rpcg": 0, "afg": 1}[solver]
     for tol, epochs in ((None, 12), (1e-3, 40)):
