@@ -33,9 +33,9 @@
    report is bitwise the numpy one.  afg_trial likewise leaves a trial's
    four sums, its acceptance test and the momentum step to numpy and
    writes only gy, x_new and A x_new, so every AFG iterate is bitwise the
-   numpy one.  The epochs sum each column dot product left to right,
-   where numpy's dot may use another order, so they agree with the
-   references to rounding only.  schedule_history uses only + - * / and
+   numpy one.  The epochs sum each column dot product left to right from
+   0.0, and so do their Python references, so the epochs too are bitwise
+   the references.  schedule_history uses only + - * / and
    sqrt, each correctly rounded, so its arrays are bitwise those of the
    Python recursion.
    apcg.native builds this file with -O2 -ffp-contract=off

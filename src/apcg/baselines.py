@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .erm import ConjugatePenalty, ErmProblem
+from .erm import ConjugatePenalty, ErmProblem, _dot_in_order
 from .errors import ConfigurationError, StepSizeError
 from .solvers import BlockSampler
 
@@ -45,7 +45,7 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
     exactly (a 1-d quadratic, clipped to the conjugate domain), so the dual
     objective never decreases.  The steps run in the compiled kernel when it
     loads; the Python loop below, inlined over locals like the accelerated
-    kernel ``erm.apcg_erm_steps``, is its reference and agrees to rounding.
+    kernel ``erm.apcg_erm_steps``, is its reference and gives the same bits.
     The compiled kernel's arrays, ``x``, ``w_agg`` and the problem's
     ``col_norms_sq`` and ``anchors``, are validated on every call; an
     invalid one raises ValueError before the epoch draws its indices.
@@ -71,7 +71,7 @@ def sdca_epoch(prob: ErmProblem, x: np.ndarray, w_agg: np.ndarray,
         val = values[lo:hi]
         w_idx = w_agg[idx]
         q_i = col_norms_sq_at(i) / lam_n
-        margin = float(val.dot(w_idx))
+        margin = _dot_in_order(val, w_idx)
         x_i = x_at(i)
         s = (anchor_at(i) - margin + x_i * q_i) / (gamma + q_i)
         if is_box:

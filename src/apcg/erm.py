@@ -468,7 +468,7 @@ class ErmDualState:
         """n coordinate steps on the sampler's next n indices.
 
         Runs the compiled kernel when it loads, else :func:`apcg_erm_steps`;
-        the two agree to rounding.  The kernel's six state arrays are
+        the two give the same bits.  The kernel's six state arrays are
         validated on the first call and again only after one of them has
         been replaced (``native.rebind``): one that is not a contiguous
         (writable, where the kernel writes it) float64 vector of its length
@@ -518,6 +518,17 @@ class ErmDualState:
             raise RuntimeError(f"aggregate drift p={p_err:.3e} q={q_err:.3e} exceeds {tol}")
 
 
+def _dot_in_order(val: np.ndarray, vec: np.ndarray) -> float:
+    """val' vec added left to right from 0.0, as the compiled epochs' loops add
+    it, so both backends step on the same bits (ndarray.dot, np.sum and, from
+    Python 3.12, the built-in sum add in other orders).  The running sum
+    differs from the C loop's only in holding -0.0 where the loop holds 0.0,
+    which the final + 0.0 undoes."""
+    if not val.size:
+        return 0.0
+    return np.add.accumulate(val * vec).item(-1) + 0.0
+
+
 def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualState:
     """One coordinate step of the dual solver per index in ``blocks`` (an
     int64 array), in order: the Python reference of the compiled epoch.
@@ -549,8 +560,7 @@ def apcg_erm_steps(prob: ErmProblem, state: ErmDualState, blocks) -> ErmDualStat
         ub_base_i = ubar_at(i)
         ub_i = ub_base_i * scale
         v_i = v_at(i)
-        # ndarray.dot is numpy.dot without the module-level dispatch
-        a_dot = float(val.dot(pbar_idx)) * scale + float(val.dot(q_idx))
+        a_dot = _dot_in_order(val, pbar_idx) * scale + _dot_in_order(val, q_idx)
         grad = a_dot * grad_scale + gamma_over_n * (ub_i + v_i)
 
         t0 = -ub_i + v_i

@@ -521,10 +521,20 @@ def gap_by_dual_bound(prob: ErmProblem, x: np.ndarray, dstar: float) -> float:
     return coef * (dstar - dual_objective(prob, x))
 
 
+def dot_left_to_right(val: np.ndarray, vec: np.ndarray) -> float:
+    """val' vec in a plain loop, added left to right from 0.0 like the
+    compiled epochs.  Kept apart from ``apcg.erm``'s own ordered dot, so
+    that a fault in that one cannot certify itself."""
+    total = 0.0
+    for a, b in zip(val.tolist(), vec.tolist()):
+        total += a * b
+    return total
+
+
 def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:
     """One coordinate step of the ERM dual solver on index i, written plainly.
 
-    The per-step form the fused kernel ``apcg.erm.apcg_erm_steps`` must
+    The per-step form that both backends of ``ErmDualState.epoch`` must
     match bitwise.  Returns whether the prox solution was clipped to the
     dual box.
     """
@@ -535,7 +545,8 @@ def apcg_erm_step_reference(prob: ErmProblem, state, i: int) -> bool:
 
     ub_i = float(state.ubar_base[i]) * state.scale
     v_i = float(state.v[i])
-    a_dot = float(val @ state.pbar_base[idx]) * state.scale + float(val @ state.q[idx])
+    a_dot = (dot_left_to_right(val, state.pbar_base[idx]) * state.scale
+             + dot_left_to_right(val, state.q[idx]))
     grad = a_dot * state.grad_scale + state.gamma_over_n * (ub_i + v_i)
 
     t0 = -ub_i + v_i
@@ -571,7 +582,7 @@ def rpcg_erm_step_reference(prob: ErmProblem, x: np.ndarray, ax: np.ndarray,
     L, _ = erm_constants(prob)
     idx, val = m.col(i)
     scale = 1.0 / (prob.lam * n * n)
-    grad = float(val @ ax[idx]) * scale + (prob.gamma / n) * float(x[i])
+    grad = dot_left_to_right(val, ax[idx]) * scale + (prob.gamma / n) * float(x[i])
     s = float(x[i]) + (float(prob.anchors[i]) / n - grad) / float(L[i])
     if prob.loss.dual_box is not None:
         s = min(max(s, prob.loss.dual_box[0]), prob.loss.dual_box[1])
@@ -888,21 +899,3 @@ def check_envelope_reference() -> CheckResult:
     resolved = bounds >= floor
     ratio = float(np.max(mean_gap[resolved] / bounds[resolved], initial=0.0))
     return CheckResult("envelope", ratio <= 1.2, f"max (F-F*)/bound = {ratio:.3f}")
-
-
-# Agreement of the compiled kernels with the Python reference kernels: the
-# two sum each column's dot product in a different order, so they agree to
-# rounding, not bitwise.  The gap bound is absolute, because P - D cancels
-# near the optimum.
-BACKEND_RTOL = 1e-12
-
-
-def assert_backends_agree(prob: ErmProblem, x_c: np.ndarray, x_py: np.ndarray) -> None:
-    """x, primal and dual within BACKEND_RTOL relative, gap within
-    BACKEND_RTOL * max(|P|, |D|) absolute."""
-    assert np.max(np.abs(x_c - x_py)) <= BACKEND_RTOL * np.max(np.abs(x_py))
-    c = PrimalDualReport.evaluate(prob, x_c, epoch=0)
-    py = PrimalDualReport.evaluate(prob, x_py, epoch=0)
-    assert abs(c.primal - py.primal) <= BACKEND_RTOL * abs(py.primal)
-    assert abs(c.dual - py.dual) <= BACKEND_RTOL * abs(py.dual)
-    assert abs(c.gap - py.gap) <= BACKEND_RTOL * max(abs(py.primal), abs(py.dual))

@@ -15,6 +15,7 @@ import apcg
 from apcg import baselines, cli, erm, native, schedule
 from apcg.cli import (CSV_HEADER, KNOWN_SOLVERS, ExperimentConfig, _config_from_args,
                       build_parser, check_invariants, main, run_experiment)
+from apcg.data import synth_binary, write_libsvm
 from apcg.errors import ConfigurationError
 
 import oracles
@@ -412,6 +413,44 @@ def output_bytes(out: Path) -> dict[str, bytes]:
             text = b"\n".join(line.rsplit(b",", 1)[0] for line in text.split(b"\n"))
         files[path.name] = text
     return files
+
+
+# The benchmark's tiny shapes: loss, n, d, sparsity, lambda, epochs and
+# solvers; the ridge one is read from a LIBSVM file, as the benchmark reads it
+TINY_RUNS = {
+    "hinge": ("smoothed_hinge", 400, 60, 0.2, 1e-2, 200, ("apcg", "sdca", "rpcg", "afg")),
+    "ridge": ("square", 200, 50, 0.2, 1e-3, 600, ("apcg", "afg")),
+}
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+@pytest.mark.parametrize("shape", TINY_RUNS)
+def test_run_writes_the_same_bytes_on_both_backends(shape, seed, c_kernels, tmp_path,
+                                                    capsys, monkeypatch):
+    """Every file a run writes, but for the wall_time_s column, and its
+    stdout, but for the out paths and the kernels: line, are the same bytes
+    on the compiled and on the Python kernels."""
+    loss, n, d, sparsity, lam, epochs, solvers = TINY_RUNS[shape]
+    if shape == "ridge":
+        data = tmp_path / "data.libsvm"
+        write_libsvm(*synth_binary(n, d, sparsity, seed=seed, min_nnz=1), data)
+        source = ["--data", str(data)]
+    else:
+        source = ["--synthetic", f"{n},{d},{sparsity!r},{seed}"]
+    argv = ["run", *source, "--loss", loss, "--lambda", repr(lam), "--gamma", "1.0",
+            "--seed", str(seed), "--epochs", str(epochs), "--tol", "1e-6"]
+    for solver in solvers:
+        argv += ["--solver", solver]
+    runs = []
+    for backend in ("c", "python"):
+        if backend == "python":
+            monkeypatch.setattr(native, "library", lambda: None)
+        out = tmp_path / backend
+        assert main([*argv, "--out", str(out)]) == 0
+        *lines, kernels = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+        assert kernels.startswith("kernels: ")
+        runs.append((output_bytes(out), lines))
+    assert runs[0] == runs[1]
 
 
 def test_jobs_is_accepted_only_as_one(tmp_path, capsys):

@@ -321,14 +321,12 @@ def test_erm_aggregate_consistency_over_many_steps(hinge200):
     state.check_consistency(1e-8)
 
 
-def fused_against_reference(prob, seed, epochs, exact=True, blocks=None):
-    """Run ErmDualState.epoch and the per-step oracle side by side.
-
-    With ``exact`` (the Python kernel) the two states must agree bitwise;
-    otherwise (the compiled kernel) to ``oracles.assert_backends_agree``,
-    with the same step count and scale.  ``blocks``, if given, replaces the
-    n indices of every epoch (forced through ``sampler.take``).  Returns
-    (clipped steps, scale renormalizations) seen by the oracle.
+def fused_against_reference(prob, seed, epochs, blocks=None):
+    """Run ErmDualState.epoch and the per-step oracle side by side; on
+    either backend the two states must agree bitwise, with the same step
+    count and scale.  ``blocks``, if given, replaces the n indices of every
+    epoch (forced through ``sampler.take``).  Returns (clipped steps, scale
+    renormalizations) seen by the oracle.
     """
     fused = ErmDualState(prob, seed=seed)
     ref = ErmDualState(prob, seed=seed)
@@ -343,11 +341,8 @@ def fused_against_reference(prob, seed, epochs, exact=True, blocks=None):
             clipped += oracles.apcg_erm_step_reference(prob, ref, int(i))
             renorms += ref.scale > scale  # the scale only grows at a renorm
     assert (fused.scale, fused.k) == (ref.scale, ref.k)
-    if exact:
-        for name in ("ubar_base", "v", "pbar_base", "q"):
-            assert np.array_equal(getattr(fused, name), getattr(ref, name)), name
-    else:
-        oracles.assert_backends_agree(prob, fused.x(), ref.x())
+    for name in ("ubar_base", "v", "pbar_base", "q"):
+        assert getattr(fused, name).tobytes() == getattr(ref, name).tobytes(), name
     return clipped, renorms
 
 
@@ -356,6 +351,18 @@ def renormalizing_problem():
     # passes 1e-120 about every 140 epochs, inside a fused call
     A, labels = synth_binary(5, 4, 0.5, seed=3, min_nnz=1)
     return ErmProblem.ridge(A, labels, lam=10.0)
+
+
+@pytest.mark.parametrize("val, vec", [
+    ([], []),
+    ([-1.0, 2.0], [0.0, -0.0]),  # products -0.0 and -0.0: from 0.0 they add to 0.0
+    ([1.0, 1e16, -1e16], [1.0, 1.0, 1.0]),  # left to right, 1e16 absorbs the 1.0
+    (list(np.random.default_rng(0).standard_normal(100)),
+     list(np.random.default_rng(1).standard_normal(100))),
+])
+def test_ordered_dot_adds_as_the_compiled_epochs_do(val, vec):
+    got = erm._dot_in_order(np.array(val), np.array(vec))
+    assert got.hex() == oracles.dot_left_to_right(np.array(val), np.array(vec)).hex()
 
 
 def test_fused_kernel_matches_reference_hinge(hinge200, python_kernels):
@@ -373,25 +380,23 @@ def test_fused_kernel_matches_reference_across_renormalization(python_kernels):
 
 
 def test_compiled_kernel_matches_reference_hinge(hinge200, c_kernels):
-    clipped, _ = fused_against_reference(hinge200, seed=4, epochs=8, exact=False)
+    clipped, _ = fused_against_reference(hinge200, seed=4, epochs=8)
     assert clipped > 0
 
 
 def test_compiled_kernel_matches_reference_square(ridge150, c_kernels):
-    fused_against_reference(ridge150, seed=4, epochs=8, exact=False)
+    fused_against_reference(ridge150, seed=4, epochs=8)
 
 
 def test_compiled_kernel_matches_reference_across_renormalization(c_kernels):
-    _, renorms = fused_against_reference(renormalizing_problem(), seed=1, epochs=300,
-                                         exact=False)
+    _, renorms = fused_against_reference(renormalizing_problem(), seed=1, epochs=300)
     assert renorms >= 1
 
 
 # sha256 of ubar_base, v, pbar_base and q, and the scale, after 5 compiled
 # epochs of ErmDualState(prob, seed=4); then of x and w_agg after 5 compiled
-# sdca_epoch calls on BlockSampler(n, 4).  The Python references match the
-# compiled epochs only to rounding, so only these digests show that the
-# kernels' arithmetic did not move.
+# sdca_epoch calls on BlockSampler(n, 4).  The Python epochs give the same
+# bits, so these digests pin the arithmetic of both backends.
 COMPILED_EPOCHS = {
     "hinge200": (
         ("c38fb22954aeed5959aae940f05b73e2f9f2c8804171dbb47a250a9418f56495",
@@ -439,6 +444,11 @@ def test_compiled_epochs_are_pinned(name, c_kernels, request):
     assert (digest(x), digest(w)) == sdca_digests
 
 
+@pytest.mark.parametrize("name", COMPILED_EPOCHS)
+def test_python_epochs_reproduce_the_compiled_pins(name, python_kernels, request):
+    test_compiled_epochs_are_pinned(name, None, request)
+
+
 # sha256 of x and ax after 30 AFG iterations from afg_start, and the
 # backtracks they made; the same on both backends, where a compiled trial
 # must reproduce the numpy gradient, prox and product bit for bit.
@@ -483,7 +493,7 @@ def edge_problems():
 
 def sdca_backends_agree(prob, epochs, monkeypatch, blocks=None):
     """``epochs`` sdca_epoch calls on the compiled kernel and on the Python
-    one, from one seed (or on ``blocks`` every epoch), agree to rounding."""
+    one, from one seed (or on ``blocks`` every epoch), agree bitwise."""
     runs = []
     for lib in (native.library(), None):
         monkeypatch.setattr(native, "library", lambda lib=lib: lib)
@@ -495,13 +505,12 @@ def sdca_backends_agree(prob, epochs, monkeypatch, blocks=None):
             sdca_epoch(prob, x, w, sampler)
         runs.append((x, w))
     (x, w), (x_ref, w_ref) = runs
-    oracles.assert_backends_agree(prob, x, x_ref)
-    assert np.max(np.abs(w - w_ref)) <= oracles.BACKEND_RTOL * np.max(np.abs(w_ref))
+    assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
 
 
 @pytest.mark.parametrize("prob", list(edge_problems()))
 def test_compiled_epochs_on_edge_shapes(prob, c_kernels, monkeypatch):
-    fused_against_reference(prob, seed=2, epochs=20, exact=False)
+    fused_against_reference(prob, seed=2, epochs=20)
     sdca_backends_agree(prob, 20, monkeypatch)
 
 
@@ -512,7 +521,7 @@ def test_compiled_epochs_on_a_column_repeated_back_to_back(name, c_kernels, monk
     prob = request.getfixturevalue(name)
     blocks = np.repeat(BlockSampler(prob.n, 9).take(prob.n // 5), 5)
     assert blocks.size == prob.n
-    fused_against_reference(prob, seed=4, epochs=4, exact=False, blocks=blocks)
+    fused_against_reference(prob, seed=4, epochs=4, blocks=blocks)
     sdca_backends_agree(prob, 4, monkeypatch, blocks=blocks)
 
 
@@ -922,10 +931,8 @@ def test_compiled_runs_are_deterministic_and_agree_with_python(hinge200, ridge15
             m.setattr(native, "library", lambda: None)
             for solver, c in compiled.items():
                 py = run_solver_trace(prob, solver, epochs=6, seed=3, tol=None)
-                if solver == "afg":  # full-vector products only: bitwise
-                    assert untimed(c) == untimed(py)
-                else:
-                    oracles.assert_backends_agree(prob, c.x, py.x)
+                assert c.x.tobytes() == py.x.tobytes()
+                assert untimed(c) == untimed(py)
 
 
 def test_solve_erm_tolerance_stop(hinge200):
