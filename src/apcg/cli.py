@@ -14,8 +14,9 @@ import argparse
 import csv
 import itertools
 import math
+import os
 import sys
-import weakref
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -106,12 +107,82 @@ def _build_problem(config: ExperimentConfig, A, labels, lam: float) -> erm.ErmPr
     return erm.ErmProblem.ridge(A, labels, lam=lam, gamma=config.gamma)
 
 
-# The problems that run_experiment built, each with the runs its cells have
-# made so far, keyed by (computation, epochs, seed, tol).  A problem leaves
-# once its lambda's cells are done; one built elsewhere is never here, so a
-# direct call of run_solver_trace always runs.
-_SHARED_RUNS: "weakref.WeakKeyDictionary[erm.ErmProblem, dict]" = \
-    weakref.WeakKeyDictionary()
+# The problems that run_experiment built, each with its lambda's pending
+# runs, one per (computation, epochs, seed, tol) in cell order.  A problem
+# leaves once its lambda's cells are done; one built elsewhere is never here,
+# so a direct call of run_solver_trace always runs.
+_SHARED_RUNS: dict[erm.ErmProblem, dict] = {}
+_CLAIMS = threading.Lock()  # guards every _PendingRun.claimed and each lambda's stop
+
+
+class _Stopped(Exception):
+    """Ends a helper's run at an epoch boundary once run_experiment has left."""
+
+
+class _PendingRun:
+    """One computation of a lambda's cells.  The first thread to claim it,
+    the main thread at the cell that needs it or a helper, makes it; every
+    cell that needs it gets its result, or has its error raised."""
+
+    def __init__(self):
+        self.claimed = False
+        self.done = threading.Event()
+        self.result = self.error = None
+
+    def claim(self, stop: threading.Event | None = None) -> bool:
+        """Take the run to make, unless a thread has or ``stop`` is set."""
+        with _CLAIMS:
+            if self.claimed or (stop is not None and stop.is_set()):
+                return False
+            self.claimed = True
+            return True
+
+    def make(self, prob: erm.ErmProblem, key: tuple, stop=None) -> None:
+        try:
+            self.result = _run(prob, *key, stop)
+        except BaseException as exc:  # raised again at the cell that needs it
+            self.error = exc
+        self.done.set()
+
+    def outcome(self) -> erm.ErmRunResult:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def _computation(solver: str) -> str:
+    return "sdca" if solver == "rpcg" else solver
+
+
+def _run(prob: erm.ErmProblem, computation: str, epochs: int, seed: int,
+         tol: float | None, stop: threading.Event | None = None) -> erm.ErmRunResult:
+    """Make one computation's run; with ``stop``, it raises _Stopped at the
+    first epoch boundary after ``stop`` is set."""
+    if computation == "apcg":
+        state = erm.ErmDualState(prob, seed=seed)
+        epoch, current, ax = state.epoch, state.x, state.ax
+    elif computation == "sdca":
+        x, w_agg = np.zeros(prob.n), np.zeros(prob.d)
+        sampler = BlockSampler(prob.n, seed)
+        epoch = lambda: baselines.sdca_epoch(prob, x, w_agg, sampler)
+        current = lambda: x
+        ax = lambda: (prob.lam * prob.n) * w_agg
+    elif computation == "afg":
+        afg = baselines.afg_start(prob)
+        epoch = lambda: baselines.afg_step(prob, afg)
+        current = lambda: afg.x
+        ax = lambda: afg.ax
+    else:
+        raise ConfigurationError(f"unknown solver {computation!r}")
+    if stop is not None:
+        step = epoch
+
+        def epoch():
+            if stop.is_set():
+                raise _Stopped
+            step()
+    return erm.run_epochs(prob, epoch, current, epochs, tol, ax=ax)
 
 
 def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
@@ -128,34 +199,37 @@ def run_solver_trace(prob: erm.ErmProblem, solver: str, epochs: int, seed: int,
     Each solver hands the reports the A x it maintains anyway: APCG's
     aggregates, SDCA's lam n w, AFG's carried image of its iterate.
 
-    On a problem that :func:`run_experiment` built, ``sdca`` and ``rpcg``
-    cells with the same (epochs, seed, tol) get one run, made by whichever
-    comes first: the second call returns the same result, wall times
-    included.
+    On a problem that :func:`run_experiment` built, the call takes the
+    pending run of its (computation, epochs, seed, tol): it makes the run
+    on the calling thread unless a helper has claimed it, and otherwise
+    waits for the helper and returns its result or raises its error.  So
+    ``sdca`` and ``rpcg`` cells with the same (epochs, seed, tol) get one
+    run, and the second call returns the same result, wall times included.
     """
-    computation = "sdca" if solver == "rpcg" else solver
-    runs = _SHARED_RUNS.get(prob, {})  # a throwaway memo for any other problem
+    computation = _computation(solver)
     key = (computation, epochs, seed, tol)
-    if key in runs:
-        return runs[key]
-    if computation == "apcg":
-        state = erm.ErmDualState(prob, seed=seed)
-        epoch, current, ax = state.epoch, state.x, state.ax
-    elif computation == "sdca":
-        x, w_agg = np.zeros(prob.n), np.zeros(prob.d)
-        sampler = BlockSampler(prob.n, seed)
-        epoch = lambda: baselines.sdca_epoch(prob, x, w_agg, sampler)
-        current = lambda: x
-        ax = lambda: (prob.lam * prob.n) * w_agg
-    elif computation == "afg":
-        afg = baselines.afg_start(prob)
-        epoch = lambda: baselines.afg_step(prob, afg)
-        current = lambda: afg.x
-        ax = lambda: afg.ax
-    else:
-        raise ConfigurationError(f"unknown solver {solver!r}")
-    runs[key] = result = erm.run_epochs(prob, epoch, current, epochs, tol, ax=ax)
-    return result
+    pending = _SHARED_RUNS.get(prob, {}).get(key)
+    if pending is None:
+        return _run(prob, *key)
+    if pending.claim():
+        pending.make(prob, key)
+    return pending.outcome()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _help(prob: erm.ErmProblem, runs: dict, stop: threading.Event) -> None:
+    """A helper thread: make the last unclaimed run of the lambda, again and
+    again, until none is left or ``stop`` is set."""
+    while True:
+        key = next((key for key in reversed(runs) if runs[key].claim(stop)), None)
+        if key is None:
+            return
+        runs[key].make(prob, key, stop)
 
 
 @dataclass(frozen=True)
@@ -188,7 +262,17 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     """Run every (lambda, solver, seed) cell in order and write its trace as
     it ends, then the summary and dataset files.  Each lambda's problem is
     built once, before its first cell, and shared by its cells, which share
-    their runs too (see run_solver_trace)."""
+    their runs too (see run_solver_trace).
+
+    Right after a lambda's problem is built, min(usable CPUs, distinct
+    computations) - 1 helper threads start making its runs from the last
+    one back, while the main thread takes the cells in order, making each
+    unclaimed run itself.  Traces, summary and stdout are as from the
+    serial loop.  With the Python kernels, which hold the GIL, no helper
+    starts.  Once the main thread leaves a lambda, by its end or an error, a
+    helper claims no new run and stops its current one at the next epoch
+    boundary, and the helpers are joined before the error goes on.
+    """
     config.validate()
     dataset, A, labels = _load_dataset(config)
     entries = A.n * A.d
@@ -200,17 +284,32 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     results: list[CellResult] = []
     for lam in config.lambdas:
         prob = _build_problem(config, A, labels, lam)
-        _SHARED_RUNS[prob] = {}
-        for solver in config.solvers:
-            for seed in config.seeds:
-                run = run_solver_trace(prob, solver, epochs=config.epochs, seed=seed,
-                                       tol=config.tol)
-                path = out_dir / _cell_filename(dataset, config.loss, lam, solver, seed)
-                _write_trace(path, run.reports)
-                results.append(CellResult(
-                    dataset=dataset, loss=config.loss, lam=lam, solver=solver, seed=seed,
-                    epochs_run=run.epochs_run, epochs_to_tol=run.epochs_to_tol,
-                    final_gap=run.reports[-1].gap, csv_path=str(path)))
+        runs = {(_computation(solver), config.epochs, seed, config.tol): _PendingRun()
+                for solver in config.solvers for seed in config.seeds}
+        helpers = min(_usable_cpus(), len(runs)) - 1 if native.library() is not None else 0
+        stop, threads = threading.Event(), []
+        try:
+            _SHARED_RUNS[prob] = runs
+            for _ in range(helpers):
+                thread = threading.Thread(target=_help, args=(prob, runs, stop))
+                thread.start()
+                threads.append(thread)
+            for solver in config.solvers:
+                for seed in config.seeds:
+                    run = run_solver_trace(prob, solver, epochs=config.epochs, seed=seed,
+                                           tol=config.tol)
+                    path = out_dir / _cell_filename(dataset, config.loss, lam, solver, seed)
+                    _write_trace(path, run.reports)
+                    results.append(CellResult(
+                        dataset=dataset, loss=config.loss, lam=lam, solver=solver, seed=seed,
+                        epochs_run=run.epochs_run, epochs_to_tol=run.epochs_to_tol,
+                        final_gap=run.reports[-1].gap, csv_path=str(path)))
+        finally:
+            with _CLAIMS:
+                stop.set()
+            for thread in threads:
+                thread.join()
+            del _SHARED_RUNS[prob]
 
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -464,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epochs", type=int)
     run.add_argument("--tol", type=float, help="stop a run once gap <= tol")
     run.add_argument("--out", help="output directory")
-    # accepted only as 1, which every benchmark run passes; cells run in order
+    # accepted only as 1, which every benchmark run passes; it does not limit
+    # the helper threads of run_experiment, which the usable CPUs set
     run.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
 
     sub.add_parser("check", help="run the diagnostic invariant suite")

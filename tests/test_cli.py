@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -429,7 +430,9 @@ def test_run_writes_the_same_bytes_on_both_backends(shape, seed, c_kernels, tmp_
                                                     capsys, monkeypatch):
     """Every file a run writes, but for the wall_time_s column, and its
     stdout, but for the out paths and the kernels: line, are the same bytes
-    on the compiled and on the Python kernels."""
+    on the compiled kernels with two usable CPUs (a helper thread makes
+    runs), on them with one (every run on the main thread) and on the
+    Python kernels."""
     loss, n, d, sparsity, lam, epochs, solvers = TINY_RUNS[shape]
     if shape == "ridge":
         data = tmp_path / "data.libsvm"
@@ -442,20 +445,23 @@ def test_run_writes_the_same_bytes_on_both_backends(shape, seed, c_kernels, tmp_
     for solver in solvers:
         argv += ["--solver", solver]
     runs = []
-    for backend in ("c", "python"):
+    for backend, cpus in (("c", {0, 1}), ("c", {0}), ("python", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
         if backend == "python":
             monkeypatch.setattr(native, "library", lambda: None)
-        out = tmp_path / backend
+        out = tmp_path / f"{backend}{len(cpus)}"
         assert main([*argv, "--out", str(out)]) == 0
         *lines, kernels = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
         assert kernels.startswith("kernels: ")
         runs.append((output_bytes(out), lines))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_jobs_is_accepted_only_as_one(tmp_path, capsys):
-    """Cells run in order in one process; --jobs stays for the benchmark,
-    which passes --jobs 1, and changes nothing."""
+    """Cells are taken in order in one process, whose helper threads the
+    usable CPUs set; --jobs stays for the benchmark, which passes --jobs 1,
+    and changes nothing, not even the number of helpers."""
     flags = ["run", "--synthetic", "40,10,0.5", "--solver", "apcg", "--solver", "sdca",
              "--seed", "0", "--seed", "1", "--epochs", "3"]
     assert main(flags + ["--out", str(tmp_path / "plain")]) == 0
@@ -469,6 +475,78 @@ def test_jobs_is_accepted_only_as_one(tmp_path, capsys):
     assert stop.value.code == 2
     assert "--jobs: invalid choice: 2" in capsys.readouterr().err
     assert not (tmp_path / "two").exists()
+
+
+def test_an_error_on_a_helper_is_raised_at_its_cell(c_kernels, tmp_path, capsys,
+                                                  monkeypatch):
+    """AFG refuses the overflowing data on a helper thread while APCG steps
+    on the main thread.  With two usable CPUs as with one, the run writes
+    the apcg trace and then exits 2 with the same error: line, and it
+    leaves no thread running."""
+    data = tmp_path / "big.txt"
+    data.write_text(OVERFLOW_DATA)
+    argv = ["run", "--data", str(data), "--solver", "apcg", "--solver", "afg",
+            "--lambda", "1e-4", "--epochs", "3"]
+    started, start = [], threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    before = threading.active_count()
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main([*argv, "--out", str(out)]) == 2
+        runs.append((capsys.readouterr().err, output_bytes(out)))
+    assert len(started) == 1 and threading.active_count() == before
+    assert runs[0] == runs[1]
+    err, files = runs[1]
+    assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+    assert list(files) == ["big_smoothed_hinge_lam0.0001_apcg_s0.csv"]
+
+
+class Probe(Exception):
+    """Raised by a wrapped first cell, as the benchmark's set-up probe does."""
+
+
+def test_a_first_cell_that_raises_stops_the_helper_at_an_epoch_boundary(tmp_path,
+                                                                        c_kernels,
+                                                                        monkeypatch):
+    """A run_solver_trace wrapper raises at the first cell once the helper
+    is inside its first AFG epoch, which it leaves only when told to stop.
+    The exception propagates, and the run returns once that epoch ends: the
+    helper runs no second epoch of its 10^6 and is not left running."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stops, in_epoch, afg_epochs = [], threading.Event(), []
+    helper, afg_step = cli._help, baselines.afg_step
+
+    def spy_help(prob, runs, stop):
+        stops.append(stop)
+        helper(prob, runs, stop)
+
+    def held_step(prob, state):
+        afg_epochs.append(threading.get_ident())
+        in_epoch.set()
+        stops[0].wait(60)
+        return afg_step(prob, state)
+
+    def probe(*args, **kwargs):
+        in_epoch.wait(60)
+        raise Probe
+
+    monkeypatch.setattr(cli, "_help", spy_help)
+    monkeypatch.setattr(baselines, "afg_step", held_step)
+    monkeypatch.setattr(cli, "run_solver_trace", probe)
+    before = threading.active_count()
+    with pytest.raises(Probe):
+        run_experiment(small_config(tmp_path, solvers=["apcg", "afg"], epochs=10**6))
+    assert threading.active_count() == before
+    assert len(stops) == 1 and stops[0].is_set()
+    assert afg_epochs == [afg_epochs[0]] and afg_epochs[0] != threading.get_ident()
 
 
 def test_a_lambda_that_fails_to_build_leaves_the_earlier_traces(tmp_path, capsys):

@@ -347,28 +347,109 @@ def test_every_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path
     assert len(list((tmp_path / "apcg").glob("kernels-*.so"))) == 1
 
 
-NO_THREAD_RUN = """
-import sys, threading
-from apcg import native
+THREAD_RUN = """
+import os, sys, threading
+from apcg import cli, erm, native
 from apcg.cli import main
 
-def refuse(thread):
-    raise AssertionError(f"the run started the thread {thread.name}")
+case, out = sys.argv[1], sys.argv[2]
+solvers = ["apcg", "sdca", "rpcg", "afg"]  # three computations
+if case == "one-computation":
+    solvers = ["sdca", "rpcg"]
+elif case == "python":
+    native.library = lambda: None
+elif case == "one-cpu":
+    os.sched_getaffinity = lambda pid: {0}
+else:
+    assert native.library() is not None, native.backend()
 
-threading.Thread.start = refuse
-assert native.library() is not None, native.backend()
-sys.exit(main(["run", "--synthetic", "200,50,0.2", "--lambda", "1e-3", "--epochs", "30",
-               "--tol", "1e-3", "--out", sys.argv[1]]))
+started, cells = [], {}  # cells: run number -> threads its work ran on
+if case == "helpers":
+    start, run_epochs, init, post = (threading.Thread.start, erm.run_epochs,
+                                     erm._ReportPass.__init__, erm._ReportPass.post)
+    current = threading.local()
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    def traced_run(prob, epoch, x, epochs, tol=None, *, ax):
+        current.run = run = len(cells)
+        cells[run] = {threading.get_ident()}
+
+        def traced_epoch():
+            cells[run].add(threading.get_ident())
+            epoch()
+        return run_epochs(prob, traced_epoch, x, epochs, tol, ax=ax)
+
+    def traced_init(self, prob):
+        init(self, prob)
+        self.run = current.run
+
+    def traced_post(self, x, ax):
+        cells[self.run].add(threading.get_ident())
+        post(self, x, ax)
+
+    threading.Thread.start = counting_start
+    erm.run_epochs, erm._ReportPass.__init__, erm._ReportPass.post = (
+        traced_run, traced_init, traced_post)
+else:
+    def refuse(thread):
+        raise AssertionError(f"the run started the thread {thread.name}")
+
+    threading.Thread.start = refuse
+
+helped, make = [], cli._run  # helped: the computations made off the main thread
+
+def spied_make(prob, computation, *rest):
+    if threading.current_thread() is not threading.main_thread():
+        helped.append(computation)
+    return make(prob, computation, *rest)
+
+cli._run = spied_make
+before = threading.active_count()
+argv = ["run", "--synthetic", "200,50,0.2", "--lambda", "1e-3", "--epochs", "30",
+        "--tol", "1e-3", "--out", out]
+for solver in solvers:
+    argv += ["--solver", solver]
+code = main(argv)
+assert threading.active_count() == before, (before, threading.active_count())
+print(len(os.sched_getaffinity(0)), len(started), sorted(len(t) for t in cells.values()))
+print(helped)
+sys.exit(code)
 """
 
 
-def test_a_compiled_run_starts_no_thread(tmp_path, c_kernels):
-    """Every row of a compiled run is reported on the thread that runs it:
-    the four solvers on a small hinge problem, each run to its tol or its
+@pytest.mark.parametrize("case", ["one-computation", "python", "one-cpu"])
+def test_a_run_without_helpers_starts_no_thread(case, tmp_path, c_kernels):
+    """No helper thread starts for a single computation (sdca and rpcg are
+    one), on the Python kernels, which hold the GIL, or with one usable CPU:
+    the solvers on a small hinge problem, each run to its tol or its
     budget, exit 0 with starting a thread made an error.  The run has a
-    fresh process, so no thread that an earlier test started can serve it."""
+    fresh process, so no thread that an earlier test started is counted."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", NO_THREAD_RUN, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", THREAD_RUN, case, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    assert proc.stdout.splitlines()[-1] == "kernels: c"
+    *_, kernels, counts, helped = proc.stdout.splitlines()
+    assert counts.split(" ", 2)[1:] == ["0", "[]"] and helped == "[]"
+    assert kernels == ("kernels: c" if case != "python" else "kernels: python ()")
+
+
+def test_each_cell_of_a_compiled_run_stays_on_one_thread(tmp_path, c_kernels):
+    """The four solvers' three computations, compiled: every epoch() call
+    and report post of a run is on the thread that started it, at most
+    usable CPUs - 1 helper threads start (one per computation beyond the
+    first), a helper makes the last computation first, and none is left
+    running when the run returns."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", THREAD_RUN, "helpers", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    *_, kernels, counts, helped = proc.stdout.splitlines()
+    usable, started, threads = counts.split(" ", 2)
+    assert int(started) == min(int(usable), 3) - 1
+    # a helper takes the last computation first; the main thread, the first
+    assert helped.startswith("['afg'") if int(started) else helped == "[]"
+    assert threads == "[1, 1, 1]"
+    assert kernels == "kernels: c"

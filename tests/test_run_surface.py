@@ -9,7 +9,8 @@ the program starts would count as well.  The surface is:
 
 * ``apcg-bench run`` with all four solvers, on synthetic, LIBSVM and ``.gz``
   input, on both losses, on the compiled kernels and on the Python ones
-  (``native.library`` patched to return None);
+  (``native.library`` patched to return None), with two usable CPUs
+  (``os.sched_getaffinity`` patched), so the compiled runs start a helper;
 * one malformed LIBSVM file, which exits 2 with an ``error:`` line;
 * ``apcg-bench check``.
 
@@ -58,6 +59,9 @@ threading.settrace(record)  # code on threads the program starts counts too
 
 from apcg import cli, native
 from apcg.data import synth_binary, write_libsvm
+
+# two usable CPUs on any host, so the compiled runs start a helper thread
+os.sched_getaffinity = lambda pid: {0, 1}
 
 def main(*argv):
     with contextlib.redirect_stdout(io.StringIO()), \
