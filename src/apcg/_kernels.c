@@ -41,19 +41,18 @@
    apcg.native builds this file with -O2 -ffp-contract=off
    -falign-loops=64: no fused multiply-add, no fast-math, and every loop
    starting a cache line.  The tokenizer rounds each value of at most 19
-   significant digits itself (Clinger's fast path, else Eisel-Lemire) and
-   hands every other value to strtod; both round correctly like Python's
-   float(), so what it accepts parses to the same bits.  synth_columns
-   makes the same calls into numpy's own distributions, on the caller's
-   Generator, in the same order as the Python loop, so its indptr, indices
-   and values, and the draws that follow it, are bitwise the same.  One
-   bitmap of ceil(d / 64) words marks a column's rows: Floyd's algorithm tests
-   membership in it, and the rows come out sorted by a scan of its words
-   (an insertion sort of the rows where k * k is small against the word
-   count).  The unit-norm scaling of each column stays in numpy, one
-   stacked matmul per column length, because np.linalg.norm sums with BLAS
-   ddot, whose order a C loop would not match.  Callers validate dtypes,
-   shapes and index ranges before every call.
+   significant digits itself (Eisel-Lemire) and hands every other value to
+   strtod; both round correctly like Python's float(), so what it accepts
+   parses to the same bits.  synth_columns makes the same calls into
+   numpy's own distributions, on the caller's Generator, in the same order
+   as the Python loop, so its indptr, indices and values, and the draws
+   that follow it, are bitwise the same.  One bitmap of ceil(d / 64) words
+   marks a column's rows: Floyd's algorithm tests membership in it, and the
+   rows come out sorted by a scan of its words.  The unit-norm scaling of
+   each column stays in numpy, one stacked matmul per column length,
+   because np.linalg.norm sums with BLAS ddot, whose order a C loop would
+   not match.  Callers validate dtypes, shapes and index ranges before
+   every call.
 
    The two epochs know every index of the epoch before its first step, and
    each step starts by reading a column and a few per-coordinate entries
@@ -394,11 +393,6 @@ int64_t schedule_history(double n, double mu, double gamma0, int64_t steps,
 #define IS_DIGIT(c) ((c) >= '0' && (c) <= '9')
 #define VALUE_MAX 63
 
-/* 10^0 ... 10^22, each exact as a double */
-static const double EXACT_POWERS_OF_TEN[] = {
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-
 /* w * 10^q rounded to nearest, ties to even, by Eisel-Lemire (Lemire,
    "Number parsing at a gigabyte per second", SPE 2021; the second product
    makes it exact without a fallback: Mushtak and Lemire, "Fast number
@@ -445,14 +439,12 @@ static int eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow5, double *out
    VALUE_MAX, or a value strtod would not give as a finite number without
    ERANGE).  The digits fold into w (wrapping past 19 digits, where w is
    not used) and the token is w * 10^q.  With at most 19 significant
-   digits (leading zeros do not count) w is exact: Clinger's fast path
-   rounds it with one exact product or quotient where w and 10^|q| are
-   exact doubles, else eisel_lemire.  Both round correctly, so they give
-   strtod's double, and they take only tokens that strtod reads to a
-   finite, normal double without ERANGE.  Every other token (more digits,
-   q outside [-342, 308], a subnormal or overflowing result) is read by
-   strtod from a NUL-terminated copy, which must consume all of it and
-   give a finite value without ERANGE. */
+   digits (leading zeros do not count) w is exact, and eisel_lemire rounds
+   it correctly, so it gives strtod's double; it takes only tokens that
+   strtod reads to a finite, normal double without ERANGE.  Every other
+   token (more digits, q outside [-342, 308], a subnormal or overflowing
+   result) is read by strtod from a NUL-terminated copy, which must
+   consume all of it and give a finite value without ERANGE. */
 static const char *read_value(const char *p, const char *end, const uint64_t *pow5,
                               double *out)
 {
@@ -499,8 +491,6 @@ static const char *read_value(const char *p, const char *end, const uint64_t *po
         goto fallback;
     if (w == 0)
         v = 0.0;
-    else if (q >= -22 && q <= 22 && w <= (uint64_t)1 << 53)
-        v = q < 0 ? (double)w / EXACT_POWERS_OF_TEN[-q] : (double)w * EXACT_POWERS_OF_TEN[q];
     else if (eisel_lemire(w, q, pow5, &v))
         goto fallback;
     *out = negative ? -v : v;
@@ -602,32 +592,11 @@ uint64_t random_bounded_uint64(bitgen_t *bitgen, uint64_t off, uint64_t rng,
                                uint64_t mask, bool use_masked);
 void random_standard_normal_fill(bitgen_t *bitgen, intptr_t cnt, double *out);
 
-/* The rows come out of the bitmap by a scan of its words, whose cost
-   grows with the word count and with k, unless k * k < SORT_CROSSOVER
-   words, where an insertion sort of the k rows, whose cost grows with
-   k * k, is cheaper: at d = 1e5 (1563 words) up to k = 68.  The two
-   crossed between k * k = 2 and 6 words, timed alone for d = 1e3 to 3e5
-   and k = 4 to 128 on a 2-vCPU Xeon; at d = 1e5 the sort took 22% of the
-   scan's time at k = 16 and 67% at k = 48. */
-#define SORT_CROSSOVER 3
-
-/* rows[0..k) are distinct rows, each set in bits (ceil(d / 64) words, no
-   other bit set): write them in increasing order and clear their bits. */
-static void sorted_rows(int64_t *rows, int64_t k, uint64_t *bits, int64_t d)
+/* rows[0..k) are distinct rows, each set in bits (no other bit set):
+   write them in increasing order, by a scan of the words, and clear their
+   bits. */
+static void sorted_rows(int64_t *rows, int64_t k, uint64_t *bits)
 {
-    const int64_t words = (d + 63) / 64;
-    if (k * k < SORT_CROSSOVER * words) {
-        for (int64_t i = 1; i < k; i++) {
-            const int64_t r = rows[i];
-            int64_t j = i;
-            for (; j > 0 && rows[j - 1] > r; j--)
-                rows[j] = rows[j - 1];
-            rows[j] = r;
-        }
-        for (int64_t i = 0; i < k; i++)
-            bits[rows[i] >> 6] = 0;
-        return;
-    }
     for (int64_t w = 0, i = 0; i < k; w++) {
         uint64_t word = bits[w];
         if (word == 0)
@@ -694,7 +663,7 @@ int synth_columns(bitgen_t *bitgen, int64_t n, int64_t d, double p, int64_t min_
                 bits[rows[i] >> 6] |= (uint64_t)1 << (rows[i] & 63);
             }
         }
-        sorted_rows(rows, k, bits, d);
+        sorted_rows(rows, k, bits);
         random_standard_normal_fill(bitgen, (intptr_t)k, vals);
         for (int64_t i = 0; i < k; i++)
             if (vals[i] == 0.0)

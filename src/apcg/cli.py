@@ -435,20 +435,21 @@ def _check_equivalence() -> CheckResult:
             kernel.epoch()
             for _ in range(prob.n):
                 apcg_step_general(comp, explicit, sched)
-            worst_x = max(worst_x, float(np.max(np.abs(kernel.x() - explicit.x))))
+            worst_x = np.maximum(worst_x, np.max(np.abs(kernel.x() - explicit.x)))
         x = explicit.x
         rep = erm.PrimalDualReport.evaluate(prob, x, epoch=5)
         linear = prob.anchors / prob.n
-        worst_rel = max(worst_rel, abs(comp.smooth.value(x) - linear @ x + rep.dual)
-                        / abs(rep.dual))
+        worst_rel = np.maximum(worst_rel, abs(comp.smooth.value(x) - linear @ x + rep.dual)
+                               / abs(rep.dual))
         if prob.loss.dual_box is None:
             grad = comp.smooth.full_gradient(x) - linear
-            worst_rel = max(worst_rel, abs(grad @ grad - rep.dual_subgrad_norm_sq)
-                            / rep.dual_subgrad_norm_sq)
-    if worst_x > 1e-8:
+            worst_rel = np.maximum(worst_rel, abs(grad @ grad - rep.dual_subgrad_norm_sq)
+                                   / rep.dual_subgrad_norm_sq)
+    # written as "not within the bound", so that NaN fails
+    if not worst_x <= 1e-8:
         return CheckResult("equivalence", False,
                            f"max |x_erm - x_explicit| = {worst_x:.2e}")
-    if worst_rel > 1e-12:
+    if not worst_rel <= 1e-12:
         return CheckResult("equivalence", False,
                            f"composite f off the report's dual by {worst_rel:.2e} relative")
     return CheckResult("equivalence", True,
@@ -460,11 +461,11 @@ def _check_gap_bound() -> CheckResult:
     A, labels = synth_binary(100, 20, 0.3, seed=7, min_nnz=1)
     prob = erm.ErmProblem.smoothed_hinge(A, labels, lam=1e-2, gamma=1.0)
     run = erm.solve_erm(prob, epochs=30, seed=2)
-    worst_gap = min(r.gap for r in run.reports)
-    worst_slack = max(r.gap - r.subgradient_gap_bound for r in run.reports)
-    if worst_gap < -1e-10:
+    worst_gap = np.min([r.gap for r in run.reports])
+    worst_slack = np.max([r.gap - r.subgradient_gap_bound for r in run.reports])
+    if not worst_gap >= -1e-10:
         return CheckResult("gap-bound", False, f"negative gap {worst_gap:.2e}")
-    if worst_slack > 1e-10:
+    if not worst_slack <= 1e-10:
         return CheckResult("gap-bound", False,
                            f"gap exceeded subgradient bound by {worst_slack:.2e}")
     return CheckResult("gap-bound", True,

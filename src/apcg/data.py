@@ -180,9 +180,9 @@ def parse_libsvm(path) -> tuple[SparseColMatrix, np.ndarray]:
     and all input when the kernels are unavailable, goes through the Python
     parser, which accepts it or raises a line-numbered ParseError.  The
     tokenizer rounds a value of at most 19 significant digits itself
-    (Clinger's exact fast path, else Eisel-Lemire) and reads any other with
-    ``strtod``; each rounds correctly, as ``float()`` does, so both parsers
-    give bitwise-equal results on what the tokenizer accepts.
+    (Eisel-Lemire) and reads any other with ``strtod``; each rounds
+    correctly, as ``float()`` does, so both parsers give bitwise-equal
+    results on what the tokenizer accepts.
     """
     path = Path(path)
     lib = native.library()

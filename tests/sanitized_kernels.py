@@ -132,11 +132,11 @@ def repeated_column() -> None:
         state.check_consistency()
 
 
-# (value token, whether the tokenizer takes it): Clinger's path, ties, 19-
-# and 20-digit mantissas, Eisel-Lemire's second product (1e126 and the two
-# 19-digit ones), both ends of the table of powers (1e308, 1e-342), and
-# each fallback to strtod: over 19 digits, an exponent below -342 or above
-# 308, a subnormal and an overflow after rounding
+# (value token, whether the tokenizer takes it): products of exact doubles,
+# ties, 19- and 20-digit mantissas, Eisel-Lemire's second product (1e126
+# and the two 19-digit ones), both ends of the table of powers (1e308,
+# 1e-342), and each fallback to strtod: over 19 digits, an exponent below
+# -342 or above 308, a subnormal and an overflow after rounding
 VALUE_TOKENS = [(b"1.5", True), (b"-0.25e-3", True), (b"9007199254740992e-22", True),
                 (b"9007199254740993", True), (b"9007199254740991.5", True),
                 (b"1234567890123456789", True), (b"-9999999999999999999e-300", True),
@@ -181,8 +181,8 @@ def libsvm(work_dir: Path) -> None:
 
 def synthetic() -> None:
     """Edge shapes, the bitmap read at its word edges (d = 63, 64, 65 at
-    k = d) and the rows sorted instead (d = 20000, where 313 words sort up
-    to k = 30)."""
+    k = d) and a few rows read off many words (d = 20000, 313 words, at
+    k = 30 and 31)."""
     for n, d, sparsity, min_nnz in ((0, 3, 0.5, 0), (1, 1, 1.0, 0), (3, 5, 0.01, 0),
                                     (4, 5, 1.0, 5), (3, 20000, 0.1, 0), (3, 20000, 0.001, 1),
                                     (2, 63, 1.0, 0), (2, 64, 1.0, 0), (2, 65, 1.0, 0),

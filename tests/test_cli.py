@@ -707,6 +707,37 @@ def test_equivalence_check_runs_the_erm_kernel(request, capsys, monkeypatch, ker
     assert line.startswith("[FAIL] equivalence: max |x_erm - x_explicit| = "), line
 
 
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_equivalence_check_fails_on_a_nan_epoch(request, capsys, monkeypatch, kernels):
+    # the NaN control: a max that drops NaN would print PASS at 0.00e+00
+    request.getfixturevalue(kernels)
+    true_epoch = erm.ErmDualState.epoch
+
+    def poisoned(self):
+        true_epoch(self)
+        self.v[:] = math.nan
+
+    monkeypatch.setattr(erm.ErmDualState, "epoch", poisoned)
+    assert main(["check"]) == 1
+    line = capsys.readouterr().out.splitlines()[3]
+    assert line.startswith("[FAIL] equivalence:"), line
+
+
+@pytest.mark.parametrize("kernels", ["c_kernels", "python_kernels"])
+def test_gap_bound_check_fails_on_nan_gaps(request, monkeypatch, kernels):
+    # NaN compares false with < and >, so each test must reject it explicitly
+    request.getfixturevalue(kernels)
+    true_solve = erm.solve_erm
+
+    def nan_gaps(*args, **kwargs):
+        run = true_solve(*args, **kwargs)
+        run.reports[:] = [dataclasses.replace(r, gap=math.nan) for r in run.reports]
+        return run
+
+    monkeypatch.setattr(erm, "solve_erm", nan_gaps)
+    assert not cli._check_gap_bound().passed
+
+
 def test_equivalence_check_holds_the_composite_to_the_report(monkeypatch):
     # the control of the value line: f off by a relative 1e-9
     true_composite = erm.relocated_dual_composite

@@ -455,9 +455,9 @@ TOKENIZER_CASES = [
     (b"+1 1:" + b"1" * 64 + b"\n", False),               # token over 63 bytes
     (b"+1 1:1:2\n", False), (b"+1 1 :1\n", False), (b"+1 1:1x\n", False),
     (b"+11:1\n", False),
-    # values at the edges of the exact fast path, each taken or declined as
-    # when the tokenizer read every value with strtod: ties to even, 2^53 + 1
-    # and 2^53 + 3
+    # values at the edges of exact doubles, each taken or declined as when
+    # the tokenizer read every value with strtod: ties to even, 2^53 + 1 and
+    # 2^53 + 3
     (b"+1 1:9007199254740993\n", True), (b"+1 1:9007199254740995\n", True),
     (b"+1 1:9007199254740991.5\n", True),              # a tie rounding up to 2^53
     # 19 and 20 significant digits, and zeros beyond 19 digits
@@ -468,8 +468,8 @@ TOKENIZER_CASES = [
     (b"+1 1:0000000000000000000000001\n", True),
     (b"+1 1:1234567890123456789000000\n", True),
     (b"+1 1:1.0000000000000000000000\n", True),
-    # Clinger's edges: 10^22 is the last exact power of ten, 2^53 the last
-    # exact mantissa
+    # products of exact doubles: 10^22 is the last exact power of ten, 2^53
+    # the last exact mantissa
     (b"+1 1:1e22\n", True), (b"+1 1:1e23\n", True),
     (b"+1 1:9007199254740992e-22\n", True), (b"+1 1:9007199254740993e-22\n", True),
     # the smallest normal, 2^-1022 = 2.2250738585072014e-308, and below it
@@ -506,7 +506,7 @@ def midpoint_above(a: float) -> str:
 def short_midpoint(odd: int, shift: int) -> str:
     """``odd * 2^shift`` for an odd 54-bit ``odd``: exactly halfway between
     two adjacent doubles, in 17 to 21 digits for shift in [-6, 12], so that
-    most reach the fast path's tie rule."""
+    most reach Eisel-Lemire's tie rule."""
     return exact_decimal(Fraction(odd) * Fraction(2) ** shift)
 
 
@@ -794,10 +794,10 @@ def test_synth_compiled_is_bitwise_the_python_loop(n, d, sparsity, seed, min_nnz
     ((60, 20, 0.01), dict()),  # mostly k = 0 columns
     ((30, 1, 0.5), dict()),
     ((0, 7, 0.5), dict()),
-    ((200, 2000, 0.004), dict()),  # k * k about 3 * 32 words: rows sorted or scanned
+    ((200, 2000, 0.004), dict()),  # k about 8 against 32 words
     ((500, 40, 0.3), dict()),
-    # rows sorted below k * k = 3 * ceil(d / 64) words, read off the bitmap
-    # at and above it: 1563 words at d = 1e5, 157 at d = 1e4
+    # a few rows read off a bitmap of many words: 1563 words at d = 1e5,
+    # 157 at d = 1e4
     ((6, 100000, 1e-6), dict(min_nnz=68)),
     ((6, 100000, 1e-6), dict(min_nnz=69)),
     ((6, 10000, 1e-6), dict(min_nnz=21)),

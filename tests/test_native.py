@@ -301,9 +301,10 @@ def test_signatures_match_the_c_definitions():
 
 @pytest.mark.parametrize("random_library", [False, True], ids=["plain", "npyrandom"])
 def test_kernels_compile_clean_under_all_and_extra_warnings(tmp_path, random_library):
-    """The kernel file compiles with -Wall -Wextra -Werror, as apcg.native
-    builds it with and without numpy's random library, so a sign-compare
-    or shift-count slip fails here rather than passing silently."""
+    """The kernel file compiles with -Wall -Wextra -Wunused-macros -Werror,
+    as apcg.native builds it with and without numpy's random library, so a
+    sign-compare or shift-count slip, or a macro or table left unused,
+    fails here rather than passing silently."""
     try:
         compiler = native._compiler()
     except native.BuildError as exc:
@@ -313,8 +314,8 @@ def test_kernels_compile_clean_under_all_and_extra_warnings(tmp_path, random_lib
         if not native.RANDOM_ARCHIVE.is_file():
             pytest.skip(f"numpy ships no {native.RANDOM_ARCHIVE.name}")
         inputs = ["-DAPCG_NPYRANDOM", *inputs, str(native.RANDOM_ARCHIVE)]
-    proc = subprocess.run([compiler, *native.CFLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "kernels.so"), *inputs, "-lm"],
+    proc = subprocess.run([compiler, *native.CFLAGS, "-Wall", "-Wextra", "-Wunused-macros",
+                           "-Werror", "-o", str(tmp_path / "kernels.so"), *inputs, "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
